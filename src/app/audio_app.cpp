@@ -68,8 +68,7 @@ coproc::SoftCpu::StepHandler AudioDecodeApp::feederStep() const {
     st.pkt.resize(1 + bb);
     st.pkt[0] = static_cast<std::uint8_t>(media::PacketTag::Mb);
     co_await inst_.dram().read(st.dram_addr + st.pos,
-                               std::span<std::uint8_t>(st.pkt).subspan(1),
-                               static_cast<int>(sh.id()));
+                               std::span<std::uint8_t>(st.pkt).subspan(1));
     st.pos += bb;
     st.samples_fed += st.block_samples;
     co_await coproc::packet_io::write(sh, task, 0, st.pkt, /*wait=*/false);

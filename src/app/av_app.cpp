@@ -72,7 +72,7 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
     }
     // One transport packet per processing step.
     std::vector<std::uint8_t> pkt(media::mux::kPacketBytes);
-    co_await inst_.dram().read(st.ts_addr + st.pos, pkt, static_cast<int>(inst_.cpuShell().id()));
+    co_await inst_.dram().read(st.ts_addr + st.pos, pkt);
     const auto parsed = media::mux::parsePacket(pkt);
     st.pos += media::mux::kPacketBytes;
     ++st.packets;
@@ -80,7 +80,7 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
     co_await inst_.simulator().delay(8 + parsed.payload.size() / 4);
     // Staging write of the payload to the destination elementary-stream
     // area (timing only; contents were placed functionally above).
-    co_await inst_.dram().touchWrite(parsed.payload.size(), static_cast<int>(inst_.cpuShell().id()));
+    co_await inst_.dram().touchWrite(parsed.payload.size());
     if (parsed.stream_id == st.video_stream_id) {
       st.video_bytes += parsed.payload.size();
     } else if (parsed.stream_id == st.audio_stream_id) {

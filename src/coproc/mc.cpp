@@ -54,7 +54,7 @@ sim::Task<void> McCoproc::fetchRegion(TaskState& st, std::int32_t slot, int plan
   out.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
 
   // Timing: one 2D burst over the system bus of the region size.
-  co_await dram_.touchRead(out.size(), static_cast<int>(shell_.id()));
+  co_await dram_.touchRead(out.size());
 
   // Function: clamped per-sample gather (replicated frame edges, exactly
   // like motion::sampleHalfPel's full-pel clamping).
@@ -100,9 +100,9 @@ sim::Task<void> McCoproc::writeReconMb(TaskState& st, std::int32_t slot, int mb_
   // Timing: three posted write bursts (Y, Cb, Cr). Writes go through a
   // write buffer, so the coprocessor stalls only for bus occupancy, not
   // for the off-chip access latency (reads cannot be posted).
-  co_await dram_.bus().transfer(256, static_cast<int>(shell_.id()));
-  co_await dram_.bus().transfer(64, static_cast<int>(shell_.id()));
-  co_await dram_.bus().transfer(64, static_cast<int>(shell_.id()));
+  co_await dram_.bus().transfer(256);
+  co_await dram_.bus().transfer(64);
+  co_await dram_.bus().transfer(64);
 }
 
 sim::Task<void> McCoproc::predictTimed(TaskState& st, const media::MbHeader& h,

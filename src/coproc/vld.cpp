@@ -26,7 +26,7 @@ sim::Task<void> VldCoproc::ensureFetched(TaskState& st) {
     const std::uint32_t chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         params_.fetch_chunk, st.cfg.bitstream_bytes - st.fetched_bytes));
     // Timing-only burst: the bytes are already visible via the reader span.
-    co_await dram_.touchRead(chunk, static_cast<int>(shell_.id()));
+    co_await dram_.touchRead(chunk);
     st.fetched_bytes += chunk;
   }
 }

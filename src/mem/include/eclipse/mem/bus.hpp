@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -12,7 +11,7 @@
 
 namespace eclipse::mem {
 
-/// Statistics kept per bus and per client.
+/// Statistics kept per bus.
 struct BusStats {
   std::uint64_t transactions = 0;
   std::uint64_t bytes = 0;
@@ -44,8 +43,7 @@ class Bus {
   Bus& operator=(const Bus&) = delete;
 
   /// Occupies the bus for the duration of a `bytes`-sized burst.
-  /// `client` identifies the requester for per-client accounting.
-  sim::Task<void> transfer(std::size_t bytes, int client) {
+  sim::Task<void> transfer(std::size_t bytes) {
     if (sim_.sharded()) sim_.assertOnShard(home_shard_, name_.c_str());
     co_await grant_.acquire();
     sim::SemaphoreGuard guard(grant_);
@@ -55,10 +53,6 @@ class Bus {
     total_.transactions += 1;
     total_.bytes += bytes;
     total_.busy_cycles += total;
-    auto& cs = per_client_[client];
-    cs.transactions += 1;
-    cs.bytes += bytes;
-    cs.busy_cycles += total;
   }
 
   /// Cycles a burst of `bytes` occupies the data path (excl. arbitration).
@@ -75,7 +69,6 @@ class Bus {
   [[nodiscard]] std::uint32_t widthBytes() const { return width_bytes_; }
   [[nodiscard]] sim::Cycle arbitrationLatency() const { return arb_latency_; }
   [[nodiscard]] const BusStats& stats() const { return total_; }
-  [[nodiscard]] const std::map<int, BusStats>& perClientStats() const { return per_client_; }
 
   /// Bus occupancy as a fraction of `elapsed` cycles.
   [[nodiscard]] double utilization(sim::Cycle elapsed) const {
@@ -83,10 +76,7 @@ class Bus {
     return static_cast<double>(total_.busy_cycles) / static_cast<double>(elapsed);
   }
 
-  void resetStats() {
-    total_ = BusStats{};
-    per_client_.clear();
-  }
+  void resetStats() { total_ = BusStats{}; }
 
  private:
   sim::Simulator& sim_;
@@ -96,7 +86,6 @@ class Bus {
   sim::Semaphore grant_;
   sim::ShardId home_shard_ = 0;
   BusStats total_;
-  std::map<int, BusStats> per_client_;
 };
 
 }  // namespace eclipse::mem

@@ -36,16 +36,16 @@ class SharedSram {
         read_bus_(sim, "sram.read", params.bus_width_bytes, params.bus_arbitration_latency),
         write_bus_(sim, "sram.write", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
-  /// Timed read of `out.size()` bytes at `addr` on behalf of `client`.
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
-    co_await read_bus_.transfer(out.size(), client);
+  /// Timed read of `out.size()` bytes at `addr`.
+  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out) {
+    co_await read_bus_.transfer(out.size());
     co_await sim_.delay(params_.access_latency);
     storage_.read(addr, out);
   }
 
-  /// Timed write of `in.size()` bytes at `addr` on behalf of `client`.
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
-    co_await write_bus_.transfer(in.size(), client);
+  /// Timed write of `in.size()` bytes at `addr`.
+  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in) {
+    co_await write_bus_.transfer(in.size());
     co_await sim_.delay(params_.access_latency);
     storage_.write(addr, in);
   }
@@ -55,12 +55,12 @@ class SharedSram {
   /// of the same size — used where the model splits function from timing
   /// (the zero-copy transport path: data moves through window views while
   /// the stream caches replay the original fill/flush traffic).
-  sim::Task<void> touchRead(std::size_t bytes, int client) {
-    co_await read_bus_.transfer(bytes, client);
+  sim::Task<void> touchRead(std::size_t bytes) {
+    co_await read_bus_.transfer(bytes);
     co_await sim_.delay(params_.access_latency);
   }
-  sim::Task<void> touchWrite(std::size_t bytes, int client) {
-    co_await write_bus_.transfer(bytes, client);
+  sim::Task<void> touchWrite(std::size_t bytes) {
+    co_await write_bus_.transfer(bytes);
     co_await sim_.delay(params_.access_latency);
   }
 
@@ -105,14 +105,14 @@ class OffChipMemory {
         storage_(params.size_bytes),
         bus_(sim, "system.bus", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
-    co_await bus_.transfer(out.size(), client);
+  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out) {
+    co_await bus_.transfer(out.size());
     co_await sim_.delay(params_.access_latency);
     storage_.read(addr, out);
   }
 
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
-    co_await bus_.transfer(in.size(), client);
+  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in) {
+    co_await bus_.transfer(in.size());
     co_await sim_.delay(params_.access_latency);
     storage_.write(addr, in);
   }
@@ -120,12 +120,12 @@ class OffChipMemory {
   /// Timing-only accesses: occupy the bus and pay the access latency for a
   /// `bytes`-sized burst without moving data. Used where the model splits
   /// function from timing (e.g. 2D region gathers in the MC coprocessor).
-  sim::Task<void> touchRead(std::size_t bytes, int client) {
-    co_await bus_.transfer(bytes, client);
+  sim::Task<void> touchRead(std::size_t bytes) {
+    co_await bus_.transfer(bytes);
     co_await sim_.delay(params_.access_latency);
   }
-  sim::Task<void> touchWrite(std::size_t bytes, int client) {
-    co_await bus_.transfer(bytes, client);
+  sim::Task<void> touchWrite(std::size_t bytes) {
+    co_await bus_.transfer(bytes);
     co_await sim_.delay(params_.access_latency);
   }
 

@@ -384,11 +384,29 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
     std::lock_guard<std::mutex> lk(conn->write_mu);
     ++conn->outstanding;
   }
-  auto on_result = [this, conn, req_id](const farm::JobResult& r, const DispatchInfo& di) {
+  // The ack precedes the result on the wire: a short job can finish on a
+  // farm thread before admit() returns, so whichever side writes first
+  // sends the ack. Both run under conn->write_mu, which guards `acked`.
+  auto acked = std::make_shared<bool>(false);
+  auto ackLocked = [conn, req_id, acked] {
+    if (*acked) return;
+    *acked = true;
+    if (conn->binary) {
+      ByteWriter w;
+      w.putU64(req_id);
+      conn->sendFrameLocked(FrameType::Accepted, w.bytes());
+    } else {
+      const std::string line = "OK accepted " + std::to_string(req_id) + "\n";
+      conn->sendRawLocked(line.data(), line.size());
+    }
+  };
+  auto on_result = [this, conn, req_id, ackLocked](const farm::JobResult& r,
+                                                    const DispatchInfo& di) {
     const WireResult wr = makeWireResult(req_id, r, di.queue_ms, di.serve_ms, di.promoted);
     bool written;
     {
       std::lock_guard<std::mutex> lk(conn->write_mu);
+      ackLocked();
       if (conn->binary) {
         ByteWriter w;
         w.putU64(req_id);
@@ -408,13 +426,8 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
   const Dispatcher::Verdict v =
       dispatcher_->admit(conn->tenant, std::move(ps.job), ps.deadline_ms, std::move(on_result));
   if (v == Dispatcher::Verdict::Accepted) {
-    if (conn->binary) {
-      ByteWriter w;
-      w.putU64(req_id);
-      conn->sendFrame(FrameType::Accepted, w.bytes());
-    } else {
-      conn->sendLine("OK accepted " + std::to_string(req_id));
-    }
+    std::lock_guard<std::mutex> lk(conn->write_mu);
+    ackLocked();
     return;
   }
   {

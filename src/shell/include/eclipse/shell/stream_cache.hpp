@@ -39,11 +39,10 @@ namespace eclipse::shell {
 class StreamCache {
  public:
   StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
-              std::uint32_t n_lines, int client_id)
+              std::uint32_t n_lines)
       : sim_(sim),
         sram_(sram),
         line_bytes_(line_bytes),
-        client_(client_id),
         event_(sim),
         lines_(n_lines),
         backing_(static_cast<std::size_t>(line_bytes) * n_lines) {}
@@ -116,7 +115,6 @@ class StreamCache {
   sim::Simulator& sim_;
   mem::SharedSram& sram_;
   std::uint32_t line_bytes_;
-  int client_;
   sim::SimEvent event_;
   std::vector<Line> lines_;
   std::vector<std::uint8_t> backing_;  // all line data, contiguous

@@ -52,8 +52,7 @@ std::uint32_t Shell::configureStream(const StreamConfig& cfg) {
   }
   const std::uint32_t row = streams_.configure(cfg);
   ports_[row].cache = std::make_unique<StreamCache>(
-      sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port,
-      static_cast<int>(params_.id));
+      sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port);
   return row;
 }
 
@@ -653,8 +652,7 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
         r.valid = value != 0;
         if (r.valid && !was_valid) {
           ports_[rix].cache = std::make_unique<StreamCache>(
-              sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port,
-              static_cast<int>(params_.id));
+              sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port);
         } else if (!r.valid && was_valid) {
           // Teardown: clearing the valid bit resets the whole row (config,
           // position, space accounting, counters) and releases the port

@@ -26,7 +26,7 @@ sim::Task<StreamCache::Line*> StreamCache::victim(StreamRow& row) {
         // Timing-only eviction flush: the SRAM already holds the current
         // bytes (views write through), so only the bus burst is charged.
         ++row.cache_flushes;
-        co_await sram_.touchWrite(line_bytes_, client_);
+        co_await sram_.touchWrite(line_bytes_);
         best->dirty = false;
       }
       best->state = State::Invalid;
@@ -64,7 +64,7 @@ sim::Task<StreamCache::Line*> StreamCache::acquire(StreamRow& row, sim::Addr lin
     co_return l;
   }
   l->state = State::Pending;
-  co_await sram_.read(line_addr, lineData(l), client_);
+  co_await sram_.read(line_addr, lineData(l));
   l->state = l->drop ? State::Invalid : State::Valid;
   event_.notifyAll();
   if (l->state == State::Invalid) {
@@ -107,7 +107,7 @@ sim::Task<void> StreamCache::flushRange(StreamRow& row, sim::Addr addr, std::uin
   for (auto& l : lines_) {
     if (l.state == State::Valid && l.dirty && l.tag >= first && l.tag <= last) {
       ++row.cache_flushes;
-      co_await sram_.touchWrite(line_bytes_, client_);
+      co_await sram_.touchWrite(line_bytes_);
       l.dirty = false;
     }
   }
@@ -165,7 +165,7 @@ void StreamCache::startPrefetch(StreamRow& row, sim::Addr line_addr) {
 
 sim::Task<void> StreamCache::prefetchTask(StreamRow& row, Line* line) {
   (void)row;
-  co_await sram_.read(line->tag, lineData(line), client_);
+  co_await sram_.read(line->tag, lineData(line));
   line->state = line->drop ? State::Invalid : State::Valid;
   event_.notifyAll();
 }

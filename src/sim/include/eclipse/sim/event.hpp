@@ -2,14 +2,13 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace eclipse::sim {
 
-/// Allocation-free simulation event.
+/// Allocation-free simulation event, 32 bytes wide.
 ///
 /// The kernel dispatches two kinds of work: resuming a suspended coroutine
 /// (the dominant case — Delay, SimEvent, Semaphore all wake processes this
@@ -20,19 +19,23 @@ namespace eclipse::sim {
 ///   * a small trivially-copyable callable, inline in the event itself,
 ///   * a heap-allocated holder, only for large or non-trivial callables.
 ///
+/// Layout: 24 bytes of storage plus one function pointer, which doubles as
+/// the kind tag. A null pointer means "resume the coroutine handle in the
+/// storage" (or, with a null handle, an empty event); `invokeHeap` means the
+/// storage holds a heap holder; anything else invokes an inline callable.
+///
 /// Events are move-only and single-shot: invoke with `operator()`.
 class Event {
  public:
   /// Callables at most this large (and trivially copyable/destructible)
-  /// are stored inline. Sized so Event fills one cache line.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// are stored inline: a pointer plus a 16-byte message (the putspace
+  /// delivery lambda) fits.
+  static constexpr std::size_t kInlineBytes = 24;
 
-  Event() noexcept : tag_(Tag::kEmpty) {}
+  Event() noexcept { storage_.coro = nullptr; }
 
   /// Coroutine fast path: resuming `h` is the event.
-  Event(std::coroutine_handle<> h) noexcept : tag_(Tag::kCoroutine) {
-    payload_.coro = h.address();
-  }
+  Event(std::coroutine_handle<> h) noexcept { storage_.coro = h.address(); }
 
   /// Generic callable. Small trivially-copyable callables (the common
   /// lambda capturing a pointer or a few scalars) are stored inline;
@@ -44,27 +47,24 @@ class Event {
   Event(F&& fn) {  // NOLINT(bugprone-forwarding-reference-overload)
     using Fn = std::decay_t<F>;
     if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(payload_.inline_storage)) Fn(std::forward<F>(fn));
-      invoke_ = [](Payload& p) { (*std::launder(reinterpret_cast<Fn*>(p.inline_storage)))(); };
-      tag_ = Tag::kInline;
+      ::new (static_cast<void*>(storage_.bytes)) Fn(std::forward<F>(fn));
+      invoke_ = [](Storage& s) { (*std::launder(reinterpret_cast<Fn*>(s.bytes)))(); };
     } else {
-      payload_.heap = new HeapHolder<Fn>(std::forward<F>(fn));
-      tag_ = Tag::kHeap;
+      storage_.heap = new HeapHolder<Fn>(std::forward<F>(fn));
+      invoke_ = &invokeHeap;
     }
   }
 
-  Event(Event&& other) noexcept
-      : payload_(other.payload_), invoke_(other.invoke_), tag_(other.tag_) {
-    other.tag_ = Tag::kEmpty;
+  Event(Event&& other) noexcept : storage_(other.storage_), invoke_(other.invoke_) {
+    other.release();
   }
 
   Event& operator=(Event&& other) noexcept {
     if (this != &other) {
       reset();
-      payload_ = other.payload_;
+      storage_ = other.storage_;
       invoke_ = other.invoke_;
-      tag_ = other.tag_;
-      other.tag_ = Tag::kEmpty;
+      other.release();
     }
     return *this;
   }
@@ -74,30 +74,24 @@ class Event {
 
   ~Event() { reset(); }
 
-  [[nodiscard]] explicit operator bool() const noexcept { return tag_ != Tag::kEmpty; }
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return invoke_ != nullptr || storage_.coro != nullptr;
+  }
 
   /// True when invoking resumes a coroutine (no indirect call needed).
-  [[nodiscard]] bool isCoroutine() const noexcept { return tag_ == Tag::kCoroutine; }
+  [[nodiscard]] bool isCoroutine() const noexcept {
+    return invoke_ == nullptr && storage_.coro != nullptr;
+  }
 
   void operator()() {
-    switch (tag_) {
-      case Tag::kCoroutine:
-        std::coroutine_handle<>::from_address(payload_.coro).resume();
-        break;
-      case Tag::kInline:
-        invoke_(payload_);
-        break;
-      case Tag::kHeap:
-        payload_.heap->invoke();
-        break;
-      case Tag::kEmpty:
-        break;
+    if (invoke_ != nullptr) {
+      invoke_(storage_);
+    } else if (storage_.coro != nullptr) {
+      std::coroutine_handle<>::from_address(storage_.coro).resume();
     }
   }
 
  private:
-  enum class Tag : unsigned char { kEmpty, kCoroutine, kInline, kHeap };
-
   struct HeapHolderBase {
     virtual void invoke() = 0;
     virtual ~HeapHolderBase() = default;
@@ -109,29 +103,39 @@ class Event {
     Fn fn;
   };
 
-  union Payload {
+  union Storage {
     void* coro;
     HeapHolderBase* heap;
-    alignas(std::max_align_t) unsigned char inline_storage[kInlineBytes];
+    alignas(void*) unsigned char bytes[kInlineBytes];
   };
 
   template <typename Fn>
   static constexpr bool fitsInline() {
-    // Inline events are relocated with a raw copy when a bucket's vector
-    // grows and dropped without running destructors on clear(), so the
-    // inline path is restricted to trivially copyable/destructible types.
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(Payload) &&
+    // Moving an event copies its storage bytes and destroying one never
+    // runs the callable's destructor, so the inline path is restricted to
+    // trivially copyable/destructible types.
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(Storage) &&
            std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
   }
 
-  void reset() noexcept {
-    if (tag_ == Tag::kHeap) delete payload_.heap;
-    tag_ = Tag::kEmpty;
+  static void invokeHeap(Storage& s) { s.heap->invoke(); }
+
+  /// Leaves the event empty without destroying what it held (ownership
+  /// has moved elsewhere).
+  void release() noexcept {
+    storage_.coro = nullptr;
+    invoke_ = nullptr;
   }
 
-  Payload payload_;
-  void (*invoke_)(Payload&) = nullptr;  // set for Tag::kInline only
-  Tag tag_;
+  void reset() noexcept {
+    if (invoke_ == &invokeHeap) delete storage_.heap;
+    release();
+  }
+
+  Storage storage_;
+  void (*invoke_)(Storage&) = nullptr;  // null: coroutine handle (or empty)
 };
+
+static_assert(sizeof(Event) == 32, "Event is two per cache line");
 
 }  // namespace eclipse::sim

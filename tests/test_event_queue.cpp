@@ -1,11 +1,14 @@
 // Tests for the timing-wheel event kernel: the allocation-free Event type,
-// same-cycle FIFO order across the bucket/overflow-heap boundary, wheel
-// wrap-around at large cycle deltas, teardown with pending events, and a
-// determinism regression against the seed (binary-heap) kernel.
+// the coroutine frame pool, same-cycle FIFO order across the
+// bucket/overflow-heap boundary, wheel wrap-around at large cycle deltas,
+// teardown with pending events, and a determinism regression against the
+// seed (binary-heap) kernel.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "eclipse/app/decode_app.hpp"
@@ -26,7 +29,25 @@ using namespace eclipse::sim;
 
 constexpr Cycle kSpan = EventQueue::kWheelSpan;
 
+static_assert(sizeof(Event) == 32);
+
 // ----------------------------------------------------------------- event
+
+// Heap-held callable (non-trivially copyable) that counts how often the
+// instance owning its state is destroyed; moved-from copies do not count.
+struct CountedDrop {
+  int* drops;
+  bool owner = true;
+  explicit CountedDrop(int* d) : drops(d) {}
+  CountedDrop(CountedDrop&& o) noexcept : drops(o.drops), owner(std::exchange(o.owner, false)) {}
+  CountedDrop(const CountedDrop&) = delete;
+  CountedDrop& operator=(const CountedDrop&) = delete;
+  CountedDrop& operator=(CountedDrop&&) = delete;
+  ~CountedDrop() {
+    if (owner) ++*drops;
+  }
+  void operator()() {}
+};
 
 TEST(Event, InlineCallableRunsWithoutAllocation) {
   int hits = 0;
@@ -59,6 +80,92 @@ TEST(Event, DroppingHeapEventReleasesWithoutInvoking) {
   }  // destroyed, never invoked
   EXPECT_FALSE(ran);
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Event, HeapHolderIsDestroyedExactlyOnce) {
+  int dropped = 0;
+  { Event ev(CountedDrop{&dropped}); }
+  EXPECT_EQ(dropped, 1);
+
+  int replaced = 0, kept = 0;
+  {
+    Event a(CountedDrop{&replaced});
+    Event b(CountedDrop{&kept});
+    a = std::move(b);  // a's old holder goes, b's holder moves into a
+    EXPECT_EQ(replaced, 1);
+    EXPECT_EQ(kept, 0);
+  }
+  EXPECT_EQ(replaced, 1);
+  EXPECT_EQ(kept, 1);
+
+  int cleared = 0;
+  EventQueue q;
+  q.push(3, CountedDrop{&cleared});          // in the wheel
+  q.push(kSpan * 2, CountedDrop{&cleared});  // in the overflow heap
+  q.clear();
+  EXPECT_EQ(cleared, 2);
+}
+
+Task<void> noop() { co_return; }
+
+TEST(Event, MovedFromEventIsEmpty) {
+  int hits = 0;
+  int* p = &hits;
+  auto token = std::make_shared<int>(0);
+  Task<void> task = noop();
+  std::vector<Event> events;
+  events.emplace_back(task.handle());                         // coroutine
+  events.emplace_back([p] { ++*p; });                         // inline
+  events.emplace_back([token, p] { *p += *token + 10; });     // heap
+  for (Event& ev : events) {
+    ASSERT_TRUE(static_cast<bool>(ev));
+    Event moved = std::move(ev);
+    EXPECT_FALSE(static_cast<bool>(ev));  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(ev.isCoroutine());       // NOLINT(bugprone-use-after-move)
+    ev();                                 // invoking an empty event is a no-op
+    moved();
+  }
+  EXPECT_TRUE(task.done());
+  EXPECT_EQ(hits, 11);
+  EXPECT_EQ(token.use_count(), 1);  // each holder went with its `moved`
+}
+
+// ------------------------------------------------------------ frame pool
+
+Task<int> addOne(int x) { co_return x + 1; }
+
+Task<void> consume(Task<int> t, int& out) { out = co_await t; }
+
+TEST(FramePool, SameSizeFrameReusesItsBlock) {
+  if (!detail::frame_pool::kEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  void* first = nullptr;
+  {
+    Task<int> t = addOne(1);
+    first = t.handle().address();
+  }
+  Task<int> again = addOne(2);
+  EXPECT_EQ(again.handle().address(), first);
+}
+
+TEST(FramePool, TaskFreedOnAnotherThreadIsReusedCleanly) {
+  Task<int> made;
+  std::thread([&] { made = addOne(1); }).join();  // frame allocated on thread A
+  void* freed = nullptr;
+  void* reused = nullptr;
+  int got = 0;
+  std::thread([&] {
+    freed = made.handle().address();
+    made = Task<int>{};  // destroyed on thread B: joins B's free list
+    Task<int> again = addOne(41);
+    reused = again.handle().address();
+    Simulator sim;
+    sim.spawn(consume(std::move(again), got), "consume");
+    sim.run();
+  }).join();  // thread B's exit releases its cached frames
+  EXPECT_EQ(got, 42);
+  if (detail::frame_pool::kEnabled) {
+    EXPECT_EQ(reused, freed);
+  }
 }
 
 // ----------------------------------------------------- wheel fundamentals

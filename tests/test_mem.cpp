@@ -50,8 +50,8 @@ TEST(Storage, FillAndPoke) {
 
 // ------------------------------------------------------------------- bus
 
-Task<void> doTransfer(Bus& bus, std::size_t bytes, int client, Cycle& done_at, Simulator& sim) {
-  co_await bus.transfer(bytes, client);
+Task<void> doTransfer(Bus& bus, std::size_t bytes, Cycle& done_at, Simulator& sim) {
+  co_await bus.transfer(bytes);
   done_at = sim.now();
 }
 
@@ -59,7 +59,7 @@ TEST(Bus, TransferTimingMatchesWidth) {
   Simulator sim;
   Bus bus(sim, "b", 16, 2);  // 16B wide, 2-cycle arbitration
   Cycle done = 0;
-  sim.spawn(doTransfer(bus, 64, 0, done, sim), "t");
+  sim.spawn(doTransfer(bus, 64, done, sim), "t");
   sim.run();
   EXPECT_EQ(done, 2u + 64 / 16);  // arb + 4 data cycles
   EXPECT_EQ(bus.stats().transactions, 1u);
@@ -78,21 +78,21 @@ TEST(Bus, ContendersSerialize) {
   Simulator sim;
   Bus bus(sim, "b", 8, 1);
   Cycle a = 0, b = 0;
-  sim.spawn(doTransfer(bus, 32, 0, a, sim), "a");  // 1 + 4 = 5 cycles
-  sim.spawn(doTransfer(bus, 32, 1, b, sim), "b");
+  sim.spawn(doTransfer(bus, 32, a, sim), "a");  // 1 + 4 = 5 cycles
+  sim.spawn(doTransfer(bus, 32, b, sim), "b");
   sim.run();
   EXPECT_EQ(a, 5u);
   EXPECT_EQ(b, 10u);  // waits for the first transfer
   EXPECT_EQ(bus.stats().busy_cycles, 10u);
-  EXPECT_EQ(bus.perClientStats().at(0).bytes, 32u);
-  EXPECT_EQ(bus.perClientStats().at(1).bytes, 32u);
+  EXPECT_EQ(bus.stats().transactions, 2u);
+  EXPECT_EQ(bus.stats().bytes, 64u);
 }
 
 TEST(Bus, UtilizationFraction) {
   Simulator sim;
   Bus bus(sim, "b", 8, 0);
   Cycle done = 0;
-  sim.spawn(doTransfer(bus, 80, 0, done, sim), "t");  // 10 cycles
+  sim.spawn(doTransfer(bus, 80, done, sim), "t");  // 10 cycles
   sim.run();
   EXPECT_DOUBLE_EQ(bus.utilization(20), 0.5);
 }
@@ -102,9 +102,9 @@ TEST(Bus, UtilizationFraction) {
 Task<void> sramRoundTrip(SharedSram& sram, bool& ok, Simulator& sim) {
   std::vector<std::uint8_t> in(100);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::uint8_t>(i);
-  co_await sram.write(0x40, in, 1);
+  co_await sram.write(0x40, in);
   std::vector<std::uint8_t> out(100);
-  co_await sram.read(0x40, out, 2);
+  co_await sram.read(0x40, out);
   ok = in == out;
   (void)sim;
 }
@@ -125,9 +125,9 @@ Task<void> concurrentReadWrite(SharedSram& sram, Cycle& r_done, Cycle& w_done, S
   // Split read/write buses: a read and a write of the same size do not
   // contend (the paper's separate 150 MHz read and write buses).
   std::vector<std::uint8_t> buf(64);
-  co_await sram.write(0, buf, 0);
+  co_await sram.write(0, buf);
   w_done = sim.now();
-  co_await sram.read(0, buf, 0);
+  co_await sram.read(0, buf);
   r_done = sim.now();
 }
 
@@ -148,7 +148,7 @@ TEST(SharedSram, SplitBusesDoNotContend) {
 
 Task<void> dramAccess(OffChipMemory& dram, Cycle& done, Simulator& sim) {
   std::vector<std::uint8_t> buf(64);
-  co_await dram.read(0, buf, 0);
+  co_await dram.read(0, buf);
   done = sim.now();
 }
 
@@ -167,8 +167,8 @@ TEST(OffChipMemory, HasLongLatency) {
 
 Task<void> touchOnly(OffChipMemory& dram, Cycle& done, Simulator& sim) {
   dram.storage().poke(5, 0x77);
-  co_await dram.touchRead(64, 0);
-  co_await dram.touchWrite(64, 0);
+  co_await dram.touchRead(64);
+  co_await dram.touchWrite(64);
   done = sim.now();
 }
 
