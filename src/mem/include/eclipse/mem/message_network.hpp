@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -50,8 +51,10 @@ class MessageNetwork {
   MessageNetwork(sim::Simulator& sim, sim::Cycle latency)
       : sim_(sim), latency_(latency) {}
 
-  /// Registers the message handler for a shell id.
+  /// Registers the message handler for a shell id. Shell ids index a flat
+  /// table, so they should be small (an instance numbers its shells 0..N-1).
   void attach(std::uint32_t shell_id, Handler handler) {
+    if (shell_id >= handlers_.size()) handlers_.resize(std::size_t{shell_id} + 1);
     handlers_[shell_id] = std::move(handler);
   }
 
@@ -69,12 +72,14 @@ class MessageNetwork {
   /// Delivery events capture a pointer to the registered handler, so this
   /// is only sound while no message to `shell_id` is in flight — i.e.
   /// after the simulator has quiesced or its events were destroyed.
-  void detach(std::uint32_t shell_id) { handlers_.erase(shell_id); }
+  void detach(std::uint32_t shell_id) {
+    if (shell_id < handlers_.size()) handlers_[shell_id] = nullptr;
+  }
 
   /// Sends a message; delivery happens `latency` cycles later.
   void send(const SyncMessage& msg) {
-    auto it = handlers_.find(msg.dst_shell);
-    if (it == handlers_.end()) {
+    Handler* handler = msg.dst_shell < handlers_.size() ? &handlers_[msg.dst_shell] : nullptr;
+    if (handler == nullptr || !*handler) {
       throw std::runtime_error("MessageNetwork: no handler attached for shell " +
                                std::to_string(msg.dst_shell));
     }
@@ -101,7 +106,6 @@ class MessageNetwork {
     // Captures a pointer plus the 16-byte message: small and trivially
     // copyable, so the delivery event is stored inline in the kernel —
     // no allocation per putspace message.
-    Handler* handler = &it->second;
     if (sim_.sharded()) {
       const sim::ShardId dst_shard = shardOf(msg.dst_shell);
       if (dst_shard != sim_.currentShard()) {
@@ -137,7 +141,10 @@ class MessageNetwork {
  private:
   sim::Simulator& sim_;
   sim::Cycle latency_;
-  std::map<std::uint32_t, Handler> handlers_;
+  // Indexed by shell id; an empty handler is a detached id. A deque never
+  // moves its elements when it grows, so the handler pointers captured by
+  // in-flight delivery events stay valid across attach().
+  std::deque<Handler> handlers_;
   std::map<std::uint32_t, sim::ShardId> shards_;
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_dropped_{0};

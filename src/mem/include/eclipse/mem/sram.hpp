@@ -6,10 +6,38 @@
 
 #include "eclipse/mem/bus.hpp"
 #include "eclipse/mem/storage.hpp"
-#include "eclipse/sim/coro.hpp"
 #include "eclipse/sim/simulator.hpp"
 
 namespace eclipse::mem {
+
+/// Timed read awaiter: a bus transfer whose tail is the memory's access
+/// latency; the bytes are copied out of storage when the caller resumes.
+class [[nodiscard]] ReadAccess : public Bus::Transfer {
+ public:
+  ReadAccess(Bus& bus, sim::Cycle access_latency, const Storage& storage, sim::Addr addr,
+             std::span<std::uint8_t> out)
+      : Transfer(bus, out.size(), access_latency), storage_(storage), addr_(addr), out_(out) {}
+  void await_resume() const { storage_.read(addr_, out_); }
+
+ private:
+  const Storage& storage_;
+  sim::Addr addr_;
+  std::span<std::uint8_t> out_;
+};
+
+/// Timed write awaiter: the bytes land in storage when the access completes.
+class [[nodiscard]] WriteAccess : public Bus::Transfer {
+ public:
+  WriteAccess(Bus& bus, sim::Cycle access_latency, Storage& storage, sim::Addr addr,
+              std::span<const std::uint8_t> in)
+      : Transfer(bus, in.size(), access_latency), storage_(storage), addr_(addr), in_(in) {}
+  void await_resume() const { storage_.write(addr_, in_); }
+
+ private:
+  Storage& storage_;
+  sim::Addr addr_;
+  std::span<const std::uint8_t> in_;
+};
 
 /// Parameters for the central on-chip stream-buffer memory.
 ///
@@ -30,24 +58,21 @@ struct SramParams {
 class SharedSram {
  public:
   SharedSram(sim::Simulator& sim, const SramParams& params)
-      : sim_(sim),
-        params_(params),
+      : params_(params),
         storage_(params.size_bytes),
         read_bus_(sim, "sram.read", params.bus_width_bytes, params.bus_arbitration_latency),
         write_bus_(sim, "sram.write", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
-  /// Timed read of `out.size()` bytes at `addr`.
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out) {
-    co_await read_bus_.transfer(out.size());
-    co_await sim_.delay(params_.access_latency);
-    storage_.read(addr, out);
+  /// Timed read of `out.size()` bytes at `addr`: read-bus burst, access
+  /// latency, then the copy out of storage.
+  ReadAccess read(sim::Addr addr, std::span<std::uint8_t> out) {
+    return ReadAccess(read_bus_, params_.access_latency, storage_, addr, out);
   }
 
-  /// Timed write of `in.size()` bytes at `addr`.
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in) {
-    co_await write_bus_.transfer(in.size());
-    co_await sim_.delay(params_.access_latency);
-    storage_.write(addr, in);
+  /// Timed write of `in.size()` bytes at `addr`; the bytes land when the
+  /// access completes.
+  WriteAccess write(sim::Addr addr, std::span<const std::uint8_t> in) {
+    return WriteAccess(write_bus_, params_.access_latency, storage_, addr, in);
   }
 
   /// Timing-only accesses: occupy the bus and pay the access latency for a
@@ -55,13 +80,19 @@ class SharedSram {
   /// of the same size — used where the model splits function from timing
   /// (the zero-copy transport path: data moves through window views while
   /// the stream caches replay the original fill/flush traffic).
-  sim::Task<void> touchRead(std::size_t bytes) {
-    co_await read_bus_.transfer(bytes);
-    co_await sim_.delay(params_.access_latency);
+  Bus::Transfer touchRead(std::size_t bytes) {
+    return read_bus_.transfer(bytes, params_.access_latency);
   }
-  sim::Task<void> touchWrite(std::size_t bytes) {
-    co_await write_bus_.transfer(bytes);
-    co_await sim_.delay(params_.access_latency);
+  Bus::Transfer touchWrite(std::size_t bytes) {
+    return write_bus_.transfer(bytes, params_.access_latency);
+  }
+
+  /// Callback form of touchRead(r.bytes), for a request that outlives any
+  /// coroutine frame (a stream cache's prefetch fill): `r.done` runs when
+  /// the access completes.
+  void touchRead(Bus::Request& r) {
+    r.tail = params_.access_latency;
+    read_bus_.issue(r);
   }
 
   /// Homes the SRAM (storage + both buses) on one shard. Every shell that
@@ -79,7 +110,6 @@ class SharedSram {
   [[nodiscard]] const SramParams& params() const { return params_; }
 
  private:
-  sim::Simulator& sim_;
   SramParams params_;
   Storage storage_;
   Bus read_bus_;
@@ -100,34 +130,24 @@ struct DramParams {
 class OffChipMemory {
  public:
   OffChipMemory(sim::Simulator& sim, const DramParams& params)
-      : sim_(sim),
-        params_(params),
+      : params_(params),
         storage_(params.size_bytes),
         bus_(sim, "system.bus", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out) {
-    co_await bus_.transfer(out.size());
-    co_await sim_.delay(params_.access_latency);
-    storage_.read(addr, out);
+  /// Timed read: system-bus burst, then the off-chip access latency.
+  ReadAccess read(sim::Addr addr, std::span<std::uint8_t> out) {
+    return ReadAccess(bus_, params_.access_latency, storage_, addr, out);
   }
 
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in) {
-    co_await bus_.transfer(in.size());
-    co_await sim_.delay(params_.access_latency);
-    storage_.write(addr, in);
+  WriteAccess write(sim::Addr addr, std::span<const std::uint8_t> in) {
+    return WriteAccess(bus_, params_.access_latency, storage_, addr, in);
   }
 
   /// Timing-only accesses: occupy the bus and pay the access latency for a
   /// `bytes`-sized burst without moving data. Used where the model splits
   /// function from timing (e.g. 2D region gathers in the MC coprocessor).
-  sim::Task<void> touchRead(std::size_t bytes) {
-    co_await bus_.transfer(bytes);
-    co_await sim_.delay(params_.access_latency);
-  }
-  sim::Task<void> touchWrite(std::size_t bytes) {
-    co_await bus_.transfer(bytes);
-    co_await sim_.delay(params_.access_latency);
-  }
+  Bus::Transfer touchRead(std::size_t bytes) { return bus_.transfer(bytes, params_.access_latency); }
+  Bus::Transfer touchWrite(std::size_t bytes) { return bus_.transfer(bytes, params_.access_latency); }
 
   /// Homes the off-chip memory (storage + system bus) on one shard; see
   /// SharedSram::setHomeShard.
@@ -140,7 +160,6 @@ class OffChipMemory {
   [[nodiscard]] const DramParams& params() const { return params_; }
 
  private:
-  sim::Simulator& sim_;
   DramParams params_;
   Storage storage_;
   Bus bus_;

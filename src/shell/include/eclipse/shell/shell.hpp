@@ -164,8 +164,8 @@ class Shell {
 
   /// Shard (lane) this shell executes on in a sharded simulation. Set by
   /// the app-layer partitioner before start; everything the shell spawns
-  /// (its coprocessor control loop, watchdog, profiler, cache prefetches)
-  /// runs on this lane.
+  /// (its coprocessor control loop, watchdog, profiler) runs on this lane,
+  /// and so do its cache prefetch fills.
   void setShard(sim::ShardId shard) { shard_ = shard; }
   [[nodiscard]] sim::ShardId shard() const { return shard_; }
   [[nodiscard]] StreamTable& streams() { return streams_; }
@@ -204,6 +204,11 @@ class Shell {
   /// Shared timing + view construction behind acquireRead/acquireWrite.
   sim::Task<WindowView> acquire(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                 std::size_t n, bool writing);
+
+  /// Throws std::invalid_argument unless the cache lines of the stream
+  /// buffer [base, base+bytes) lie inside the SRAM. Checked when a row
+  /// becomes valid, so the stream caches never time an access outside it.
+  void checkBufferInSram(sim::Addr base, std::uint64_t bytes) const;
 
   void onSyncMessage(const mem::SyncMessage& msg);
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "eclipse/mem/sram.hpp"
@@ -25,41 +24,40 @@ namespace eclipse::shell {
 /// hits need no communication at all.
 ///
 /// Since the zero-copy transport refactor the cache is a pure *timing*
-/// model: the functional bytes live in the SRAM's Storage and move through
-/// WindowViews, while touchRead/touchWrite replay exactly the hit / miss /
-/// fill / flush traffic the copying cache performed — fills still read the
-/// SRAM (timed, into the flat backing), flushes and evictions charge the
-/// same write-bus burst without moving data (the SRAM already holds the
-/// current bytes; a data flush would overwrite them with a stale mirror).
+/// model that keeps only per-line state (valid/pending, tag, dirty, LRU):
+/// the functional bytes live in the SRAM's Storage and move through
+/// WindowViews, while touch() replays exactly the hit / miss / fill / flush
+/// traffic the copying cache performed. Fills, flushes and evictions charge
+/// the same SRAM bus bursts without moving data. Every SRAM access is an
+/// awaiter in touch()'s frame, so one access costs one coroutine frame per
+/// buffer segment however many lines it walks.
 ///
 /// Prefetching: a read may carry a line-aligned prefetch hint (computed by
 /// the shell, limited to the granted window). The prefetch fetches in the
-/// background; a later access to a pending line waits for its completion,
-/// which is how prefetch latency hiding shows up in the timing.
+/// background through a bus request preallocated with the line and
+/// completed by callback; a later access to a pending line waits for its
+/// completion, which is how prefetch latency hiding shows up in the timing.
+///
+/// The shell only configures stream buffers that lie inside the SRAM
+/// (Shell::configureStream and the MMIO valid bit check it), so every line
+/// the cache tracks is a real SRAM address.
 class StreamCache {
  public:
   StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
-              std::uint32_t n_lines)
-      : sim_(sim),
-        sram_(sram),
-        line_bytes_(line_bytes),
-        event_(sim),
-        lines_(n_lines),
-        backing_(static_cast<std::size_t>(line_bytes) * n_lines) {}
+              std::uint32_t n_lines);
 
   StreamCache(const StreamCache&) = delete;
   StreamCache& operator=(const StreamCache&) = delete;
 
-  /// Timing of a read of `len` bytes at SRAM address `addr` through the
-  /// cache (per-line hit/miss walk; misses fill from SRAM over the read
-  /// bus). `prefetch_addr`, when set, is a line-aligned address to fetch
-  /// in the background after servicing the read.
-  sim::Task<void> touchRead(StreamRow& row, sim::Addr addr, std::size_t len,
-                            std::optional<sim::Addr> prefetch_addr);
-
-  /// Timing of a write of `len` bytes at SRAM address `addr`; write-back
-  /// with write-allocate (read-modify-write fetch for partial lines).
-  sim::Task<void> touchWrite(StreamRow& row, sim::Addr addr, std::size_t len);
+  /// Timing of an access of `len` bytes at SRAM address `addr` through the
+  /// cache: the per-line hit/miss walk, where a miss evicts (flushing a
+  /// dirty victim over the write bus) and fills over the read bus. A write
+  /// is write-back with write-allocate, and a write covering a whole line
+  /// allocates without a fill; it marks the lines dirty. `prefetch_addr`,
+  /// when set, is a line-aligned address to fetch in the background after
+  /// servicing the access.
+  sim::Task<void> touch(StreamRow& row, sim::Addr addr, std::size_t len, bool writing,
+                        std::optional<sim::Addr> prefetch_addr);
 
   /// Flushes dirty lines overlapping [addr, addr+len): charges the write
   /// burst per line (timing-only; SRAM is current) and clears dirty bits.
@@ -79,8 +77,6 @@ class StreamCache {
  private:
   enum class State : std::uint8_t { Invalid, Pending, Valid };
 
-  /// Line metadata; the data lives in the flat `backing_` allocation at
-  /// index * line_bytes_.
   struct Line {
     State state = State::Invalid;
     sim::Addr tag = 0;  // line-aligned SRAM address
@@ -89,35 +85,31 @@ class StreamCache {
     std::uint64_t lru = 0;
   };
 
-  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a / line_bytes_ * line_bytes_; }
+  /// The prefetch fill of one line: an SRAM read request preallocated with
+  /// the line (a line has at most one fill in flight), completed by
+  /// fillDone instead of a process.
+  struct Fill : mem::Bus::Request {
+    StreamCache* cache = nullptr;
+    Line* line = nullptr;
+  };
 
-  /// The backing slice of one line.
-  [[nodiscard]] std::span<std::uint8_t> lineData(const Line* l) {
-    const auto idx = static_cast<std::size_t>(l - lines_.data());
-    return {backing_.data() + idx * line_bytes_, line_bytes_};
-  }
+  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a / line_bytes_ * line_bytes_; }
 
   /// Finds the line holding `line_addr` in any non-Invalid state.
   Line* find(sim::Addr line_addr);
 
-  /// Returns a line for `line_addr`, fetching from SRAM unless
-  /// `whole_line_write` allows allocation without a fill. Waits on pending
-  /// lines. Accounts hits/misses into `row`.
-  sim::Task<Line*> acquire(StreamRow& row, sim::Addr line_addr, bool whole_line_write);
+  /// Eviction candidate: the first invalid line, else the LRU valid line;
+  /// null while every line is pending.
+  Line* victim();
 
-  /// Picks an eviction victim (LRU among Valid lines), flushing if dirty.
-  /// Suspends while every line is Pending.
-  sim::Task<Line*> victim(StreamRow& row);
-
-  /// Background prefetch fill of one line.
-  sim::Task<void> prefetchTask(StreamRow& row, Line* line);
+  static void fillDone(mem::Bus::Request& r);
 
   sim::Simulator& sim_;
   mem::SharedSram& sram_;
   std::uint32_t line_bytes_;
   sim::SimEvent event_;
   std::vector<Line> lines_;
-  std::vector<std::uint8_t> backing_;  // all line data, contiguous
+  std::vector<Fill> fills_;  // parallel to lines_
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "eclipse/sim/fault.hpp"
 
@@ -50,10 +51,21 @@ std::uint32_t Shell::configureStream(const StreamConfig& cfg) {
     throw std::invalid_argument(
         "Shell: stream buffers must be non-empty and cache-line aligned (base and size)");
   }
+  checkBufferInSram(cfg.buffer_base, cfg.buffer_bytes);
   const std::uint32_t row = streams_.configure(cfg);
   ports_[row].cache = std::make_unique<StreamCache>(
       sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port);
   return row;
+}
+
+void Shell::checkBufferInSram(sim::Addr base, std::uint64_t bytes) const {
+  const std::uint64_t line = params_.cache_line_bytes;
+  const std::uint64_t end = (base + bytes + line - 1) / line * line;
+  if (end < base || end > sram_.storage().size()) {
+    throw std::invalid_argument("Shell: stream buffer [" + std::to_string(base) + ", " +
+                                std::to_string(base + bytes) + ") extends past the " +
+                                std::to_string(sram_.storage().size()) + "-byte SRAM");
+  }
 }
 
 void Shell::setTaskEnabled(sim::TaskId task, bool enabled) {
@@ -310,14 +322,9 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
   while (done < n) {
     const std::uint64_t off = (start + done) % row.size;
     const std::uint64_t seg = std::min<std::uint64_t>(n - done, row.size - off);
-    if (writing) {
-      co_await ports_[idx].cache->touchWrite(row, row.base + off,
-                                             static_cast<std::size_t>(seg));
-    } else {
-      const bool last = done + seg >= n;
-      co_await ports_[idx].cache->touchRead(row, row.base + off, static_cast<std::size_t>(seg),
-                                            last ? hint : std::nullopt);
-    }
+    const bool last = done + seg >= n;
+    co_await ports_[idx].cache->touch(row, row.base + off, static_cast<std::size_t>(seg), writing,
+                                      last ? hint : std::nullopt);
     done += seg;
   }
   row.access_latency.add(static_cast<double>(sim_.now() - t0));
@@ -340,12 +347,12 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
 
 sim::Task<WindowView> Shell::acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                          std::size_t n) {
-  co_return co_await acquire(task, port, offset, n, /*writing=*/false);
+  return acquire(task, port, offset, n, /*writing=*/false);
 }
 
 sim::Task<WindowView> Shell::acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                           std::size_t n) {
-  co_return co_await acquire(task, port, offset, n, /*writing=*/true);
+  return acquire(task, port, offset, n, /*writing=*/true);
 }
 
 sim::Task<void> Shell::read(sim::TaskId task, sim::PortId port, std::uint64_t offset,
@@ -649,6 +656,7 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
     switch (f) {
       case 0: {
         const bool was_valid = r.valid;
+        if (value != 0 && !was_valid) checkBufferInSram(r.base, r.size);
         r.valid = value != 0;
         if (r.valid && !was_valid) {
           ports_[rix].cache = std::make_unique<StreamCache>(

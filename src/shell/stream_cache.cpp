@@ -5,6 +5,17 @@
 
 namespace eclipse::shell {
 
+StreamCache::StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
+                         std::uint32_t n_lines)
+    : sim_(sim), sram_(sram), line_bytes_(line_bytes), event_(sim), lines_(n_lines), fills_(n_lines) {
+  for (std::size_t i = 0; i < fills_.size(); ++i) {
+    fills_[i].bytes = line_bytes_;
+    fills_[i].done = &StreamCache::fillDone;
+    fills_[i].cache = this;
+    fills_[i].line = &lines_[i];
+  }
+}
+
 StreamCache::Line* StreamCache::find(sim::Addr line_addr) {
   for (auto& l : lines_) {
     if (l.state != State::Invalid && l.tag == line_addr) return &l;
@@ -12,92 +23,69 @@ StreamCache::Line* StreamCache::find(sim::Addr line_addr) {
   return nullptr;
 }
 
-sim::Task<StreamCache::Line*> StreamCache::victim(StreamRow& row) {
-  while (true) {
-    Line* best = nullptr;
-    for (auto& l : lines_) {
-      if (l.state == State::Invalid) {
-        co_return &l;
-      }
-      if (l.state == State::Valid && (best == nullptr || l.lru < best->lru)) best = &l;
-    }
-    if (best != nullptr) {
-      if (best->dirty) {
-        // Timing-only eviction flush: the SRAM already holds the current
-        // bytes (views write through), so only the bus burst is charged.
-        ++row.cache_flushes;
-        co_await sram_.touchWrite(line_bytes_);
-        best->dirty = false;
-      }
-      best->state = State::Invalid;
-      co_return best;
-    }
-    // Every line is pending a prefetch fill; wait for one to land.
-    co_await event_.wait();
+StreamCache::Line* StreamCache::victim() {
+  Line* best = nullptr;
+  for (auto& l : lines_) {
+    if (l.state == State::Invalid) return &l;
+    if (l.state == State::Valid && (best == nullptr || l.lru < best->lru)) best = &l;
   }
+  return best;
 }
 
-sim::Task<StreamCache::Line*> StreamCache::acquire(StreamRow& row, sim::Addr line_addr,
-                                                   bool whole_line_write) {
-  while (true) {
-    Line* l = find(line_addr);
-    if (l == nullptr) break;
-    if (l->state == State::Valid) {
-      ++row.cache_hits;
-      l->lru = ++lru_clock_;
-      co_return l;
-    }
-    // Pending: the prefetch (or a concurrent fill) is in flight.
-    co_await event_.wait();
-  }
-  ++row.cache_misses;
-  Line* l = co_await victim(row);
-  l->tag = line_addr;
-  l->dirty = false;
-  l->drop = false;
-  l->lru = ++lru_clock_;
-  if (whole_line_write) {
-    // Write-allocate without fill: the whole line will be overwritten.
-    auto d = lineData(l);
-    std::fill(d.begin(), d.end(), 0);
-    l->state = State::Valid;
-    co_return l;
-  }
-  l->state = State::Pending;
-  co_await sram_.read(line_addr, lineData(l));
-  l->state = l->drop ? State::Invalid : State::Valid;
-  event_.notifyAll();
-  if (l->state == State::Invalid) {
-    // Invalidated while in flight; treat as a fresh miss.
-    co_return co_await acquire(row, line_addr, whole_line_write);
-  }
-  co_return l;
-}
-
-sim::Task<void> StreamCache::touchRead(StreamRow& row, sim::Addr addr, std::size_t len,
-                                       std::optional<sim::Addr> prefetch_addr) {
+sim::Task<void> StreamCache::touch(StreamRow& row, sim::Addr addr, std::size_t len, bool writing,
+                                   std::optional<sim::Addr> prefetch_addr) {
   std::size_t done = 0;
   while (done < len) {
     const sim::Addr line_addr = alignDown(addr + done);
     const std::size_t in_line = static_cast<std::size_t>(addr + done - line_addr);
     const std::size_t n = std::min(len - done, static_cast<std::size_t>(line_bytes_) - in_line);
-    co_await acquire(row, line_addr, /*whole_line_write=*/false);
+    Line* l = nullptr;
+    while (l == nullptr) {
+      l = find(line_addr);
+      if (l != nullptr) {
+        if (l->state == State::Valid) {
+          ++row.cache_hits;
+          l->lru = ++lru_clock_;
+          break;
+        }
+        // Pending: the prefetch (or a concurrent fill) is in flight.
+        l = nullptr;
+        co_await event_.wait();
+        continue;
+      }
+      ++row.cache_misses;
+      // Evict a victim, waiting while every line is pending a fill.
+      while ((l = victim()) == nullptr) co_await event_.wait();
+      if (l->state == State::Valid) {
+        if (l->dirty) {
+          // Timing-only eviction flush: the SRAM already holds the current
+          // bytes (views write through), so only the bus burst is charged.
+          ++row.cache_flushes;
+          co_await sram_.touchWrite(line_bytes_);
+          l->dirty = false;
+        }
+        l->state = State::Invalid;
+      }
+      l->tag = line_addr;
+      l->dirty = false;
+      l->drop = false;
+      l->lru = ++lru_clock_;
+      if (writing && in_line == 0 && n == line_bytes_) {
+        // Write-allocate without fill: the whole line will be overwritten.
+        l->state = State::Valid;
+        break;
+      }
+      l->state = State::Pending;
+      co_await sram_.touchRead(line_bytes_);
+      l->state = l->drop ? State::Invalid : State::Valid;
+      event_.notifyAll();
+      // Invalidated while in flight: treat as a fresh miss.
+      if (l->state == State::Invalid) l = nullptr;
+    }
+    if (writing) l->dirty = true;
     done += n;
   }
   if (prefetch_addr.has_value()) startPrefetch(row, *prefetch_addr);
-}
-
-sim::Task<void> StreamCache::touchWrite(StreamRow& row, sim::Addr addr, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const sim::Addr line_addr = alignDown(addr + done);
-    const std::size_t in_line = static_cast<std::size_t>(addr + done - line_addr);
-    const std::size_t n = std::min(len - done, static_cast<std::size_t>(line_bytes_) - in_line);
-    const bool whole = in_line == 0 && n == line_bytes_;
-    Line* l = co_await acquire(row, line_addr, whole);
-    l->dirty = true;
-    done += n;
-  }
 }
 
 sim::Task<void> StreamCache::flushRange(StreamRow& row, sim::Addr addr, std::uint64_t len) {
@@ -137,7 +125,7 @@ void StreamCache::startPrefetch(StreamRow& row, sim::Addr line_addr) {
   if (find(line_addr) != nullptr) return;
   ++row.prefetches;
   // Allocate the line synchronously (so a second prefetch of the same
-  // address is suppressed) but fill it in a background process.
+  // address is suppressed) but fill it in the background.
   Line* target = nullptr;
   for (auto& l : lines_) {
     if (l.state == State::Invalid) {
@@ -160,14 +148,16 @@ void StreamCache::startPrefetch(StreamRow& row, sim::Addr line_addr) {
   target->dirty = false;
   target->drop = false;
   target->lru = ++lru_clock_;
-  sim_.spawn(prefetchTask(row, target), "prefetch");
+  // The fill starts as a zero-delay event, like a freshly spawned process.
+  Fill* fill = &fills_[static_cast<std::size_t>(target - lines_.data())];
+  sim_.schedule(0, [fill] { fill->cache->sram_.touchRead(*fill); });
 }
 
-sim::Task<void> StreamCache::prefetchTask(StreamRow& row, Line* line) {
-  (void)row;
-  co_await sram_.read(line->tag, lineData(line));
-  line->state = line->drop ? State::Invalid : State::Valid;
-  event_.notifyAll();
+void StreamCache::fillDone(mem::Bus::Request& r) {
+  auto& fill = static_cast<Fill&>(r);
+  Line& line = *fill.line;
+  line.state = line.drop ? State::Invalid : State::Valid;
+  fill.cache->event_.notifyAll();
 }
 
 }  // namespace eclipse::shell

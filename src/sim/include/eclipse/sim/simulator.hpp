@@ -136,7 +136,7 @@ class Simulator {
 
   /// Destroys all coroutine frames and drops pending events.
   ///
-  /// Coroutine frames may hold RAII objects (e.g. bus-arbitration guards)
+  /// Coroutine frames may hold RAII objects (e.g. semaphore guards)
   /// that reference simulation models; owners whose models are destroyed
   /// before the Simulator member must call this first so frame unwinding
   /// never touches freed models. Idempotent; the destructor calls it too.

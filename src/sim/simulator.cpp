@@ -79,7 +79,7 @@ void Simulator::spawn(Task<void> task, std::string name, ShardId shard) {
     return;
   }
   // Reclaim finished frames so long runs with many short-lived processes
-  // (e.g. cache prefetches) do not accumulate unbounded memory.
+  // do not accumulate unbounded memory.
   if (roots_.size() >= 1024) {
     std::erase_if(roots_, [](RootProcess& r) {
       if (r.handle && r.handle.done()) {

@@ -19,9 +19,8 @@ class TwoShellFixture : public ::testing::Test {
   void SetUp() override { rebuild(shell::ShellParams{}); }
 
   void TearDown() override {
-    // Frames suspended inside bus transfers hold guards into the SRAM
-    // semaphores; destroy them before the models (see
-    // Simulator::destroyProcesses).
+    // Suspended frames reference the shells and the SRAM; destroy them
+    // before the models (see Simulator::destroyProcesses).
     if (sim) sim->destroyProcesses();
   }
 

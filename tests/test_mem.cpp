@@ -97,7 +97,119 @@ TEST(Bus, UtilizationFraction) {
   EXPECT_DOUBLE_EQ(bus.utilization(20), 0.5);
 }
 
+Task<void> transferAfter(Bus& bus, Cycle start, std::size_t bytes, Cycle& done_at,
+                         Simulator& sim) {
+  co_await sim.delay(start);
+  co_await bus.transfer(bytes);
+  done_at = sim.now();
+}
+
+TEST(Bus, ArrivalInReleaseCycleQueuesBehindHandedOffWaiter) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 1);
+  Cycle a = 0, b = 0, c = 0;
+  sim.spawn(doTransfer(bus, 32, a, sim), "a");           // holds the bus 0..5
+  sim.spawn(doTransfer(bus, 32, b, sim), "b");           // queues at 0
+  sim.spawn(transferAfter(bus, 5, 32, c, sim), "c");     // arrives at 5, after a's release
+  sim.run();
+  // At cycle 5 the grant is already b's (handed over through a zero-delay
+  // event that runs after c arrives); c must not steal it.
+  EXPECT_EQ(a, 5u);
+  EXPECT_EQ(b, 10u);
+  EXPECT_EQ(c, 15u);
+  EXPECT_EQ(bus.stats().busy_cycles, 15u);
+}
+
+Task<void> postedWrites(Bus& bus, Cycle& done_at, Simulator& sim) {
+  // The MC coprocessor's reconstructed-macroblock write-back: three posted
+  // bursts back to back, each issued as the previous one ends.
+  co_await bus.transfer(256);
+  co_await bus.transfer(64);
+  co_await bus.transfer(64);
+  done_at = sim.now();
+}
+
+TEST(Bus, BackToBackPostedTransfersInterleaveFifo) {
+  Simulator sim;
+  Bus bus(sim, "system.bus", 8, 2);
+  Cycle mc = 0, other = 0;
+  sim.spawn(postedWrites(bus, mc, sim), "mc");
+  sim.spawn(transferAfter(bus, 1, 64, other, sim), "vld");
+  sim.run();
+  // mc 0..34 (2 + 32); the waiter queued at 1 gets the bus next, 34..44;
+  // mc's second burst queued at 34 runs 44..54, its third 54..64.
+  EXPECT_EQ(other, 44u);
+  EXPECT_EQ(mc, 64u);
+  EXPECT_EQ(bus.stats().transactions, 4u);
+  EXPECT_EQ(bus.stats().busy_cycles, 64u);
+}
+
+Task<void> zeroCycleTransfer(Bus& bus, bool& done) {
+  co_await bus.transfer(0);
+  done = true;
+}
+
+TEST(Bus, ZeroCycleBurstOnIdleBusDoesNotSuspend) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 0);
+  bool done = false;
+  sim.spawn(zeroCycleTransfer(bus, done), "z");
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_EQ(sim.eventsDispatched(), 1u);  // only the spawn
+  EXPECT_EQ(bus.stats().transactions, 1u);
+}
+
 // ------------------------------------------------------------ SRAM / DRAM
+
+Task<void> timedRead(SharedSram& sram, std::vector<std::uint8_t>& out, Cycle& done_at,
+                     std::uint64_t& events_at, Simulator& sim) {
+  co_await sram.read(0x100, out);
+  done_at = sim.now();
+  events_at = sim.eventsDispatched();
+}
+
+TEST(SharedSram, ReadCompletesAfterArbitrationDataAndAccess) {
+  Simulator sim;
+  SramParams p;
+  p.bus_width_bytes = 16;
+  p.bus_arbitration_latency = 2;
+  p.access_latency = 3;
+  SharedSram sram(sim, p);
+  sram.storage().poke(0x100, 0xA5);
+  std::vector<std::uint8_t> out(64);
+  Cycle done = 0;
+  std::uint64_t events = 0;
+  sim.spawn(timedRead(sram, out, done, events, sim), "r");
+  sim.run();
+  EXPECT_EQ(done, 2u + 64 / 16 + 3);
+  EXPECT_EQ(events, 3u);  // spawn, end of burst, end of access
+  EXPECT_EQ(out[0], 0xA5);
+}
+
+TEST(SharedSram, ZeroAccessLatencyResumesInsideTheBusReleaseEvent) {
+  Simulator sim;
+  SramParams p;
+  p.bus_width_bytes = 16;
+  p.bus_arbitration_latency = 2;
+  p.access_latency = 0;
+  SharedSram sram(sim, p);
+  std::vector<std::uint8_t> out(64), other(16);
+  Cycle done = 0, other_done = 0;
+  std::uint64_t events = 0, other_events = 0;
+  sim.spawn(timedRead(sram, out, done, events, sim), "r");
+  sim.spawn(timedRead(sram, other, other_done, other_events, sim), "waiter");
+  sim.run();
+  // The first reader resumes in the event that ends its burst (event 3:
+  // two spawns, then the burst end), before the waiter's zero-delay grant.
+  EXPECT_EQ(done, 2u + 4);
+  EXPECT_EQ(events, 3u);
+  // The waiter: grant event at 6, burst 6..9, resumed inline at 9.
+  EXPECT_EQ(other_done, 6u + 2 + 1);
+  EXPECT_EQ(other_events, 5u);
+}
+
 
 Task<void> sramRoundTrip(SharedSram& sram, bool& ok, Simulator& sim) {
   std::vector<std::uint8_t> in(100);
@@ -222,6 +334,35 @@ TEST(MessageNetwork, UnattachedDestinationThrows) {
   Simulator sim;
   MessageNetwork net(sim, 1);
   EXPECT_THROW(net.send(SyncMessage{0, 9, 0, 1}), std::runtime_error);
+}
+
+TEST(MessageNetwork, SendAfterDetachThrowsAndReattachDelivers) {
+  Simulator sim;
+  MessageNetwork net(sim, 1);
+  int first = 0, second = 0;
+  net.attach(2, [&](const SyncMessage&) { ++first; });
+  net.detach(2);
+  EXPECT_THROW(net.send(SyncMessage{0, 2, 0, 1}), std::runtime_error);
+  EXPECT_THROW(net.send(SyncMessage{0, 1, 0, 1}), std::runtime_error);  // below, never attached
+  net.attach(2, [&](const SyncMessage&) { ++second; });
+  net.send(SyncMessage{0, 2, 0, 1});
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(net.messagesSent(), 1u);
+}
+
+TEST(MessageNetwork, InFlightDeliverySurvivesTableGrowth) {
+  // Delivery events hold a pointer to the destination's handler; attaching
+  // more shells while a message is in flight must not move it.
+  Simulator sim;
+  MessageNetwork net(sim, 4);
+  std::uint32_t got = 0;
+  net.attach(0, [&](const SyncMessage& m) { got = m.bytes; });
+  net.send(SyncMessage{1, 0, 0, 77});
+  for (std::uint32_t id = 1; id < 64; ++id) net.attach(id, [](const SyncMessage&) {});
+  sim.run();
+  EXPECT_EQ(got, 77u);
 }
 
 // ----------------------------------------------------------------- PI-bus

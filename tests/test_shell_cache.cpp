@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "eclipse/sim/prng.hpp"
@@ -247,6 +248,39 @@ TEST_F(ShellCache, RandomizedStressIsBitExact) {
   sim->run(100'000'000);
   ASSERT_EQ(sim->liveProcesses(), 0u);
   EXPECT_TRUE(ok);
+}
+
+// Teardown mid-run: a burst in progress on the SRAM read bus, two
+// contenders and a prefetch fill queued behind it. destroyProcesses() and
+// destroying the models must not touch the queued requests again (checked
+// under AddressSanitizer in CI).
+Task<void> timedRead(mem::SharedSram& sram, std::size_t bytes, bool& done) {
+  co_await sram.touchRead(bytes);
+  done = true;
+}
+
+TEST(StreamCacheTeardown, StopMidBurstWithQueuedRequestsThenDestroy) {
+  auto sim = std::make_unique<sim::Simulator>();
+  auto sram = std::make_unique<mem::SharedSram>(*sim, mem::SramParams{});
+  auto cache = std::make_unique<shell::StreamCache>(*sim, *sram, 64, 4);
+  shell::StreamRow row;
+  bool holder = false, first = false, second = false;
+  sim->spawn(timedRead(*sram, 256, holder), "holder");  // burst 0..17
+  sim->spawn(timedRead(*sram, 64, first), "contender-1");
+  sim->spawn(timedRead(*sram, 64, second), "contender-2");
+  cache->startPrefetch(row, 0x400);  // its fill queues behind the contenders
+  EXPECT_EQ(sim->run(8), 8u);
+  EXPECT_FALSE(holder || first || second);
+  EXPECT_EQ(row.prefetches, 1u);
+  EXPECT_EQ(sram->readBus().stats().transactions, 0u);
+  EXPECT_FALSE(sim->quiescent());
+  EXPECT_EQ(sim->liveProcesses(), 3u);
+
+  sim->destroyProcesses();
+  EXPECT_TRUE(sim->quiescent());
+  cache.reset();
+  sram.reset();
+  sim.reset();
 }
 
 }  // namespace

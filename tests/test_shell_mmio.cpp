@@ -36,6 +36,17 @@ TEST_F(ShellMmio, StreamConfigReadsBack) {
   EXPECT_EQ(cons->mmioRead(6 * 4), 0u);          // consumer space = 0
 }
 
+TEST_F(ShellMmio, ValidBitRejectsBufferPastSramEnd) {
+  const auto sram_bytes = static_cast<std::uint32_t>(sram->storage().size());
+  prod->mmioWrite(4 * 4, sram_bytes - 64);  // buffer base
+  prod->mmioWrite(5 * 4, 128);              // buffer size: one line too many
+  EXPECT_THROW(prod->mmioWrite(0 * 4, 1), std::invalid_argument);
+  EXPECT_EQ(prod->mmioRead(0 * 4), 0u);  // the row stays invalid
+  prod->mmioWrite(5 * 4, 64);
+  EXPECT_NO_THROW(prod->mmioWrite(0 * 4, 1));
+  EXPECT_EQ(prod->mmioRead(0 * 4), 1u);
+}
+
 TEST_F(ShellMmio, ConfigureStreamEntirelyViaRegisters) {
   // Build the same stream as connect(), but through raw register writes —
   // the path the control CPU uses in hardware.

@@ -237,6 +237,19 @@ TEST_F(ShellSync, MisalignedBuffersRejected) {
   run(misalignedBufferRejected(*prod));
 }
 
+TEST_F(ShellSync, BufferPastSramEndRejected) {
+  // The stream caches time fills without reading the SRAM, so a buffer
+  // whose lines leave the SRAM is rejected when the row is configured.
+  shell::StreamConfig cfg;
+  cfg.task = 1;
+  cfg.port = 0;
+  cfg.buffer_base = sram->storage().size() - 64;
+  cfg.buffer_bytes = 128;
+  EXPECT_THROW((void)prod->configureStream(cfg), std::invalid_argument);
+  cfg.buffer_bytes = 64;  // ends exactly at the last SRAM byte
+  EXPECT_NO_THROW((void)prod->configureStream(cfg));
+}
+
 TEST_F(ShellSync, MessageForUnconfiguredRowIsDroppedAndCounted) {
   // A putspace message racing a teardown can legitimately arrive after its
   // row was invalidated; the shell must absorb it (dropping the simulation
