@@ -104,8 +104,8 @@ sim::Task<void> storm(sim::Simulator& sim, sim::Cycle stride, int hops) {
 }
 
 // Pure-delay storm: every event is a coroutine resume from DelayAwaiter —
-// the allocation-free fast path. Mixed strides exercise both the wheel
-// (short) and, at the widest strides times many processes, bucket reuse.
+// the allocation-free fast path. Mixed strides of 1-13 cycles keep every
+// push in the near wheel, reusing slab nodes through the free list.
 void BM_KernelPureDelayStorm(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -135,6 +135,58 @@ void BM_KernelLongDelayStorm(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_KernelLongDelayStorm);
+
+// The push-delay mix measured on decode_cif (DESIGN §6): 0: 18.7%, 1: 27.4%,
+// 2-3: 20%, 4-15: 29%, 16-63: 4.3%, 64-4095: 0.6%. Precomputed so the
+// timed loop spends nothing on random numbers.
+std::vector<sim::Cycle> decodeDelayMix(std::size_t n) {
+  sim::Prng rng(17);
+  std::vector<sim::Cycle> delays(n);
+  for (auto& d : delays) {
+    const std::uint64_t r = rng.below(1000);
+    d = static_cast<sim::Cycle>(r < 187   ? 0
+                                : r < 461 ? 1
+                                : r < 661 ? rng.range(2, 3)
+                                : r < 951 ? rng.range(4, 15)
+                                : r < 994 ? rng.range(16, 63)
+                                          : rng.range(64, 4095));
+  }
+  return delays;
+}
+
+// Always suspends, so a zero delay is a same-cycle push like the decode's
+// handshakes (sim.delay(0) would complete without an event).
+struct Reschedule {
+  sim::Simulator& sim;
+  sim::Cycle n;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim.scheduleResume(n, h); }
+  void await_resume() const noexcept {}
+};
+
+sim::Task<void> delayMixProcess(sim::Simulator& sim, const std::vector<sim::Cycle>& delays,
+                                std::size_t offset, int hops) {
+  for (int i = 0; i < hops; ++i) {
+    co_await Reschedule{sim, delays[(offset + static_cast<std::size_t>(i)) % delays.size()]};
+  }
+}
+
+// Decode delay mix: 64 live processes replaying the measured push-delay
+// distribution — the event kernel's shape in the real timed decode.
+void BM_KernelDecodeDelayMix(benchmark::State& state) {
+  const auto delays = decodeDelayMix(4096);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    for (int p = 0; p < 64; ++p) {
+      sim.spawn(delayMixProcess(sim, delays, static_cast<std::size_t>(p) * 61, 2000), "mix");
+    }
+    sim.run();
+    events += sim.eventsDispatched();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_KernelDecodeDelayMix);
 
 sim::Task<void> fanoutWaiter(sim::SimEvent& ev, int rounds, std::uint64_t& wakes) {
   for (int i = 0; i < rounds; ++i) {

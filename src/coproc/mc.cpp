@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -56,16 +57,21 @@ sim::Task<void> McCoproc::fetchRegion(TaskState& st, std::int32_t slot, int plan
   // Timing: one 2D burst over the system bus of the region size.
   co_await dram_.touchRead(out.size());
 
-  // Function: clamped per-sample gather (replicated frame edges, exactly
-  // like motion::sampleHalfPel's full-pel clamping).
-  const auto view = dram_.storage().view();
-  for (int y = 0; y < h; ++y) {
+  // Function: clamp-extended gather (replicated frame edges, exactly like
+  // motion::sampleHalfPel's full-pel clamping). The row index is always
+  // clamped; a row whose columns lie inside the plane is one memcpy, and
+  // only a region straddling a column edge clamps per sample.
+  const std::uint8_t* plane_base = dram_.storage().view().data() + base;
+  const bool cols_inside = x0 >= 0 && x0 + w <= g.width;
+  std::uint8_t* dst = out.data();
+  for (int y = 0; y < h; ++y, dst += w) {
     const int sy = clampi(y0 + y, 0, g.height - 1);
-    for (int x = 0; x < w; ++x) {
-      const int sx = clampi(x0 + x, 0, g.width - 1);
-      out[static_cast<std::size_t>(y * w + x)] =
-          view[static_cast<std::size_t>(base + static_cast<sim::Addr>(sy) * static_cast<sim::Addr>(g.stride) +
-                                        static_cast<sim::Addr>(sx))];
+    const std::uint8_t* row =
+        plane_base + static_cast<sim::Addr>(sy) * static_cast<sim::Addr>(g.stride);
+    if (cols_inside) {
+      std::memcpy(dst, row + x0, static_cast<std::size_t>(w));
+    } else {
+      for (int x = 0; x < w; ++x) dst[x] = row[clampi(x0 + x, 0, g.width - 1)];
     }
   }
 }

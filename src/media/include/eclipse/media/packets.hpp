@@ -13,13 +13,19 @@
 
 namespace eclipse::media {
 
-/// Little-endian byte-buffer writer for inter-stage packets.
+/// Byte-buffer writer for inter-stage packets.
 ///
 /// The decoder/encoder stages exchange *data packets* over Eclipse streams
 /// (Section 4.2: "coprocessors operate on logical units of data ...
 /// encapsulated in a data packet"). Packets are byte-serialised so the same
 /// representation flows through the functional KPN FIFOs and the simulated
 /// on-chip stream buffers.
+///
+/// Multi-byte fields (`u16`, `i16`, `u32`) are copied in host byte order.
+/// Media packets never leave the process — they live only in KPN FIFOs and
+/// simulated stream buffers, written and read by the same host — so no
+/// byte order is fixed, and bulk copies of int16 arrays produce the same
+/// bytes as per-field writes.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }

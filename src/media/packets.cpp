@@ -94,20 +94,20 @@ void get(ByteReader& r, MbCoefs& v) {
   }
 }
 
+// The 6x64 coefficients are contiguous int16 in host byte order, exactly
+// the bytes 384 ByteWriter::i16 calls would write, so they move as one copy.
+static_assert(sizeof(MbBlocks::blocks) == kMbBlocksBytes - 2);
+
 void put(ByteWriter& w, const MbBlocks& v) {
   w.u8(v.cbp);
   w.u8(v.intra);
-  for (const auto& block : v.blocks) {
-    for (const auto c : block) w.i16(c);
-  }
+  w.bytes({reinterpret_cast<const std::uint8_t*>(v.blocks.data()), sizeof v.blocks});
 }
 
 void get(ByteReader& r, MbBlocks& v) {
   v.cbp = r.u8();
   v.intra = r.u8();
-  for (auto& block : v.blocks) {
-    for (auto& c : block) c = r.i16();
-  }
+  r.bytes({reinterpret_cast<std::uint8_t*>(v.blocks.data()), sizeof v.blocks});
 }
 
 void put(ByteWriter& w, const MbPixels& v) {

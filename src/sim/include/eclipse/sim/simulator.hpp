@@ -121,7 +121,7 @@ class Simulator {
       engine_->stop();
       return;
     }
-    stop_requested_ = true;
+    halt_ = true;
   }
 
   /// True when no events are pending (all processes blocked or finished).
@@ -232,7 +232,7 @@ class Simulator {
   std::vector<RootProcess> roots_;
   std::size_t live_ = 0;
   std::uint64_t events_ = 0;
-  bool stop_requested_ = false;
+  bool halt_ = false;  // ends run()'s drain loop: stop() or a root's error
   int verbosity_ = 0;
   std::exception_ptr pending_error_;
   FaultInjector* faults_ = nullptr;

@@ -16,7 +16,7 @@ void notifyRootDone(Simulator& sim, std::exception_ptr exception) {
   if (sim.live_ > 0) --sim.live_;
   if (exception && !sim.pending_error_) {
     sim.pending_error_ = exception;
-    sim.stop();
+    sim.halt_ = true;
   }
 }
 
@@ -98,22 +98,21 @@ void Simulator::spawn(Task<void> task, std::string name, ShardId shard) {
 
 Cycle Simulator::run(Cycle until) {
   if (engine_) return engine_->run(until);
-  stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    if (queue_.nextCycle() > until) {
+  // One flag ends the drain: stop() and the root-error path both set it,
+  // so the loop tests no other state per event.
+  halt_ = false;
+  while (!halt_ && !queue_.empty()) {
+    const Cycle at = queue_.nextCycle();
+    if (at > until) {
       now_ = until;
       return now_;
     }
-    Cycle at = 0;
-    Event ev = queue_.pop(&at);
     now_ = at;
+    Event ev = queue_.pop();
     ++events_;
     ev();
-    if (pending_error_) {
-      auto err = std::exchange(pending_error_, nullptr);
-      std::rethrow_exception(err);
-    }
   }
+  if (pending_error_) std::rethrow_exception(std::exchange(pending_error_, nullptr));
   return now_;
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "eclipse/media/video_gen.hpp"
 #include "eclipse/sim/event.hpp"
 #include "eclipse/sim/event_queue.hpp"
+#include "eclipse/sim/prng.hpp"
 #include "eclipse/sim/sim_event.hpp"
 #include "eclipse/sim/simulator.hpp"
 
@@ -328,6 +331,182 @@ TEST(Determinism, TimedDecodeMatchesSeedKernel) {
   ASSERT_TRUE(dec2.done());
   EXPECT_EQ(cycles2, cycles);
   EXPECT_EQ(inst2.simulator().eventsDispatched(), inst.simulator().eventsDispatched());
+}
+
+// ------------------------------------------------------ generated cases
+
+// Delay drawn from the push-delay mix measured on decode_cif (DESIGN §6):
+// 0: 18.7%, 1: 27.4%, 2-3: 20%, 4-15: 29%, 16-63: 4.3%, 64-4095: 0.6%,
+// plus rare jumps of a million cycles or more.
+Cycle decodeMixDelay(Prng& rng) {
+  const std::uint64_t r = rng.below(100'000);
+  if (r < 18'700) return 0;
+  if (r < 46'100) return 1;
+  if (r < 66'100) return static_cast<Cycle>(rng.range(2, 3));
+  if (r < 95'100) return static_cast<Cycle>(rng.range(4, 15));
+  if (r < 99'400) return static_cast<Cycle>(rng.range(16, 63));
+  if (r < 99'995) return static_cast<Cycle>(rng.range(64, 4095));
+  return static_cast<Cycle>(rng.range(1'000'000, 3'000'000));
+}
+
+// Differential harness: every push goes to the queue and to a reference
+// (cycle, seq)-ordered multimap; every pop must return the model's first
+// entry. Some events push again from inside their own invocation, i.e.
+// while their cycle is draining.
+struct DiffHarness {
+  EventQueue q;
+  std::multimap<std::pair<Cycle, std::uint64_t>, std::uint32_t> model;
+  std::uint64_t seq = 0;
+  std::uint32_t next_id = 0;
+  Cycle now = 0;
+  std::uint32_t last_fired = 0;
+  std::uint64_t nested_pushes = 0;
+  Prng rng{20260917};
+
+  void push(bool may_nest) {
+    const Cycle at = now + decodeMixDelay(rng);
+    const std::uint32_t id = next_id++;
+    const bool nested = may_nest && rng.chance(0.1);
+    DiffHarness* h = this;
+    q.push(at, [h, id, nested] {
+      h->last_fired = id;
+      if (nested) {
+        ++h->nested_pushes;
+        h->push(false);
+      }
+    });
+    model.emplace(std::make_pair(at, seq++), id);
+  }
+
+  void popAndCheck() {
+    ASSERT_EQ(q.size(), model.size());
+    const auto first = model.begin();
+    ASSERT_EQ(q.nextCycle(), first->first.first);
+    Cycle at = 0;
+    Event ev = q.pop(&at);
+    ASSERT_EQ(at, first->first.first);
+    const std::uint32_t expected = first->second;
+    model.erase(first);
+    now = at;
+    ev();
+    ASSERT_EQ(last_fired, expected);
+  }
+};
+
+TEST(EventQueueGenerated, MatchesReferenceModelOnDecodeDelayMix) {
+  DiffHarness h;
+  constexpr int kOps = 1'000'000;
+  constexpr std::size_t kLive = 64;  // about the decode's pending-event count
+  std::uint64_t pops = 0;
+  for (int op = 0; op < kOps; ++op) {
+    if (op % 50'000 == 49'999) {
+      // Drain completely now and then: with only far events left, pops
+      // take the window-jump path and later pushes start from there.
+      while (!h.model.empty()) {
+        h.popAndCheck();
+        if (testing::Test::HasFatalFailure()) return;
+        ++pops;
+      }
+    }
+    const double push_p = h.model.size() < kLive ? 0.6 : 0.4;
+    if (h.model.empty() || h.rng.chance(push_p)) {
+      h.push(true);
+    } else {
+      h.popAndCheck();
+      if (testing::Test::HasFatalFailure()) return;
+      ++pops;
+    }
+  }
+  while (!h.model.empty()) {
+    h.popAndCheck();
+    if (testing::Test::HasFatalFailure()) return;
+    ++pops;
+  }
+  EXPECT_TRUE(h.q.empty());
+  EXPECT_EQ(pops, h.next_id);  // every event, nested ones included, fired once
+  EXPECT_GT(h.nested_pushes, 10'000u);
+  EXPECT_GT(h.now, 1'000'000u);  // the rare long jumps did happen
+}
+
+TEST(EventQueueGenerated, HorizonBoundariesFromMidRingBase) {
+  // Window bases in the middle of the ring and at its last slot, so the
+  // horizon slots wrap past index 0 of the wheel.
+  for (const Cycle base : {7 * kSpan + kSpan / 2 + 3, 9 * kSpan - 1}) {
+    EventQueue q;
+    std::vector<int> order;
+    Cycle at = 0;
+    q.push(base, [] {});  // beyond the horizon from 0: a window jump
+    q.pop(&at)();
+    ASSERT_EQ(at, base);
+    auto rec = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+    q.push(base + kSpan + 1, rec(0));  // overflow heap
+    q.push(base + kSpan, rec(1));      // overflow heap: first cycle past the wheel
+    q.push(base + kSpan - 1, rec(2));  // last wheel cycle
+    q.push(base + kSpan, rec(3));
+    q.push(base + kSpan - 1, rec(4));
+    q.push(base + kSpan + 1, rec(5));
+    q.pop(&at)();
+    ASSERT_EQ(at, base + kSpan - 1);
+    // The window moved: the heap entries migrated first, so these direct
+    // wheel pushes queue behind them; id 8 joins the draining cycle.
+    q.push(base + kSpan, rec(6));
+    q.push(base + kSpan + 1, rec(7));
+    q.push(base + kSpan - 1, rec(8));
+    std::vector<Cycle> cycles{base + kSpan - 1};
+    while (!q.empty()) {
+      q.pop(&at)();
+      cycles.push_back(at);
+    }
+    EXPECT_EQ(order, (std::vector<int>{2, 4, 8, 1, 3, 6, 0, 5, 7})) << "base " << base;
+    EXPECT_EQ(cycles, (std::vector<Cycle>{base + kSpan - 1, base + kSpan - 1, base + kSpan - 1,
+                                          base + kSpan, base + kSpan, base + kSpan,
+                                          base + kSpan + 1, base + kSpan + 1, base + kSpan + 1}));
+  }
+}
+
+TEST(EventQueueGenerated, ClearAfterSlabGrowthReleasesOnceAndStaysUsable) {
+  EventQueue q;
+  int drops = 0;
+  int pushed = 0;
+  auto token = std::make_shared<int>(0);
+  // Grow the slab well past a handful of nodes, spread over many cycles,
+  // with some entries in the overflow heap as well.
+  for (int i = 0; i < 300; ++i) {
+    q.push(static_cast<Cycle>(i % 97), CountedDrop{&drops});
+    ++pushed;
+  }
+  for (int i = 0; i < 20; ++i) {
+    q.push(kSpan * 3 + static_cast<Cycle>(i), [token] { (void)token; });
+  }
+  // Drain part of it: the dispatched nodes go onto the free list.
+  for (int i = 0; i < 150; ++i) q.pop()();
+  EXPECT_EQ(drops, 150);
+  // Refill some of the freed nodes, then drop everything.
+  for (int i = 0; i < 50; ++i) {
+    q.push(100 + static_cast<Cycle>(i % 7), CountedDrop{&drops});
+    ++pushed;
+  }
+  EXPECT_EQ(token.use_count(), 21);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(drops, pushed);  // each holder released exactly once
+  EXPECT_EQ(token.use_count(), 1);
+
+  // Reusable afterwards: time order and same-cycle FIFO still hold.
+  std::vector<int> order;
+  q.push(1000, [&order] { order.push_back(1); });
+  q.push(400, [&order] { order.push_back(0); });
+  q.push(1000, [&order] { order.push_back(2); });
+  q.push(1000 + kSpan * 4, [&order] { order.push_back(3); });
+  Cycle at = 0;
+  Cycle prev = 0;
+  while (!q.empty()) {
+    q.pop(&at)();
+    EXPECT_GE(at, prev);
+    prev = at;
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(drops, pushed);
 }
 
 }  // namespace

@@ -224,9 +224,29 @@ TEST(Packets, MbBlocksAndPixelsRoundTrip) {
   MbBlocks back;
   get(r, back);
   EXPECT_EQ(back.cbp, blocks.cbp);
+  EXPECT_EQ(back.intra, blocks.intra);
   for (int b = 0; b < kBlocksPerMacroblock; ++b) {
     EXPECT_EQ(back.blocks[static_cast<std::size_t>(b)], blocks.blocks[static_cast<std::size_t>(b)]);
   }
+  // Byte layout: cbp, intra, then the 6x64 coefficients block by block,
+  // each exactly as ByteWriter::i16 writes it.
+  ASSERT_EQ(bytes.size(), kMbBlocksBytes);
+  EXPECT_EQ(bytes[0], 0x3F);
+  EXPECT_EQ(bytes[1], 1);
+  ByteWriter ref;
+  ref.u8(blocks.cbp);
+  ref.u8(blocks.intra);
+  for (const auto& b : blocks.blocks) {
+    for (const auto c : b) ref.i16(c);
+  }
+  EXPECT_EQ(bytes, ref.data());
+  blocks.intra = 0;  // a distinct intra value must survive the trip too
+  ByteWriter w_inter;
+  put(w_inter, blocks);
+  ByteReader r_inter(w_inter.data());
+  get(r_inter, back);
+  EXPECT_EQ(back.intra, 0);
+  EXPECT_TRUE(r_inter.atEnd());
 
   MbPixels px;
   for (auto& v : px.y) v = static_cast<std::uint8_t>(rng.below(256));
