@@ -13,7 +13,6 @@
 #include "eclipse/coproc/sinks.hpp"
 #include "eclipse/coproc/soft_cpu.hpp"
 #include "eclipse/coproc/vld.hpp"
-#include "eclipse/app/partition.hpp"
 #include "eclipse/mem/message_network.hpp"
 #include "eclipse/mem/pi_bus.hpp"
 #include "eclipse/mem/sram.hpp"
@@ -190,17 +189,6 @@ class EclipseInstance {
   StreamHandle connectStream(const Endpoint& producer, const Endpoint& consumer,
                              std::uint32_t buffer_bytes);
 
-  /// Partitions the instance across `plan.shards` simulation lanes
-  /// (DESIGN §13). Must precede start() — every process spawns onto its
-  /// shell's lane. The default rule fuses all bus-coupled shells onto the
-  /// hub lane (bit-identity with the serial oracle is structural); the
-  /// split_memory_hub escape distributes shells for bus-silent scenarios.
-  /// Returns the resolved assignment. Idempotent for an identical shard
-  /// count (farm instance reuse re-applies tags without resetting time).
-  const ShardAssignment& applyShardPlan(const ShardPlan& plan);
-  [[nodiscard]] const ShardAssignment& shardAssignment() const { return shard_assignment_; }
-  [[nodiscard]] bool shardPlanned() const { return shard_planned_; }
-
   /// Starts every coprocessor control loop (and profilers if enabled).
   /// Idempotent per coprocessor; sinks created later start on creation.
   void start();
@@ -294,9 +282,6 @@ class EclipseInstance {
   int pending_apps_ = 0;
   bool started_ = false;
   sim::FaultInjector injector_;
-  ShardPlan shard_plan_;
-  ShardAssignment shard_assignment_;
-  bool shard_planned_ = false;
 };
 
 }  // namespace eclipse::app

@@ -41,7 +41,6 @@ InstanceParams InstanceParams::fromConfig(const sim::Config& cfg) {
 }
 
 EclipseInstance::EclipseInstance(const InstanceParams& params) : params_(params) {
-  pi_bus_.bindSimulator(&sim_);  // shard-affinity checks; untimed model otherwise
   sram_ = std::make_unique<mem::SharedSram>(sim_, params_.sram);
   dram_ = std::make_unique<mem::OffChipMemory>(sim_, params_.dram);
   network_ = std::make_unique<mem::MessageNetwork>(sim_, params_.message_latency);
@@ -75,46 +74,6 @@ shell::Shell& EclipseInstance::makeShell(const std::string& name) {
   sp.best_guess = params_.best_guess;
   auto sh = std::make_unique<shell::Shell>(sim_, sp, *sram_, *network_);
   sh->mapMmio(pi_bus_, mmioBase(*sh));
-  if (shard_planned_ && sim_.sharded()) {
-    // Shells created after partitioning (application sinks) follow the
-    // plan: an explicit pin wins, otherwise they join the hub lane — sinks
-    // read their payload over the SRAM buses, so the fusion rule applies.
-    // A pin obeys the same plan-time rules computePartition enforces:
-    // in range, and never off the hub lane under a fused plan.
-    sim::ShardId lane = shard_assignment_.hub;
-    auto it = shard_plan_.pin.find(name);
-    if (it != shard_plan_.pin.end()) {
-      if (it->second >= shard_assignment_.shards) {
-        throw std::logic_error("ShardPlan: pin of '" + name + "' targets lane " +
-                               std::to_string(it->second) + " but the plan has " +
-                               std::to_string(shard_assignment_.shards) + " shards");
-      }
-      if (!shard_plan_.split_memory_hub && it->second != shard_assignment_.hub) {
-        throw std::logic_error(
-            "ShardPlan: pin of '" + name + "' to lane " + std::to_string(it->second) +
-            " conflicts with the memory-hub fusion rule; set split_memory_hub "
-            "(bus-silent scenarios only) to distribute shells");
-      }
-      lane = it->second;
-    }
-    sh->setShard(lane);
-    network_->setShellShard(sh->params().id, lane);
-    pi_bus_.setWindowShard(mmioBase(*sh), lane);
-    shard_assignment_.shell_shard[name] = lane;
-    if (shard_assignment_.lookahead == 0 && shard_assignment_.lanesUsed() > 1) {
-      // This shell opened a second populated lane after applyShardPlan:
-      // declare the cross-lane lookahead now, under the same zero-latency
-      // rule computePartition applies at plan time.
-      if (params_.message_latency == 0) {
-        throw std::logic_error(
-            "ShardPlan: shell '" + name + "' opens a second populated lane but "
-            "network.message_latency is 0; the putspace latency is the "
-            "conservative cross-shard lookahead and must be >= 1 cycle");
-      }
-      shard_assignment_.lookahead = params_.message_latency;
-      sim_.declareCrossShardLatency(params_.message_latency);
-    }
-  }
   shells_.push_back(std::move(sh));
   task_used_.emplace_back(sp.max_tasks, false);
   return *shells_.back();
@@ -310,37 +269,6 @@ EclipseInstance::StreamHandle EclipseInstance::connectStream(const Endpoint& pro
   producer.shell->streams().row(prow).remote_row = crow;
 
   return StreamHandle{producer.shell, prow, consumer.shell, crow, base, buffer_bytes};
-}
-
-const ShardAssignment& EclipseInstance::applyShardPlan(const ShardPlan& plan) {
-  if (started_) {
-    throw std::logic_error("EclipseInstance::applyShardPlan must precede start()");
-  }
-  std::vector<std::string> names;
-  names.reserve(shells_.size());
-  for (auto& sh : shells_) names.push_back(sh->name());
-  ShardAssignment asg = computePartition(names, plan, params_.message_latency);
-  sim_.setShardCount(asg.shards);
-  shard_plan_ = plan;
-  shard_assignment_ = std::move(asg);
-  shard_planned_ = true;
-  if (sim_.sharded()) {
-    sram_->setHomeShard(shard_assignment_.hub);
-    dram_->setHomeShard(shard_assignment_.hub);
-    for (auto& sh : shells_) {
-      const sim::ShardId lane = shard_assignment_.laneOf(sh->name());
-      sh->setShard(lane);
-      network_->setShellShard(sh->id(), lane);
-      pi_bus_.setWindowShard(mmioBase(*sh), lane);
-    }
-    // The putspace network is the only cross-lane transport; its modeled
-    // delivery latency is the conservative lookahead. A single populated
-    // lane needs no windows at all (infinite lookahead).
-    if (shard_assignment_.lookahead > 0) {
-      sim_.declareCrossShardLatency(shard_assignment_.lookahead);
-    }
-  }
-  return shard_assignment_;
 }
 
 void EclipseInstance::start() {

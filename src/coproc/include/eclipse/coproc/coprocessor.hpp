@@ -33,8 +33,8 @@ class Coprocessor {
   Coprocessor& operator=(const Coprocessor&) = delete;
   virtual ~Coprocessor() = default;
 
-  /// Spawns the control loop on the simulator, on the shell's shard.
-  void start() { sim_.spawn(controlLoop(), name_, shell_.shard()); }
+  /// Spawns the control loop on the simulator.
+  void start() { sim_.spawn(controlLoop(), name_); }
 
   /// Drops all per-task processing state so the coprocessor is
   /// indistinguishable from a freshly constructed one (instance recycling:

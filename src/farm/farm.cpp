@@ -57,17 +57,11 @@ Farm::Farm(FarmOptions options)
   int n = options.workers;
   if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
   if (n <= 0) n = 1;
-  // Split the lane-thread budget evenly among the workers: a job may use
-  // at most this many shard lanes, so workers x lanes stays within budget.
-  int lane_threads = options.lane_threads;
-  if (lane_threads <= 0) lane_threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (lane_threads <= 0) lane_threads = 1;
-  max_lanes_ = static_cast<std::uint32_t>(std::max(1, lane_threads / n));
   supervisor_ = std::make_unique<Supervisor>(*this);
   std::lock_guard<std::mutex> lock(workers_mu_);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(i, queue_, *cache_, max_lanes_, finishFn()));
+    workers_.push_back(std::make_unique<Worker>(i, queue_, *cache_, finishFn()));
   }
 }
 
@@ -361,7 +355,7 @@ void Farm::replaceWorker(int index) {
   auto& slot = workers_[static_cast<std::size_t>(index)];
   slot->retire();
   zombies_.push_back(std::move(slot));
-  slot = std::make_unique<Worker>(index, queue_, *cache_, max_lanes_, finishFn());
+  slot = std::make_unique<Worker>(index, queue_, *cache_, finishFn());
   std::lock_guard<std::mutex> mlock(mu_);
   ++workers_replaced_;
 }
@@ -382,7 +376,7 @@ void Farm::resizeWorkers(int n) {
   queue_.wake();
   while (static_cast<int>(workers_.size()) < n) {
     const int index = static_cast<int>(workers_.size());
-    workers_.push_back(std::make_unique<Worker>(index, queue_, *cache_, max_lanes_, finishFn()));
+    workers_.push_back(std::make_unique<Worker>(index, queue_, *cache_, finishFn()));
   }
 }
 

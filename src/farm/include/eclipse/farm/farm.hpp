@@ -19,11 +19,10 @@ namespace eclipse::farm {
 struct FarmOptions {
   int workers = 0;  ///< 0 = std::thread::hardware_concurrency()
   std::size_t queue_capacity = 64;
-  /// Host-thread budget for shard lanes, shared across the workers: each
-  /// worker grants a job at most max(1, lane_threads / workers) lanes, so
-  /// worker parallelism and intra-job lane parallelism compose without
-  /// oversubscribing the host. 0 = hardware_concurrency(). Clamping is
-  /// contract-safe: lane count never changes a job's simulated result.
+  /// Has no effect: every job runs on one serial Simulator. Kept only
+  /// because perfbench/src/main.cpp assigns it and perfbench/ is frozen as
+  /// the benchmark harness (BENCHMARK.json `paths`); delete the field
+  /// together with that assignment.
   int lane_threads = 0;
   /// Share a prepared-workload cache across farms (e.g. a bench sweeping
   /// worker counts pays video generation once). Null = private cache.
@@ -158,9 +157,8 @@ class Farm {
   /// Live worker-pool resize (config reload): grows by spawning fresh
   /// workers, shrinks by retiring the highest slots — each retiree
   /// finishes its current job, so no accepted work is dropped, and its
-  /// stats are preserved on the zombie list. The per-job lane budget
-  /// (max lanes) is fixed at construction and not rebalanced. Clamped to
-  /// >= 1; no-op when `n` equals the current count.
+  /// stats are preserved on the zombie list. Clamped to >= 1; no-op when
+  /// `n` equals the current count.
   void resizeWorkers(int n);
 
   [[nodiscard]] FarmMetrics metrics() const;
@@ -194,7 +192,6 @@ class Farm {
   std::shared_ptr<WorkloadCache> cache_;
   JobQueue queue_;
   std::chrono::steady_clock::time_point started_;
-  std::uint32_t max_lanes_ = 1;
 
   mutable std::mutex mu_;
   std::condition_variable drained_;

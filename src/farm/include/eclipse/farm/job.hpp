@@ -163,14 +163,6 @@ struct Job {
   /// Chaos-harness hook (host-side worker hang injection; test-only).
   HostHangSpec chaos{};
 
-  /// Requested shard lanes for the job's instance (ShardPlan::shards; the
-  /// fusion rule decides what actually spreads). Host-side resource only:
-  /// the sharded kernel is bit-identical to the serial oracle, so this
-  /// field is *outside* the shape of the determinism contract — the worker
-  /// may clamp it to the farm's lane budget (see FarmOptions::lane_threads)
-  /// without changing any simulated result. 0 behaves as 1.
-  std::uint32_t shards = 1;
-
   /// Adaptive-decode schedule. When non-empty, `apps` is ignored and the
   /// job runs ONE multi-mode decode application through the segments in
   /// order, switching modes live at each boundary. The simulated fields of
@@ -284,7 +276,6 @@ struct JobResult {
 
   // --- host-side (execution facts, outside the contract) ---
   int worker = -1;
-  std::uint32_t lanes = 1;  ///< shard lanes granted (Job::shards clamped to budget)
   bool reused_instance = false;
   int attempts = 1;  ///< attempts consumed (1 = succeeded/failed first try)
   std::vector<AttemptRecord> attempts_log;  ///< prior (non-terminal) attempts

@@ -91,10 +91,7 @@ class Worker {
   /// only by the claim winner.
   using FinishFn = std::function<void(std::shared_ptr<InFlight>, JobResult)>;
 
-  /// `max_lanes` caps the shard lanes any one job may be granted (the
-  /// farm's lane-thread budget divided among the workers; >= 1).
-  Worker(int index, JobQueue& queue, WorkloadCache& cache, std::uint32_t max_lanes,
-         FinishFn on_finish);
+  Worker(int index, JobQueue& queue, WorkloadCache& cache, FinishFn on_finish);
   ~Worker() { join(); }
 
   Worker(const Worker&) = delete;
@@ -152,14 +149,12 @@ class Worker {
   const int index_;
   JobQueue& queue_;
   WorkloadCache& cache_;
-  const std::uint32_t max_lanes_;
   FinishFn on_finish_;
   std::atomic<bool> retired_{false};
 
-  // Owned by the worker thread exclusively (one thread per Simulator;
-  // shard lanes are the instance's own team, inside that ownership).
+  // Owned by the worker thread exclusively (one thread per Simulator).
   std::unique_ptr<app::EclipseInstance> inst_;
-  std::string shape_;  ///< Config::toString() + lane count of the live instance
+  std::string shape_;  ///< Config::toString() of the live instance
 
   mutable std::mutex inflight_mu_;
   std::shared_ptr<InFlight> inflight_;

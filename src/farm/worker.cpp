@@ -61,12 +61,10 @@ app::DecodeAppConfig decodeModeConfig(const std::string& mode) {
 
 }  // namespace
 
-Worker::Worker(int index, JobQueue& queue, WorkloadCache& cache, std::uint32_t max_lanes,
-               FinishFn on_finish)
+Worker::Worker(int index, JobQueue& queue, WorkloadCache& cache, FinishFn on_finish)
     : index_(index),
       queue_(queue),
       cache_(cache),
-      max_lanes_(std::max<std::uint32_t>(1, max_lanes)),
       on_finish_(std::move(on_finish)) {
   stats_.index = index;
   thread_ = std::thread([this] { threadMain(); });
@@ -289,7 +287,7 @@ JobResult Worker::runJob(InFlight& fl) {
     }
     r.bit_exact = job.verify && all_done && decode_exact;
     r.psnr_db = any_encode && job.verify && all_done ? min_psnr : 0.0;
-    if (armed) r.fault_triggers = inst_->faults().triggerTotal();
+    if (armed) r.fault_triggers = inst_->faults().triggers().size();
     r.cause = classifyRun(job, r, all_done, r.sim_cycles);
 
     // Quiesce and tear down so the instance can be recycled. Anything
@@ -397,7 +395,7 @@ void Worker::runScheduled(InFlight& fl, JobResult& r) {
   r.macroblocks = dec.macroblocksDecoded();  // cumulative across segments
   r.frames_dropped = dec.framesDropped();
   r.bit_exact = job.verify && completed && all_exact;
-  if (armed) r.fault_triggers = inst_->faults().triggerTotal();
+  if (armed) r.fault_triggers = inst_->faults().triggers().size();
   r.cause = classifyRun(job, r, completed, r.sim_cycles);
 
   bool healthy = completed && !armed && job.watchdog_timeout == 0 &&
@@ -417,17 +415,8 @@ void Worker::runScheduled(InFlight& fl, JobResult& r) {
 }
 
 void Worker::acquireInstance(const Job& job, JobResult& r) {
-  // Grant the requested shard lanes up to the farm's per-worker budget.
-  // Deterministic (pure function of job + farm options) and contract-safe:
-  // the sharded kernel is bit-identical to serial, so the clamp can never
-  // move a simulated result.
-  const std::uint32_t lanes =
-      std::clamp<std::uint32_t>(job.shards == 0 ? 1 : job.shards, 1, max_lanes_);
-  // Reuse the recycled instance only for an identical parameter shape AND
-  // lane count: setShardCount demands a pristine simulator when the count
-  // changes, so mismatched lane counts always rebuild cold, while an equal
-  // count re-applies the plan idempotently on the recycled instance.
-  const std::string shape = job.config.toString() + "|shards=" + std::to_string(lanes);
+  // Reuse the recycled instance only for an identical parameter shape.
+  const std::string shape = job.config.toString();
   // Fault-armed jobs are fully isolated on both sides: they already retire
   // the instance afterwards (retireOrRecycle(false)), and they must also
   // *start* cold — FaultSpec::at_cycle windows (and bit-flip events) are
@@ -449,8 +438,6 @@ void Worker::acquireInstance(const Job& job, JobResult& r) {
     ++stats_.cold_builds;
     stats_.build_ms += build_ms;
   }
-  if (lanes > 1) inst_->applyShardPlan(app::ShardPlan{.shards = lanes});
-  r.lanes = lanes;
   r.reused_instance = reuse;
 }
 

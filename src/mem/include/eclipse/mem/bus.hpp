@@ -37,11 +37,6 @@ struct BusStats {
 ///   * at the end of a burst the bus counts it, passes the grant on, then
 ///     completes the request — inline, or `tail` cycles later (memories use
 ///     the tail for their access latency).
-///
-/// Sharding: FIFO grant order is a zero-lookahead coupling — every client
-/// of this bus must execute on the bus's home shard, which is why the
-/// partitioner fuses bus-sharing shells onto one lane. A request enforces
-/// the affinity at run time when the simulation is sharded.
 class Bus {
  public:
   /// One bus transaction. Must stay at one address from issue to completion.
@@ -107,11 +102,6 @@ class Bus {
     return (bytes + width_bytes_ - 1) / width_bytes_;
   }
 
-  /// Shard owning this bus's arbitration state. All clients must execute
-  /// there; set by the app-layer partitioner.
-  void setHomeShard(sim::ShardId shard) { home_shard_ = shard; }
-  [[nodiscard]] sim::ShardId homeShard() const { return home_shard_; }
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t widthBytes() const { return width_bytes_; }
   [[nodiscard]] sim::Cycle arbitrationLatency() const { return arb_latency_; }
@@ -134,7 +124,6 @@ class Bus {
   /// the spot (a zero-cycle burst with no tail on an idle bus); the
   /// requester then completes it itself.
   bool start(Request& r) {
-    if (sim_.sharded()) sim_.assertOnShard(home_shard_, name_.c_str());
     if (busy_) {
       r.next = nullptr;
       (last_ != nullptr ? last_->next : first_) = &r;
@@ -187,7 +176,6 @@ class Bus {
   bool busy_ = false;
   Request* first_ = nullptr;  // grant queue, oldest first
   Request* last_ = nullptr;
-  sim::ShardId home_shard_ = 0;
   BusStats total_;
 };
 

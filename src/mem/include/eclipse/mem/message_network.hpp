@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -30,20 +28,6 @@ struct SyncMessage {
 /// Messages between a given (src, dst) pair are delivered in order; the
 /// delivery latency models the token-ring / point-to-point sync wiring of
 /// the hardware. Delivery invokes the destination shell's handler.
-///
-/// Sharding: this network is the only cross-shard transport. Each shell id
-/// carries a shard tag; send() routes a message whose destination lives on
-/// another lane through the kernel's bounded inter-shard channels, and the
-/// modeled delivery latency is exactly the conservative lookahead the
-/// partitioner declares (fault delays only ever *add* latency, so the base
-/// latency stays a safe lower bound).
-///
-/// Thread safety under split plans: send() runs on lane threads during the
-/// same barrier window, so the traffic counters are relaxed atomics (sums
-/// commute — totals stay deterministic for any interleaving). The handler
-/// and shard maps are only mutated outside runs (attach/detach/setShellShard
-/// happen from the control plane between runs); window execution reads them
-/// concurrently, which is safe. Fault hooks serialize inside the injector.
 class MessageNetwork {
  public:
   using Handler = std::function<void(const SyncMessage&)>;
@@ -56,16 +40,6 @@ class MessageNetwork {
   void attach(std::uint32_t shell_id, Handler handler) {
     if (shell_id >= handlers_.size()) handlers_.resize(std::size_t{shell_id} + 1);
     handlers_[shell_id] = std::move(handler);
-  }
-
-  /// Tags a shell endpoint with the shard that executes it. Delivery events
-  /// for the shell are scheduled onto that lane. Default: shard 0.
-  void setShellShard(std::uint32_t shell_id, sim::ShardId shard) {
-    shards_[shell_id] = shard;
-  }
-  [[nodiscard]] sim::ShardId shardOf(std::uint32_t shell_id) const {
-    auto it = shards_.find(shell_id);
-    return it == shards_.end() ? 0 : it->second;
   }
 
   /// Withdraws a shell's handler (shell removal on instance recycle).
@@ -83,8 +57,8 @@ class MessageNetwork {
       throw std::runtime_error("MessageNetwork: no handler attached for shell " +
                                std::to_string(msg.dst_shell));
     }
-    messages_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_signalled_.fetch_add(msg.bytes, std::memory_order_relaxed);
+    ++messages_sent_;
+    bytes_signalled_ += msg.bytes;
     sim::Cycle latency = latency_;
     // Fault hooks: an armed injector may drop this putspace message (the
     // destination shell's space field silently diverges — the canonical
@@ -92,7 +66,7 @@ class MessageNetwork {
     // pristine path above, bit-identical to a build without faults.
     if (sim::FaultInjector* inj = sim_.faults()) {
       if (inj->shouldDropPutspace(msg.src_shell, sim_.now())) {
-        messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++messages_dropped_;
         inj->logTrigger({sim::FaultKind::DropPutspace, sim_.now(), msg.src_shell,
                          0, msg.bytes});
         return;
@@ -106,36 +80,18 @@ class MessageNetwork {
     // Captures a pointer plus the 16-byte message: small and trivially
     // copyable, so the delivery event is stored inline in the kernel —
     // no allocation per putspace message.
-    if (sim_.sharded()) {
-      const sim::ShardId dst_shard = shardOf(msg.dst_shell);
-      if (dst_shard != sim_.currentShard()) {
-        cross_messages_.fetch_add(1, std::memory_order_relaxed);
-      }
-      sim_.scheduleOnShard(dst_shard, latency, [handler, msg] { (*handler)(msg); });
-      return;
-    }
     sim_.schedule(latency, [handler, msg] { (*handler)(msg); });
   }
 
   [[nodiscard]] sim::Cycle latency() const { return latency_; }
-  [[nodiscard]] std::uint64_t messagesSent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t messagesDropped() const {
-    return messages_dropped_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bytesSignalled() const {
-    return bytes_signalled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t crossShardMessages() const {
-    return cross_messages_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t messagesSent() const { return messages_sent_; }
+  [[nodiscard]] std::uint64_t messagesDropped() const { return messages_dropped_; }
+  [[nodiscard]] std::uint64_t bytesSignalled() const { return bytes_signalled_; }
 
   void resetStats() {
-    messages_sent_.store(0, std::memory_order_relaxed);
-    messages_dropped_.store(0, std::memory_order_relaxed);
-    bytes_signalled_.store(0, std::memory_order_relaxed);
-    cross_messages_.store(0, std::memory_order_relaxed);
+    messages_sent_ = 0;
+    messages_dropped_ = 0;
+    bytes_signalled_ = 0;
   }
 
  private:
@@ -145,11 +101,9 @@ class MessageNetwork {
   // moves its elements when it grows, so the handler pointers captured by
   // in-flight delivery events stay valid across attach().
   std::deque<Handler> handlers_;
-  std::map<std::uint32_t, sim::ShardId> shards_;
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
-  std::atomic<std::uint64_t> bytes_signalled_{0};
-  std::atomic<std::uint64_t> cross_messages_{0};
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t messages_dropped_ = 0;
+  std::uint64_t bytes_signalled_ = 0;
 };
 
 }  // namespace eclipse::mem

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "eclipse/sim/simulator.hpp"
 #include "eclipse/sim/types.hpp"
 
 namespace eclipse::mem {
@@ -36,32 +35,6 @@ class PiBus {
     devices_.push_back(Device{std::move(name), base, size, std::move(read), std::move(write)});
   }
 
-  /// Tags the device window starting at `base` with the shard executing the
-  /// device behind it. With a bound simulator (see bindSimulator) sharded
-  /// accesses from a *different* lane are rejected — MMIO handlers poke the
-  /// device's tables directly, so they must run where the device runs.
-  /// Accesses from outside window execution (the control plane programming
-  /// tables between runs) are always allowed.
-  void setWindowShard(sim::Addr base, sim::ShardId shard) {
-    for (auto& d : devices_) {
-      if (d.base == base) {
-        d.shard = shard;
-        return;
-      }
-    }
-    throw std::out_of_range("PiBus: no window at base " + std::to_string(base));
-  }
-  [[nodiscard]] sim::ShardId windowShard(sim::Addr base) const {
-    for (const auto& d : devices_) {
-      if (d.base == base) return d.shard;
-    }
-    return 0;
-  }
-
-  /// Enables shard-affinity checking against this simulator's execution
-  /// context. The bus model itself stays untimed.
-  void bindSimulator(const sim::Simulator* sim) { sim_ = sim; }
-
   /// Unmaps the device whose window starts at `base` (e.g. a sink shell
   /// removed when an instance is recycled). Returns false when no window
   /// starts there.
@@ -77,14 +50,12 @@ class PiBus {
 
   [[nodiscard]] std::uint32_t read(sim::Addr addr) const {
     const Device& d = find(addr);
-    checkShard(d);
     ++reads_;
     return d.read(addr - d.base);
   }
 
   void write(sim::Addr addr, std::uint32_t value) {
     const Device& d = find(addr);
-    checkShard(d);
     ++writes_;
     d.write(addr - d.base, value);
   }
@@ -99,14 +70,7 @@ class PiBus {
     sim::Addr size;
     ReadFn read;
     WriteFn write;
-    sim::ShardId shard = 0;
   };
-
-  void checkShard(const Device& d) const {
-    if (sim_ != nullptr && sim_->sharded()) {
-      sim_->assertOnShard(d.shard, d.name.c_str());
-    }
-  }
 
   const Device& find(sim::Addr addr) const {
     for (const auto& d : devices_) {
@@ -116,7 +80,6 @@ class PiBus {
   }
 
   std::vector<Device> devices_;
-  const sim::Simulator* sim_ = nullptr;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
 };

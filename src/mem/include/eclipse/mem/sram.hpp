@@ -95,14 +95,6 @@ class SharedSram {
     read_bus_.issue(r);
   }
 
-  /// Homes the SRAM (storage + both buses) on one shard. Every shell that
-  /// touches this memory must execute there — the partitioner's fusion rule.
-  void setHomeShard(sim::ShardId shard) {
-    read_bus_.setHomeShard(shard);
-    write_bus_.setHomeShard(shard);
-  }
-  [[nodiscard]] sim::ShardId homeShard() const { return read_bus_.homeShard(); }
-
   [[nodiscard]] Storage& storage() { return storage_; }
   [[nodiscard]] const Storage& storage() const { return storage_; }
   [[nodiscard]] Bus& readBus() { return read_bus_; }
@@ -148,11 +140,6 @@ class OffChipMemory {
   /// function from timing (e.g. 2D region gathers in the MC coprocessor).
   Bus::Transfer touchRead(std::size_t bytes) { return bus_.transfer(bytes, params_.access_latency); }
   Bus::Transfer touchWrite(std::size_t bytes) { return bus_.transfer(bytes, params_.access_latency); }
-
-  /// Homes the off-chip memory (storage + system bus) on one shard; see
-  /// SharedSram::setHomeShard.
-  void setHomeShard(sim::ShardId shard) { bus_.setHomeShard(shard); }
-  [[nodiscard]] sim::ShardId homeShard() const { return bus_.homeShard(); }
 
   [[nodiscard]] Storage& storage() { return storage_; }
   [[nodiscard]] const Storage& storage() const { return storage_; }

@@ -23,7 +23,7 @@ struct ParsedSpec {
 ///
 /// Keys: the farm_driver job-line set (kind, width, height, frames, seed,
 /// qscale, gop=N[,M], detail, motion, noise, priority, max_cycles, verify,
-/// shards, retries, backoff_ms, deadline, supervise_ms, config:KEY=V) plus
+/// retries, backoff_ms, deadline, supervise_ms, config:KEY=V) plus
 /// the serve extensions:
 ///   deadline_ms=X          wall deadline for lane promotion (serve-level)
 ///   storm=hang|corrupt     deterministic fault storm (chaos soak; mirrors

@@ -175,7 +175,6 @@ struct WireResult {
   std::string quiescence;
   // host-side
   int attempts = 1;
-  std::uint32_t lanes = 1;
   double wall_ms = 0.0;
   double latency_ms = 0.0;  ///< farm submission -> terminal result
   double queue_ms = 0.0;    ///< serve admission -> farm dispatch

@@ -111,8 +111,6 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
         job.max_cycles = std::stoull(val);
       } else if (key == "verify") {
         job.verify = val != "0" && val != "false";
-      } else if (key == "shards") {
-        job.shards = static_cast<std::uint32_t>(std::stoul(val));
       } else if (key == "retries") {
         job.retry.max_attempts = std::stoi(val);
       } else if (key == "backoff_ms") {

@@ -27,7 +27,6 @@ WireResult makeWireResult(std::uint64_t req_id, const farm::JobResult& r, double
   w.mode_switches = r.mode_switches;
   w.quiescence = r.quiescence;
   w.attempts = r.attempts;
-  w.lanes = r.lanes;
   w.wall_ms = r.wall_ms;
   w.latency_ms = r.latency_ms;
   w.queue_ms = queue_ms;
@@ -38,7 +37,9 @@ WireResult makeWireResult(std::uint64_t req_id, const farm::JobResult& r, double
 }
 
 namespace {
-constexpr std::uint8_t kResultVersion = 1;
+// Bumped whenever the field layout changes, so a peer on another layout
+// fails with ProtocolError instead of misparsing.
+constexpr std::uint8_t kResultVersion = 2;
 }
 
 void encodeResult(ByteWriter& w, const WireResult& r) {
@@ -58,7 +59,6 @@ void encodeResult(ByteWriter& w, const WireResult& r) {
   w.putU64(r.mode_switches);
   w.putStr(r.quiescence);
   w.putU32(static_cast<std::uint32_t>(r.attempts));
-  w.putU32(r.lanes);
   w.putF64(r.wall_ms);
   w.putF64(r.latency_ms);
   w.putF64(r.queue_ms);
@@ -86,7 +86,6 @@ WireResult decodeResult(ByteReader& rd) {
   r.mode_switches = rd.getU64();
   r.quiescence = rd.getStr();
   r.attempts = static_cast<int>(rd.getU32());
-  r.lanes = rd.getU32();
   r.wall_ms = rd.getF64();
   r.latency_ms = rd.getF64();
   r.queue_ms = rd.getF64();

@@ -162,12 +162,6 @@ class Shell {
   [[nodiscard]] const std::string& name() const { return params_.name; }
   [[nodiscard]] std::uint32_t id() const { return params_.id; }
 
-  /// Shard (lane) this shell executes on in a sharded simulation. Set by
-  /// the app-layer partitioner before start; everything the shell spawns
-  /// (its coprocessor control loop, watchdog, profiler) runs on this lane,
-  /// and so do its cache prefetch fills.
-  void setShard(sim::ShardId shard) { shard_ = shard; }
-  [[nodiscard]] sim::ShardId shard() const { return shard_; }
   [[nodiscard]] StreamTable& streams() { return streams_; }
   [[nodiscard]] const StreamTable& streams() const { return streams_; }
   [[nodiscard]] TaskTable& tasks() { return tasks_; }
@@ -238,7 +232,6 @@ class Shell {
 
   sim::Simulator& sim_;
   ShellParams params_;
-  sim::ShardId shard_ = 0;
   mem::SharedSram& sram_;
   mem::MessageNetwork& network_;
   StreamTable streams_;

@@ -438,7 +438,7 @@ void Shell::startWatchdog(sim::Cycle timeout, sim::Cycle period) {
   }
   if (!watchdog_running_) {
     watchdog_running_ = true;
-    sim_.spawn(watchdogProcess(), params_.name + ".watchdog", shard_);
+    sim_.spawn(watchdogProcess(), params_.name + ".watchdog");
   }
 }
 
@@ -528,7 +528,7 @@ void Shell::startProfiler() {
   }
   if (profiling_) return;
   profiling_ = true;
-  sim_.spawn(profilerProcess(), params_.name + ".profiler", shard_);
+  sim_.spawn(profilerProcess(), params_.name + ".profiler");
 }
 
 sim::Task<void> Shell::profilerProcess() {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -22,15 +21,8 @@ namespace eclipse::sim {
 /// Prng externally and derive the spec fields (cycles, addresses, bits)
 /// from it, so a (plan, seed) pair always reproduces the same run.
 ///
-/// Sharding: the hooks are called from lane threads during the same barrier
-/// window (e.g. MessageNetwork::send on a split plan), so every mutating
-/// path serializes on an internal mutex. Determinism is unaffected: each
-/// spec matches on a shell (or shell+task[+port]) key, a shell is affine to
-/// one lane, so a given spec's budget is only ever consumed from one lane —
-/// the mutex just keeps the shared containers intact. The one wall-clock-
-/// dependent artifact is the *interleaving* of the trigger log across lanes
-/// within a window; per-shell subsequences and per-kind counts stay
-/// deterministic. Read triggers()/triggerCount() only outside run().
+/// Threading: the injector has plain state and is called only from the
+/// thread driving its Simulator; read triggers()/triggerCount() outside run().
 enum class FaultKind : std::uint8_t {
   DropPutspace,    ///< silently discard a putspace message leaving a shell
   DelayPutspace,   ///< deliver a putspace message late by delay_cycles
@@ -91,11 +83,9 @@ struct FaultTrigger {
 class FaultInjector {
  public:
   void arm(const FaultSpec& spec) {
-    std::lock_guard lk(m_);
     specs_.push_back(spec);
   }
   void clear() {
-    std::lock_guard lk(m_);
     specs_.clear();
     spent_.clear();  // budgets are per-plan; the trigger log survives re-arming
   }
@@ -103,7 +93,6 @@ class FaultInjector {
 
   /// MessageNetwork hook: drop the putspace message leaving `src_shell`?
   bool shouldDropPutspace(std::uint32_t src_shell, Cycle now) {
-    std::lock_guard lk(m_);
     FaultSpec* s = match(FaultKind::DropPutspace, now,
                          [&](const FaultSpec& f) { return f.shell == src_shell; });
     if (s == nullptr) return false;
@@ -114,7 +103,6 @@ class FaultInjector {
   /// MessageNetwork hook: extra delivery latency for a message leaving
   /// `src_shell` (0 = deliver normally).
   Cycle putspaceDelay(std::uint32_t src_shell, Cycle now) {
-    std::lock_guard lk(m_);
     FaultSpec* s = match(FaultKind::DelayPutspace, now,
                          [&](const FaultSpec& f) { return f.shell == src_shell; });
     if (s == nullptr) return 0;
@@ -125,7 +113,6 @@ class FaultInjector {
   /// Coprocessor hook: cycles the dispatched (shell, task) wedges for
   /// instead of executing its processing step (0 = run normally).
   Cycle taskHangCycles(std::uint32_t shell, TaskId task, Cycle now) {
-    std::lock_guard lk(m_);
     FaultSpec* s = match(FaultKind::TaskHang, now, [&](const FaultSpec& f) {
       return f.shell == shell && f.task == task;
     });
@@ -138,7 +125,6 @@ class FaultInjector {
   /// (shell, task, port), or nullopt to commit cleanly.
   std::optional<std::uint8_t> corruptPayload(std::uint32_t shell, TaskId task, PortId port,
                                              Cycle now) {
-    std::lock_guard lk(m_);
     FaultSpec* s = match(FaultKind::CorruptPayload, now, [&](const FaultSpec& f) {
       return f.shell == shell && f.task == task && f.port == port;
     });
@@ -150,7 +136,6 @@ class FaultInjector {
   /// Records a fault that fired (also called by externally armed events,
   /// e.g. the instance's scheduled bit-flips).
   void logTrigger(const FaultTrigger& t) {
-    std::lock_guard lk(m_);
     triggers_.push_back(t);
   }
 
@@ -161,18 +146,6 @@ class FaultInjector {
       if (t.kind == k) ++n;
     }
     return n;
-  }
-
-  /// Locked copies for callers that cannot prove they are outside run()
-  /// (e.g. the farm's result plumbing while shard lanes are parked): safe
-  /// against concurrent hook calls, unlike the borrowing accessors above.
-  [[nodiscard]] std::vector<FaultTrigger> triggersSnapshot() const {
-    std::lock_guard lk(m_);
-    return triggers_;
-  }
-  [[nodiscard]] std::size_t triggerTotal() const {
-    std::lock_guard lk(m_);
-    return triggers_.size();
   }
 
  private:
@@ -197,7 +170,6 @@ class FaultInjector {
   std::uint32_t spent_of(FaultSpec& s) { return spent_ref(s); }
   void consume(FaultSpec& s) { ++spent_ref(s); }
 
-  mutable std::mutex m_;  ///< serializes the hooks against lane-thread concurrency
   std::vector<FaultSpec> specs_;
   std::vector<std::uint32_t> spent_;
   std::vector<FaultTrigger> triggers_;

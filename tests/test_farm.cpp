@@ -149,46 +149,6 @@ TEST(Farm, BitIdenticalAcrossWorkerCountsAndOrder) {
   EXPECT_EQ(parallel.at("dec-3").cycles, kPinCycles);
 }
 
-// Shard lanes compose with worker parallelism: a job may request lanes, the
-// farm clamps them to its lane-thread budget (max(1, lane_threads/workers)
-// per worker), and the simulated result — including the decode pin — never
-// moves, whatever was granted. Lane count is part of the reuse shape, so a
-// recycled sharded instance only serves jobs with the same grant.
-TEST(Farm, ShardedJobsStayOnThePinAndComposeWithWorkers) {
-  farm::FarmOptions opts;
-  opts.workers = 1;
-  opts.lane_threads = 4;  // budget of 4 => this worker may grant up to 4 lanes
-  opts.cache = sharedCache();
-  farm::Farm f(opts);
-
-  Job serial = decodeJob("serial");
-  Job two = decodeJob("two-lanes");
-  two.shards = 2;
-  Job eight = decodeJob("eight-lanes");  // over budget: clamped to 4
-  eight.shards = 8;
-  auto futs = f.submitBatch({serial, two, eight, two});
-  std::vector<JobResult> rs;
-  for (auto& fut : futs) rs.push_back(fut.get());
-
-  EXPECT_EQ(rs[0].lanes, 1u);
-  EXPECT_EQ(rs[1].lanes, 2u);
-  EXPECT_EQ(rs[2].lanes, 4u);
-  for (const JobResult& r : rs) {
-    EXPECT_EQ(r.status, JobStatus::Completed) << r.name;
-    EXPECT_EQ(r.sim_cycles, kPinCycles) << r.name;
-    EXPECT_EQ(r.sim_events, kPinEvents) << r.name;
-    EXPECT_EQ(r.macroblocks, kPinMacroblocks) << r.name;
-    EXPECT_TRUE(r.bit_exact) << r.name;
-  }
-  // Same config but a different lane grant is a different shape (cold
-  // rebuild); the repeated two-lane job reuses the recycled instance only
-  // if it is still the live shape — here the 4-lane job displaced it.
-  EXPECT_FALSE(rs[1].reused_instance);
-  EXPECT_FALSE(rs[2].reused_instance);
-  EXPECT_FALSE(rs[3].reused_instance);
-  EXPECT_EQ(rs[3].lanes, 2u);
-}
-
 TEST(Farm, InstanceReuseIsBitIdenticalToColdBuild) {
   farm::FarmOptions opts;
   opts.workers = 1;

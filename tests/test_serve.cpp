@@ -109,7 +109,6 @@ TEST(ServeProtocol, ResultBlobRoundTrips) {
   in.psnr_db = 37.25;
   in.faults_latched = 2;
   in.attempts = 3;
-  in.lanes = 4;
   in.wall_ms = 12.5;
   in.latency_ms = 20.25;
   in.queue_ms = 5.75;
@@ -133,12 +132,22 @@ TEST(ServeProtocol, ResultBlobRoundTrips) {
   EXPECT_EQ(out.psnr_db, in.psnr_db);
   EXPECT_EQ(out.faults_latched, in.faults_latched);
   EXPECT_EQ(out.attempts, in.attempts);
-  EXPECT_EQ(out.lanes, in.lanes);
   EXPECT_EQ(out.wall_ms, in.wall_ms);
   EXPECT_EQ(out.queue_ms, in.queue_ms);
   EXPECT_EQ(out.serve_ms, in.serve_ms);
   EXPECT_EQ(out.promoted, in.promoted);
   EXPECT_EQ(out.error, in.error);
+}
+
+// A peer on the version-1 layout (which carried a `lanes` field) must be
+// refused outright rather than misparsed field by field.
+TEST(ServeProtocol, VersionOneResultBlobIsRejected) {
+  serve::ByteWriter w;
+  serve::encodeResult(w, serve::WireResult{});
+  std::vector<std::uint8_t> blob = w.bytes();
+  blob[0] = 1;  // the layout version is the blob's first byte
+  serve::ByteReader r(blob);
+  EXPECT_THROW((void)serve::decodeResult(r), serve::ProtocolError);
 }
 
 // ------------------------------------------------------------- jobspec --
@@ -169,6 +178,7 @@ TEST(ServeJobspec, RejectsMalformedSpecs) {
   EXPECT_FALSE(serve::parseJobSpec("   ", ps, err));
   EXPECT_FALSE(serve::parseJobSpec("j width=banana", ps, err));
   EXPECT_FALSE(serve::parseJobSpec("j nosuchkey=1", ps, err));
+  EXPECT_FALSE(serve::parseJobSpec("j shards=2", ps, err));
   EXPECT_FALSE(err.empty());
 }
 

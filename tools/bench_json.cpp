@@ -6,7 +6,7 @@
 //
 // Usage: bench_json [--out FILE] [--repeats N] [--smoke]
 //                   [--transport | --reconfig | --faults | --farm | --media
-//                    | --modes | --shards | --serve]
+//                    | --modes | --serve]
 
 #include <chrono>
 #include <cmath>
@@ -576,9 +576,13 @@ FarmBenchResult runFarm(bool smoke) {
   r.host_cores = static_cast<int>(std::thread::hardware_concurrency());
   const std::vector<int> worker_counts = smoke ? std::vector<int>{1, 2, 4}
                                                : std::vector<int>{1, 2, 4, 8};
-  // One prepared-workload cache across the sweep: video generation and
-  // golden encodes are paid once, so the points measure serving, not setup.
+  // One prepared-workload cache across the sweep, filled before the first
+  // point: video generation and golden encodes are paid up front, so every
+  // point (the 1-worker one included) measures serving, not setup.
   auto cache = std::make_shared<farm::WorkloadCache>();
+  for (const farm::Job& j : farmBenchJobs(r.jobs)) {
+    for (const farm::AppSpec& app : j.apps) cache->get(app.workload);
+  }
   std::vector<FarmSimFields> reference;
 
   for (int workers : worker_counts) {
@@ -1451,248 +1455,6 @@ void emitChaos(std::FILE* f, const ChaosBenchResult& r) {
   std::fprintf(f, "  ]\n}\n");
 }
 
-/// Shards scenario: the conservative-PDES kernel (DESIGN.md §13) under two
-/// loads, each swept over shard counts {1, 2, 4} with two in-binary gates.
-/// (1) The pinned decode: the fusion rule folds every shell of the Figure-8
-/// instance onto the memory-hub lane, so a sharded run must be bit-identical
-/// to the serial oracle — same cycles/events/macroblocks, same output frames
-/// (FNV hash), zero parallel rounds — and on full runs must sit exactly on
-/// the decode pin. Wall time measures the engine's overhead on a fused plan
-/// (expected: none — single-active rounds run inline, no thread ever
-/// starts). (2) A synthetic cross-lane ring storm that genuinely spreads
-/// across lanes: total events, end cycle and the commutative token hash must
-/// be shard-count-invariant while parallel_rounds > 0 proves the lanes ran
-/// concurrent windows.
-struct ShardDecodePoint {
-  std::uint32_t shards = 1;
-  std::uint32_t lanes_used = 1;
-  double wall_s = 0;
-  std::uint64_t cycles = 0, events = 0, macroblocks = 0;
-  std::uint64_t frames_hash = 0;
-  std::uint64_t parallel_rounds = 0;
-  bool bit_exact = false;
-};
-
-struct ShardSynthPoint {
-  std::uint32_t shards = 1;
-  double wall_s = 0;
-  std::uint64_t events = 0, end = 0, hash = 0;
-  std::uint64_t parallel_rounds = 0, cross_events = 0;
-};
-
-struct ShardsBenchResult {
-  bool decode_identical = true;
-  bool pin_checked = false, pin_ok = true;
-  bool synth_identical = true;
-  std::vector<ShardDecodePoint> decode;
-  std::vector<ShardSynthPoint> synth;
-
-  [[nodiscard]] bool gatesOk() const { return decode_identical && pin_ok && synth_identical; }
-};
-
-std::uint64_t fnvBytes(std::uint64_t h, const std::vector<std::uint8_t>& bytes) {
-  for (std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ULL;
-  return h;
-}
-
-std::uint64_t framesHash(const std::vector<media::Frame>& frames) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const media::Frame& f : frames) {
-    h = fnvBytes(h, f.yPlane());
-    h = fnvBytes(h, f.cbPlane());
-    h = fnvBytes(h, f.crPlane());
-  }
-  return h;
-}
-
-/// One lane-homed generator of the synthetic storm: a ring of `groups`
-/// token senders, each delivering into the next group's accumulator through
-/// the cross-shard channel path. XOR accumulation is commutative, so the
-/// final hash is independent of same-cycle arrival order — the only freedom
-/// the conservative windows leave.
-sim::Task<void> shardStormGen(sim::Simulator& sim, std::uint32_t g, std::uint32_t groups,
-                              std::uint32_t shards, int steps,
-                              std::vector<std::uint64_t>& acc) {
-  const std::uint32_t dst = (g + 1) % groups;
-  for (int k = 0; k < steps; ++k) {
-    co_await sim.delay(2);
-    const std::uint64_t token =
-        (std::uint64_t{g} << 32) ^ (static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ULL);
-    sim.scheduleOnShard(dst % shards, 2, [&acc, dst, token] { acc[dst] ^= token; });
-  }
-}
-
-ShardsBenchResult runShards(bool smoke, int repeats) {
-  ShardsBenchResult r;
-  const std::vector<std::uint32_t> shard_counts{1, 2, 4};
-
-  // --- pinned decode at every shard count ---
-  const auto w = eclipse::bench::makeWorkload(96, 80, smoke ? 2 : 5);
-  for (std::uint32_t shards : shard_counts) {
-    ShardDecodePoint p;
-    p.shards = shards;
-    const int n = smoke ? 1 : repeats;
-    for (int i = 0; i < n; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      app::EclipseInstance inst;
-      if (shards > 1) {
-        const app::ShardAssignment& asg = inst.applyShardPlan(app::ShardPlan{.shards = shards});
-        p.lanes_used = asg.lanesUsed();
-      }
-      app::DecodeApp dec(inst, w.bitstream);
-      p.cycles = inst.run();
-      const double dt = seconds(t0);
-      if (i == 0 || dt < p.wall_s) p.wall_s = dt;
-      p.events = inst.simulator().eventsDispatched();
-      p.parallel_rounds = inst.simulator().shardStats().parallel_rounds;
-      if (!dec.done()) {
-        std::fprintf(stderr, "shards: decode incomplete at %u shards\n", shards);
-        r.decode_identical = false;
-        break;
-      }
-      p.macroblocks = dec.macroblocksDecoded();
-      const auto out = dec.frames();
-      p.frames_hash = framesHash(out);
-      p.bit_exact = out.size() == w.golden.size();
-      for (std::size_t f = 0; p.bit_exact && f < out.size(); ++f) {
-        p.bit_exact = out[f] == w.golden[f];
-      }
-    }
-    r.decode.push_back(p);
-  }
-  for (std::size_t i = 1; i < r.decode.size(); ++i) {
-    const ShardDecodePoint& a = r.decode.front();
-    const ShardDecodePoint& b = r.decode[i];
-    if (b.cycles != a.cycles || b.events != a.events || b.macroblocks != a.macroblocks ||
-        b.frames_hash != a.frames_hash || b.bit_exact != a.bit_exact) {
-      std::fprintf(stderr,
-                   "SHARD DETERMINISM VIOLATION: decode at %u shards diverges from serial "
-                   "(cycles %llu vs %llu, events %llu vs %llu, hash %llx vs %llx)\n",
-                   b.shards, static_cast<unsigned long long>(b.cycles),
-                   static_cast<unsigned long long>(a.cycles),
-                   static_cast<unsigned long long>(b.events),
-                   static_cast<unsigned long long>(a.events),
-                   static_cast<unsigned long long>(b.frames_hash),
-                   static_cast<unsigned long long>(a.frames_hash));
-      r.decode_identical = false;
-    }
-    if (b.parallel_rounds != 0) {
-      std::fprintf(stderr, "shards: fused decode plan ran %llu parallel rounds at %u shards\n",
-                   static_cast<unsigned long long>(b.parallel_rounds), b.shards);
-      r.decode_identical = false;
-    }
-  }
-  if (!smoke && !r.decode.empty()) {
-    r.pin_checked = true;
-    const ShardDecodePoint& a = r.decode.front();
-    r.pin_ok = a.cycles == eclipse::pin::kDecodePinCycles &&
-               a.events == eclipse::pin::kDecodePinEvents &&
-               a.macroblocks == eclipse::pin::kDecodePinMacroblocks && a.bit_exact;
-    if (!r.pin_ok) {
-      std::fprintf(stderr,
-                   "shards: decode off the pin (cycles %llu events %llu mbs %llu exact %d)\n",
-                   static_cast<unsigned long long>(a.cycles),
-                   static_cast<unsigned long long>(a.events),
-                   static_cast<unsigned long long>(a.macroblocks), a.bit_exact ? 1 : 0);
-    }
-  }
-
-  // --- synthetic cross-lane ring storm ---
-  const std::uint32_t groups = 4;
-  const int steps = smoke ? 2000 : 50000;
-  for (std::uint32_t shards : shard_counts) {
-    ShardSynthPoint p;
-    p.shards = shards;
-    const int n = smoke ? 1 : repeats;
-    for (int i = 0; i < n; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      sim::Simulator sim;
-      sim.setShardCount(shards);
-      if (shards > 1) sim.declareCrossShardLatency(2);
-      std::vector<std::uint64_t> acc(groups, 0);
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        sim.spawn(shardStormGen(sim, g, groups, shards, steps, acc), "gen",
-                  shards > 1 ? g % shards : 0);
-      }
-      p.end = sim.run();
-      const double dt = seconds(t0);
-      if (i == 0 || dt < p.wall_s) p.wall_s = dt;
-      p.events = sim.eventsDispatched();
-      const sim::ShardStats st = sim.shardStats();
-      p.parallel_rounds = st.parallel_rounds;
-      p.cross_events = st.cross_events;
-      p.hash = 1469598103934665603ULL;
-      for (std::uint64_t a : acc) p.hash = (p.hash ^ a) * 1099511628211ULL;
-    }
-    r.synth.push_back(p);
-  }
-  for (std::size_t i = 1; i < r.synth.size(); ++i) {
-    const ShardSynthPoint& a = r.synth.front();
-    const ShardSynthPoint& b = r.synth[i];
-    if (b.events != a.events || b.end != a.end || b.hash != a.hash) {
-      std::fprintf(stderr,
-                   "SHARD DETERMINISM VIOLATION: storm at %u shards diverges "
-                   "(events %llu vs %llu, end %llu vs %llu, hash %llx vs %llx)\n",
-                   b.shards, static_cast<unsigned long long>(b.events),
-                   static_cast<unsigned long long>(a.events),
-                   static_cast<unsigned long long>(b.end),
-                   static_cast<unsigned long long>(a.end),
-                   static_cast<unsigned long long>(b.hash),
-                   static_cast<unsigned long long>(a.hash));
-      r.synth_identical = false;
-    }
-    if (b.parallel_rounds == 0) {
-      std::fprintf(stderr, "shards: storm at %u shards never ran a parallel round\n", b.shards);
-      r.synth_identical = false;
-    }
-  }
-  return r;
-}
-
-void emitShards(std::FILE* f, const ShardsBenchResult& r) {
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"eclipse-bench-shards-v1\",\n");
-  std::fprintf(f, "  \"decode\": {\n");
-  std::fprintf(f, "    \"identical\": %s, \"pin_checked\": %s, \"pin_ok\": %s,\n",
-               r.decode_identical ? "true" : "false", r.pin_checked ? "true" : "false",
-               r.pin_ok ? "true" : "false");
-  std::fprintf(f, "    \"points\": [\n");
-  for (std::size_t i = 0; i < r.decode.size(); ++i) {
-    const ShardDecodePoint& p = r.decode[i];
-    std::fprintf(f,
-                 "      {\"shards\": %u, \"lanes_used\": %u, \"wall_s\": %.6f, "
-                 "\"sim_cycles\": %llu, \"sim_events\": %llu, \"macroblocks\": %llu, "
-                 "\"frames_hash\": \"%016llx\", \"parallel_rounds\": %llu, "
-                 "\"bit_exact\": %s}%s\n",
-                 p.shards, p.lanes_used, p.wall_s, static_cast<unsigned long long>(p.cycles),
-                 static_cast<unsigned long long>(p.events),
-                 static_cast<unsigned long long>(p.macroblocks),
-                 static_cast<unsigned long long>(p.frames_hash),
-                 static_cast<unsigned long long>(p.parallel_rounds),
-                 p.bit_exact ? "true" : "false", i + 1 < r.decode.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f, "  \"synth_ring\": {\n");
-  std::fprintf(f, "    \"identical\": %s,\n", r.synth_identical ? "true" : "false");
-  std::fprintf(f, "    \"points\": [\n");
-  for (std::size_t i = 0; i < r.synth.size(); ++i) {
-    const ShardSynthPoint& p = r.synth[i];
-    std::fprintf(f,
-                 "      {\"shards\": %u, \"wall_s\": %.6f, \"events\": %llu, "
-                 "\"end_cycle\": %llu, \"hash\": \"%016llx\", \"parallel_rounds\": %llu, "
-                 "\"cross_events\": %llu}%s\n",
-                 p.shards, p.wall_s, static_cast<unsigned long long>(p.events),
-                 static_cast<unsigned long long>(p.end),
-                 static_cast<unsigned long long>(p.hash),
-                 static_cast<unsigned long long>(p.parallel_rounds),
-                 static_cast<unsigned long long>(p.cross_events),
-                 i + 1 < r.synth.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f, "  \"gates_ok\": %s\n", r.gatesOk() ? "true" : "false");
-  std::fprintf(f, "}\n");
-}
-
 /// Media scenario: host throughput of the vectorized media kernels
 /// (DESIGN.md §11), per backend, plus two in-binary correctness gates that
 /// make a silently wrong SIMD kernel fail CI: (1) every vector backend must
@@ -2291,7 +2053,6 @@ int main(int argc, char** argv) {
   bool chaos_bench = false;
   bool media_bench = false;
   bool modes_bench = false;
-  bool shards_bench = false;
   bool serve_bench = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -2314,15 +2075,13 @@ int main(int argc, char** argv) {
       media_bench = true;
     } else if (std::strcmp(argv[i], "--modes") == 0) {
       modes_bench = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards_bench = true;
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       serve_bench = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--out FILE] [--repeats N] [--smoke] "
                    "[--transport | --reconfig | --faults | --farm | --chaos | --media"
-                   " | --modes | --shards | --serve]\n",
+                   " | --modes | --serve]\n",
                    argv[0]);
       return 2;
     }
@@ -2333,8 +2092,6 @@ int main(int argc, char** argv) {
               ? "BENCH_serve.json"
               : chaos_bench
               ? "BENCH_chaos.json"
-              : shards_bench
-              ? "BENCH_shards.json"
               : modes_bench
               ? "BENCH_modes.json"
               : media_bench
@@ -2376,22 +2133,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", out.c_str());
     // Terminality, retry bit-identity, quarantine exactness and the
     // unarmed zero-overhead claim are hard gates, not perf numbers.
-    return r.gatesOk() ? 0 : 1;
-  }
-
-  if (shards_bench) {
-    const ShardsBenchResult r = runShards(smoke, repeats);
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_json: cannot open %s for writing\n", out.c_str());
-      return 1;
-    }
-    emitShards(f, r);
-    std::fclose(f);
-    emitShards(stdout, r);
-    std::fprintf(stderr, "wrote %s\n", out.c_str());
-    // Bit-identity of the sharded kernel to the serial oracle — for the
-    // fused decode and the genuinely parallel storm — is a hard gate.
     return r.gatesOk() ? 0 : 1;
   }
 

@@ -40,7 +40,6 @@ void usage() {
       "                      the bound port is printed on startup)\n"
       "  --workers N         farm worker threads (default: hardware concurrency)\n"
       "  --queue N           farm queue capacity (default 64)\n"
-      "  --lane-threads N    host-thread budget for shard lanes\n"
       "  --tenant SPEC       register a tenant: name[:rate=X,burst=X,quota=N,\n"
       "                      pending=N,weight=X,policy=shed|queue]; repeatable\n"
       "  --default SPEC      QoS template for auto-registered tenants\n"
@@ -129,8 +128,6 @@ int main(int argc, char** argv) {
       opts.farm.workers = std::atoi(next());
     } else if (a == "--queue") {
       opts.farm.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--lane-threads") {
-      opts.farm.lane_threads = std::atoi(next());
     } else if (a == "--tenant") {
       serve::TenantConfig cfg;
       if (!serve::parseTenantSpec(next(), cfg, err)) {

@@ -28,9 +28,6 @@ void usage() {
       "  --demo [N]     built-in mixed list of N jobs (default 12)\n"
       "  --workers N    worker threads (default: hardware concurrency)\n"
       "  --queue N      queue capacity for admission control (default 64)\n"
-      "  --shards N     default shard lanes per job (job lines override with shards=)\n"
-      "  --lane-threads N  host-thread budget shared by all jobs' shard lanes\n"
-      "                    (default: hardware concurrency; lanes are clamped, not rejected)\n"
       "  --retries N    default retry attempts per job, incl. the first (job lines\n"
       "                 override with retries=; default 1 = never retry)\n"
       "  --deadline N   default simulated-cycle deadline per job (deadline=; 0 = none)\n"
@@ -46,7 +43,7 @@ void usage() {
       "job line:   <name> [key=value ...]\n"
       "  kind=decode|encode|decode+decode+...   applications on one instance\n"
       "  width= height= frames= seed= qscale= gop=N,M detail= motion= noise=\n"
-      "  priority=high|normal|low   repeat=N   max_cycles=N   verify=0|1   shards=N\n"
+      "  priority=high|normal|low   repeat=N   max_cycles=N   verify=0|1\n"
       "  retries=N   backoff_ms=X   deadline=N   supervise_ms=X\n"
       "  config:KEY=VALUE           instance parameter (e.g. config:sram.size_bytes=65536)\n"
       "\n"
@@ -56,14 +53,12 @@ void usage() {
 
 /// CLI-level defaults applied to every job a line does not override.
 struct JobDefaults {
-  unsigned shards = 1;
   int retries = 1;
   std::uint64_t deadline = 0;
   double supervise_ms = 0.0;
 };
 
 void applyDefaults(farm::Job& job, const JobDefaults& d) {
-  job.shards = d.shards;
   job.retry.max_attempts = d.retries;
   job.deadline = d.deadline;
   job.supervise_ms = d.supervise_ms;
@@ -148,8 +143,6 @@ bool parseJobLine(const std::string& line, const JobDefaults& defaults,
         job.max_cycles = std::stoull(val);
       } else if (key == "verify") {
         job.verify = val != "0" && val != "false";
-      } else if (key == "shards") {
-        job.shards = static_cast<std::uint32_t>(std::stoul(val));
       } else if (key == "retries") {
         job.retry.max_attempts = std::stoi(val);
       } else if (key == "backoff_ms") {
@@ -223,13 +216,13 @@ std::string jsonEscape(const std::string& s) {
 void writeCsv(const std::string& path, const std::vector<farm::JobResult>& results) {
   std::ofstream os(path);
   os << "id,name,tenant,status,cause,attempts,sim_cycles,sim_events,macroblocks,bit_exact,"
-        "psnr_db,faults,stalls,worker,lanes,reused,wall_ms,latency_ms,error\n";
+        "psnr_db,faults,stalls,worker,reused,wall_ms,latency_ms,error\n";
   for (const auto& r : results) {
     os << r.id << ',' << r.name << ',' << r.tenant << ',' << farm::jobStatusName(r.status) << ','
        << farm::jobErrorName(r.cause) << ',' << r.attempts << ',' << r.sim_cycles
        << ',' << r.sim_events << ',' << r.macroblocks << ',' << (r.bit_exact ? 1 : 0) << ','
        << r.psnr_db << ',' << r.faults_latched << ',' << r.stalls_latched << ',' << r.worker
-       << ',' << r.lanes << ',' << (r.reused_instance ? 1 : 0) << ',' << r.wall_ms << ','
+       << ',' << (r.reused_instance ? 1 : 0) << ',' << r.wall_ms << ','
        << r.latency_ms << ',' << r.error << '\n';
   }
 }
@@ -250,7 +243,6 @@ void writeJson(const std::string& path, const std::vector<farm::JobResult>& resu
        << ", \"macroblocks\": " << r.macroblocks
        << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false")
        << ", \"psnr_db\": " << r.psnr_db << ", \"worker\": " << r.worker
-       << ", \"lanes\": " << r.lanes
        << ", \"reused\": " << (r.reused_instance ? "true" : "false")
        << ", \"wall_ms\": " << r.wall_ms << ", \"latency_ms\": " << r.latency_ms
        << (r.error.empty() ? "" : ", \"error\": \"" + jsonEscape(r.error) + "\"") << "}"
@@ -305,11 +297,6 @@ int main(int argc, char** argv) {
       opts.workers = std::atoi(next());
     } else if (a == "--queue") {
       opts.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--shards") {
-      defaults.shards = static_cast<unsigned>(std::atoi(next()));
-      if (defaults.shards == 0) defaults.shards = 1;
-    } else if (a == "--lane-threads") {
-      opts.lane_threads = std::atoi(next());
     } else if (a == "--retries") {
       defaults.retries = std::atoi(next());
     } else if (a == "--deadline") {
@@ -396,10 +383,10 @@ int main(int argc, char** argv) {
                     r.faults_latched == 0;
     all_ok = all_ok && ok;
     if (!quiet) {
-      std::printf("  [%s] %-16s %10llu cycles %8llu MBs  worker %d lanes %u attempt%s %d %s%s%s%s\n",
+      std::printf("  [%s] %-16s %10llu cycles %8llu MBs  worker %d attempt%s %d %s%s%s%s\n",
                   farm::jobStatusName(r.status), r.name.c_str(),
                   static_cast<unsigned long long>(r.sim_cycles),
-                  static_cast<unsigned long long>(r.macroblocks), r.worker, r.lanes,
+                  static_cast<unsigned long long>(r.macroblocks), r.worker,
                   r.attempts == 1 ? "" : "s", r.attempts,
                   r.reused_instance ? "(reused)" : "(cold)",
                   r.cause == farm::JobError::None ? "" : " cause: ",

@@ -7,15 +7,9 @@
 // Configurator writes to the wrong word shows up here as a broken edge.
 //
 // Usage: graph_dump [--dot FILE] [--json FILE] [--run] [--demo-fault]
-//                   [--modes] [--shards N]
+//                   [--modes]
 //   --run         simulate to completion first, so the measurement registers
 //                 (bytes transferred, busy cycles) carry real traffic.
-//   --shards N    apply an N-lane ShardPlan before configuring, and render
-//                 the resolved assignment: one cluster per populated lane,
-//                 cross-shard edges dashed and annotated with the
-//                 conservative lookahead. The lane map is a host-plan
-//                 attribute (not a hardware register), so it is drawn from
-//                 the resolved ShardAssignment, not from MMIO.
 //   --demo-fault  latch a fault on the VLD task before dumping, so the
 //                 fault-rendering path (salmon node, fault registers in the
 //                 JSON) can be exercised and eyeballed without an injector.
@@ -68,7 +62,6 @@ struct TaskRowDump {
 struct ShellDump {
   std::string name;
   std::uint32_t id = 0;
-  sim::ShardId shard = 0;  ///< lane from the resolved ShardAssignment
   std::vector<StreamRowDump> streams;
   std::vector<TaskRowDump> tasks;
 };
@@ -140,8 +133,7 @@ struct ModeAnnotations {
 };
 
 void emitDot(std::FILE* f, const std::vector<ShellDump>& shells,
-             const ModeAnnotations* mode = nullptr,
-             const app::ShardAssignment* asg = nullptr) {
+             const ModeAnnotations* mode = nullptr) {
   std::map<std::uint32_t, const ShellDump*> by_id;
   for (const auto& s : shells) by_id[s.id] = &s;
 
@@ -151,7 +143,8 @@ void emitDot(std::FILE* f, const std::vector<ShellDump>& shells,
                  mode->active.c_str(), mode->from.c_str(), mode->st.streams_removed,
                  mode->st.streams_kept);
   }
-  const auto shellCluster = [&](const ShellDump& s) {
+  for (const auto& s : shells) {
+    if (s.tasks.empty()) continue;
     std::fprintf(f, "  subgraph \"cluster_%s\" {\n    label=\"%s\";\n", s.name.c_str(),
                  s.name.c_str());
     for (const auto& t : s.tasks) {
@@ -172,27 +165,6 @@ void emitDot(std::FILE* f, const std::vector<ShellDump>& shells,
       }
     }
     std::fprintf(f, "  }\n");
-  };
-  if (asg == nullptr) {
-    for (const auto& s : shells) {
-      if (s.tasks.empty()) continue;
-      shellCluster(s);
-    }
-  } else {
-    // One cluster per populated lane, shell clusters nested inside, so the
-    // partition the engine actually runs is visible at a glance.
-    std::map<sim::ShardId, std::vector<const ShellDump*>> lanes;
-    for (const auto& s : shells) {
-      if (!s.tasks.empty()) lanes[s.shard].push_back(&s);
-    }
-    for (const auto& [lane, group] : lanes) {
-      std::fprintf(f,
-                   "  subgraph \"cluster_shard%u\" {\n"
-                   "    label=\"shard %u%s\";\n    style=dashed;\n",
-                   lane, lane, lane == asg->hub ? " (memory hub)" : "");
-      for (const ShellDump* s : group) shellCluster(*s);
-      std::fprintf(f, "  }\n");
-    }
   }
   // One edge per producer row: its remote link names the consumer row, and
   // the consumer row's task field names the destination task slot.
@@ -211,22 +183,15 @@ void emitDot(std::FILE* f, const std::vector<ShellDump>& shells,
         }
       }
       // A watchdog stall latch on either side paints the edge orange; a
-      // stream the last mode transition re-bound is painted blue. An edge
-      // crossing lanes is dashed and carries the conservative lookahead
-      // its putspace traffic is synchronized under.
+      // stream the last mode transition re-bound is painted blue.
       const bool stalled = r.stalled != 0 || cstalled != 0;
       const bool rebound =
           mode != nullptr && mode->diff_edges.count({s.id, r.row}) != 0;
-      const bool cross = asg != nullptr && s.shard != cs.shard;
       std::string label = std::to_string(r.size) + " B";
       if (stalled) label += " STALL";
       if (rebound) label += " REBOUND";
-      if (cross) {
-        label += " xshard la=" + std::to_string(static_cast<unsigned long long>(asg->lookahead));
-      }
       const char* color = stalled ? " color=orange penwidth=2"
-                                  : (rebound ? " color=blue penwidth=2"
-                                             : (cross ? " style=dashed color=gray40" : ""));
+                                  : (rebound ? " color=blue penwidth=2" : "");
       std::fprintf(f, "  %s -> %s [label=\"%s\"%s];\n", nodeId(s.id, r.task).c_str(),
                    nodeId(cs.id, ctask).c_str(), label.c_str(), color);
     }
@@ -235,21 +200,8 @@ void emitDot(std::FILE* f, const std::vector<ShellDump>& shells,
 }
 
 void emitJson(std::FILE* f, const std::vector<ShellDump>& shells,
-              const ModeAnnotations* mode = nullptr,
-              const app::ShardAssignment* asg = nullptr) {
+              const ModeAnnotations* mode = nullptr) {
   std::fprintf(f, "{\n  \"schema\": \"eclipse-graph-dump-v1\",\n");
-  if (asg != nullptr) {
-    std::fprintf(f,
-                 "  \"sharding\": {\"shards\": %u, \"lanes_used\": %u, \"hub\": %u, "
-                 "\"lookahead\": %llu, \"rule\": \"%s\",\n    \"lanes\": {",
-                 asg->shards, asg->lanesUsed(), asg->hub,
-                 static_cast<unsigned long long>(asg->lookahead), asg->rule.c_str());
-    for (std::size_t i = 0; i < shells.size(); ++i) {
-      std::fprintf(f, "\"%s\": %u%s", shells[i].name.c_str(), shells[i].shard,
-                   i + 1 < shells.size() ? ", " : "");
-    }
-    std::fprintf(f, "}},\n");
-  }
   if (mode != nullptr) {
     std::fprintf(f,
                  "  \"mode\": {\"active\": \"%s\", \"from\": \"%s\", "
@@ -317,7 +269,6 @@ int main(int argc, char** argv) {
   bool run = false;
   bool demo_fault = false;
   bool modes = false;
-  std::uint32_t shards = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dot") == 0 && i + 1 < argc) {
       dot_path = argv[++i];
@@ -329,19 +280,15 @@ int main(int argc, char** argv) {
       demo_fault = true;
     } else if (std::strcmp(argv[i], "--modes") == 0) {
       modes = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--dot FILE] [--json FILE] [--run] [--demo-fault] [--modes]"
-                   " [--shards N]\n",
+                   "usage: %s [--dot FILE] [--json FILE] [--run] [--demo-fault] [--modes]\n",
                    argv[0]);
       return 2;
     }
   }
 
   app::EclipseInstance inst;
-  if (shards > 0) inst.applyShardPlan(app::ShardPlan{.shards = shards});
   std::unique_ptr<app::DecodeApp> dec;
   std::unique_ptr<app::AudioDecodeApp> aud;
   ModeAnnotations ann;
@@ -416,7 +363,6 @@ int main(int argc, char** argv) {
   std::size_t valid_tasks = 0, valid_streams = 0;
   for (const auto& sh : inst.shells()) {
     shells.push_back(dumpShell(inst.piBus(), *sh));
-    shells.back().shard = inst.shardAssignment().laneOf(shells.back().name);
     valid_tasks += shells.back().tasks.size();
     valid_streams += shells.back().streams.size();
   }
@@ -431,9 +377,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "graph_dump: cannot open output files\n");
     return 1;
   }
-  const app::ShardAssignment* asg = inst.shardPlanned() ? &inst.shardAssignment() : nullptr;
-  emitDot(fd, shells, modes ? &ann : nullptr, asg);
-  emitJson(fj, shells, modes ? &ann : nullptr, asg);
+  emitDot(fd, shells, modes ? &ann : nullptr);
+  emitJson(fj, shells, modes ? &ann : nullptr);
   std::fclose(fd);
   std::fclose(fj);
   std::fprintf(stderr, "graph_dump: %zu tasks, %zu stream rows across %zu shells -> %s, %s\n",
