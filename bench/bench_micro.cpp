@@ -80,6 +80,33 @@ void BM_EncodeQcifFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeQcifFrame)->Unit(benchmark::kMillisecond);
 
+// One CIF macroblock, ±8 full search with half-pel refinement, between two
+// consecutive generated frames. The corner macroblock's window overhangs
+// two frame edges (its window rows clamp at both ends); the interior one's
+// window rows are plain copies.
+void motionSearchAt(benchmark::State& state, int mb_x, int mb_y) {
+  media::VideoGenParams vp;
+  vp.width = 352;
+  vp.height = 288;
+  vp.frames = 2;
+  const auto frames = media::generateVideo(vp);
+  media::motion::SearchParams sp;
+  sp.range = 8;
+  int candidates = 0;
+  for (auto _ : state) {
+    const auto r = media::motion::search(frames[1], frames[0], mb_x, mb_y, sp);
+    candidates = r.candidates;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * candidates);
+}
+
+void BM_MotionSearchInterior(benchmark::State& state) { motionSearchAt(state, 10, 8); }
+BENCHMARK(BM_MotionSearchInterior);
+
+void BM_MotionSearchCorner(benchmark::State& state) { motionSearchAt(state, 0, 0); }
+BENCHMARK(BM_MotionSearchCorner);
+
 void BM_SimulatorEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;

@@ -168,7 +168,7 @@ void DecodeApp::enableRecovery() {
 }
 
 void DecodeApp::enableDegradedFallback(std::string degraded_mode) {
-  modes_.at(degraded_mode);  // fail fast on an unknown mode
+  static_cast<void>(modes_.at(degraded_mode));  // throws std::out_of_range on an unknown mode
   degraded_mode_ = std::move(degraded_mode);
   handle_.onFault([this](const TaskFault& f) {
     ++recoveries_;

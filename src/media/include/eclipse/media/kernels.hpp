@@ -48,7 +48,7 @@ struct KernelTable {
   void (*rle_encode)(const Block& scanned, std::vector<rle::RunLevel>& out) = nullptr;
 
   // 16-wide SAD / half-pel interpolation over rows that are fully inside
-  // the plane (the clamped-edge slow path stays scalar in motion.cpp).
+  // the buffer (motion.cpp replicates frame edges with gatherClamped first).
   // fx/fy are the half-pel fraction bits; reads touch [0, 15+fx] x [0, h-1+fy].
   std::uint32_t (*sad_16xh)(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
                             int ref_stride, int h, int fx, int fy) = nullptr;

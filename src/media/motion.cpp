@@ -1,9 +1,8 @@
 #include "eclipse/media/motion.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <limits>
+#include <cstring>
 
 #include "eclipse/media/kernels.hpp"
 
@@ -20,24 +19,40 @@ std::uint8_t fullPel(const std::vector<std::uint8_t>& plane, int w, int h, int x
                static_cast<std::size_t>(x)];
 }
 
-/// Top-left full-pel anchor and half-pel fraction of a block read. The
-/// window is "fast" (vectorizable) when every sample the interpolator
-/// touches — columns [x0, x0+w-1+fx], rows [y0, y0+h-1+fy] — is inside
-/// the plane, so the edge clamps in fullPel are all no-ops.
-struct Anchor {
-  int x0, y0, fx, fy;
-  bool fast;
+/// Reference samples for a bw x bh block read at half-pel position (cx, cy):
+/// the bw+fx x bh+fy full-pel rectangle the interpolator touches, read
+/// straight from the plane when it lies inside, else edge-replicated into
+/// `scratch` (at least (bw+1) * (bh+1) bytes).
+struct RefBlock {
+  const std::uint8_t* data;
+  int stride;
+  int fx, fy;
 };
 
-Anchor anchorFor(int w, int h, int block_w, int block_h, int cx, int cy) {
-  Anchor a{};
-  a.x0 = cx >> 1;  // floor division, matching sampleHalfPel's x2 >> 1
-  a.y0 = cy >> 1;
-  a.fx = cx & 1;
-  a.fy = cy & 1;
-  a.fast = a.x0 >= 0 && a.y0 >= 0 && a.x0 + block_w - 1 + a.fx < w &&
-           a.y0 + block_h - 1 + a.fy < h;
-  return a;
+RefBlock refBlock(const std::vector<std::uint8_t>& plane, int w, int h, int bw, int bh, int cx,
+                  int cy, std::uint8_t* scratch) {
+  const int x0 = cx >> 1;  // floor division, matching sampleHalfPel's x2 >> 1
+  const int y0 = cy >> 1;
+  const int fx = cx & 1;
+  const int fy = cy & 1;
+  const int rw = bw + fx;
+  const int rh = bh + fy;
+  if (x0 >= 0 && y0 >= 0 && x0 + rw <= w && y0 + rh <= h) {
+    return RefBlock{plane.data() + static_cast<std::ptrdiff_t>(y0) * w + x0, w, fx, fy};
+  }
+  gatherClamped(plane.data(), w, w, h, x0, y0, rw, rh, scratch);
+  return RefBlock{scratch, rw, fx, fy};
+}
+
+/// Top-left sample of the 16x16 read at vector `mv` in a searchWindow
+/// window. The window starts range + 1 pels before the block, so the
+/// offset mv + 2(range + 1) is >= 1 for every vector the search emits and
+/// >> 1 is a plain floor; its fraction bits equal mv's.
+const std::uint8_t* windowAt(const std::uint8_t* win, int win_stride, int range, int mvx,
+                             int mvy) {
+  const int cx = mvx + 2 * (range + 1);
+  const int cy = mvy + 2 * (range + 1);
+  return win + static_cast<std::ptrdiff_t>(cy >> 1) * win_stride + (cx >> 1);
 }
 
 }  // namespace
@@ -63,44 +78,37 @@ std::uint8_t sampleHalfPel(const std::vector<std::uint8_t>& plane, int w, int h,
   return static_cast<std::uint8_t>((a + b + c + d + 2) / 4);
 }
 
+void gatherClamped(const std::uint8_t* src, int stride, int w, int h, int x0, int y0, int rw,
+                   int rh, std::uint8_t* dst) {
+  // Every row splits the same way: `left` samples replicate column 0, then
+  // `mid` in-plane samples are one memcpy, then `right` samples replicate
+  // column w - 1. A rectangle inside the plane's columns is all `mid`.
+  const int left = clampi(-x0, 0, rw);
+  const int right = clampi(x0 + rw - w, 0, rw - left);
+  const int mid = rw - left - right;
+  for (int y = 0; y < rh; ++y, dst += rw) {
+    const std::uint8_t* row =
+        src + static_cast<std::ptrdiff_t>(clampi(y0 + y, 0, h - 1)) * stride;
+    std::fill_n(dst, left, row[0]);
+    if (mid > 0) std::memcpy(dst + left, row + x0 + left, static_cast<std::size_t>(mid));
+    std::fill_n(dst + left + mid, right, row[w - 1]);
+  }
+}
+
 void predictLuma(const Frame& ref, int px, int py, MotionVector mv, LumaMb& out) {
-  const auto& plane = ref.yPlane();
-  const int w = ref.width();
-  const int h = ref.height();
-  const Anchor a = anchorFor(w, h, kMbSize, kMbSize, 2 * px + mv.x, 2 * py + mv.y);
-  if (a.fast) {
-    kernels::active().interp_16xh(
-        out.data(), kMbSize,
-        plane.data() + static_cast<std::ptrdiff_t>(a.y0) * w + a.x0, w, kMbSize, a.fx, a.fy);
-    return;
-  }
-  for (int y = 0; y < kMbSize; ++y) {
-    for (int x = 0; x < kMbSize; ++x) {
-      out[static_cast<std::size_t>(y * kMbSize + x)] =
-          sampleHalfPel(plane, w, h, 2 * (px + x) + mv.x, 2 * (py + y) + mv.y);
-    }
-  }
+  std::uint8_t scratch[(kMbSize + 1) * (kMbSize + 1)];
+  const RefBlock r = refBlock(ref.yPlane(), ref.width(), ref.height(), kMbSize, kMbSize,
+                              2 * px + mv.x, 2 * py + mv.y, scratch);
+  kernels::active().interp_16xh(out.data(), kMbSize, r.data, r.stride, kMbSize, r.fx, r.fy);
 }
 
 void predictChroma(const std::vector<std::uint8_t>& plane, int w, int h, int px, int py,
                    MotionVector mv, ChromaMb& out) {
   // MPEG-2: chroma vector = luma vector / 2 (rounding toward zero),
   // still in half-pel units of the chroma grid.
-  const int cvx = mv.x / 2;
-  const int cvy = mv.y / 2;
-  const Anchor a = anchorFor(w, h, 8, 8, 2 * px + cvx, 2 * py + cvy);
-  if (a.fast) {
-    kernels::active().interp_8xh(
-        out.data(), 8, plane.data() + static_cast<std::ptrdiff_t>(a.y0) * w + a.x0, w, 8, a.fx,
-        a.fy);
-    return;
-  }
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      out[static_cast<std::size_t>(y * 8 + x)] =
-          sampleHalfPel(plane, w, h, 2 * (px + x) + cvx, 2 * (py + y) + cvy);
-    }
-  }
+  std::uint8_t scratch[9 * 9];
+  const RefBlock r = refBlock(plane, w, h, 8, 8, 2 * px + mv.x / 2, 2 * py + mv.y / 2, scratch);
+  kernels::active().interp_8xh(out.data(), 8, r.data, r.stride, 8, r.fx, r.fy);
 }
 
 void average(const LumaMb& a, const LumaMb& b, LumaMb& out) {
@@ -114,86 +122,90 @@ void average(const ChromaMb& a, const ChromaMb& b, ChromaMb& out) {
 std::uint32_t sadLuma(const Frame& cur, const Frame& ref, int mb_x, int mb_y, MotionVector mv) {
   const int px = mb_x * kMbSize;
   const int py = mb_y * kMbSize;
-  const auto& rplane = ref.yPlane();
-  const int w = ref.width();
-  const int h = ref.height();
-  const Anchor a = anchorFor(w, h, kMbSize, kMbSize, 2 * px + mv.x, 2 * py + mv.y);
-  if (a.fast) {
-    return kernels::active().sad_16xh(
-        cur.yPlane().data() + static_cast<std::ptrdiff_t>(py) * cur.width() + px, cur.width(),
-        rplane.data() + static_cast<std::ptrdiff_t>(a.y0) * w + a.x0, w, kMbSize, a.fx, a.fy);
-  }
-  std::uint32_t sad = 0;
-  for (int y = 0; y < kMbSize; ++y) {
-    for (int x = 0; x < kMbSize; ++x) {
-      const int c = cur.yAt(px + x, py + y);
-      const int p = sampleHalfPel(rplane, w, h, 2 * (px + x) + mv.x, 2 * (py + y) + mv.y);
-      sad += static_cast<std::uint32_t>(std::abs(c - p));
-    }
-  }
-  return sad;
+  std::uint8_t scratch[(kMbSize + 1) * (kMbSize + 1)];
+  const RefBlock r = refBlock(ref.yPlane(), ref.width(), ref.height(), kMbSize, kMbSize,
+                              2 * px + mv.x, 2 * py + mv.y, scratch);
+  return kernels::active().sad_16xh(
+      cur.yPlane().data() + static_cast<std::ptrdiff_t>(py) * cur.width() + px, cur.width(),
+      r.data, r.stride, kMbSize, r.fx, r.fy);
 }
 
-namespace {
+SearchResult searchWindow(const std::uint8_t* cur, int cur_stride, const std::uint8_t* win,
+                          int win_stride, const SearchParams& params) {
+  const auto& k = kernels::active();
+  int candidates = 0;
+  auto eval = [&](int mvx, int mvy) {
+    ++candidates;
+    return SearchResult{
+        MotionVector{static_cast<std::int16_t>(mvx), static_cast<std::int16_t>(mvy)},
+        k.sad_16xh(cur, cur_stride, windowAt(win, win_stride, params.range, mvx, mvy),
+                   win_stride, kMbSize, mvx & 1, mvy & 1)};
+  };
 
-SearchResult refineHalfPel(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
-                           SearchResult best) {
-  // All eight half-pel candidates are anchored on the full-pel winner;
-  // `best` must not drift mid-iteration or the candidate set changes.
-  const MotionVector center = best.mv;
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      const MotionVector mv{static_cast<std::int16_t>(center.x + dx),
-                            static_cast<std::int16_t>(center.y + dy)};
-      const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-      if (sad < best.sad) best = SearchResult{mv, sad};
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-SearchResult search(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
-                    const SearchParams& params) {
-  SearchResult best{MotionVector{0, 0}, sadLuma(cur, ref, mb_x, mb_y, MotionVector{0, 0})};
-
+  SearchResult best = eval(0, 0);
   if (params.algo == SearchParams::Algo::FullSearch) {
     for (int dy = -params.range; dy <= params.range; ++dy) {
       for (int dx = -params.range; dx <= params.range; ++dx) {
         if (dx == 0 && dy == 0) continue;
-        const MotionVector mv{static_cast<std::int16_t>(2 * dx),
-                              static_cast<std::int16_t>(2 * dy)};
-        const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-        if (sad < best.sad) best = SearchResult{mv, sad};
+        const SearchResult c = eval(2 * dx, 2 * dy);
+        if (c.sad < best.sad) best = c;
       }
     }
   } else {
     // Three-step (logarithmic) search at full-pel resolution.
     int step = 1;
     while (2 * step < params.range) step *= 2;
-    MotionVector center{0, 0};
     while (step >= 1) {
+      const MotionVector center = best.mv;
       SearchResult round_best = best;
       for (int dy = -1; dy <= 1; ++dy) {
         for (int dx = -1; dx <= 1; ++dx) {
           if (dx == 0 && dy == 0) continue;
-          const MotionVector mv{static_cast<std::int16_t>(center.x + 2 * dx * step),
-                                static_cast<std::int16_t>(center.y + 2 * dy * step)};
-          if (std::abs(mv.x) > 2 * params.range || std::abs(mv.y) > 2 * params.range) continue;
-          const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-          if (sad < round_best.sad) round_best = SearchResult{mv, sad};
+          const int mvx = center.x + 2 * dx * step;
+          const int mvy = center.y + 2 * dy * step;
+          if (std::abs(mvx) > 2 * params.range || std::abs(mvy) > 2 * params.range) continue;
+          const SearchResult c = eval(mvx, mvy);
+          if (c.sad < round_best.sad) round_best = c;
         }
       }
       best = round_best;
-      center = best.mv;
       step /= 2;
     }
   }
 
-  if (params.half_pel) best = refineHalfPel(cur, ref, mb_x, mb_y, best);
+  if (params.half_pel) {
+    // All eight half-pel candidates are anchored on the full-pel winner;
+    // `best` must not drift mid-iteration or the candidate set changes.
+    const MotionVector center = best.mv;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx == 0 && dy == 0) continue;
+        const SearchResult c = eval(center.x + dx, center.y + dy);
+        if (c.sad < best.sad) best = c;
+      }
+    }
+  }
+  best.candidates = candidates;
   return best;
+}
+
+void predictFromWindow(const std::uint8_t* win, int win_stride, int range, MotionVector mv,
+                       LumaMb& out) {
+  kernels::active().interp_16xh(out.data(), kMbSize, windowAt(win, win_stride, range, mv.x, mv.y),
+                                win_stride, kMbSize, mv.x & 1, mv.y & 1);
+}
+
+SearchResult search(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
+                    const SearchParams& params) {
+  const int margin = params.range + 1;
+  const int size = searchWindowSize(params.range);
+  const int px = mb_x * kMbSize;
+  const int py = mb_y * kMbSize;
+  std::vector<std::uint8_t> window(static_cast<std::size_t>(size) * static_cast<std::size_t>(size));
+  gatherClamped(ref.yPlane().data(), ref.width(), ref.width(), ref.height(), px - margin,
+                py - margin, size, size, window.data());
+  return searchWindow(cur.yPlane().data() + static_cast<std::ptrdiff_t>(py) * cur.width() + px,
+                      cur.width(), window.data(), size, params);
 }
 
 std::uint32_t intraActivity(const Frame& cur, int mb_x, int mb_y) {

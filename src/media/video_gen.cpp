@@ -55,29 +55,36 @@ Frame generateFrame(const VideoGenParams& p, int index) {
   const auto& k = kernels::active();
 
   // Background: diagonal gradient plus sinusoidal texture, translating with
-  // time so P-frames see global motion. The floating-point math is kept
-  // per-pixel (bit-exactness across backends); only the clamp-and-narrow
+  // time so P-frames see global motion. Both are separable, so the x terms
+  // are computed once per column and the y terms once per row. Each pixel
+  // evaluates (grad_x + grad_y) + sin_x * cos_y, the association of
+  // 96 + a + b + 24 * sin * cos, so the result is bit-exact to evaluating
+  // that per pixel (also under FMA contraction). Only the clamp-and-narrow
   // store is batched per row through the kernel table.
   sim::Prng noise_rng(p.seed * 31 + static_cast<std::uint64_t>(index) * 1000003 + 7);
   const int bg_shift = t * std::max(1, p.motion_speed / 2);
   auto& yp = f.yPlane();
-  std::vector<std::int32_t> row(static_cast<std::size_t>(p.width));
+  const std::size_t width = static_cast<std::size_t>(p.width);
+  std::vector<double> grad_x(width), sin_x(width);
+  for (int x = 0; x < p.width; ++x) {
+    const int gx = x + bg_shift + scene * 37;
+    grad_x[static_cast<std::size_t>(x)] = 96.0 + (gx * 48.0) / p.width;
+    sin_x[static_cast<std::size_t>(x)] = 24.0 * std::sin(gx * 0.18 * p.detail);
+  }
+  std::vector<std::int32_t> row(width);
   for (int y = 0; y < p.height; ++y) {
     const int gy = y + scene * 23;
-    for (int x = 0; x < p.width; ++x) {
-      const int gx = x + bg_shift + scene * 37;
-      double v = 96.0 + (gx * 48.0) / p.width + (gy * 32.0) / p.height;
-      if (p.detail > 0) {
-        v += 24.0 * std::sin(gx * 0.18 * p.detail) * std::cos(gy * 0.13 * p.detail);
-      }
+    const double grad_y = (gy * 32.0) / p.height;
+    const double cos_y = std::cos(gy * 0.13 * p.detail);
+    for (std::size_t x = 0; x < width; ++x) {
+      double v = grad_x[x] + grad_y;
+      if (p.detail > 0) v += sin_x[x] * cos_y;
       if (p.noise_level > 0) {
         v += (noise_rng.uniform() - 0.5) * 2.0 * p.noise_level;
       }
-      row[static_cast<std::size_t>(x)] = static_cast<std::int32_t>(std::lround(v));
+      row[x] = static_cast<std::int32_t>(std::lround(v));
     }
-    k.clamp_store_row(row.data(),
-                      yp.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(p.width),
-                      static_cast<std::size_t>(p.width));
+    k.clamp_store_row(row.data(), yp.data() + static_cast<std::size_t>(y) * width, width);
   }
   // Chroma background: slow gradients. Cb depends only on x and Cr only on
   // y, so each plane is one computed row (resp. one fill value) per frame.

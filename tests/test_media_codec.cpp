@@ -507,4 +507,98 @@ TEST(Metrics, MismatchedSizesThrow) {
   EXPECT_THROW((void)psnrLuma(a, b), std::invalid_argument);
 }
 
+// ------------------------------------------------- determinism pins
+//
+// FNV-1a hashes of generated video and encoded streams. The expected
+// values were computed with per-pixel edge clamping in motion search and
+// per-pixel texture evaluation in the generator, so they hold the
+// edge-replicated search and the separable texture (DESIGN §11) to that
+// output: any change in generated pixels or encoder decisions shows up
+// here, under every SIMD backend and with or without -march=native.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::uint8_t>& bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t hashVideo(const std::vector<Frame>& frames) {
+  std::uint64_t h = kFnvBasis;
+  for (const Frame& f : frames) h = fnv1a(fnv1a(fnv1a(h, f.yPlane()), f.cbPlane()), f.crPlane());
+  return h;
+}
+
+TEST(DeterminismPins, GeneratedVideoBytes) {
+  struct Pin {
+    int detail;
+    double noise;
+    int scene_cut_period;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {0, 0.0, 0, 0x5b4d58af992fa923ull},
+      {0, 0.0, 5, 0x551f93ca8d20495eull},
+      {0, 4.0, 0, 0xafd568db37a6175eull},
+      {0, 4.0, 5, 0x6579d0ddfe90541dull},
+      {8, 0.0, 0, 0x932f6b9a9676abe7ull},
+      {8, 0.0, 5, 0xd05b37b86c955e46ull},
+      {8, 4.0, 0, 0xe5d63b44afc93a2aull},
+      {8, 4.0, 5, 0x8307fbabd16f06acull},
+  };
+  for (const Pin& p : pins) {
+    VideoGenParams vp;
+    vp.width = 96;
+    vp.height = 80;
+    vp.frames = 7;
+    vp.seed = 104729;
+    vp.detail = p.detail;
+    vp.noise_level = p.noise;
+    vp.scene_cut_period = p.scene_cut_period;
+    EXPECT_EQ(hashVideo(generateVideo(vp)), p.hash)
+        << "detail " << p.detail << " noise " << p.noise << " cut " << p.scene_cut_period;
+  }
+}
+
+TEST(DeterminismPins, EncodedStreamBytes) {
+  using Algo = motion::SearchParams::Algo;
+  struct Pin {
+    int width, height;
+    Algo algo;
+    int range;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {96, 80, Algo::FullSearch, 4, 0xce5f8d93c44c38b2ull},
+      {96, 80, Algo::FullSearch, 8, 0xfc04ebc90dc8d289ull},
+      {96, 80, Algo::ThreeStep, 4, 0x55f645b34fe90ccbull},
+      {96, 80, Algo::ThreeStep, 8, 0x1b1ebbd81192a65dull},
+      {64, 48, Algo::FullSearch, 4, 0x742111944fd1ed58ull},
+      {64, 48, Algo::FullSearch, 8, 0xbe442af88bb070c2ull},
+      {64, 48, Algo::ThreeStep, 4, 0xe20353fd2ed1c5a9ull},
+      {64, 48, Algo::ThreeStep, 8, 0x83a8348ca1d38336ull},
+  };
+  for (const Pin& p : pins) {
+    // Fast objects and a small frame keep many vectors at the borders.
+    VideoGenParams vp;
+    vp.width = p.width;
+    vp.height = p.height;
+    vp.frames = 7;
+    vp.seed = 3;
+    vp.motion_speed = 4;
+    CodecParams cp;
+    cp.width = p.width;
+    cp.height = p.height;
+    cp.search.algo = p.algo;
+    cp.search.range = p.range;
+    Encoder enc(cp);
+    const std::uint64_t got = fnv1a(kFnvBasis, enc.encode(generateVideo(vp)));
+    EXPECT_EQ(got, p.hash) << p.width << "x" << p.height << " algo " << static_cast<int>(p.algo)
+                           << " range " << p.range << " got 0x" << std::hex << got;
+  }
+}
+
 }  // namespace

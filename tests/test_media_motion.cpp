@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
 #include "eclipse/media/motion.hpp"
 #include "eclipse/media/video_gen.hpp"
 #include "eclipse/sim/prng.hpp"
@@ -151,5 +155,162 @@ TEST(PredictChroma, HalvesVector) {
   predictChroma(f.cbPlane(), 16, 16, 5, 4, MotionVector{0, 0}, b);
   EXPECT_EQ(a, b);
 }
+
+// Border oracle: a brute-force reference built from sampleHalfPel alone —
+// per-pixel SAD, then the same candidate order as motion::search — must
+// equal the edge-replicated block functions and search for every
+// macroblock, including frames so small that the search window overhangs
+// both edges.
+
+std::uint32_t oracleSad(const Frame& cur, const Frame& ref, int mb_x, int mb_y, MotionVector mv) {
+  std::uint32_t sad = 0;
+  for (int y = 0; y < 16; ++y) {
+    for (int x = 0; x < 16; ++x) {
+      const int px = mb_x * 16 + x;
+      const int py = mb_y * 16 + y;
+      const int p = sampleHalfPel(ref.yPlane(), ref.width(), ref.height(), 2 * px + mv.x,
+                                  2 * py + mv.y);
+      sad += static_cast<std::uint32_t>(std::abs(cur.yAt(px, py) - p));
+    }
+  }
+  return sad;
+}
+
+SearchResult oracleSearch(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
+                          const SearchParams& sp) {
+  int candidates = 0;
+  auto eval = [&](int mvx, int mvy) {
+    ++candidates;
+    const MotionVector mv{static_cast<std::int16_t>(mvx), static_cast<std::int16_t>(mvy)};
+    return SearchResult{mv, oracleSad(cur, ref, mb_x, mb_y, mv)};
+  };
+  SearchResult best = eval(0, 0);
+  if (sp.algo == SearchParams::Algo::FullSearch) {
+    for (int dy = -sp.range; dy <= sp.range; ++dy) {
+      for (int dx = -sp.range; dx <= sp.range; ++dx) {
+        if (dx == 0 && dy == 0) continue;
+        const SearchResult c = eval(2 * dx, 2 * dy);
+        if (c.sad < best.sad) best = c;
+      }
+    }
+  } else {
+    int step = 1;
+    while (2 * step < sp.range) step *= 2;
+    for (; step >= 1; step /= 2) {
+      const MotionVector center = best.mv;
+      SearchResult round_best = best;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const int mvx = center.x + 2 * dx * step;
+          const int mvy = center.y + 2 * dy * step;
+          if (std::abs(mvx) > 2 * sp.range || std::abs(mvy) > 2 * sp.range) continue;
+          const SearchResult c = eval(mvx, mvy);
+          if (c.sad < round_best.sad) round_best = c;
+        }
+      }
+      best = round_best;
+    }
+  }
+  if (sp.half_pel) {
+    const MotionVector center = best.mv;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx == 0 && dy == 0) continue;
+        const SearchResult c = eval(center.x + dx, center.y + dy);
+        if (c.sad < best.sad) best = c;
+      }
+    }
+  }
+  best.candidates = candidates;
+  return best;
+}
+
+/// Reference/current pairs: random noise (unique minima) and flat generated
+/// content (SAD ties everywhere, so the candidate order decides).
+std::vector<std::pair<Frame, Frame>> oracleClips(int w, int h) {
+  VideoGenParams vp;
+  vp.width = w;
+  vp.height = h;
+  vp.frames = 2;
+  vp.detail = 0;
+  vp.noise_level = 0;
+  vp.motion_speed = 4;
+  auto flat = generateVideo(vp);
+  return {{noiseFrame(w, h, 41), noiseFrame(w, h, 42)}, {flat[0], flat[1]}};
+}
+
+class BorderOracle : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(BorderOracle, SearchMatchesBruteForce) {
+  const auto [w, h] = GetParam();
+  for (const auto& [ref, cur] : oracleClips(w, h)) {
+    for (const auto algo : {SearchParams::Algo::FullSearch, SearchParams::Algo::ThreeStep}) {
+      for (const int range : {1, 4, 8}) {
+        for (const bool half : {false, true}) {
+          SearchParams sp;
+          sp.algo = algo;
+          sp.range = range;
+          sp.half_pel = half;
+          for (int mb_y = 0; mb_y < h / 16; ++mb_y) {
+            for (int mb_x = 0; mb_x < w / 16; ++mb_x) {
+              const SearchResult want = oracleSearch(cur, ref, mb_x, mb_y, sp);
+              const SearchResult got = search(cur, ref, mb_x, mb_y, sp);
+              SCOPED_TRACE(::testing::Message()
+                           << "mb (" << mb_x << "," << mb_y << ") algo "
+                           << static_cast<int>(algo) << " range " << range << " half " << half);
+              ASSERT_EQ(got.mv, want.mv);
+              ASSERT_EQ(got.sad, want.sad);
+              ASSERT_EQ(got.candidates, want.candidates);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BorderOracle, BlockReadsMatchSampleHalfPel) {
+  const auto [w, h] = GetParam();
+  const auto clips = oracleClips(w, h);
+  const Frame& ref = clips[0].first;
+  const Frame& cur = clips[0].second;
+  std::vector<int> comps;
+  for (int c = -17; c <= 17; ++c) comps.push_back(c);
+  for (const int far : {-71, -64, 64, 71}) comps.push_back(far);  // wholly outside
+  for (int mb_y = 0; mb_y < h / 16; ++mb_y) {
+    for (int mb_x = 0; mb_x < w / 16; ++mb_x) {
+      for (const int mvy : comps) {
+        for (const int mvx : comps) {
+          const MotionVector mv{static_cast<std::int16_t>(mvx), static_cast<std::int16_t>(mvy)};
+          SCOPED_TRACE(::testing::Message() << "mb (" << mb_x << "," << mb_y << ") mv (" << mvx
+                                            << "," << mvy << ")");
+          ASSERT_EQ(sadLuma(cur, ref, mb_x, mb_y, mv), oracleSad(cur, ref, mb_x, mb_y, mv));
+          LumaMb luma;
+          predictLuma(ref, mb_x * 16, mb_y * 16, mv, luma);
+          ChromaMb cb;
+          predictChroma(ref.cbPlane(), w / 2, h / 2, mb_x * 8, mb_y * 8, mv, cb);
+          for (int y = 0; y < 16; ++y) {
+            for (int x = 0; x < 16; ++x) {
+              ASSERT_EQ(luma[static_cast<std::size_t>(y * 16 + x)],
+                        sampleHalfPel(ref.yPlane(), w, h, 2 * (mb_x * 16 + x) + mvx,
+                                      2 * (mb_y * 16 + y) + mvy));
+            }
+          }
+          for (int y = 0; y < 8; ++y) {
+            for (int x = 0; x < 8; ++x) {
+              ASSERT_EQ(cb[static_cast<std::size_t>(y * 8 + x)],
+                        sampleHalfPel(ref.cbPlane(), w / 2, h / 2, 2 * (mb_x * 8 + x) + mvx / 2,
+                                      2 * (mb_y * 8 + y) + mvy / 2));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Frames, BorderOracle,
+                         ::testing::Values(std::pair{48, 32}, std::pair{16, 16}));
 
 }  // namespace

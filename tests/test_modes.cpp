@@ -422,6 +422,22 @@ TEST(ModeFaults, InjectedHangIsContainedAcrossAFieldOnlySwitch) {
   EXPECT_TRUE(dec.handle().tornDown());
 }
 
+TEST(ModeFaults, DegradedFallbackRejectsUnknownModeUpFront) {
+  const Clip clip = makeClip(96, 80, 2);
+  app::EclipseInstance inst;
+  app::DecodeApp dec(inst, clip.bitstream, {{"sd", app::DecodeAppConfig{}}, {"eco", ecoConfig()}});
+  EXPECT_THROW(dec.enableDegradedFallback("no-such-mode"), std::out_of_range);
+  EXPECT_NO_THROW(dec.enableDegradedFallback("eco"));
+
+  // Without a fault the fallback never fires: the clip decodes bit-exact
+  // in the original mode.
+  inst.run();
+  ASSERT_TRUE(dec.done());
+  EXPECT_FALSE(dec.degraded());
+  EXPECT_EQ(dec.currentMode(), "sd");
+  expectFramesEqual(dec.frames(), clip.golden, "fallback armed, no fault");
+}
+
 // ------------------------------------------------- farm mode schedules
 
 farm::ModeSegment seg(const std::string& mode, int w, int h, int frames) {
