@@ -1,11 +1,17 @@
 // Host-side microbenchmarks (google-benchmark): throughput of the codec
 // kernels and the simulation kernel itself. These measure the *simulator*
 // (wall-clock), complementing the simulated-cycle experiments E1-E11.
+// Media kernels run on the startup SIMD backend; ECLIPSE_SIMD=<backend>
+// (scalar, sse2, avx2, neon) times one backend.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <vector>
+
 #include "bench_util.hpp"
 #include "eclipse/media/dct.hpp"
+#include "eclipse/media/kernels.hpp"
 #include "eclipse/media/vlc.hpp"
 #include "eclipse/sim/sim_event.hpp"
 
@@ -42,6 +48,108 @@ void BM_DctInverse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DctInverse);
+
+// Quantizer, scan and run-length kernels on 256 random blocks, cycled so
+// the working set stays cache-resident and the time is kernel arithmetic.
+std::vector<media::Block> randomBlocks(std::uint64_t seed, int magnitude, bool sparse) {
+  sim::Prng rng(seed);
+  std::vector<media::Block> blocks(256);
+  for (auto& b : blocks) {
+    for (auto& v : b) {
+      v = static_cast<std::int16_t>(rng.range(-magnitude, magnitude));
+      if (sparse && rng.below(8) != 0) v = 0;  // post-quantization shape
+    }
+  }
+  return blocks;
+}
+
+void BM_BlockQuantize(benchmark::State& state) {
+  const auto in = randomBlocks(4, 2047, false);
+  const auto& k = media::kernels::active();
+  media::Block out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const int qscale = 1 + static_cast<int>(i & 15);
+    k.quantize(in[i++ & 255], out, qscale, media::quant::defaultIntraMatrix());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BlockQuantize);
+
+void BM_BlockDequantize(benchmark::State& state) {
+  const auto in = randomBlocks(5, 2047, false);
+  const auto& k = media::kernels::active();
+  media::Block out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const int qscale = 1 + static_cast<int>(i & 15);
+    k.dequantize(in[i++ & 255], out, qscale, media::quant::defaultIntraMatrix());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BlockDequantize);
+
+void BM_BlockScanRle(benchmark::State& state) {
+  const auto in = randomBlocks(6, 2047, true);
+  const auto& k = media::kernels::active();
+  media::Block scanned;
+  std::vector<media::rle::RunLevel> pairs;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    k.to_scan(in[i++ & 255], scanned, media::scan::Order::Zigzag);
+    k.rle_encode(scanned, pairs);
+    benchmark::DoNotOptimize(pairs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BlockScanRle);
+
+// 16x16 half-pel SAD and interpolation at shifting offsets of two random
+// 128x80 planes (both fraction bits set: the four-tap average).
+struct PixelPlanes {
+  static constexpr int kW = 128, kH = 80;
+  std::vector<std::uint8_t> ref, cur;
+  PixelPlanes() : ref(kW * kH), cur(kW * kH) {
+    sim::Prng rng(7);
+    for (auto& v : ref) v = static_cast<std::uint8_t>(rng.below(256));
+    for (auto& v : cur) v = static_cast<std::uint8_t>(rng.below(256));
+  }
+  // Reads stay inside the plane: 16+1 columns and rows past the origin.
+  const std::uint8_t* refAt(std::size_t i) const { return ref.data() + (i % 63) * kW + i % 111; }
+  const std::uint8_t* curAt(std::size_t i) const { return cur.data() + (i % 57) * kW + i % 101; }
+};
+
+void BM_PixelSadHalfPel(benchmark::State& state) {
+  const PixelPlanes p;
+  const auto& k = media::kernels::active();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(k.sad_16xh(p.curAt(i), PixelPlanes::kW, p.refAt(i),
+                                        PixelPlanes::kW, 16, 1, 1));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PixelSadHalfPel);
+
+void BM_PixelInterpHalfPel(benchmark::State& state) {
+  const PixelPlanes p;
+  const auto& k = media::kernels::active();
+  std::array<std::uint8_t, 256> dst;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    k.interp_16xh(dst.data(), 16, p.refAt(i++), PixelPlanes::kW, 16, 1, 1);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PixelInterpHalfPel);
 
 void BM_VlcBlockRoundTrip(benchmark::State& state) {
   sim::Prng rng(3);
@@ -123,8 +231,7 @@ BENCHMARK(BM_SimulatorEventDispatch);
 
 // --------------------------------------------------------------- kernel
 // Wall-clock throughput of the event kernel itself (the bottleneck of all
-// E1-E12 experiments). The same scenarios run under tools/bench_json,
-// which emits BENCH_kernel.json for tracking across PRs.
+// E1-E12 experiments).
 
 sim::Task<void> storm(sim::Simulator& sim, sim::Cycle stride, int hops) {
   for (int i = 0; i < hops; ++i) co_await sim.delay(stride);

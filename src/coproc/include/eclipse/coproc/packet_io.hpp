@@ -89,14 +89,9 @@ sim::Task<PeekResult> tryPeek(shell::Shell& sh, sim::TaskId task, sim::PortId po
 
 // ------------------------------------------------------------------------
 
-/// Attempts to reserve room for a `bytes`-byte packet (frame header
-/// included) on an output port. Returns false when the step should abort.
-sim::Task<bool> tryReserve(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                           std::uint32_t bytes);
-
 /// Writes and commits one framed packet (tag + payload). Requires room for
-/// kFrameHeaderBytes + data.size() to have been granted (tryReserve) or
-/// waits for it (`wait` = true). The header and payload are scattered into
+/// kFrameHeaderBytes + data.size() to have been granted by a prior
+/// Shell::getSpace on the port, or waits for it (`wait` = true). The header and payload are scattered into
 /// acquireWrite views of the FIFO.
 sim::Task<void> write(shell::Shell& sh, sim::TaskId task, sim::PortId port,
                       std::span<const std::uint8_t> data, bool wait);

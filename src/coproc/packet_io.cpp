@@ -91,11 +91,6 @@ sim::Task<void> blockingRead(shell::Shell& sh, sim::TaskId task, sim::PortId por
   out.assign(p.bytes.begin(), p.bytes.end());
 }
 
-sim::Task<bool> tryReserve(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                           std::uint32_t bytes) {
-  co_return co_await sh.getSpace(task, port, bytes);
-}
-
 sim::Task<void> write(shell::Shell& sh, sim::TaskId task, sim::PortId port,
                       std::span<const std::uint8_t> data, bool wait) {
   const auto len = static_cast<std::uint32_t>(data.size());

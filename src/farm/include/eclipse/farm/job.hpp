@@ -131,7 +131,7 @@ struct Job {
   /// *above* the lanes) and is echoed back in JobResult::tenant so results
   /// can be routed and accounted per tenant. Empty for batch jobs.
   std::string tenant;
-  std::vector<AppSpec> apps{AppSpec{}};  ///< default: one decode application
+  std::vector<AppSpec> apps = std::vector<AppSpec>(1);  ///< default: one decode application
   sim::Config config{};                  ///< instance parameters (shape key)
   std::uint64_t seed = 0;  ///< recorded; keys the retry-backoff jitter
   Priority priority = Priority::Normal;

@@ -47,6 +47,9 @@ class Event {
   Event(F&& fn) {  // NOLINT(bugprone-forwarding-reference-overload)
     using Fn = std::decay_t<F>;
     if constexpr (fitsInline<Fn>()) {
+      // An empty callable writes no storage byte, and moving an event that
+      // copies never-written storage trips -Wuninitialized: define a word.
+      if constexpr (std::is_empty_v<Fn>) storage_.coro = nullptr;
       ::new (static_cast<void*>(storage_.bytes)) Fn(std::forward<F>(fn));
       invoke_ = [](Storage& s) { (*std::launder(reinterpret_cast<Fn*>(s.bytes)))(); };
     } else {

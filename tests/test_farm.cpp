@@ -78,12 +78,15 @@ struct SimFields {
   std::uint64_t macroblocks;
   bool bit_exact;
   double psnr_db;
+  std::uint64_t faults_latched;
+  std::uint64_t stalls_latched;
 
   bool operator==(const SimFields&) const = default;
 };
 
 SimFields simFields(const JobResult& r) {
-  return {r.status, r.sim_cycles, r.sim_events, r.macroblocks, r.bit_exact, r.psnr_db};
+  return {r.status,    r.sim_cycles, r.sim_events,     r.macroblocks,
+          r.bit_exact, r.psnr_db,    r.faults_latched, r.stalls_latched};
 }
 
 std::map<std::string, SimFields> runAll(std::vector<Job> jobs, int workers,
@@ -134,12 +137,15 @@ TEST(Farm, BitIdenticalAcrossWorkerCountsAndOrder) {
 
   std::vector<Job> reversed(jobs.rbegin(), jobs.rend());
   const auto parallel = runAll(std::move(reversed), 4, sharedCache());
+  const auto pair = runAll(jobs, 2, sharedCache());
 
   ASSERT_EQ(serial.size(), parallel.size());
+  ASSERT_EQ(serial.size(), pair.size());
   for (const auto& [name, fields] : serial) {
     auto it = parallel.find(name);
     ASSERT_NE(it, parallel.end()) << name;
     EXPECT_EQ(fields, it->second) << "simulated result diverged for job " << name;
+    EXPECT_EQ(fields, pair.at(name)) << "simulated result diverged on 2 workers for job " << name;
     EXPECT_EQ(fields.status, JobStatus::Completed) << name;
     EXPECT_TRUE(fields.bit_exact || fields.psnr_db > 25.0) << name;
   }

@@ -1,19 +1,25 @@
 // Farm-level supervised soak (ctest -L soak; DESIGN §14).
 //
-// Four seeds, three chaos classes per seed — a task-hang fault storm, a
-// payload-corruption fault storm (both through the PR-4 injector against
-// per-shell watchdogs) and a host-side worker hang — all running at once
-// on a multi-worker supervised farm with retries armed. For every job the
-// unarmed 1-worker run is the oracle: whatever the storm does (latch a
-// fault, stall, complete dirty), the supervised, retried, possibly
-// worker-hopping run must reproduce it bit for bit in every simulated
-// field, per attempt. And the quarantine ledger must end exactly empty:
-// hang-once jobs recover, storms are simulation-side, so any entry is a
-// leak. Timing margins are generous on purpose — this file also runs on
-// the ThreadSanitizer CI leg, where a heartbeat slice costs ~10x.
+// Four seeds, seven job classes per seed — a clean supervised decode,
+// three fault storms through the fault injector against per-shell watchdogs
+// (task hang, payload corruption, dropped putspace credits), a deadline
+// miss, a host-side worker hang on the first attempt and one on every
+// attempt — all running at once on a multi-worker supervised farm with
+// retries armed. Clean jobs stay on the decode pin. For every simulated
+// failure the unarmed 1-worker run is the oracle: whatever the storm or
+// deadline does (latch a fault, stall, stop, complete dirty), the
+// supervised, retried, possibly worker-hopping run must reproduce it bit
+// for bit in every simulated field, per attempt. Hang-once jobs recover on
+// the pin, and the quarantine ledger must hold exactly the hang-always
+// jobs, each with two worker kills: any other entry is a leak. Timing
+// margins are generous on purpose — this file also runs on the
+// ThreadSanitizer CI leg, where a heartbeat slice costs ~10x.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -56,11 +62,14 @@ Job stormJob(std::uint64_t seed, sim::FaultKind kind) {
     spec.shell = static_cast<std::uint32_t>(rng.below(4));
     spec.task = 0;
     spec.delay_cycles = 10'000 + rng.below(100'000);
-  } else {  // CorruptPayload at the VLD coefficient output
+  } else if (kind == sim::FaultKind::CorruptPayload) {  // at the VLD coefficient output
     spec.shell = 0;
     spec.task = 0;
     spec.port = 0;
     spec.xor_mask = static_cast<std::uint8_t>(1 + rng.below(255));
+  } else {  // DropPutspace: three credits lost from one shell
+    spec.shell = static_cast<std::uint32_t>(rng.below(4));
+    spec.count = 3;
   }
   Job j;
   j.name = "storm-" + std::string(sim::faultKindName(kind)) + "-s" + std::to_string(seed);
@@ -71,22 +80,54 @@ Job stormJob(std::uint64_t seed, sim::FaultKind kind) {
   return j;
 }
 
-Job hangOnceJob(std::uint64_t seed) {
+Job deadlineJob(std::uint64_t seed) {
+  // The pin decode needs 144885 cycles: every attempt stops at exactly
+  // this deadline.
   Job j;
-  j.name = "hang-once-s" + std::to_string(seed);
+  j.name = "deadline-s" + std::to_string(seed);
+  j.deadline = 60'000;
+  return j;
+}
+
+/// A job whose worker wedges on attempts 1..`attempts`.
+Job hangJob(const std::string& cls, std::uint64_t seed, int attempts) {
+  Job j;
+  j.name = cls + "-s" + std::to_string(seed);
   j.chaos.hang_ms = 5'000.0;
-  j.chaos.attempts = 1;
+  j.chaos.attempts = attempts;
   j.supervise_ms = 2'000.0;
   return j;
 }
 
+/// What each job must end as.
+enum class Expect {
+  Pin,         ///< completes on the decode pin
+  Oracle,      ///< simulated fields equal the unarmed 1-worker run
+  FailOracle,  ///< as Oracle, and the run must not complete
+  HangOnce,    ///< completes on the pin after losing its first worker
+  Quarantine,  ///< quarantined after killing two workers
+};
+
 TEST(FarmSoak, SeededChaosRetriesAreDeterministicAndNothingLeaks) {
   const std::uint64_t seeds[] = {11, 23, 47, 91};
   std::vector<Job> armed;
+  std::vector<Expect> expect;
   for (std::uint64_t seed : seeds) {
-    armed.push_back(stormJob(seed, sim::FaultKind::TaskHang));
-    armed.push_back(stormJob(seed, sim::FaultKind::CorruptPayload));
-    armed.push_back(hangOnceJob(seed));
+    Job clean;
+    clean.name = "clean-s" + std::to_string(seed);
+    armed.push_back(clean);
+    expect.push_back(Expect::Pin);
+    for (sim::FaultKind kind : {sim::FaultKind::TaskHang, sim::FaultKind::CorruptPayload,
+                                sim::FaultKind::DropPutspace}) {
+      armed.push_back(stormJob(seed, kind));
+      expect.push_back(Expect::Oracle);
+    }
+    armed.push_back(deadlineJob(seed));
+    expect.push_back(Expect::FailOracle);
+    armed.push_back(hangJob("hang-once", seed, 1));
+    expect.push_back(Expect::HangOnce);
+    armed.push_back(hangJob("hang-always", seed, 99));
+    expect.push_back(Expect::Quarantine);
   }
 
   // Oracle pass: every job unarmed (no retries, no supervision, no hang)
@@ -118,30 +159,57 @@ TEST(FarmSoak, SeededChaosRetriesAreDeterministicAndNothingLeaks) {
   opts.queue_capacity = armed.size() + 8;
   opts.cache = cache;
   farm::Farm f(opts);
-  for (Job& j : armed) {
+  std::vector<std::string> expect_quarantine;
+  std::size_t hang_once_jobs = 0;
+  for (std::size_t i = 0; i < armed.size(); ++i) {
+    Job& j = armed[i];
+    // Three attempts: a hang-always job is barred after its second kill
+    // with retry budget left over (quarantine overrides the policy).
     j.retry.max_attempts = 3;
     j.retry.backoff_ms = 0.5;
     if (j.supervise_ms == 0.0) j.supervise_ms = 2'000.0;
+    if (expect[i] == Expect::Quarantine) expect_quarantine.push_back(j.name);
+    if (expect[i] == Expect::HangOnce) ++hang_once_jobs;
   }
-  const std::size_t hang_stride = 3;  // every third job is the hang class
   auto futs = f.submitBatch(std::move(armed));
+  // Bounded waits, not blocking gets: a lost promise or a wedged farm
+  // fails the test instead of hanging it.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(600);
   for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_until(deadline), std::future_status::ready) << "job " << i;
     const JobResult r = futs[i].get();
-    EXPECT_NE(r.status, JobStatus::Quarantined) << r.name;
-    if (i % hang_stride == hang_stride - 1) {
-      // Hang-once: attempt 1 dies with its worker, the retry completes on
-      // the pin — the hang is host-side noise, invisible to the sim.
-      EXPECT_EQ(r.status, JobStatus::Completed) << r.name << ": " << r.error;
-      EXPECT_GE(r.attempts, 2) << r.name;
-      EXPECT_EQ(r.sim_cycles, pin::kDecodePinCycles) << r.name;
-      EXPECT_EQ(r.sim_events, pin::kDecodePinEvents) << r.name;
-      EXPECT_TRUE(r.bit_exact) << r.name;
-    } else {
-      EXPECT_EQ(fieldsOf(r) == oracle[i], true) << r.name;
+    switch (expect[i]) {
+      case Expect::Pin:
+        // Armed (retries + heartbeat slicing) but nothing injected.
+        EXPECT_EQ(r.status, JobStatus::Completed) << r.name << ": " << r.error;
+        EXPECT_EQ(r.sim_cycles, pin::kDecodePinCycles) << r.name;
+        EXPECT_EQ(r.sim_events, pin::kDecodePinEvents) << r.name;
+        EXPECT_EQ(r.macroblocks, pin::kDecodePinMacroblocks) << r.name;
+        EXPECT_TRUE(r.bit_exact) << r.name;
+        break;
+      case Expect::FailOracle:
+        EXPECT_NE(r.status, JobStatus::Completed) << r.name;
+        [[fallthrough]];
+      case Expect::Oracle:
+        EXPECT_NE(r.status, JobStatus::Quarantined) << r.name;
+        EXPECT_EQ(fieldsOf(r) == oracle[i], true) << r.name;
+        break;
+      case Expect::HangOnce:
+        // Attempt 1 dies with its worker, the retry completes on the pin:
+        // the hang is host-side noise, invisible to the sim.
+        EXPECT_EQ(r.status, JobStatus::Completed) << r.name << ": " << r.error;
+        EXPECT_GE(r.attempts, 2) << r.name;
+        EXPECT_EQ(r.sim_cycles, pin::kDecodePinCycles) << r.name;
+        EXPECT_EQ(r.sim_events, pin::kDecodePinEvents) << r.name;
+        EXPECT_TRUE(r.bit_exact) << r.name;
+        break;
+      case Expect::Quarantine:
+        EXPECT_EQ(r.status, JobStatus::Quarantined) << r.name << ": " << r.error;
+        break;
     }
     // Per-attempt determinism: every prior attempt that actually ran the
     // simulation carries the terminal attempt's simulated fields.
-    if (r.cause != JobError::WorkerLost) {
+    if (r.cause != JobError::WorkerLost && r.status != JobStatus::Quarantined) {
       for (const farm::AttemptRecord& a : r.attempts_log) {
         if (a.cause == JobError::WorkerLost) continue;
         EXPECT_EQ(a.sim_cycles, r.sim_cycles) << r.name << " attempt " << a.attempt;
@@ -150,15 +218,24 @@ TEST(FarmSoak, SeededChaosRetriesAreDeterministicAndNothingLeaks) {
     }
   }
 
-  // No quarantine leaks: nothing here hangs twice, so the ledger must be
-  // empty and the counters consistent.
-  EXPECT_TRUE(f.quarantined().empty());
+  // The quarantine ledger holds exactly the hang-always jobs, each with two
+  // worker kills on record, and the counter agrees: no leak either way.
+  const std::vector<farm::QuarantineRecord> ledger = f.quarantined();
   const farm::FarmMetrics m = f.metrics();
-  EXPECT_EQ(m.quarantined, 0u);
+  EXPECT_EQ(ledger.size(), expect_quarantine.size());
+  EXPECT_EQ(m.quarantined, ledger.size());
+  for (const farm::QuarantineRecord& q : ledger) {
+    EXPECT_NE(std::find(expect_quarantine.begin(), expect_quarantine.end(), q.name),
+              expect_quarantine.end())
+        << q.name << " was quarantined";
+    EXPECT_GE(q.worker_kills, 2) << q.name;
+  }
   EXPECT_EQ(m.completed + m.failed, m.accepted);
-  EXPECT_GE(m.worker_lost, 4u);        // one per hang-once job
-  EXPECT_GE(m.workers_replaced, 4u);
-  EXPECT_EQ(f.workerCount(), 4);       // the pool recovered to strength
+  // One kill per hang-once job, two per hang-always job.
+  const std::uint64_t kills = hang_once_jobs + 2 * expect_quarantine.size();
+  EXPECT_GE(m.worker_lost, kills);
+  EXPECT_GE(m.workers_replaced, kills);
+  EXPECT_EQ(f.workerCount(), 4);  // the pool recovered to strength
 }
 
 }  // namespace

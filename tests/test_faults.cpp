@@ -1,12 +1,15 @@
 // Fault containment, watchdogs and control-plane recovery (DESIGN §9):
 // injector window/budget semantics, the per-task fault register over the
 // PI-bus, watchdog stall latching, quiescence classification (deadlock vs
-// starvation vs clean drain, lost synchronisation between two shells) and
-// the end-to-end decode recovery policy.
+// starvation vs clean drain, lost synchronisation between two shells), the
+// zero cost of an idle injector or watchdog on the pinned decode, and the
+// end-to-end decode recovery policy.
 
 #include <gtest/gtest.h>
 
 #include "eclipse/eclipse.hpp"
+
+#include "decode_pin.hpp"
 
 namespace {
 
@@ -264,6 +267,65 @@ TEST(Faults, WatchdogLatchesLostSyncStallOnBothShells) {
   EXPECT_TRUE(cons.streams().row(static_cast<std::uint32_t>(blocked.blocked_row)).stalled);
   // Stall latching is detection-only: the cycle is still a deadlock.
   EXPECT_EQ(inst.classifyQuiescence(), app::Quiescence::Deadlocked);
+}
+
+// ---------------------------------------------------------------------
+// Idle robustness machinery is free: the pinned decode does not move
+// ---------------------------------------------------------------------
+
+TEST(Faults, EmptyPlanAndIdleWatchdogLeaveThePinnedDecodeUnmoved) {
+  // The suite-wide pin workload (tests/decode_pin.hpp).
+  media::VideoGenParams vp;
+  vp.width = 96;
+  vp.height = 80;
+  vp.frames = 5;
+  vp.seed = 3;
+  vp.detail = 8;
+  vp.noise_level = 0.0;
+  vp.motion_speed = 4;
+  media::CodecParams cp;
+  cp.width = vp.width;
+  cp.height = vp.height;
+  cp.qscale = 14;
+  cp.gop = {9, 3};
+  media::Encoder enc(cp);
+  const auto bitstream = enc.encode(media::generateVideo(vp));
+
+  sim::Cycle baseline_cycles = 0;
+  std::uint64_t baseline_events = 0;
+  {
+    app::EclipseInstance inst;
+    app::DecodeApp dec(inst, bitstream);
+    baseline_cycles = inst.run();
+    baseline_events = inst.simulator().eventsDispatched();
+    ASSERT_TRUE(dec.done());
+    EXPECT_EQ(baseline_cycles, pin::kDecodePinCycles);
+    EXPECT_EQ(baseline_events, pin::kDecodePinEvents);
+  }
+
+  // Armed injector, empty plan: every hook becomes a real query, but
+  // nothing may change in simulated time or event count.
+  {
+    app::EclipseInstance inst;
+    app::DecodeApp dec(inst, bitstream);
+    inst.armFaults(sim::FaultPlan{});
+    EXPECT_EQ(inst.run(), baseline_cycles);
+    EXPECT_EQ(inst.simulator().eventsDispatched(), baseline_events);
+    EXPECT_TRUE(dec.done());
+  }
+
+  // Watchdog armed with a generous timeout: its scan process adds events
+  // but must not move the decode's end cycle or latch anything.
+  {
+    app::EclipseInstance inst;
+    app::DecodeApp dec(inst, bitstream);
+    inst.armWatchdogs(/*timeout=*/1'000'000, /*period=*/256);
+    EXPECT_EQ(inst.run(), baseline_cycles);
+    EXPECT_TRUE(dec.done());
+    const app::AppHealth h = dec.handle().health();
+    EXPECT_TRUE(h.faults.empty()) << "watchdog false positive on a clean decode";
+    EXPECT_TRUE(h.stalls.empty()) << "watchdog false positive on a clean decode";
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -163,14 +163,20 @@ TEST_P(CodedOrderProperty, CoversAllFramesWithValidReferences) {
   for (const auto& cp : order) {
     EXPECT_TRUE(seen.insert(cp.display_idx).second) << "duplicate frame";
     // References must already be coded.
-    if (cp.fwd_ref_display >= 0) EXPECT_TRUE(decoded.count(cp.fwd_ref_display)) << cp.display_idx;
-    if (cp.bwd_ref_display >= 0) EXPECT_TRUE(decoded.count(cp.bwd_ref_display)) << cp.display_idx;
+    if (cp.fwd_ref_display >= 0) {
+      EXPECT_TRUE(decoded.count(cp.fwd_ref_display)) << cp.display_idx;
+    }
+    if (cp.bwd_ref_display >= 0) {
+      EXPECT_TRUE(decoded.count(cp.bwd_ref_display)) << cp.display_idx;
+    }
     // B pictures reference both temporal sides.
     if (cp.type == FrameType::B) {
       EXPECT_LT(cp.fwd_ref_display, cp.display_idx);
       EXPECT_GT(cp.bwd_ref_display, cp.display_idx);
     }
-    if (cp.type == FrameType::P) EXPECT_GE(cp.fwd_ref_display, -1);
+    if (cp.type == FrameType::P) {
+      EXPECT_GE(cp.fwd_ref_display, -1);
+    }
     decoded.insert(cp.display_idx);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(count));

@@ -87,7 +87,9 @@ TEST(SimdRegistry, SetBackendSwitchesAndUnavailableThrows) {
   }
   for (int i = 0; i < k::kBackendCount; ++i) {
     const auto b = static_cast<k::Backend>(i);
-    if (!k::available(b)) EXPECT_THROW(k::setBackend(b), std::invalid_argument);
+    if (!k::available(b)) {
+      EXPECT_THROW(k::setBackend(b), std::invalid_argument);
+    }
   }
 }
 
@@ -459,6 +461,13 @@ TEST(SimdDecodePin, CyclePinHoldsUnderEveryBackend) {
     EXPECT_EQ(cycles, pin::kDecodePinCycles) << k::backendName(b);
     EXPECT_EQ(inst.simulator().eventsDispatched(), pin::kDecodePinEvents) << k::backendName(b);
     EXPECT_EQ(dec.macroblocksDecoded(), pin::kDecodePinMacroblocks) << k::backendName(b);
+    // And the decoded pictures are the encoder's reconstruction, bit for bit.
+    const auto out = dec.frames();
+    const auto& golden = enc.reconstructed();
+    ASSERT_EQ(out.size(), golden.size()) << k::backendName(b);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], golden[i]) << k::backendName(b) << " frame " << i;
+    }
   }
 }
 

@@ -226,6 +226,26 @@ TEST(ModeSwitch, FieldOnlyTransitionIsDrainFreeAndInstant) {
   inst.run();
   ASSERT_TRUE(dec.done());
   expectFramesEqual(dec.frames(), clip.golden, "eco-mode tail");
+  const sim::Cycle diff_to_done = inst.simulator().now() - t0;
+
+  // The cold alternative at the same decision point: drain, tear down and
+  // relaunch the clip in the eco configuration. The field-only switch must
+  // be strictly cheaper both in PI-bus writes and in cycles to completion.
+  app::EclipseInstance cold;
+  app::DecodeApp first(cold, clip.bitstream);
+  cold.run(20'000);
+  ASSERT_FALSE(first.done());
+  const sim::Cycle c0 = cold.simulator().now();
+  const std::uint64_t w0 = cold.piBus().writeCount();
+  ASSERT_TRUE(first.handle().drain());
+  first.teardown();
+  app::DecodeApp relaunch(cold, clip.bitstream, ecoConfig());
+  const std::uint64_t cold_writes = cold.piBus().writeCount() - w0;
+  cold.run();
+  ASSERT_TRUE(relaunch.done());
+  const sim::Cycle cold_to_done = cold.simulator().now() - c0;
+  EXPECT_LT(st.mmio_writes, cold_writes);
+  EXPECT_LT(diff_to_done, cold_to_done);
 }
 
 TEST(ModeSwitch, MidClipSegmentSwitchSdToHdIsSeamless) {
@@ -264,6 +284,21 @@ TEST(ModeSwitch, MidClipSegmentSwitchSdToHdIsSeamless) {
   expectFramesEqual(dec.frames(), hd.golden, "HD segment");
   EXPECT_EQ(dec.framesDropped(), 0u);
   EXPECT_EQ(dec.macroblocksDecoded(), 60u + 96u);
+
+  // The cold alternative at the same boundary: tear the finished SD
+  // application down and launch an HD one from scratch. The diff switch
+  // must cost strictly fewer PI-bus writes.
+  app::EclipseInstance cold;
+  app::DecodeApp sd_only(cold, sd.bitstream, {{"sd", app::DecodeAppConfig{}}});
+  cold.run();
+  ASSERT_TRUE(sd_only.done());
+  const std::uint64_t w0 = cold.piBus().writeCount();
+  sd_only.teardown();
+  app::DecodeApp hd_cold(cold, hd.bitstream, hdConfig());
+  const std::uint64_t cold_writes = cold.piBus().writeCount() - w0;
+  cold.run();
+  ASSERT_TRUE(hd_cold.done());
+  EXPECT_LT(st.mmio_writes, cold_writes);
 }
 
 TEST(ModeSwitch, EncodeEcoModeIsFieldOnly) {

@@ -2,7 +2,8 @@
 // free-list allocator reuse, and runtime reconfiguration through the
 // Configurator/AppHandle — pause/resume, drain-to-quiescence, teardown
 // with resource reclamation, relaunching a different application on the
-// same instance, and a concurrent two-application launch/teardown sweep.
+// same instance, and a concurrent two-application launch/teardown sweep
+// followed by repeated configure/teardown of a never-run graph.
 
 #include <gtest/gtest.h>
 
@@ -349,6 +350,50 @@ TEST(Reconfig, TwoAppConcurrentLaunchTeardownSweep) {
     aud2.reset();
     EXPECT_EQ(inst.sramBytesFree(), sram0) << "iteration " << iter;
     EXPECT_EQ(inst.pendingApps(), 0) << "iteration " << iter;
+  }
+
+  // A scheduler-disabled decode-shaped graph (the four hardware tasks and
+  // their internal streams, no sink) configured and torn down back to back
+  // over the PI-bus, never run: the free list must hand back every SRAM
+  // byte on every cycle.
+  const app::DecodeAppConfig cfg;
+  app::GraphSpec probe("reconfig-probe");
+  probe
+      .task({.name = "vld",
+             .shell = "vld",
+             .budget_cycles = cfg.budget_cycles,
+             .enabled = false,
+             .source = true,
+             .software = {}})
+      .task({.name = "rlsq",
+             .shell = "rlsq",
+             .budget_cycles = cfg.budget_cycles,
+             .enabled = false,
+             .software = {}})
+      .task({.name = "idct",
+             .shell = "dct",
+             .budget_cycles = cfg.budget_cycles,
+             .enabled = false,
+             .software = {}})
+      .task({.name = "mc",
+             .shell = "mc",
+             .budget_cycles = cfg.budget_cycles,
+             .enabled = false,
+             .software = {}});
+  probe
+      .stream("coef", "vld", coproc::VldCoproc::kOutCoef, "rlsq", coproc::RlsqCoproc::kIn,
+              cfg.coef_buffer)
+      .stream("hdr", "vld", coproc::VldCoproc::kOutHdr, "mc", coproc::McCoproc::kInHdr,
+              cfg.hdr_buffer)
+      .stream("blocks", "rlsq", coproc::RlsqCoproc::kOut, "idct", coproc::DctCoproc::kIn,
+              cfg.blocks_buffer)
+      .stream("res", "idct", coproc::DctCoproc::kOut, "mc", coproc::McCoproc::kInRes,
+              cfg.res_buffer);
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    app::Configurator configurator(inst);
+    app::AppHandle h = configurator.apply(probe);
+    h.teardown();
+    EXPECT_EQ(inst.sramBytesFree(), sram0) << "probe cycle " << cycle;
   }
 }
 

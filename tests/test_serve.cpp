@@ -410,6 +410,8 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
       std::string(kTinySpec),
       "coarse width=32 height=32 frames=1 qscale=20",
       "enc kind=encode width=32 height=32 frames=1",
+      "mix kind=decode+decode width=32 height=32 frames=1 config:sram.size_bytes=65536 "
+      "priority=high",
   };
 
   // Direct oracles first (1 worker, same cache).
@@ -417,6 +419,7 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
     std::uint64_t cycles, events, mbs;
     bool bit_exact;
     double psnr;
+    std::uint64_t faults, stalls;
   };
   std::vector<Fields> oracle;
   {
@@ -430,36 +433,54 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
       ASSERT_TRUE(serve::parseJobSpec(s, ps, err)) << err;
       const farm::JobResult r = f.submitWait(std::move(ps.job)).get();
       ASSERT_EQ(r.status, farm::JobStatus::Completed) << s;
-      oracle.push_back({r.sim_cycles, r.sim_events, r.macroblocks, r.bit_exact, r.psnr_db});
+      oracle.push_back({r.sim_cycles, r.sim_events, r.macroblocks, r.bit_exact, r.psnr_db,
+                        r.faults_latched, r.stalls_latched});
     }
   }
   ASSERT_EQ(oracle[0].cycles, pin::kDecodePinCycles);
   ASSERT_EQ(oracle[0].events, pin::kDecodePinEvents);
+  ASSERT_EQ(oracle[0].mbs, pin::kDecodePinMacroblocks);
+  ASSERT_TRUE(oracle[0].bit_exact);
 
+  // Every spec goes out once on each of two tenant connections,
+  // alternating which tenant sends first.
   serve::Server server(baseOptions());
   server.start();
-  serve::Client c;
-  c.connect("127.0.0.1", server.port(), "alice");
-  std::vector<std::uint64_t> ids;
-  for (const std::string& s : specs) {
-    const auto sub = c.submit(s);
-    ASSERT_TRUE(sub.accepted) << serve::rejectReasonName(sub.reason);
-    ids.push_back(sub.req_id);
+  serve::Client clients[2];
+  const char* tenants[2] = {"alice", "bob"};
+  clients[0].connect("127.0.0.1", server.port(), tenants[0]);
+  clients[1].connect("127.0.0.1", server.port(), tenants[1]);
+  struct Sent {
+    std::size_t spec, client;
+    std::uint64_t req_id;
+  };
+  std::vector<Sent> sent;
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::size_t c = (rep + i) % 2;
+      const auto sub = clients[c].submit(specs[i]);
+      ASSERT_TRUE(sub.accepted) << serve::rejectReasonName(sub.reason);
+      sent.push_back({i, c, sub.req_id});
+    }
   }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const serve::WireResult r = c.await(ids[i]);
-    EXPECT_EQ(r.status, farm::JobStatus::Completed) << specs[i];
-    EXPECT_EQ(r.tenant, "alice");
-    EXPECT_EQ(r.sim_cycles, oracle[i].cycles) << specs[i];
-    EXPECT_EQ(r.sim_events, oracle[i].events) << specs[i];
-    EXPECT_EQ(r.macroblocks, oracle[i].mbs) << specs[i];
-    EXPECT_EQ(r.bit_exact, oracle[i].bit_exact) << specs[i];
-    EXPECT_EQ(r.psnr_db, oracle[i].psnr) << specs[i];
+  for (const Sent& s : sent) {
+    const serve::WireResult r = clients[s.client].await(s.req_id);
+    const std::string& spec = specs[s.spec];
+    const Fields& want = oracle[s.spec];
+    EXPECT_EQ(r.status, farm::JobStatus::Completed) << spec;
+    EXPECT_EQ(r.tenant, tenants[s.client]);
+    EXPECT_EQ(r.sim_cycles, want.cycles) << spec;
+    EXPECT_EQ(r.sim_events, want.events) << spec;
+    EXPECT_EQ(r.macroblocks, want.mbs) << spec;
+    EXPECT_EQ(r.bit_exact, want.bit_exact) << spec;
+    EXPECT_EQ(r.psnr_db, want.psnr) << spec;
+    EXPECT_EQ(r.faults_latched, want.faults) << spec;
+    EXPECT_EQ(r.stalls_latched, want.stalls) << spec;
   }
   // Serving never arms supervision on its own: the unarmed batch path
   // stays zero-overhead (the decode pin above is the other half of this).
   EXPECT_EQ(server.farm().metrics().supervisedJobs(), 0u);
-  c.close();
+  for (serve::Client& c : clients) c.close();
   server.shutdown();
   EXPECT_EQ(server.resultsDropped(), 0u);
 }
