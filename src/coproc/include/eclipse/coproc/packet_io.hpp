@@ -25,8 +25,7 @@ namespace eclipse::coproc {
 /// WindowViews into the stream FIFO instead of freshly allocated vectors:
 /// tryReadView / tryPeekView return a Packet whose `bytes` span the tag +
 /// payload directly in SRAM (gathered into the port's reusable scratch
-/// buffer only when the packet wraps the cyclic buffer). The old
-/// vector-based entry points remain as thin adapters.
+/// buffer only when the packet wraps the cyclic buffer).
 namespace packet_io {
 
 inline constexpr std::uint32_t kFrameHeaderBytes = 4;
@@ -63,31 +62,6 @@ sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 /// Blocking read: waits for space instead of aborting (used by coprocessor
 /// designs that park rather than switch, and by the sinks).
 sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port);
-
-// --- vector-based adapters (compatibility for out-of-tree callers) ------
-
-/// Attempts to read one whole packet from (task, port). On Ok the packet
-/// (tag byte + payload) is in `out` and its bytes are committed.
-sim::Task<ReadStatus> tryRead(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                              std::vector<std::uint8_t>& out);
-
-/// Blocking read: waits for space instead of aborting.
-sim::Task<void> blockingRead(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                             std::vector<std::uint8_t>& out);
-
-/// Result of a non-committing read: the packet contents plus the number of
-/// stream bytes to PutSpace once the whole processing step is certain to
-/// complete.
-struct PeekResult {
-  ReadStatus status = ReadStatus::Blocked;
-  std::uint32_t frame_bytes = 0;
-};
-
-/// Reads one whole packet *without committing it* into a vector.
-sim::Task<PeekResult> tryPeek(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                              std::vector<std::uint8_t>& out);
-
-// ------------------------------------------------------------------------
 
 /// Writes and commits one framed packet (tag + payload). Requires room for
 /// kFrameHeaderBytes + data.size() to have been granted by a prior

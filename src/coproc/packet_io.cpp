@@ -13,22 +13,29 @@ std::uint32_t decodeLen(const std::uint8_t* p) {
   return v;
 }
 
-/// Reads the 4-byte length word at the access point. The header may wrap
-/// the cyclic buffer, so it is always gathered into a local array.
-sim::Task<std::uint32_t> readLen(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
-  shell::WindowView v = co_await sh.acquireRead(task, port, 0, kFrameHeaderBytes);
-  std::uint8_t hdr[kFrameHeaderBytes];
-  v.copyTo(hdr);
-  const std::uint32_t len = decodeLen(hdr);
-  if (len == 0) throw std::runtime_error("packet_io: zero-length packet frame");
-  co_return len;
-}
+/// Reads the 4-byte length word at the access point: an acquireRead whose
+/// await_resume decodes the word, so reading it costs no frame. The header
+/// may wrap the cyclic buffer, so it is always gathered into a local array.
+class ReadLen : public shell::Shell::AcquireOp {
+ public:
+  ReadLen(shell::Shell& sh, sim::TaskId task, sim::PortId port)
+      : AcquireOp(sh, task, port, 0, kFrameHeaderBytes, /*writing=*/false) {}
+
+  std::uint32_t await_resume() {
+    const shell::WindowView v = AcquireOp::await_resume();
+    std::uint8_t hdr[kFrameHeaderBytes];
+    v.copyTo(hdr);
+    const std::uint32_t len = decodeLen(hdr);
+    if (len == 0) throw std::runtime_error("packet_io: zero-length packet frame");
+    return len;
+  }
+};
 
 }  // namespace
 
 sim::Task<Packet> tryReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes)) co_return Packet{};
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = co_await ReadLen(sh, task, port);
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes + len)) {
     co_return Packet{};  // abort; the length word stays uncommitted
   }
@@ -46,7 +53,7 @@ sim::Task<Packet> tryReadView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 
 sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes)) co_return Packet{};
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = co_await ReadLen(sh, task, port);
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes + len)) co_return Packet{};
   Packet p;
   p.view = co_await sh.acquireRead(task, port, kFrameHeaderBytes, len);
@@ -58,7 +65,7 @@ sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 
 sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   co_await sh.waitSpace(task, port, kFrameHeaderBytes);
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = co_await ReadLen(sh, task, port);
   co_await sh.waitSpace(task, port, kFrameHeaderBytes + len);
   Packet p;
   p.view = co_await sh.acquireRead(task, port, kFrameHeaderBytes, len);
@@ -67,28 +74,6 @@ sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::Port
   co_await sh.putSpace(task, port, p.frame_bytes);
   p.status = ReadStatus::Ok;
   co_return p;
-}
-
-sim::Task<ReadStatus> tryRead(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                              std::vector<std::uint8_t>& out) {
-  Packet p = co_await tryReadView(sh, task, port);
-  if (p.status != ReadStatus::Ok) co_return ReadStatus::Blocked;
-  out.assign(p.bytes.begin(), p.bytes.end());
-  co_return ReadStatus::Ok;
-}
-
-sim::Task<PeekResult> tryPeek(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                              std::vector<std::uint8_t>& out) {
-  Packet p = co_await tryPeekView(sh, task, port);
-  if (p.status != ReadStatus::Ok) co_return PeekResult{};
-  out.assign(p.bytes.begin(), p.bytes.end());
-  co_return PeekResult{ReadStatus::Ok, p.frame_bytes};
-}
-
-sim::Task<void> blockingRead(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                             std::vector<std::uint8_t>& out) {
-  Packet p = co_await blockingReadView(sh, task, port);
-  out.assign(p.bytes.begin(), p.bytes.end());
 }
 
 sim::Task<void> write(shell::Shell& sh, sim::TaskId task, sim::PortId port,

@@ -45,7 +45,7 @@ struct KernelTable {
   void (*from_scan)(const Block& scanned, Block& raster, scan::Order order) = nullptr;
 
   // Run-length encode of a scanned block (clears `out` first).
-  void (*rle_encode)(const Block& scanned, std::vector<rle::RunLevel>& out) = nullptr;
+  void (*rle_encode)(const Block& scanned, rle::RunLevels& out) = nullptr;
 
   // 16-wide SAD / half-pel interpolation over rows that are fully inside
   // the buffer (motion.cpp replicates frame edges with gatherClamped first).
@@ -73,7 +73,7 @@ struct KernelTable {
   // Decodes one block's run/level pairs up to and including EOB
   // (vlc::getBlock semantics, including exception behaviour and the exact
   // number of bits consumed on the throw path).
-  void (*vlc_get_block)(BitReader& br, std::vector<rle::RunLevel>& out) = nullptr;
+  void (*vlc_get_block)(BitReader& br, rle::RunLevels& out) = nullptr;
 };
 
 namespace detail {

@@ -124,7 +124,7 @@ struct MbCoefs {
   std::uint8_t cbp = 0;
   std::uint8_t intra = 0;
   std::uint8_t qscale = 8;
-  std::array<std::vector<rle::RunLevel>, kBlocksPerMacroblock> blocks;
+  std::array<rle::RunLevels, kBlocksPerMacroblock> blocks;
 };
 
 /// RLSQ → DCT and DCT → MC payload: dense blocks (uncoded blocks zero).

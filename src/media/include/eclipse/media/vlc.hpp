@@ -19,11 +19,11 @@ namespace eclipse::media::vlc {
 ///   '0'  run(2) level_minus1(2) sign(1)   common pair: run<4, 1<=|level|<=4
 ///   '10'                                  end of block
 ///   '11' ue(run) ue(|level|-1) sign(1)    escape
-void putBlock(BitWriter& bw, const std::vector<rle::RunLevel>& pairs);
+void putBlock(BitWriter& bw, const rle::RunLevels& pairs);
 
 /// Decodes one block's run/level pairs up to and including EOB.
 /// Throws BitstreamError on malformed input.
-[[nodiscard]] std::vector<rle::RunLevel> getBlock(BitReader& br);
+[[nodiscard]] rle::RunLevels getBlock(BitReader& br);
 
 /// Exact coded size in bits of one pair (for load modelling and tests).
 [[nodiscard]] int pairBits(const rle::RunLevel& pair);

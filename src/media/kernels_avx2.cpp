@@ -240,7 +240,7 @@ void avx2FromScan(const Block& scanned, Block& raster, scan::Order order) {
 
 // --------------------------------------------------------------------- rle
 
-void avx2RleEncode(const Block& scanned, std::vector<rle::RunLevel>& out) {
+void avx2RleEncode(const Block& scanned, rle::RunLevels& out) {
   out.clear();
   const __m256i zero = _mm256_setzero_si256();
   std::uint64_t nonzero = 0;

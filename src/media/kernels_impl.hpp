@@ -87,7 +87,7 @@ void scalarQuantize(const Block& coefs, Block& levels, int qscale, const quant::
 void scalarDequantize(const Block& levels, Block& coefs, int qscale, const quant::Matrix& m);
 void scalarToScan(const Block& raster, Block& scanned, scan::Order order);
 void scalarFromScan(const Block& scanned, Block& raster, scan::Order order);
-void scalarRleEncode(const Block& scanned, std::vector<rle::RunLevel>& out);
+void scalarRleEncode(const Block& scanned, rle::RunLevels& out);
 std::uint32_t scalarSad16xH(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
                             int ref_stride, int h, int fx, int fy);
 void scalarInterp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
@@ -106,7 +106,7 @@ void scalarClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t
 // byte-wise kernels where a 256-bit version buys nothing.
 void sse2Quantize(const Block& coefs, Block& levels, int qscale, const quant::Matrix& m);
 void sse2Dequantize(const Block& levels, Block& coefs, int qscale, const quant::Matrix& m);
-void sse2RleEncode(const Block& scanned, std::vector<rle::RunLevel>& out);
+void sse2RleEncode(const Block& scanned, rle::RunLevels& out);
 std::uint32_t sse2Sad16xH(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
                           int ref_stride, int h, int fx, int fy);
 void sse2Interp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
@@ -122,13 +122,13 @@ void sse2ClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t n
 #endif
 
 /// Verbatim bit-at-a-time VLD (the oracle, vlc.cpp's original getBlock).
-void vlcGetBlockBitwise(BitReader& br, std::vector<rle::RunLevel>& out);
+void vlcGetBlockBitwise(BitReader& br, rle::RunLevels& out);
 
 /// Table-driven multi-bit VLD: classifies symbols from an 8-bit peek and
 /// decodes Exp-Golomb escapes from a 32-bit peek. Falls back to the
 /// bitwise oracle near the end of the stream so the number of bits
 /// consumed on every path — including throws — matches the oracle exactly
 /// (fault recovery resumes parsing from the same BitReader position).
-void vlcGetBlockFast(BitReader& br, std::vector<rle::RunLevel>& out);
+void vlcGetBlockFast(BitReader& br, rle::RunLevels& out);
 
 }  // namespace eclipse::media::kernels::detail

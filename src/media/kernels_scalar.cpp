@@ -122,7 +122,7 @@ std::uint32_t fastGetUe(BitReader& br) {
 
 }  // namespace
 
-void vlcGetBlockBitwise(BitReader& br, std::vector<rle::RunLevel>& out) {
+void vlcGetBlockBitwise(BitReader& br, rle::RunLevels& out) {
   while (true) {
     if (br.getBit() == 0) {
       // common pair
@@ -146,7 +146,7 @@ void vlcGetBlockBitwise(BitReader& br, std::vector<rle::RunLevel>& out) {
   }
 }
 
-void vlcGetBlockFast(BitReader& br, std::vector<rle::RunLevel>& out) {
+void vlcGetBlockFast(BitReader& br, rle::RunLevels& out) {
   while (true) {
     // Fast path: one 8-bit peek classifies the symbol. The worst case on
     // ARBITRARY bits (corrupted streams reach this decoder through the
@@ -299,7 +299,7 @@ void scalarFromScan(const Block& scanned, Block& raster, scan::Order order) {
   }
 }
 
-void scalarRleEncode(const Block& scanned, std::vector<rle::RunLevel>& out) {
+void scalarRleEncode(const Block& scanned, rle::RunLevels& out) {
   out.clear();
   int run = 0;
   for (int i = 0; i < 64; ++i) {

@@ -203,7 +203,7 @@ void sse2Dequantize(const Block& levels, Block& coefs, int qscale, const quant::
 
 // -------------------------------------------------------------------- rle
 
-void sse2RleEncode(const Block& scanned, std::vector<rle::RunLevel>& out) {
+void sse2RleEncode(const Block& scanned, rle::RunLevels& out) {
   out.clear();
   const __m128i zero = _mm_setzero_si128();
   std::uint64_t nonzero = 0;

@@ -1,5 +1,7 @@
 #include "eclipse/media/packets.hpp"
 
+#include "eclipse/media/bitstream.hpp"
+
 namespace eclipse::media {
 
 void put(ByteWriter& w, const SeqHeader& v) {
@@ -84,7 +86,9 @@ void get(ByteReader& r, MbCoefs& v) {
     pairs.clear();
     if ((v.cbp & (1u << b)) == 0) continue;
     const std::uint16_t n = r.u16();
-    pairs.reserve(n);
+    if (n > rle::RunLevels::kCapacity) {
+      throw BitstreamError("MbCoefs: more than 64 run/level pairs in a block");
+    }
     for (std::uint16_t i = 0; i < n; ++i) {
       rle::RunLevel p;
       p.run = r.u8();

@@ -5,13 +5,17 @@
 
 namespace eclipse::media::rle {
 
-std::vector<RunLevel> encode(const Block& scanned) {
-  std::vector<RunLevel> pairs;
+void RunLevels::overflow() {
+  throw BitstreamError("rle: more than 64 run/level pairs in a block");
+}
+
+RunLevels encode(const Block& scanned) {
+  RunLevels pairs;
   kernels::active().rle_encode(scanned, pairs);
   return pairs;
 }
 
-void decode(const std::vector<RunLevel>& pairs, Block& scanned) {
+void decode(const RunLevels& pairs, Block& scanned) {
   scanned.fill(0);
   int pos = 0;
   for (const auto& p : pairs) {

@@ -22,7 +22,7 @@ int ueBits(std::uint32_t v) {
 
 }  // namespace
 
-void putBlock(BitWriter& bw, const std::vector<rle::RunLevel>& pairs) {
+void putBlock(BitWriter& bw, const rle::RunLevels& pairs) {
   for (const auto& p : pairs) {
     if (isCommon(p)) {
       bw.putBit(0);
@@ -39,12 +39,12 @@ void putBlock(BitWriter& bw, const std::vector<rle::RunLevel>& pairs) {
   bw.put(0b10, 2);  // end of block
 }
 
-std::vector<rle::RunLevel> getBlock(BitReader& br) {
+rle::RunLevels getBlock(BitReader& br) {
   // Decode goes through the kernel table: the scalar backend is the
   // original bit-at-a-time loop, SIMD backends use a table-driven
   // multi-bit decoder with identical output, exceptions and bit
   // consumption (fault recovery resumes from the reader's position).
-  std::vector<rle::RunLevel> pairs;
+  rle::RunLevels pairs;
   kernels::active().vlc_get_block(br, pairs);
   return pairs;
 }

@@ -1,13 +1,28 @@
 #pragma once
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "eclipse/sim/simulator.hpp"
 
 namespace eclipse::mem {
+
+/// Returns `value` when it is a power of two; otherwise throws
+/// std::invalid_argument naming `param`. Widths and line sizes on the data
+/// plane must be powers of two, so per-access arithmetic is shifts and
+/// masks rather than divisions.
+inline std::uint32_t requirePowerOfTwo(std::uint32_t value, std::string_view param) {
+  if (!std::has_single_bit(value)) {
+    throw std::invalid_argument(std::string(param) + " must be a power of two, got " +
+                                std::to_string(value));
+  }
+  return value;
+}
 
 /// Statistics kept per bus.
 struct BusStats {
@@ -19,15 +34,15 @@ struct BusStats {
 /// Shared bus with FIFO (arrival-order) arbitration.
 ///
 /// A transfer occupies the bus for `arbitration_latency + ceil(bytes/width)`
-/// cycles; concurrent requesters queue. The width parameter corresponds to
+/// cycles; concurrent requesters queue. The width must be a power of two. The width parameter corresponds to
 /// the paper's 128-bit (16-byte) data path; the arbitration latency models
 /// the grant handshake.
 ///
 /// A transaction is a Request that lives with its requester, not in a
 /// coroutine of its own: `co_await bus.transfer(n)` keeps the request in
-/// the caller's frame, and a request that outlives any frame (a stream
-/// cache's prefetch fill) is issued with a completion callback. Waiting
-/// requests form an intrusive FIFO. The event sequence is the one of a
+/// the caller's frame, and a request that continues with a callback
+/// instead of a resume (a stream cache's walks and prefetch fills) is
+/// posted with `done` set. Waiting requests form an intrusive FIFO. The event sequence is the one of a
 /// semaphore-guarded burst:
 ///   * an idle bus schedules the end of the burst at once;
 ///   * a busy bus queues the request; when the holder's burst ends, the
@@ -80,7 +95,10 @@ class Bus {
       sim::Cycle arbitration_latency)
       : sim_(sim),
         name_(std::move(name)),
-        width_bytes_(width_bytes == 0 ? 1 : width_bytes),
+        width_bytes_(std::has_single_bit(width_bytes)
+                         ? width_bytes
+                         : requirePowerOfTwo(width_bytes, "bus " + name_ + " width_bytes")),
+        width_shift_(static_cast<std::uint32_t>(std::countr_zero(width_bytes_))),
         arb_latency_(arbitration_latency) {}
 
   Bus(const Bus&) = delete;
@@ -91,15 +109,18 @@ class Bus {
   Transfer transfer(std::size_t bytes, sim::Cycle tail = 0) { return Transfer(*this, bytes, tail); }
 
   /// Issues a callback request (`r.done` set): arbitrates now and calls
-  /// `r.done` on completion.
-  void issue(Request& r) {
+  /// `r.done` on completion. A request that completes on the spot (a
+  /// zero-cycle burst with no tail on an idle bus) is not completed here:
+  /// post() returns false and the requester carries on itself, as an
+  /// awaiter that does not suspend would.
+  bool post(Request& r) {
     r.bus = this;
-    if (!start(r)) r.complete();
+    return start(r);
   }
 
   /// Cycles a burst of `bytes` occupies the data path (excl. arbitration).
   [[nodiscard]] sim::Cycle dataCycles(std::size_t bytes) const {
-    return (bytes + width_bytes_ - 1) / width_bytes_;
+    return (bytes + width_bytes_ - 1) >> width_shift_;
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -172,6 +193,7 @@ class Bus {
   sim::Simulator& sim_;
   std::string name_;
   std::uint32_t width_bytes_;
+  std::uint32_t width_shift_;  // log2(width_bytes_)
   sim::Cycle arb_latency_;
   bool busy_ = false;
   Request* first_ = nullptr;  // grant queue, oldest first

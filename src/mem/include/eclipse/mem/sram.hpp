@@ -46,7 +46,7 @@ class [[nodiscard]] WriteAccess : public Bus::Transfer {
 /// buses), so reads and writes do not contend with each other.
 struct SramParams {
   std::size_t size_bytes = 32 * 1024;
-  std::uint32_t bus_width_bytes = 16;  // 128-bit data path
+  std::uint32_t bus_width_bytes = 16;  // 128-bit data path; a power of two
   sim::Cycle bus_arbitration_latency = 1;
   sim::Cycle access_latency = 1;  // SRAM array access after grant
 };
@@ -60,7 +60,9 @@ class SharedSram {
   SharedSram(sim::Simulator& sim, const SramParams& params)
       : params_(params),
         storage_(params.size_bytes),
-        read_bus_(sim, "sram.read", params.bus_width_bytes, params.bus_arbitration_latency),
+        read_bus_(sim, "sram.read",
+                  requirePowerOfTwo(params.bus_width_bytes, "sram.bus_width_bytes"),
+                  params.bus_arbitration_latency),
         write_bus_(sim, "sram.write", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
   /// Timed read of `out.size()` bytes at `addr`: read-bus burst, access
@@ -87,12 +89,17 @@ class SharedSram {
     return write_bus_.transfer(bytes, params_.access_latency);
   }
 
-  /// Callback form of touchRead(r.bytes), for a request that outlives any
-  /// coroutine frame (a stream cache's prefetch fill): `r.done` runs when
-  /// the access completes.
-  void touchRead(Bus::Request& r) {
+  /// Callback forms of touchRead/touchWrite(r.bytes), for a request that
+  /// outlives any coroutine frame (a stream cache's walks and prefetch
+  /// fills): `r.done` runs when the access completes, except that an
+  /// access completing on the spot returns false instead (Bus::post).
+  bool postRead(Bus::Request& r) {
     r.tail = params_.access_latency;
-    read_bus_.issue(r);
+    return read_bus_.post(r);
+  }
+  bool postWrite(Bus::Request& r) {
+    r.tail = params_.access_latency;
+    return write_bus_.post(r);
   }
 
   [[nodiscard]] Storage& storage() { return storage_; }
@@ -113,7 +120,7 @@ class SharedSram {
 /// and VLD coprocessors (paper, Section 6).
 struct DramParams {
   std::size_t size_bytes = 16 * 1024 * 1024;
-  std::uint32_t bus_width_bytes = 8;  // 64-bit system bus
+  std::uint32_t bus_width_bytes = 8;  // 64-bit system bus; a power of two
   sim::Cycle bus_arbitration_latency = 2;
   sim::Cycle access_latency = 60;  // off-chip random-access penalty (reads stall; writes post)
 };
@@ -124,7 +131,8 @@ class OffChipMemory {
   OffChipMemory(sim::Simulator& sim, const DramParams& params)
       : params_(params),
         storage_(params.size_bytes),
-        bus_(sim, "system.bus", params.bus_width_bytes, params.bus_arbitration_latency) {}
+        bus_(sim, "system.bus", requirePowerOfTwo(params.bus_width_bytes, "dram.bus_width_bytes"),
+             params.bus_arbitration_latency) {}
 
   /// Timed read: system-bus burst, then the off-chip access latency.
   ReadAccess read(sim::Addr addr, std::span<std::uint8_t> out) {

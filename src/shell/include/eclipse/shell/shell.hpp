@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -38,10 +41,22 @@ namespace eclipse::shell {
 ///    sampling process, all CPU-readable over the PI-bus (Section 5.4).
 ///
 /// All primitives are called by the coprocessor (the coprocessor has the
-/// initiative); they are coroutines whose completion time models the
-/// master-slave handshake and any memory traffic incurred.
+/// initiative) and are awaited: their completion time models the
+/// master-slave handshake and any memory traffic incurred. GetTask,
+/// GetSpace, PutSpace and the acquires are awaiters held in the caller's
+/// frame, not coroutines: the fixed delay is one event, which either
+/// resumes the caller (whose await_resume does the bookkeeping) or runs the
+/// next step of a resumable walk (stream-cache accesses and flushes,
+/// chained through bus-request callbacks). An exception raised after the
+/// delay is stored in the awaiter and rethrown from await_resume, in the
+/// caller, at the cycle it arose.
 class Shell {
  public:
+  class GetTaskOp;
+  class GetSpaceOp;
+  class PutSpaceOp;
+  class AcquireOp;
+
   Shell(sim::Simulator& sim, const ShellParams& params, mem::SharedSram& sram,
         mem::MessageNetwork& network);
 
@@ -54,32 +69,32 @@ class Shell {
 
   /// GetTask: returns the next task to execute and its parameter word.
   /// Suspends (coprocessor idles) while no configured task is runnable.
-  sim::Task<GetTaskResult> getTask();
+  [[nodiscard]] GetTaskOp getTask();
 
   /// GetSpace: inquires whether `n_bytes` of data (input port) or room
   /// (output port) are available ahead of the access point. Purely local.
-  sim::Task<bool> getSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+  [[nodiscard]] GetSpaceOp getSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
 
   /// PutSpace: commits `n_bytes` — advances the access point, flushes any
   /// dirty cache lines in the committed window, then signals the remote
   /// access point's shell.
-  sim::Task<void> putSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+  [[nodiscard]] PutSpaceOp putSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
 
   /// Acquires a zero-copy read view of [offset, offset+n) within the
   /// granted window of an input port. Charged exactly the cycle costs of a
   /// read() of the same size (port handshake, cache hit/miss walk,
   /// prefetch); the returned view points directly into the stream FIFO in
   /// SRAM. view.commit() performs PutSpace(offset + n).
-  sim::Task<WindowView> acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                    std::size_t n);
+  [[nodiscard]] AcquireOp acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
+                                      std::size_t n);
 
   /// Acquires a zero-copy write view of [offset, offset+n) within the
   /// granted window of an output port; same cycle costs as a write() of
   /// the same size. Bytes stored through the view land in the stream FIFO
   /// immediately (write-through); the cache replays the dirty-line /
   /// flush timing. view.commit() performs PutSpace(offset + n).
-  sim::Task<WindowView> acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                     std::size_t n);
+  [[nodiscard]] AcquireOp acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
+                                       std::size_t n);
 
   /// Read: copies from the stream at [offset, offset+out.size()) within
   /// the granted window into `out`. Input ports only. (Adapter over
@@ -195,10 +210,6 @@ class Shell {
     std::vector<std::uint8_t> scratch;  // fragmented-view gather fallback
   };
 
-  /// Shared timing + view construction behind acquireRead/acquireWrite.
-  sim::Task<WindowView> acquire(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                std::size_t n, bool writing);
-
   /// Throws std::invalid_argument unless the cache lines of the stream
   /// buffer [base, base+bytes) lie inside the SRAM. Checked when a row
   /// becomes valid, so the stream caches never time an access outside it.
@@ -210,19 +221,33 @@ class Shell {
   /// still unsatisfied; self-clears once space arrives (best guess).
   [[nodiscard]] bool blockedNow(TaskRow& t);
 
-  /// Splits the cyclic window [pos_from, pos_from+len) of `row` into at
-  /// most two linear SRAM segments and invokes fn(addr, seg_len, seg_off).
-  template <typename Fn>
-  void forEachSegment(const StreamRow& row, std::uint64_t pos_from, std::uint64_t len, Fn&& fn) const {
-    std::uint64_t done = 0;
-    while (done < len) {
-      const std::uint64_t p = pos_from + done;
-      const std::uint64_t off = p % row.size;
-      const std::uint64_t seg = std::min<std::uint64_t>(len - done, row.size - off);
-      fn(row.base + off, seg, done);
-      done += seg;
-    }
+  /// Buffer offset of the stream position `rel` bytes past the access
+  /// point, for 0 <= rel <= row.size: one compare-and-subtract on the
+  /// maintained `pos_off`, no division.
+  [[nodiscard]] static std::uint64_t bufferOffset(const StreamRow& row, std::uint64_t rel) {
+    const std::uint64_t off = row.pos_off + rel;
+    return off >= row.size ? off - row.size : off;
   }
+
+  /// Splits the cyclic window of `len` <= row.size bytes starting `rel`
+  /// bytes past the access point into at most two linear SRAM segments and
+  /// invokes fn(addr, seg_len, seg_off).
+  template <typename Fn>
+  void forEachSegment(const StreamRow& row, std::uint64_t rel, std::uint64_t len, Fn&& fn) const {
+    if (len == 0) return;
+    const std::uint64_t off = bufferOffset(row, rel);
+    const std::uint64_t first = std::min<std::uint64_t>(len, row.size - off);
+    fn(row.base + off, first, std::uint64_t{0});
+    if (first < len) fn(row.base, len - first, first);
+  }
+
+  /// The bookkeeping of the primitives, run after their fixed delay.
+  bool getSpaceNow(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+  void chargeStep();
+  bool pickTask(GetTaskResult& out);
+  void commitPut(std::uint32_t idx, sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+  [[nodiscard]] WindowView makeView(const StreamRow& row, sim::TaskId task, sim::PortId port,
+                                    std::uint64_t offset, std::size_t n);
 
   sim::Task<void> profilerProcess();
   sim::Task<void> watchdogProcess();
@@ -232,6 +257,7 @@ class Shell {
 
   sim::Simulator& sim_;
   ShellParams params_;
+  std::uint32_t port_width_shift_;  // log2(params_.port_width_bytes)
   mem::SharedSram& sram_;
   mem::MessageNetwork& network_;
   StreamTable streams_;
@@ -258,5 +284,191 @@ class Shell {
   std::vector<std::pair<int, FaultObserver>> fault_observers_;
   int next_observer_id_ = 0;
 };
+
+/// GetTask awaiter: the handshake delay, then the budget / round-robin
+/// pick. With nothing runnable the awaiter parks on the scheduler event
+/// and picks again when woken; the caller resumes once a task is chosen.
+class [[nodiscard]] Shell::GetTaskOp {
+ public:
+  explicit GetTaskOp(Shell& sh) : sh_(sh) {}
+  GetTaskOp(const GetTaskOp&) = delete;
+  GetTaskOp& operator=(const GetTaskOp&) = delete;
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    caller_ = h;
+    if (const sim::Cycle d = sh_.params_.gettask_latency; d > 0) {
+      sh_.sim_.schedule(d, [this] {
+        if (!start()) caller_.resume();
+      });
+      return true;
+    }
+    return start();
+  }
+  GetTaskResult await_resume() const {
+    if (error_) std::rethrow_exception(error_);
+    return result_;
+  }
+
+ private:
+  /// Charges the finished step and picks; true when parked.
+  bool start();
+  /// Picks a task, or parks until the scheduler event; true when parked.
+  bool pick();
+
+  Shell& sh_;
+  std::coroutine_handle<> caller_;
+  GetTaskResult result_;
+  std::exception_ptr error_;
+};
+
+/// GetSpace awaiter: the handshake delay, then the space check, window
+/// extension (invalidate, prefetch) or denial in await_resume.
+class [[nodiscard]] Shell::GetSpaceOp {
+ public:
+  GetSpaceOp(Shell& sh, sim::TaskId task, sim::PortId port, std::uint32_t n_bytes)
+      : sh_(sh), task_(task), port_(port), n_bytes_(n_bytes) {}
+
+  bool await_ready() const noexcept { return sh_.params_.sync_latency == 0; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    sh_.sim_.scheduleResume(sh_.params_.sync_latency, h);
+  }
+  bool await_resume() const { return sh_.getSpaceNow(task_, port_, n_bytes_); }
+
+ private:
+  Shell& sh_;
+  sim::TaskId task_;
+  sim::PortId port_;
+  std::uint32_t n_bytes_;
+};
+
+/// PutSpace awaiter: the handshake delay, then (output ports) a flush walk
+/// over the dirty lines of the committed window, one write burst each,
+/// then the commit and the putspace message.
+class [[nodiscard]] Shell::PutSpaceOp : StreamCache::Walk {
+ public:
+  PutSpaceOp(Shell& sh, sim::TaskId task, sim::PortId port, std::uint32_t n_bytes)
+      : sh_(sh), task_(task), port_(port), n_bytes_(n_bytes) {
+    finished = &walkDone;
+  }
+  PutSpaceOp(const PutSpaceOp&) = delete;
+  PutSpaceOp& operator=(const PutSpaceOp&) = delete;
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    caller_ = h;
+    if (const sim::Cycle d = sh_.params_.sync_latency; d > 0) {
+      sh_.sim_.schedule(d, [this] {
+        if (!start()) caller_.resume();
+      });
+      return true;
+    }
+    return start();
+  }
+  void await_resume() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Checks the commit and starts the flush walk; true when suspended.
+  bool start();
+  /// Flushes the next buffer segment, or commits; true when suspended.
+  bool flushNext();
+  static void walkDone(StreamCache::Walk& w) {
+    auto& op = static_cast<PutSpaceOp&>(w);
+    if (!op.flushNext()) op.caller_.resume();
+  }
+
+  Shell& sh_;
+  sim::TaskId task_;
+  sim::PortId port_;
+  std::uint32_t n_bytes_;
+  std::uint32_t idx_ = 0;
+  std::uint32_t flushed_ = 0;  // bytes of the committed window walked
+  std::coroutine_handle<> caller_;
+  std::exception_ptr error_;
+};
+
+/// Acquire awaiter behind acquireRead/acquireWrite: checks the access,
+/// waits the port transfer, then walks the stream cache over at most two
+/// buffer segments and returns the view.
+class [[nodiscard]] Shell::AcquireOp : StreamCache::Walk {
+ public:
+  AcquireOp(Shell& sh, sim::TaskId task, sim::PortId port, std::uint64_t offset, std::size_t n,
+            bool writing)
+      : sh_(sh), task_(task), port_(port), offset_(offset), n_(n), writing_(writing) {
+    finished = &walkDone;
+  }
+  AcquireOp(const AcquireOp&) = delete;
+  AcquireOp& operator=(const AcquireOp&) = delete;
+
+  /// Checks port direction and window (throws like the primitive would).
+  bool await_ready() {
+    prepare();
+    return false;
+  }
+  bool await_suspend(std::coroutine_handle<> h) {
+    caller_ = h;
+    if (xfer_ > 0) {
+      sh_.sim_.schedule(xfer_, [this] {
+        if (!walk()) caller_.resume();
+      });
+      return true;
+    }
+    return walk();
+  }
+  WindowView await_resume() {
+    row_->access_latency.add(static_cast<double>(sh_.sim_.now() - t0_));
+    return sh_.makeView(*row_, task_, port_, offset_, n_);
+  }
+
+ private:
+  void prepare();
+  /// Counts the access and walks the first segment; true when suspended.
+  bool walk();
+  /// Walks the next buffer segment; true when suspended, false when done.
+  bool nextSegment();
+  static void walkDone(StreamCache::Walk& w) {
+    auto& op = static_cast<AcquireOp&>(w);
+    if (!op.nextSegment()) op.caller_.resume();
+  }
+
+  Shell& sh_;
+  sim::TaskId task_;
+  sim::PortId port_;
+  std::uint64_t offset_;
+  std::size_t n_;
+  bool writing_;
+  std::uint32_t idx_ = 0;
+  StreamRow* row_ = nullptr;
+  StreamCache* cache_ = nullptr;
+  sim::Cycle xfer_ = 0;
+  sim::Cycle t0_ = 0;
+  sim::Addr hint_ = StreamCache::kNoPrefetch;
+  std::size_t walked_ = 0;  // bytes of the access walked
+  std::coroutine_handle<> caller_;
+};
+
+inline Shell::GetTaskOp Shell::getTask() { return GetTaskOp(*this); }
+
+inline Shell::GetSpaceOp Shell::getSpace(sim::TaskId task, sim::PortId port,
+                                         std::uint32_t n_bytes) {
+  return GetSpaceOp(*this, task, port, n_bytes);
+}
+
+inline Shell::PutSpaceOp Shell::putSpace(sim::TaskId task, sim::PortId port,
+                                         std::uint32_t n_bytes) {
+  return PutSpaceOp(*this, task, port, n_bytes);
+}
+
+inline Shell::AcquireOp Shell::acquireRead(sim::TaskId task, sim::PortId port,
+                                           std::uint64_t offset, std::size_t n) {
+  return AcquireOp(*this, task, port, offset, n, /*writing=*/false);
+}
+
+inline Shell::AcquireOp Shell::acquireWrite(sim::TaskId task, sim::PortId port,
+                                            std::uint64_t offset, std::size_t n) {
+  return AcquireOp(*this, task, port, offset, n, /*writing=*/true);
+}
 
 }  // namespace eclipse::shell

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "eclipse/mem/sram.hpp"
@@ -28,9 +27,13 @@ namespace eclipse::shell {
 /// the functional bytes live in the SRAM's Storage and move through
 /// WindowViews, while touch() replays exactly the hit / miss / fill / flush
 /// traffic the copying cache performed. Fills, flushes and evictions charge
-/// the same SRAM bus bursts without moving data. Every SRAM access is an
-/// awaiter in touch()'s frame, so one access costs one coroutine frame per
-/// buffer segment however many lines it walks.
+/// the same SRAM bus bursts without moving data.
+///
+/// touch() and flushRange() are resumable walks, not coroutines: the
+/// accessor holds a Walk (in its own awaiter, so in its caller's frame),
+/// the walk's SRAM bursts are bus requests completed by callback, and a
+/// walk that must wait for a pending line parks a callback on the cache's
+/// event. Hits cost no event and no frame.
 ///
 /// Prefetching: a read may carry a line-aligned prefetch hint (computed by
 /// the shell, limited to the granted window). The prefetch fetches in the
@@ -40,9 +43,37 @@ namespace eclipse::shell {
 ///
 /// The shell only configures stream buffers that lie inside the SRAM
 /// (Shell::configureStream and the MMIO valid bit check it), so every line
-/// the cache tracks is a real SRAM address.
+/// the cache tracks is a real SRAM address. Line sizes are powers of two
+/// (the shell checks), so line arithmetic is masking.
 class StreamCache {
+ private:
+  enum class State : std::uint8_t { Invalid, Pending, Valid };
+  struct Line;
+
  public:
+  /// No prefetch hint.
+  static constexpr sim::Addr kNoPrefetch = ~sim::Addr{0};
+
+  /// The state of one touch() or flushRange() walk. Owned by the accessor
+  /// and at one address until the walk finishes. `finished` runs when a
+  /// walk that suspended finishes; a walk that finishes within its
+  /// starting call does not run it.
+  struct Walk : mem::Bus::Request {
+    void (*finished)(Walk&) = nullptr;
+
+   private:
+    friend class StreamCache;
+    enum class Phase : std::uint8_t { Find, Victim, Evicted, Allocate, Filled, Hit, Flush, Flushed };
+    StreamCache* cache_ = nullptr;
+    StreamRow* row_ = nullptr;
+    sim::Addr addr_ = 0;  // touch: next byte to walk; flush: first line tag
+    sim::Addr end_ = 0;   // touch: end of the access; flush: last line tag
+    sim::Addr prefetch_ = kNoPrefetch;
+    Line* line_ = nullptr;  // touch: the line in hand; flush: next line to scan
+    Phase phase_ = Phase::Find;
+    bool writing_ = false;
+  };
+
   StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
               std::uint32_t n_lines);
 
@@ -54,14 +85,16 @@ class StreamCache {
   /// dirty victim over the write bus) and fills over the read bus. A write
   /// is write-back with write-allocate, and a write covering a whole line
   /// allocates without a fill; it marks the lines dirty. `prefetch_addr`,
-  /// when set, is a line-aligned address to fetch in the background after
-  /// servicing the access.
-  sim::Task<void> touch(StreamRow& row, sim::Addr addr, std::size_t len, bool writing,
-                        std::optional<sim::Addr> prefetch_addr);
+  /// unless kNoPrefetch, is a line-aligned address to fetch in the
+  /// background after servicing the access. Returns true when the walk
+  /// suspended (w.finished runs at its end), false when it is done.
+  bool touch(Walk& w, StreamRow& row, sim::Addr addr, std::size_t len, bool writing,
+             sim::Addr prefetch_addr);
 
   /// Flushes dirty lines overlapping [addr, addr+len): charges the write
   /// burst per line (timing-only; SRAM is current) and clears dirty bits.
-  sim::Task<void> flushRange(StreamRow& row, sim::Addr addr, std::uint64_t len);
+  /// Same return contract as touch().
+  bool flushRange(Walk& w, StreamRow& row, sim::Addr addr, std::uint64_t len);
 
   /// Drops (clean) lines overlapping [addr, addr+len). Dirty lines in the
   /// range indicate a protocol violation and throw.
@@ -71,12 +104,12 @@ class StreamCache {
   /// line is already present or no clean line can host it).
   void startPrefetch(StreamRow& row, sim::Addr line_addr);
 
+  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a & ~line_mask_; }
+
   [[nodiscard]] std::uint32_t lineBytes() const { return line_bytes_; }
   [[nodiscard]] std::uint32_t lineCount() const { return static_cast<std::uint32_t>(lines_.size()); }
 
  private:
-  enum class State : std::uint8_t { Invalid, Pending, Valid };
-
   struct Line {
     State state = State::Invalid;
     sim::Addr tag = 0;  // line-aligned SRAM address
@@ -93,8 +126,6 @@ class StreamCache {
     Line* line = nullptr;
   };
 
-  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a / line_bytes_ * line_bytes_; }
-
   /// Finds the line holding `line_addr` in any non-Invalid state.
   Line* find(sim::Addr line_addr);
 
@@ -102,11 +133,28 @@ class StreamCache {
   /// null while every line is pending.
   Line* victim();
 
+  /// Advances a walk until it finishes (false) or suspends (true).
+  bool run(Walk& w);
+  bool runTouch(Walk& w);
+  bool runFlush(Walk& w);
+
+  /// Continues a suspended walk; runs w.finished once it is done.
+  static void resume(Walk& w) {
+    if (!w.cache_->run(w)) w.finished(w);
+  }
+  static void busDone(mem::Bus::Request& r) { resume(static_cast<Walk&>(r)); }
+
+  /// Parks a walk until the next line state change.
+  void park(Walk& w) {
+    event_.park([p = &w] { resume(*p); });
+  }
+
   static void fillDone(mem::Bus::Request& r);
 
   sim::Simulator& sim_;
   mem::SharedSram& sram_;
   std::uint32_t line_bytes_;
+  sim::Addr line_mask_;  // line_bytes_ - 1
   sim::SimEvent event_;
   std::vector<Line> lines_;
   std::vector<Fill> fills_;  // parallel to lines_

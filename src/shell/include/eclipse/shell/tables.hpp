@@ -60,6 +60,7 @@ struct StreamRow {
   sim::Addr base = 0;
   std::uint32_t size = 0;
   std::uint64_t pos = 0;       ///< absolute stream position of the access point
+  std::uint32_t pos_off = 0;   ///< pos % size: the access point's buffer offset
   std::uint32_t space = 0;     ///< known available data (consumer) or room (producer)
   std::uint32_t granted = 0;   ///< high-water mark of the granted access window
   std::uint32_t remote_shell = 0;
@@ -130,40 +131,60 @@ struct TaskRow {
   sim::TimeSeries stall_series;  ///< sampled blocked state (profiler)
 };
 
-/// Fixed-capacity stream table with (task, port) lookup.
+/// Fixed-capacity stream table with O(1) (task, port) lookup.
+///
+/// A dense (task, port) -> row map answers lookup() for task ids below
+/// `max_tasks` and port ids below kMapPorts; other keys fall back to a
+/// scan. The map names the lowest-index valid row with the key, as a scan
+/// would. It is kept current wherever a row's valid, task or port field
+/// changes: configure(), and rekey() for the MMIO writes.
 class StreamTable {
  public:
-  explicit StreamTable(std::uint32_t capacity) : rows_(capacity) {}
+  static constexpr std::uint32_t kMapPorts = 16;
+
+  StreamTable(std::uint32_t capacity, std::uint32_t max_tasks)
+      : rows_(capacity), map_tasks_(max_tasks), map_(std::size_t{max_tasks} * kMapPorts, kNone) {}
 
   /// Installs a configuration in the first free row; returns the row index.
   std::uint32_t configure(const StreamConfig& cfg) {
     for (std::uint32_t i = 0; i < rows_.size(); ++i) {
       if (!rows_[i].valid) {
-        StreamRow& r = rows_[i];
-        r = StreamRow{};
-        r.valid = true;
-        r.task = cfg.task;
-        r.port = cfg.port;
-        r.is_producer = cfg.is_producer;
-        r.base = cfg.buffer_base;
-        r.size = cfg.buffer_bytes;
-        r.space = cfg.initial_space;
-        r.remote_shell = cfg.remote_shell;
-        r.remote_row = cfg.remote_row;
+        rekey(i, [&](StreamRow& r) {
+          r = StreamRow{};
+          r.valid = true;
+          r.task = cfg.task;
+          r.port = cfg.port;
+          r.is_producer = cfg.is_producer;
+          r.base = cfg.buffer_base;
+          r.size = cfg.buffer_bytes;
+          r.space = cfg.initial_space;
+          r.remote_shell = cfg.remote_shell;
+          r.remote_row = cfg.remote_row;
+        });
         return i;
       }
     }
     throw std::runtime_error("StreamTable: no free row");
   }
 
+  /// Applies `change` to row `i`, which may rewrite its valid, task or port
+  /// field, and brings the lookup map up to date for the old and new key.
+  template <typename Fn>
+  void rekey(std::uint32_t i, Fn&& change) {
+    StreamRow& r = rows_.at(i);
+    const sim::TaskId old_task = r.task;
+    const sim::PortId old_port = r.port;
+    change(r);
+    refresh(old_task, old_port);
+    refresh(r.task, r.port);
+  }
+
   /// Finds the row for (task, port); throws if absent.
   [[nodiscard]] std::uint32_t lookup(sim::TaskId task, sim::PortId port) const {
-    for (std::uint32_t i = 0; i < rows_.size(); ++i) {
-      const StreamRow& r = rows_[i];
-      if (r.valid && r.task == task && r.port == port) return i;
-    }
-    throw std::out_of_range("StreamTable: no row for task " + std::to_string(task) + " port " +
-                            std::to_string(port));
+    const std::size_t key = slot(task, port);
+    const std::uint32_t i = key != kNoSlot ? map_[key] : scan(task, port);
+    if (i == kNone) [[unlikely]] noRow(task, port);
+    return i;
   }
 
   [[nodiscard]] StreamRow& row(std::uint32_t i) { return rows_.at(i); }
@@ -171,7 +192,38 @@ class StreamTable {
   [[nodiscard]] std::uint32_t capacity() const { return static_cast<std::uint32_t>(rows_.size()); }
 
  private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Map index of (task, port), or kNoSlot outside the dense map.
+  [[nodiscard]] std::size_t slot(sim::TaskId task, sim::PortId port) const {
+    const auto t = static_cast<std::uint32_t>(task);  // negative ids wrap high
+    const auto p = static_cast<std::uint32_t>(port);
+    if (t >= map_tasks_ || p >= kMapPorts) return kNoSlot;
+    return std::size_t{t} * kMapPorts + p;
+  }
+
+  [[noreturn]] [[gnu::cold]] static void noRow(sim::TaskId task, sim::PortId port) {
+    throw std::out_of_range("StreamTable: no row for task " + std::to_string(task) + " port " +
+                            std::to_string(port));
+  }
+
+  /// Lowest-index valid row holding (task, port), or kNone.
+  [[nodiscard]] std::uint32_t scan(sim::TaskId task, sim::PortId port) const {
+    for (std::uint32_t i = 0; i < rows_.size(); ++i) {
+      const StreamRow& r = rows_[i];
+      if (r.valid && r.task == task && r.port == port) return i;
+    }
+    return kNone;
+  }
+
+  void refresh(sim::TaskId task, sim::PortId port) {
+    if (const std::size_t key = slot(task, port); key != kNoSlot) map_[key] = scan(task, port);
+  }
+
   std::vector<StreamRow> rows_;
+  std::uint32_t map_tasks_;
+  std::vector<std::uint32_t> map_;  // (task * kMapPorts + port) -> row, or kNone
 };
 
 /// Fixed-capacity task table.

@@ -30,7 +30,7 @@ class Shell;
 ///  * a read view obtained without committing (peek) is valid until the
 ///    holder itself commits the window;
 ///  * a read view whose bytes were already committed (e.g. packet_io
-///    tryRead) is valid only until the holder's next suspension point —
+///    tryReadView) is valid only until the holder's next suspension point —
 ///    after the putspace message is processed the producer may reclaim
 ///    and overwrite the region. Copy (or re-serialise) anything needed
 ///    across a co_await.

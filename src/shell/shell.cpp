@@ -1,6 +1,7 @@
 #include "eclipse/shell/shell.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -26,13 +27,16 @@ Shell::Shell(sim::Simulator& sim, const ShellParams& params, mem::SharedSram& sr
              mem::MessageNetwork& network)
     : sim_(sim),
       params_(params),
+      port_width_shift_(static_cast<std::uint32_t>(std::countr_zero(
+          mem::requirePowerOfTwo(params.port_width_bytes, "shell.port_width_bytes")))),
       sram_(sram),
       network_(network),
-      streams_(params.max_streams),
+      streams_(params.max_streams, params.max_tasks),
       tasks_(params.max_tasks),
       ports_(params.max_streams),
       sched_event_(sim),
       space_event_(sim) {
+  mem::requirePowerOfTwo(params_.cache_line_bytes, "shell.cache_line_bytes");
   network_.attach(params_.id, [this](const mem::SyncMessage& msg) { onSyncMessage(msg); });
 }
 
@@ -93,77 +97,94 @@ bool Shell::blockedNow(TaskRow& t) {
   return params_.best_guess;
 }
 
-sim::Task<GetTaskResult> Shell::getTask() {
-  co_await sim_.delay(params_.gettask_latency);
-
+void Shell::chargeStep() {
   // Charge the elapsed processing step to the task that just yielded. A
   // row torn down mid-step (valid cleared over MMIO) takes no charge: the
   // slot may already belong to a later application.
+  if (current_task_ == sim::kNoTask) return;
+  TaskRow& t = tasks_.row(current_task_);
+  if (!t.valid) return;
+  const sim::Cycle elapsed = sim_.now() - last_gettask_return_;
+  t.busy_cycles += elapsed;
+  t.budget_left -= std::min(t.budget_left, elapsed);
+  ++t.gettask_count;
+  t.step_cycles.add(static_cast<double>(elapsed));
+}
+
+bool Shell::pickTask(GetTaskResult& out) {
+  sim::TaskId chosen = sim::kNoTask;
+
+  // Budget rule: the running task keeps the coprocessor while its budget
+  // lasts and it is not blocked.
   if (current_task_ != sim::kNoTask) {
-    TaskRow& t = tasks_.row(current_task_);
-    if (t.valid) {
-      const sim::Cycle elapsed = sim_.now() - last_gettask_return_;
-      t.busy_cycles += elapsed;
-      t.budget_left -= std::min(t.budget_left, elapsed);
-      ++t.gettask_count;
-      t.step_cycles.add(static_cast<double>(elapsed));
+    TaskRow& cur = tasks_.row(current_task_);
+    if (cur.valid && cur.enabled && cur.budget_left > 0 && !blockedNow(cur)) {
+      chosen = current_task_;
     }
   }
 
-  while (true) {
-    sim::TaskId chosen = sim::kNoTask;
-
-    // Budget rule: the running task keeps the coprocessor while its budget
-    // lasts and it is not blocked.
-    if (current_task_ != sim::kNoTask) {
-      TaskRow& cur = tasks_.row(current_task_);
-      if (cur.valid && cur.enabled && cur.budget_left > 0 && !blockedNow(cur)) {
-        chosen = current_task_;
+  if (chosen == sim::kNoTask) {
+    // Weighted round-robin over the task table.
+    const std::uint32_t n = tasks_.capacity();
+    std::uint32_t idx = rr_index_;
+    for (std::uint32_t i = 0; i < n; ++i, idx = idx + 1 == n ? 0 : idx + 1) {
+      TaskRow& t = tasks_.row(static_cast<sim::TaskId>(idx));
+      if (t.valid && t.enabled && !blockedNow(t)) {
+        chosen = static_cast<sim::TaskId>(idx);
+        rr_index_ = idx + 1 == n ? 0 : idx + 1;
+        t.budget_left = t.budget_cycles;
+        break;
       }
     }
-
-    if (chosen == sim::kNoTask) {
-      // Weighted round-robin over the task table.
-      for (std::uint32_t i = 0; i < tasks_.capacity(); ++i) {
-        const std::uint32_t idx = (rr_index_ + i) % tasks_.capacity();
-        TaskRow& t = tasks_.row(static_cast<sim::TaskId>(idx));
-        if (t.valid && t.enabled && !blockedNow(t)) {
-          chosen = static_cast<sim::TaskId>(idx);
-          rr_index_ = (idx + 1) % tasks_.capacity();
-          t.budget_left = t.budget_cycles;
-          break;
-        }
-      }
-    }
-
-    if (chosen != sim::kNoTask) {
-      TaskRow& t = tasks_.row(chosen);
-      ++t.schedule_count;
-      if (chosen != current_task_) {
-        ++t.switch_count;
-        ++task_switches_;
-      }
-      t.last_selected_at = sim_.now();
-      current_task_ = chosen;
-      last_gettask_return_ = sim_.now();
-      co_return GetTaskResult{chosen, t.task_info};
-    }
-
-    // Nothing runnable: the coprocessor idles until synchronization
-    // messages (or reconfiguration) make a task ready.
-    idle_since_ = sim_.now();
-    co_await sched_event_.wait();
-    idle_cycles_ += sim_.now() - *idle_since_;
-    idle_since_.reset();
   }
+
+  if (chosen == sim::kNoTask) return false;
+  TaskRow& t = tasks_.row(chosen);
+  ++t.schedule_count;
+  if (chosen != current_task_) {
+    ++t.switch_count;
+    ++task_switches_;
+  }
+  t.last_selected_at = sim_.now();
+  current_task_ = chosen;
+  last_gettask_return_ = sim_.now();
+  out = GetTaskResult{chosen, t.task_info};
+  return true;
+}
+
+bool Shell::GetTaskOp::start() {
+  try {
+    sh_.chargeStep();
+  } catch (...) {
+    error_ = std::current_exception();
+    return false;
+  }
+  return pick();
+}
+
+bool Shell::GetTaskOp::pick() {
+  try {
+    if (sh_.pickTask(result_)) return false;
+  } catch (...) {
+    error_ = std::current_exception();
+    return false;
+  }
+  // Nothing runnable: the coprocessor idles until synchronization
+  // messages (or reconfiguration) make a task ready.
+  sh_.idle_since_ = sh_.sim_.now();
+  sh_.sched_event_.park([this] {
+    sh_.idle_cycles_ += sh_.sim_.now() - *sh_.idle_since_;
+    sh_.idle_since_.reset();
+    if (!pick()) caller_.resume();
+  });
+  return true;
 }
 
 // ---------------------------------------------------------------------
 // Synchronization (Section 5.1)
 // ---------------------------------------------------------------------
 
-sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
-  co_await sim_.delay(params_.sync_latency);
+bool Shell::getSpaceNow(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
   const std::uint32_t idx = streams_.lookup(task, port);
   StreamRow& row = streams_.row(idx);
   ++row.getspace_calls;
@@ -175,21 +196,19 @@ sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_
     if (n_bytes > row.granted) {
       // Window extension: data in the cache overlapping the newly granted
       // region may be stale (observation 2) — invalidate it.
-      const std::uint64_t from = row.pos + row.granted;
-      const std::uint64_t len = n_bytes - row.granted;
-      forEachSegment(row, from, len, [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
-        ports_[idx].cache->invalidateRange(row, addr, seg);
-      });
+      StreamCache& cache = *ports_[idx].cache;
+      const std::uint64_t from = row.granted;
+      forEachSegment(row, from, n_bytes - from,
+                     [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
+                       cache.invalidateRange(row, addr, seg);
+                     });
       row.granted = n_bytes;
       // Prefetch the first line of the fresh window for input ports.
       if (params_.prefetch && !row.is_producer) {
-        const std::uint64_t first_pos = from;
-        const sim::Addr addr = row.base + first_pos % row.size;
-        const sim::Addr line = addr / params_.cache_line_bytes * params_.cache_line_bytes;
-        ports_[idx].cache->startPrefetch(row, line);
+        cache.startPrefetch(row, cache.alignDown(row.base + bufferOffset(row, from)));
       }
     }
-    co_return true;
+    return true;
   }
   ++row.getspace_denied;
   TaskRow& t = tasks_.row(task);
@@ -197,30 +216,45 @@ sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_
   t.blocked = true;
   t.blocked_row = static_cast<std::int32_t>(idx);
   t.blocked_need = n_bytes;
-  co_return false;
+  return false;
 }
 
-sim::Task<void> Shell::putSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
-  co_await sim_.delay(params_.sync_latency);
-  const std::uint32_t idx = streams_.lookup(task, port);
-  StreamRow& row = streams_.row(idx);
-  ++row.putspace_calls;
-  if (n_bytes > row.granted) {
-    throw std::logic_error("Shell::putSpace: commit exceeds the granted window");
+bool Shell::PutSpaceOp::start() {
+  try {
+    idx_ = sh_.streams_.lookup(task_, port_);
+    StreamRow& row = sh_.streams_.row(idx_);
+    ++row.putspace_calls;
+    if (n_bytes_ > row.granted) {
+      throw std::logic_error("Shell::putSpace: commit exceeds the granted window");
+    }
+  } catch (...) {
+    error_ = std::current_exception();
+    return false;
   }
+  return flushNext();
+}
 
+bool Shell::PutSpaceOp::flushNext() {
+  StreamRow& row = sh_.streams_.row(idx_);
   if (row.is_producer) {
     // Observation 3: flush dirty data in the committed region before the
     // putspace message makes it visible to the consumer.
-    std::uint64_t done = 0;
-    while (done < n_bytes) {
-      const std::uint64_t off = (row.pos + done) % row.size;
-      const std::uint64_t seg = std::min<std::uint64_t>(n_bytes - done, row.size - off);
-      co_await ports_[idx].cache->flushRange(row, row.base + off, seg);
-      done += seg;
+    StreamCache& cache = *sh_.ports_[idx_].cache;
+    while (flushed_ < n_bytes_) {
+      const std::uint64_t off = bufferOffset(row, flushed_);
+      const auto seg =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(n_bytes_ - flushed_, row.size - off));
+      flushed_ += seg;
+      if (cache.flushRange(*this, row, row.base + off, seg)) return true;
     }
   }
+  sh_.commitPut(idx_, task_, port_, n_bytes_);
+  return false;
+}
 
+void Shell::commitPut(std::uint32_t idx, sim::TaskId task, sim::PortId port,
+                      std::uint32_t n_bytes) {
+  StreamRow& row = streams_.row(idx);
   // Fault hook: corrupt the payload of the committed window in SRAM just
   // before it becomes visible to the consumer. The packet framing (u32
   // length + tag, first 5 bytes of the commit) is left intact so the
@@ -229,7 +263,7 @@ sim::Task<void> Shell::putSpace(sim::TaskId task, sim::PortId port, std::uint32_
   if (sim::FaultInjector* inj = sim_.faults(); inj != nullptr && row.is_producer) {
     if (auto mask = inj->corruptPayload(params_.id, task, port, sim_.now())) {
       auto storage = sram_.storage().view();
-      forEachSegment(row, row.pos, n_bytes,
+      forEachSegment(row, 0, n_bytes,
                      [&](sim::Addr addr, std::uint64_t seg, std::uint64_t off0) {
                        for (std::uint64_t k = 0; k < seg; ++k) {
                          if (off0 + k >= 5) storage[addr + k] ^= *mask;
@@ -243,6 +277,7 @@ sim::Task<void> Shell::putSpace(sim::TaskId task, sim::PortId port, std::uint32_
   row.space -= n_bytes;
   row.granted -= n_bytes;
   row.pos += n_bytes;
+  row.pos_off = static_cast<std::uint32_t>(bufferOffset(row, n_bytes));
 
   network_.send(mem::SyncMessage{params_.id, row.remote_shell, row.remote_row, n_bytes});
 }
@@ -276,61 +311,66 @@ sim::Task<void> Shell::waitSpace(sim::TaskId task, sim::PortId port, std::uint32
 // Data transport (Section 5.2)
 // ---------------------------------------------------------------------
 
-sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                     std::size_t n, bool writing) {
-  const std::uint32_t idx = streams_.lookup(task, port);
-  StreamRow& row = streams_.row(idx);
-  if (writing) {
-    if (!row.is_producer) throw std::logic_error("Shell::write: write on an input port");
+void Shell::AcquireOp::prepare() {
+  idx_ = sh_.streams_.lookup(task_, port_);
+  row_ = &sh_.streams_.row(idx_);
+  if (writing_) {
+    if (!row_->is_producer) throw std::logic_error("Shell::write: write on an input port");
   } else {
-    if (row.is_producer) throw std::logic_error("Shell::read: read on an output port");
+    if (row_->is_producer) throw std::logic_error("Shell::read: read on an output port");
   }
-  if (offset + n > row.granted) {
-    throw std::logic_error(writing ? "Shell::write: access outside the granted window"
-                                   : "Shell::read: access outside the granted window");
+  if (offset_ + n_ > row_->granted) {
+    throw std::logic_error(writing_ ? "Shell::write: access outside the granted window"
+                                    : "Shell::read: access outside the granted window");
   }
   // Port handshake plus data transfer over the coprocessor interface.
-  const sim::Cycle xfer =
-      params_.io_latency + (n + params_.port_width_bytes - 1) / params_.port_width_bytes;
-  co_await sim_.delay(xfer);
+  const ShellParams& p = sh_.params_;
+  xfer_ = p.io_latency + ((n_ + p.port_width_bytes - 1) >> sh_.port_width_shift_);
+  t0_ = sh_.sim_.now();  // access latency includes the port handshake
+}
 
-  if (writing) {
+bool Shell::AcquireOp::walk() {
+  StreamRow& row = *row_;
+  if (writing_) {
     ++row.write_calls;
   } else {
     ++row.read_calls;
   }
-  row.bytes_transferred += n;
-
-  // Prefetch hint: the cyclically next line after this read, if still
-  // inside the granted window.
-  std::optional<sim::Addr> hint;
-  if (!writing && params_.prefetch) {
-    const std::uint64_t end_pos = row.pos + offset + n;
-    const std::uint64_t next_line_pos =
-        (end_pos + params_.cache_line_bytes - 1) / params_.cache_line_bytes *
-        params_.cache_line_bytes;
-    if (next_line_pos < row.pos + row.granted) {
-      hint = row.base + next_line_pos % row.size;
-    }
-  }
+  row.bytes_transferred += n_;
 
   // Replay the cache traffic of the copying transport path: the same
   // per-line hit / miss / fill / dirty-mark walk, without moving bytes.
-  const sim::Cycle t0 = sim_.now() - xfer;  // include the port handshake
-  std::uint64_t done = 0;
-  const std::uint64_t start = row.pos + offset;
-  while (done < n) {
-    const std::uint64_t off = (start + done) % row.size;
-    const std::uint64_t seg = std::min<std::uint64_t>(n - done, row.size - off);
-    const bool last = done + seg >= n;
-    co_await ports_[idx].cache->touch(row, row.base + off, static_cast<std::size_t>(seg), writing,
-                                      last ? hint : std::nullopt);
-    done += seg;
-  }
-  row.access_latency.add(static_cast<double>(sim_.now() - t0));
+  cache_ = sh_.ports_[idx_].cache.get();
 
-  // Build the scatter-gather view straight into the FIFO's SRAM bytes
-  // (≤ 2 segments: the window may wrap the cyclic buffer once, since the
+  // Prefetch hint: the cyclically next line after this read, if still
+  // inside the granted window.
+  if (!writing_ && sh_.params_.prefetch) {
+    const std::uint64_t end_pos = row.pos + offset_ + n_;
+    const std::uint64_t next_line_pos = cache_->alignDown(end_pos + cache_->lineBytes() - 1);
+    if (next_line_pos < row.pos + row.granted) {
+      hint_ = row.base + bufferOffset(row, next_line_pos - row.pos);
+    }
+  }
+  return nextSegment();
+}
+
+bool Shell::AcquireOp::nextSegment() {
+  StreamRow& row = *row_;
+  while (walked_ < n_) {
+    const std::uint64_t off = bufferOffset(row, offset_ + walked_);
+    const auto seg =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n_ - walked_, row.size - off));
+    walked_ += seg;
+    const sim::Addr hint = walked_ >= n_ ? hint_ : StreamCache::kNoPrefetch;
+    if (cache_->touch(*this, row, row.base + off, seg, writing_, hint)) return true;
+  }
+  return false;
+}
+
+WindowView Shell::makeView(const StreamRow& row, sim::TaskId task, sim::PortId port,
+                           std::uint64_t offset, std::size_t n) {
+  // The scatter-gather view straight into the FIFO's SRAM bytes (<= 2
+  // segments: the window may wrap the cyclic buffer once, since the
   // granted window never exceeds the buffer size).
   WindowView v;
   v.shell_ = this;
@@ -338,32 +378,22 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
   v.port_ = port;
   v.commit_bytes_ = static_cast<std::uint32_t>(offset + n);
   const auto storage = sram_.storage().view();
-  forEachSegment(row, start, n, [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
+  forEachSegment(row, offset, n, [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
     v.chunks_[v.n_chunks_++] =
         WindowView::Chunk{storage.data() + addr, static_cast<std::size_t>(seg)};
   });
-  co_return v;
-}
-
-sim::Task<WindowView> Shell::acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                         std::size_t n) {
-  return acquire(task, port, offset, n, /*writing=*/false);
-}
-
-sim::Task<WindowView> Shell::acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
-                                          std::size_t n) {
-  return acquire(task, port, offset, n, /*writing=*/true);
+  return v;
 }
 
 sim::Task<void> Shell::read(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                             std::span<std::uint8_t> out) {
-  WindowView v = co_await acquire(task, port, offset, out.size(), /*writing=*/false);
+  WindowView v = co_await acquireRead(task, port, offset, out.size());
   v.copyTo(out);
 }
 
 sim::Task<void> Shell::write(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                              std::span<const std::uint8_t> in) {
-  WindowView v = co_await acquire(task, port, offset, in.size(), /*writing=*/true);
+  WindowView v = co_await acquireWrite(task, port, offset, in.size());
   v.copyFrom(in);
 }
 
@@ -657,24 +687,29 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
       case 0: {
         const bool was_valid = r.valid;
         if (value != 0 && !was_valid) checkBufferInSram(r.base, r.size);
-        r.valid = value != 0;
+        streams_.rekey(rix, [&](StreamRow& row) {
+          row.valid = value != 0;
+          // Teardown: clearing the valid bit resets the whole row (config,
+          // position, space accounting, counters), so the row can be
+          // reprogrammed for a later application.
+          if (!row.valid && was_valid) row = StreamRow{};
+        });
         if (r.valid && !was_valid) {
           ports_[rix].cache = std::make_unique<StreamCache>(
               sim_, sram_, params_.cache_line_bytes, params_.cache_lines_per_port);
         } else if (!r.valid && was_valid) {
-          // Teardown: clearing the valid bit resets the whole row (config,
-          // position, space accounting, counters) and releases the port
-          // cache, so the row can be reprogrammed for a later application.
-          r = StreamRow{};
-          ports_[rix].cache.reset();
+          ports_[rix].cache.reset();  // and the port cache goes with it
         }
         break;
       }
-      case 1: r.task = static_cast<sim::TaskId>(value); break;
-      case 2: r.port = static_cast<sim::PortId>(value); break;
+      case 1: streams_.rekey(rix, [&](StreamRow& row) { row.task = static_cast<sim::TaskId>(value); }); break;
+      case 2: streams_.rekey(rix, [&](StreamRow& row) { row.port = static_cast<sim::PortId>(value); }); break;
       case 3: r.is_producer = value != 0; break;
       case 4: r.base = value; break;
-      case 5: r.size = value; break;
+      case 5:
+        r.size = value;
+        r.pos_off = value == 0 ? 0 : static_cast<std::uint32_t>(r.pos % value);
+        break;
       case 6: {
         // Space repair (recovery path): raising the space field of a live
         // row may make a best-guess-blocked task runnable, so wake the

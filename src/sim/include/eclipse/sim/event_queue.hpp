@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,20 +41,26 @@ class EventQueue {
 
   EventQueue() { head_.fill(kNil); }
 
-  /// Schedules `ev` at absolute cycle `at`. Cycles before the window base
-  /// (only reachable through direct queue use — the Simulator clamps to
-  /// `now()`) fire at the earliest pending opportunity.
-  void push(Cycle at, Event ev) {
+  /// Schedules an event at absolute cycle `at`, built directly in its
+  /// wheel node from `what`: a coroutine handle, a callable (see Event) or
+  /// an Event to move. Cycles before the window base (only reachable
+  /// through direct queue use — the Simulator clamps to `now()`) fire at
+  /// the earliest pending opportunity. The wheel path is inline; events
+  /// beyond the horizon take the out-of-line overflow path.
+  template <typename T>
+  [[gnu::always_inline]] void emplace(Cycle at, T&& what) {
     if (at < base_) at = base_;
-    if (at - base_ < kWheelSpan) {
-      link(slotOf(at), std::move(ev));
+    if (at - base_ < kWheelSpan) [[likely]] {
+      slab_[link(slotOf(at))].ev.set(std::forward<T>(what));
     } else {
-      overflow_.push_back(Far{at, seq_++, std::move(ev)});
-      std::push_heap(overflow_.begin(), overflow_.end(), FarLater{});
+      pushFar(at, Event(std::forward<T>(what)));
     }
     if (next_valid_ && at < next_cycle_) next_cycle_ = at;
     ++size_;
   }
+
+  /// Schedules `ev` at absolute cycle `at` (see emplace).
+  void push(Cycle at, Event ev) { emplace(at, std::move(ev)); }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -70,41 +77,35 @@ class EventQueue {
   }
 
   /// Removes and returns the earliest pending event. Undefined when empty.
-  /// The event is moved out of its slab node straight into the caller's
-  /// object.
   Event pop(Cycle* at = nullptr) {
-    const Cycle c = nextCycle();
-    if (at != nullptr) *at = c;
-    --size_;
-    if (wheel_count_ == 0) {
-      // Window jump: everything pending sits in the overflow heap. Serve
-      // the top directly instead of routing it through the wheel. FIFO is
-      // preserved: same-cycle peers carry larger seq values, so they sort
-      // behind the top and migrate into the slot afterwards.
-      std::pop_heap(overflow_.begin(), overflow_.end(), FarLater{});
-      Far f = std::move(overflow_.back());
-      overflow_.pop_back();
-      base_ = f.at;
-      migrate();
-      next_valid_ = false;
-      return std::move(f.ev);
+    if (at != nullptr) *at = nextCycle();
+    const std::uint32_t i = unlinkNext();
+    Event ev;
+    ev.set(std::move(slab_[i].ev));
+    release(i);
+    return ev;
+  }
+
+  /// Removes the earliest pending event and runs it from its node, without
+  /// moving it out first. Undefined when empty. The node goes back on the
+  /// free list before the event runs, so whatever the event schedules can
+  /// reuse it: a coroutine event reads its handle word first; a callable
+  /// copies itself out of the node before it runs (slab growth during the
+  /// call may move the node). If the event throws, the queue is already
+  /// consistent.
+  void dispatchNext() {
+    const std::uint32_t i = unlinkNext();
+    Event& ev = slab_[i].ev;
+    const auto fn = ev.invoke_;
+    if (fn == nullptr) {
+      void* const h = ev.storage_.coro;
+      release(i);
+      if (h != nullptr) std::coroutine_handle<>::from_address(h).resume();
+    } else {
+      ev.invoke_ = nullptr;  // the free node owns nothing
+      release(i);
+      fn(ev.storage_);
     }
-    if (c != base_) {
-      base_ = c;
-      if (!overflow_.empty() && overflow_.front().at - base_ < kWheelSpan) migrate();
-    }
-    const std::size_t slot = slotOf(c);
-    const std::uint32_t i = head_[slot];
-    Node& n = slab_[i];
-    head_[slot] = n.next;
-    if (n.next == kNil) {
-      bitmap_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      next_valid_ = false;  // this cycle is drained; rescan on next query
-    }
-    n.next = free_;
-    free_ = i;
-    --wheel_count_;
-    return std::move(n.ev);
   }
 
   /// Drops every pending event (used during simulator teardown so no
@@ -148,19 +149,17 @@ class EventQueue {
     return static_cast<std::size_t>(at) & kMask;
   }
 
-  /// Appends `ev` to the FIFO of `slot`, taking a node from the free list
-  /// (most recently freed first) or growing the slab.
-  void link(std::size_t slot, Event&& ev) {
+  /// Appends a node to the FIFO of `slot`, taking it from the free list
+  /// (most recently freed first) or growing the slab, and returns its
+  /// index. The node's event is empty.
+  std::uint32_t link(std::size_t slot) {
     std::uint32_t i = free_;
-    if (i != kNil) {
-      Node& n = slab_[i];
-      free_ = n.next;
-      n.ev = std::move(ev);
-      n.next = kNil;
+    if (i != kNil) [[likely]] {
+      free_ = slab_[i].next;
     } else {
-      i = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back(Node{std::move(ev), kNil});
+      i = grow();
     }
+    slab_[i].next = kNil;
     if (head_[slot] == kNil) {
       head_[slot] = i;
       bitmap_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
@@ -169,6 +168,48 @@ class EventQueue {
     }
     tail_[slot] = i;
     ++wheel_count_;
+    return i;
+  }
+
+  [[gnu::noinline]] std::uint32_t grow() {
+    slab_.emplace_back();
+    return static_cast<std::uint32_t>(slab_.size() - 1);
+  }
+
+  [[gnu::noinline]] void pushFar(Cycle at, Event&& ev) {
+    overflow_.push_back(Far{at, seq_++, std::move(ev)});
+    std::push_heap(overflow_.begin(), overflow_.end(), FarLater{});
+  }
+
+  /// Unlinks the earliest pending event's node from its cycle's FIFO and
+  /// returns its index; the caller empties the node and releases it.
+  /// Advancing the window migrates overflow entries that now fit before
+  /// anything else runs. A window jump (every pending event in the
+  /// overflow heap) migrates the heap top's cycle into the wheel first;
+  /// same-cycle peers carry larger seq values, so FIFO order holds.
+  std::uint32_t unlinkNext() {
+    const Cycle c = nextCycle();
+    --size_;
+    if (c != base_) {
+      base_ = c;
+      if (!overflow_.empty() && overflow_.front().at - base_ < kWheelSpan) migrate();
+    }
+    const std::size_t slot = slotOf(c);
+    const std::uint32_t i = head_[slot];
+    const std::uint32_t next = slab_[i].next;
+    head_[slot] = next;
+    if (next == kNil) {
+      bitmap_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+      next_valid_ = false;  // this cycle is drained; rescan on next query
+    }
+    --wheel_count_;
+    return i;
+  }
+
+  /// Puts an emptied node on the free list.
+  void release(std::uint32_t i) {
+    slab_[i].next = free_;
+    free_ = i;
   }
 
   /// Earliest occupied cycle within the window. Requires wheel_count_ > 0.
@@ -191,13 +232,13 @@ class EventQueue {
 
   /// Pulls overflow entries that now fall inside the window (base_ has
   /// just advanced) into their slots. Window advancement happens only
-  /// inside pop(), which migrates before returning control — so migration
+  /// inside unlinkNext(), which migrates before any event runs — so migration
   /// always precedes any later same-cycle push, preserving cross-boundary
   /// FIFO order.
   void migrate() {
     while (!overflow_.empty() && overflow_.front().at - base_ < kWheelSpan) {
       std::pop_heap(overflow_.begin(), overflow_.end(), FarLater{});
-      link(slotOf(overflow_.back().at), std::move(overflow_.back().ev));
+      slab_[link(slotOf(overflow_.back().at))].ev.set(std::move(overflow_.back().ev));
       overflow_.pop_back();
     }
   }

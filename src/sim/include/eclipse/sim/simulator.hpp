@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "eclipse/sim/coro.hpp"
@@ -43,22 +45,27 @@ class Simulator {
   [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedules an event `delay` cycles from now. Accepts anything an Event
-  /// can hold: a coroutine handle (allocation-free fast path) or a callable
-  /// (stored inline when small and trivially copyable).
-  void schedule(Cycle delay, Event ev) {
-    queue_.push(now_ + delay, std::move(ev));
+  /// can hold: a coroutine handle (allocation-free fast path), a callable
+  /// (stored inline when small and trivially copyable) or an Event. The
+  /// event is built directly in its queue node.
+  template <typename E>
+    requires std::is_constructible_v<Event, E&&>
+  void schedule(Cycle delay, E&& ev) {
+    queue_.emplace(now_ + delay, std::forward<E>(ev));
   }
 
   /// Schedules an event at an absolute cycle (must be >= now()).
-  void scheduleAt(Cycle at, Event ev) {
-    queue_.push(at < now_ ? now_ : at, std::move(ev));
+  template <typename E>
+    requires std::is_constructible_v<Event, E&&>
+  void scheduleAt(Cycle at, E&& ev) {
+    queue_.emplace(at < now_ ? now_ : at, std::forward<E>(ev));
   }
 
   /// Fast path: schedules the resumption of a suspended coroutine `delay`
   /// cycles from now. No type erasure, no allocation — the handle is the
   /// event.
   void scheduleResume(Cycle delay, std::coroutine_handle<> h) {
-    queue_.push(now_ + delay, Event(h));
+    queue_.emplace(now_ + delay, h);
   }
 
   /// Awaitable that suspends the calling coroutine for `n` cycles.

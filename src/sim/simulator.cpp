@@ -64,9 +64,8 @@ Cycle Simulator::run(Cycle until) {
       return now_;
     }
     now_ = at;
-    Event ev = queue_.pop();
     ++events_;
-    ev();
+    queue_.dispatchNext();
   }
   if (pending_error_) std::rethrow_exception(std::exchange(pending_error_, nullptr));
   return now_;

@@ -56,11 +56,12 @@ using namespace eclipse;
 // a heap-allocated frame per nested Task the pinned decode made 1.85 per
 // event; with pooled frames 0.25 remained, most of them the fresh
 // instance's per-cycle event buckets growing for the first time. The event
-// queue now keeps its events in one slab that grows a handful of times, and
-// about 0.08 per event remain: nearly all of them (98%) the run/level
-// vectors of media::MbCoefs, which the VLD parse and the RLSQ unpacking fill
-// from empty for every macroblock.
-constexpr double kMaxAllocationsPerEvent = 0.5;
+// queue then kept its events in one slab that grows a handful of times, and
+// about 0.08 per event remained, 98% of them the run/level vectors of
+// media::MbCoefs. Those are inline arrays now: 73 allocations over the
+// 48109 events (0.0015 per event) remain, and the budget keeps about 6x
+// headroom above that.
+constexpr double kMaxAllocationsPerEvent = 0.01;
 
 std::vector<std::uint8_t> pinnedBitstream() {
   media::VideoGenParams vp;

@@ -24,9 +24,8 @@ class PacketIo : public TwoShellFixture {};
 
 Task<void> writeThenRead(Shell& prod, Shell& cons, const std::vector<std::uint8_t>& pkt) {
   co_await packet_io::write(prod, 0, 0, pkt, /*wait=*/true);
-  std::vector<std::uint8_t> got;
-  co_await packet_io::blockingRead(cons, 0, 0, got);
-  EXPECT_EQ(got, pkt);
+  const packet_io::Packet got = co_await packet_io::blockingReadView(cons, 0, 0);
+  EXPECT_EQ(std::vector<std::uint8_t>(got.bytes.begin(), got.bytes.end()), pkt);
 }
 
 TEST_F(PacketIo, FramedRoundTrip) {
@@ -36,8 +35,7 @@ TEST_F(PacketIo, FramedRoundTrip) {
 }
 
 Task<void> tryReadOnEmpty(Shell& cons, packet_io::ReadStatus& st) {
-  std::vector<std::uint8_t> got;
-  st = co_await packet_io::tryRead(cons, 0, 0, got);
+  st = (co_await packet_io::tryReadView(cons, 0, 0)).status;
 }
 
 TEST_F(PacketIo, TryReadReportsBlockedWithoutCommitting) {
@@ -52,17 +50,17 @@ Task<void> peekDoesNotConsume(Shell& prod, Shell& cons) {
   const std::vector<std::uint8_t> pkt{static_cast<std::uint8_t>(media::PacketTag::Pic), 7, 7};
   co_await packet_io::write(prod, 0, 0, pkt, true);
 
-  std::vector<std::uint8_t> a, b;
-  const auto r1 = co_await packet_io::tryPeek(cons, 0, 0, a);
+  const packet_io::Packet r1 = co_await packet_io::tryPeekView(cons, 0, 0);
   EXPECT_EQ(r1.status, packet_io::ReadStatus::Ok);
+  const std::vector<std::uint8_t> a(r1.bytes.begin(), r1.bytes.end());
   // A second peek sees the same packet: nothing was committed.
-  const auto r2 = co_await packet_io::tryPeek(cons, 0, 0, b);
+  const packet_io::Packet r2 = co_await packet_io::tryPeekView(cons, 0, 0);
   EXPECT_EQ(r2.status, packet_io::ReadStatus::Ok);
+  const std::vector<std::uint8_t> b(r2.bytes.begin(), r2.bytes.end());
   EXPECT_EQ(a, b);
   co_await cons.putSpace(0, 0, r2.frame_bytes);
   // Now the stream is empty again.
-  std::vector<std::uint8_t> c;
-  const auto r3 = co_await packet_io::tryPeek(cons, 0, 0, c);
+  const packet_io::Packet r3 = co_await packet_io::tryPeekView(cons, 0, 0);
   EXPECT_EQ(r3.status, packet_io::ReadStatus::Blocked);
 }
 
@@ -82,9 +80,8 @@ Task<void> partialPacketBlocks(Shell& prod, Shell& cons) {
   co_await prod.write(0, 0, 0, hdr);
   co_await prod.putSpace(0, 0, 4);
 
-  std::vector<std::uint8_t> got;
-  const auto r1 = co_await packet_io::tryRead(cons, 0, 0, got);
-  EXPECT_EQ(r1, packet_io::ReadStatus::Blocked);
+  const packet_io::Packet r1 = co_await packet_io::tryReadView(cons, 0, 0);
+  EXPECT_EQ(r1.status, packet_io::ReadStatus::Blocked);
 
   // Producer completes the packet; the reader restarts from the beginning.
   std::vector<std::uint8_t> body(fake_len, 0xCD);
@@ -92,9 +89,9 @@ Task<void> partialPacketBlocks(Shell& prod, Shell& cons) {
   co_await prod.write(0, 0, 0, body);
   co_await prod.putSpace(0, 0, static_cast<std::uint32_t>(body.size()));
 
-  const auto r2 = co_await packet_io::tryRead(cons, 0, 0, got);
-  EXPECT_EQ(r2, packet_io::ReadStatus::Ok);
-  EXPECT_EQ(got, body);
+  const packet_io::Packet r2 = co_await packet_io::tryReadView(cons, 0, 0);
+  EXPECT_EQ(r2.status, packet_io::ReadStatus::Ok);
+  EXPECT_EQ(std::vector<std::uint8_t>(r2.bytes.begin(), r2.bytes.end()), body);
 }
 
 TEST_F(PacketIo, ConditionalInputAbortAndRestart) {

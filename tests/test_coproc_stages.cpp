@@ -17,7 +17,8 @@
 namespace {
 
 using namespace eclipse;
-using coproc::packet_io::blockingRead;
+using coproc::packet_io::blockingReadView;
+using coproc::packet_io::Packet;
 using coproc::packet_io::write;
 using shell::Shell;
 using sim::Task;
@@ -68,8 +69,8 @@ class StageHarness : public ::testing::Test {
   static Task<void> collector(Shell& sh, sim::PortId port,
                               std::vector<std::vector<std::uint8_t>>& out) {
     while (true) {
-      std::vector<std::uint8_t> pkt;
-      co_await blockingRead(sh, 0, port, pkt);
+      const Packet p = co_await blockingReadView(sh, 0, port);
+      std::vector<std::uint8_t> pkt(p.bytes.begin(), p.bytes.end());
       const bool eos = static_cast<media::PacketTag>(pkt.at(0)) == media::PacketTag::Eos;
       out.push_back(std::move(pkt));
       if (eos) co_return;

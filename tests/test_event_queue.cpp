@@ -8,8 +8,11 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -507,6 +510,113 @@ TEST(EventQueueGenerated, ClearAfterSlabGrowthReleasesOnceAndStaysUsable) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(drops, pushed);
+}
+
+}  // namespace
+
+namespace {
+
+// ------------------------------------------------- in-place dispatch
+
+// A callable dispatched from its slab node copies itself out before it
+// runs: scheduling enough events to grow (and so move) the slab must not
+// disturb the captures it reads afterwards.
+TEST(InPlaceEvents, CallableGrowingTheSlabStillReadsItsCaptures) {
+  Simulator sim;
+  std::uint64_t seen_a = 0;
+  std::uint64_t seen_b = 0;
+  const std::uint64_t a = 0x0123456789abcdefULL;
+  const std::uint64_t b = 0xfedcba9876543210ULL;
+  struct Context {
+    Simulator* sim;
+    std::uint64_t* out_a;
+    std::uint64_t* out_b;
+  } ctx{&sim, &seen_a, &seen_b};
+  auto grow = [c = &ctx, a, b] {
+    // Each push below may move the node this event was built in.
+    for (int i = 0; i < 5000; ++i) c->sim->schedule(static_cast<Cycle>(i % 100), [] {});
+    *c->out_a = a;
+    *c->out_b = b;
+  };
+  // Three words, trivially copyable: stored inline in the node.
+  static_assert(sizeof(grow) <= Event::kInlineBytes);
+  static_assert(std::is_trivially_copyable_v<decltype(grow)>);
+  sim.schedule(1, grow);
+  sim.run();
+  EXPECT_EQ(seen_a, a);
+  EXPECT_EQ(seen_b, b);
+  EXPECT_EQ(sim.eventsDispatched(), 5001u);
+}
+
+Task<void> logAfter(Simulator& sim, Cycle n, std::vector<std::string>& log, std::string tag) {
+  co_await sim.delay(n);
+  log.push_back(std::move(tag));
+}
+
+// Same-cycle FIFO order holds across the three ways an event is held:
+// coroutine resumes, inline callables and heap-held callables, whether
+// they reach the cycle's slot by migrating from the overflow heap or by a
+// direct wheel push.
+TEST(InPlaceEvents, SameCycleFifoAcrossKindsAndOverflowMigration) {
+  Simulator sim;
+  std::vector<std::string> log;
+  const Cycle x = kSpan * 3 + 7;  // beyond the horizon from cycle 0
+  auto token = std::make_shared<int>(0);
+  // Cycle 0, in this order: a coroutine parks a resume at x, a callable
+  // pushes an inline callable at x, a second coroutine parks at x. All
+  // three land in the overflow heap.
+  sim.spawn(logAfter(sim, x, log, "r1"), "r1");
+  sim.schedule(0, [&sim, &log, x] { sim.schedule(x, [&log] { log.push_back("c1"); }); });
+  sim.spawn(logAfter(sim, x, log, "r2"), "r2");
+  // Cycle x - 5: the window advance migrates the heap entries into x's
+  // slot; then direct pushes queue behind them: an inline callable, a
+  // heap-held callable, then a coroutine started in this event.
+  sim.schedule(x - 5, [&sim, &log, token] {
+    sim.schedule(5, [&log] { log.push_back("c2"); });
+    sim.spawn(logAfter(sim, 5, log, "r3"), "r3");
+    sim.schedule(5, [&log, token] { log.push_back("h1"); });  // shared_ptr: heap-held
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"r1", "c1", "r2", "c2", "h1", "r3"}));
+  EXPECT_EQ(sim.now(), x);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// A callback that throws leaves the queue consistent: the event's node is
+// already back on the free list and counted out, a heap-held callable is
+// released, and the remaining events run in order afterwards.
+TEST(InPlaceEvents, ThrowingCallbackLeavesTheQueueConsistent) {
+  EventQueue q;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(0);
+  q.push(3, [&order] { order.push_back(0); });
+  q.push(3, [token] { throw std::runtime_error("boom"); });  // heap-held
+  q.push(3, [&order] { order.push_back(1); });
+  q.push(kSpan * 2, [&order] { order.push_back(2); });  // overflow heap
+  q.dispatchNext();
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_THROW(q.dispatchNext(), std::runtime_error);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(token.use_count(), 1);  // the holder went with the throw
+  // The freed nodes are reused; same-cycle FIFO still holds.
+  q.push(3, [&order] { order.push_back(3); });
+  while (!q.empty()) q.dispatchNext();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
+
+  // Through Simulator::run: the exception propagates, and a later run()
+  // carries on with what is still pending.
+  Simulator sim;
+  int after = 0;
+  sim.schedule(5, [] { throw std::logic_error("bad step"); });
+  sim.schedule(5, [&after] { ++after; });
+  sim.schedule(9, [&after] { ++after; });
+  EXPECT_THROW(sim.run(), std::logic_error);
+  EXPECT_EQ(sim.now(), 5u);
+  EXPECT_EQ(after, 0);
+  sim.run();
+  EXPECT_EQ(after, 2);
+  EXPECT_TRUE(sim.quiescent());
+  EXPECT_EQ(sim.eventsDispatched(), 3u);
 }
 
 }  // namespace

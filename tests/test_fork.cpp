@@ -12,7 +12,8 @@ namespace {
 
 using namespace eclipse;
 using coproc::ForkCoproc;
-using coproc::packet_io::blockingRead;
+using coproc::packet_io::blockingReadView;
+using coproc::packet_io::Packet;
 using coproc::packet_io::write;
 using shell::Shell;
 using sim::Task;
@@ -80,8 +81,8 @@ Task<void> produceN(Shell& sh, int n) {
 Task<void> collect(Shell& sh, std::vector<std::vector<std::uint8_t>>& out, sim::Simulator& sim,
                    sim::Cycle delay_per_packet) {
   while (true) {
-    std::vector<std::uint8_t> pkt;
-    co_await blockingRead(sh, 0, 0, pkt);
+    const Packet p = co_await blockingReadView(sh, 0, 0);
+    std::vector<std::uint8_t> pkt(p.bytes.begin(), p.bytes.end());
     const bool eos = static_cast<media::PacketTag>(pkt.at(0)) == media::PacketTag::Eos;
     out.push_back(std::move(pkt));
     if (eos) co_return;

@@ -303,7 +303,14 @@ TEST(Rle, RoundTripProperty) {
 }
 
 TEST(Rle, OverflowingPairsThrow) {
-  std::vector<rle::RunLevel> pairs(65, rle::RunLevel{0, 1});
+  // A block holds at most 64 pairs: a 65th is malformed data.
+  rle::RunLevels full;
+  for (int i = 0; i < 64; ++i) full.push_back(rle::RunLevel{0, 1});
+  EXPECT_THROW(full.push_back(rle::RunLevel{0, 1}), std::runtime_error);
+  EXPECT_EQ(full.size(), 64u);
+  // Fewer pairs whose runs walk past coefficient 63 overflow on decode.
+  rle::RunLevels pairs;
+  for (int i = 0; i < 33; ++i) pairs.push_back(rle::RunLevel{1, 1});
   Block out;
   EXPECT_THROW(rle::decode(pairs, out), std::runtime_error);
 }
@@ -340,7 +347,7 @@ TEST(Vlc, PairBitsMatchesActualEncoding) {
 TEST(Vlc, RoundTripProperty) {
   Prng rng(10);
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<rle::RunLevel> pairs;
+    rle::RunLevels pairs;
     const int n = static_cast<int>(rng.below(30));
     int total_run = 0;
     for (int k = 0; k < n && total_run < 63; ++k) {

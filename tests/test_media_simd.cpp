@@ -214,7 +214,7 @@ TEST(SimdBlocks, ScanAndRleMatchScalar) {
       }
       for (const auto order : {scan::Order::Zigzag, scan::Order::Alternate}) {
         Block want_s, got_s, want_r, got_r;
-        std::vector<rle::RunLevel> want_p, got_p;
+        rle::RunLevels want_p, got_p;
         k::setBackend(k::Backend::Scalar);
         k::active().to_scan(in, want_s, order);
         k::active().from_scan(in, want_r, order);
@@ -350,7 +350,7 @@ TEST(SimdPixels, MotionApiMatchesScalarIncludingFrameBorders) {
 struct VlcOutcome {
   bool threw = false;
   std::string what;
-  std::vector<rle::RunLevel> pairs;
+  rle::RunLevels pairs;
   std::size_t end_pos = 0;
 
   bool operator==(const VlcOutcome& o) const {
@@ -384,7 +384,7 @@ TEST(SimdVlc, RoundTripMatchesScalarOnValidStreams) {
   Prng rng(0x1Cull);
   for (int rep = 0; rep < 400; ++rep) {
     // Random pair list spanning common and escape symbols.
-    std::vector<rle::RunLevel> pairs;
+    rle::RunLevels pairs;
     const int n = static_cast<int>(rng.below(12));
     for (int i = 0; i < n; ++i) {
       const int run = static_cast<int>(rng.below(rng.chance(0.8) ? 4 : 64));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "eclipse/mem/pi_bus.hpp"
 #include "shell_fixture.hpp"
 
@@ -161,6 +163,24 @@ TEST_F(ShellMmio, PiBusRoutesToBothShells) {
   EXPECT_EQ(bus.read(0x10000 + 3 * 4), 0u);  // consumer row direction
   bus.write(0x0000 + taskBase(prod->params()) + 2 * 4, 999);
   EXPECT_EQ(prod->tasks().row(0).budget_cycles, 999u);
+}
+
+
+// The shell's (task, port) -> row map follows MMIO rewrites of a row's
+// valid, task and port fields: primitives find the row under its new key
+// at once, and a torn-down row is no longer found.
+TEST_F(ShellMmio, PortMapFollowsRegisterWrites) {
+  connect(256);
+  EXPECT_EQ(prod->streams().lookup(0, 0), prod_row);
+  prod->mmioWrite(prod_row * kStreamRowBytes + 2 * 4, 5);  // port 0 -> 5
+  EXPECT_EQ(prod->streams().lookup(0, 5), prod_row);
+  EXPECT_THROW((void)prod->streams().lookup(0, 0), std::out_of_range);
+  prod->mmioWrite(prod_row * kStreamRowBytes + 1 * 4, 3);  // task 0 -> 3
+  EXPECT_EQ(prod->streams().lookup(3, 5), prod_row);
+  EXPECT_THROW((void)prod->streams().lookup(0, 5), std::out_of_range);
+  prod->mmioWrite(prod_row * kStreamRowBytes + 0 * 4, 0);  // teardown
+  EXPECT_THROW((void)prod->streams().lookup(3, 5), std::out_of_range);
+  EXPECT_THROW((void)prod->streams().lookup(0, 0), std::out_of_range);
 }
 
 }  // namespace

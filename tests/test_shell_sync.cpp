@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eclipse/sim/prng.hpp"
@@ -262,6 +264,151 @@ TEST_F(ShellSync, MessageForUnconfiguredRowIsDroppedAndCounted) {
   net->send(mem::SyncMessage{0, 1, 9, 4});
   sim->run();
   EXPECT_EQ(cons->lateSyncDrops(), 2u);
+}
+
+
+// ------------------------------------------------ division-free addressing
+
+// Widths and line sizes on the data plane must be powers of two; each is
+// rejected at construction under its configuration name.
+TEST(PowerOfTwoWidths, NonPowerOfTwoParametersAreRejectedByName) {
+  sim::Simulator sim;
+  const auto expectRejected = [](auto&& make, const std::string& param) {
+    try {
+      make();
+      ADD_FAILURE() << param << " = non-power-of-two was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(param), std::string::npos) << e.what();
+    }
+  };
+  mem::SramParams sp;
+  sp.bus_width_bytes = 12;
+  expectRejected([&] { mem::SharedSram bad(sim, sp); }, "sram.bus_width_bytes");
+  mem::DramParams dp;
+  dp.bus_width_bytes = 6;
+  expectRejected([&] { mem::OffChipMemory bad(sim, dp); }, "dram.bus_width_bytes");
+
+  mem::SharedSram sram(sim, mem::SramParams{});
+  mem::MessageNetwork net(sim, 1);
+  shell::ShellParams line;
+  line.cache_line_bytes = 48;
+  expectRejected([&] { Shell bad(sim, line, sram, net); }, "shell.cache_line_bytes");
+  shell::ShellParams port;
+  port.port_width_bytes = 12;
+  expectRejected([&] { Shell bad(sim, port, sram, net); }, "shell.port_width_bytes");
+  shell::ShellParams zero;
+  zero.port_width_bytes = 0;
+  expectRejected([&] { Shell bad(sim, zero, sram, net); }, "shell.port_width_bytes");
+  EXPECT_THROW(mem::Bus(sim, "b", 24, 1), std::invalid_argument);
+
+  // Powers of two across the swept range are accepted.
+  for (const std::uint32_t w : {1u, 2u, 4u, 8u, 16u, 32u}) {
+    shell::ShellParams ok;
+    ok.port_width_bytes = w;
+    ok.cache_line_bytes = w * 4;
+    EXPECT_NO_THROW(Shell(sim, ok, sram, net));
+    EXPECT_NO_THROW(mem::Bus(sim, "b", w, 1));
+  }
+}
+
+// The access point's buffer offset is kept incrementally (compare and
+// subtract) as PutSpace advances it, so buffers need not be powers of
+// two: 3- and 5-line buffers wrap many times, the offset equals pos % size
+// after every PutSpace on both sides, and the data stays bit-exact.
+Task<void> pumpChecked(Shell& sh, std::uint32_t row, std::uint32_t max_packet, int packets,
+                       std::uint64_t seed) {
+  sim::Prng rng(seed);
+  std::uint32_t counter = 0;
+  for (int p = 0; p < packets; ++p) {
+    const auto n = static_cast<std::uint32_t>(rng.range(1, max_packet));
+    std::vector<std::uint8_t> buf(n);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(counter++);
+    co_await sh.waitSpace(0, 0, n);
+    co_await sh.write(0, 0, 0, buf);
+    co_await sh.putSpace(0, 0, n);
+    const shell::StreamRow& r = sh.streams().row(row);
+    EXPECT_EQ(r.pos_off, r.pos % r.size) << "producer after packet " << p;
+  }
+}
+
+Task<void> drainChecked(Shell& sh, std::uint32_t row, std::uint32_t max_packet, int packets,
+                        std::uint64_t seed, bool& ok) {
+  sim::Prng rng(seed);
+  std::uint32_t counter = 0;
+  ok = true;
+  for (int p = 0; p < packets; ++p) {
+    const auto n = static_cast<std::uint32_t>(rng.range(1, max_packet));
+    std::vector<std::uint8_t> buf(n);
+    co_await sh.waitSpace(0, 0, n);
+    co_await sh.read(0, 0, 0, buf);
+    for (const auto b : buf) {
+      if (b != static_cast<std::uint8_t>(counter++)) ok = false;
+    }
+    co_await sh.putSpace(0, 0, n);
+    const shell::StreamRow& r = sh.streams().row(row);
+    EXPECT_EQ(r.pos_off, r.pos % r.size) << "consumer after packet " << p;
+  }
+}
+
+TEST_F(ShellSync, NonPowerOfTwoBuffersWrapWithIncrementalOffset) {
+  const std::uint32_t line = shell::ShellParams{}.cache_line_bytes;
+  for (const std::uint32_t lines : {3u, 5u}) {
+    rebuild(shell::ShellParams{});
+    const std::uint32_t size = lines * line;
+    connect(size);
+    const int packets = 400;
+    bool ok = false;
+    sim->spawn(pumpChecked(*prod, prod_row, size - 1, packets, 7), "pump");
+    sim->spawn(drainChecked(*cons, cons_row, size - 1, packets, 7, ok), "drain");
+    const auto end = sim->run(100'000'000);
+    ASSERT_EQ(sim->liveProcesses(), 0u) << "deadlocked at " << end;
+    EXPECT_TRUE(ok) << lines << "-line buffer";
+    const shell::StreamRow& r = cons->streams().row(cons_row);
+    EXPECT_GT(r.pos, std::uint64_t{size} * 50) << "the buffer wrapped many times";
+    EXPECT_EQ(r.pos, prod->streams().row(prod_row).pos);
+    EXPECT_EQ(prod->streams().row(prod_row).space, size);
+    sim->destroyProcesses();
+  }
+}
+
+// ------------------------------------------------------- port map
+
+// lookup() is a (task, port) -> row map kept current through configure and
+// the MMIO valid / task / port writes; a duplicate key resolves to the
+// lowest row, as a scan of the table would.
+TEST(StreamTableMap, LookupFollowsConfigureAndRekey) {
+  shell::StreamTable t(4, 8);
+  shell::StreamConfig c;
+  c.task = 2;
+  c.port = 1;
+  c.buffer_bytes = 64;
+  EXPECT_EQ(t.configure(c), 0u);
+  c.port = 3;
+  EXPECT_EQ(t.configure(c), 1u);
+  EXPECT_EQ(t.lookup(2, 1), 0u);
+  EXPECT_EQ(t.lookup(2, 3), 1u);
+  EXPECT_THROW((void)t.lookup(2, 2), std::out_of_range);
+
+  t.rekey(1, [](shell::StreamRow& r) { r.port = 1; });  // duplicate of row 0
+  EXPECT_EQ(t.lookup(2, 1), 0u);
+  EXPECT_THROW((void)t.lookup(2, 3), std::out_of_range);
+  t.rekey(0, [](shell::StreamRow& r) { r = shell::StreamRow{}; });  // teardown
+  EXPECT_EQ(t.lookup(2, 1), 1u);
+  t.rekey(1, [](shell::StreamRow& r) { r.task = 7; });
+  EXPECT_EQ(t.lookup(7, 1), 1u);
+  EXPECT_THROW((void)t.lookup(2, 1), std::out_of_range);
+
+  // Keys outside the dense map (task >= max_tasks, large or negative
+  // ports) are still found.
+  c.task = 9;
+  c.port = 40;
+  const std::uint32_t far = t.configure(c);
+  EXPECT_EQ(t.lookup(9, 40), far);
+  c.task = 0;
+  c.port = -1;
+  const std::uint32_t neg = t.configure(c);
+  EXPECT_EQ(t.lookup(0, -1), neg);
+  EXPECT_THROW((void)t.lookup(-3, 0), std::out_of_range);
 }
 
 }  // namespace
