@@ -336,27 +336,16 @@ sim::Task<void> fanoutNotifier(sim::Simulator& sim, sim::SimEvent& ev, int round
   }
 }
 
-sim::Task<void> semWorker(sim::Simulator& sim, sim::Semaphore& sem, int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    co_await sem.acquire();
-    sim::SemaphoreGuard guard(sem);
-    co_await sim.delay(2);
-  }
-}
-
-// Mixed-fanout resume pattern: one notifier waking 32 waiters each cycle
-// plus 16 workers contending on a 4-slot semaphore — the wake shapes of
-// shells (sched/space events) and buses (grant semaphores).
+// Mixed-fanout resume pattern: one notifier waking 32 waiters each cycle,
+// the wake shape of the shells' scheduler and space events.
 void BM_KernelMixedFanout(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     sim::SimEvent ev(sim);
-    sim::Semaphore sem(sim, 4);
     std::uint64_t wakes = 0;
     for (int p = 0; p < 32; ++p) sim.spawn(fanoutWaiter(ev, 500, wakes), "waiter");
     sim.spawn(fanoutNotifier(sim, ev, 500), "notifier");
-    for (int p = 0; p < 16; ++p) sim.spawn(semWorker(sim, sem, 500), "sem");
     sim.run();
     benchmark::DoNotOptimize(wakes);
     events += sim.eventsDispatched();
@@ -364,6 +353,36 @@ void BM_KernelMixedFanout(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_KernelMixedFanout);
+
+sim::Task<void> childDelay(sim::Simulator& sim) { co_await sim.delay(1); }
+
+sim::Task<void> suspendLoop(sim::Simulator& sim, int rounds, bool via_task) {
+  for (int i = 0; i < rounds; ++i) {
+    if (via_task) {
+      co_await childDelay(sim);
+    } else {
+      co_await sim.delay(1);
+    }
+  }
+}
+
+// The same one-cycle suspension in two forms: `task:1` awaits a child Task
+// (a coroutine frame from the pool, started and finished by symmetric
+// transfer) that awaits the delay; `task:0` awaits the delay awaiter
+// directly. Both dispatch one event per suspension, so the difference per
+// item is what a coroutine frame costs over an awaiter.
+void BM_KernelTaskFrameVsAwaiter(benchmark::State& state) {
+  const bool via_task = state.range(0) != 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    for (int p = 0; p < 64; ++p) sim.spawn(suspendLoop(sim, 1000, via_task), "loop");
+    sim.run();
+    events += sim.eventsDispatched();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_KernelTaskFrameVsAwaiter)->ArgName("task")->Arg(0)->Arg(1);
 
 // Reference timed decode, reported as simulated cycles per wall second —
 // the end-to-end number every E-bench inherits.

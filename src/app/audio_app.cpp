@@ -55,8 +55,7 @@ coproc::SoftCpu::StepHandler AudioDecodeApp::feederStep() const {
     }
     if (!co_await sh.getSpace(task, 0, withCtl(block_frame))) co_return;
     if (st.samples_fed >= st.total_samples) {
-      co_await coproc::packet_io::write(sh, task, 0, media::packTag(media::PacketTag::Eos),
-                                        /*wait=*/false);
+      co_await coproc::packet_io::write(sh, task, 0, media::packTag(media::PacketTag::Eos));
       st.eos_sent = true;
       inst_.cpu().finish(task);
       co_return;
@@ -71,7 +70,7 @@ coproc::SoftCpu::StepHandler AudioDecodeApp::feederStep() const {
                                std::span<std::uint8_t>(st.pkt).subspan(1));
     st.pos += bb;
     st.samples_fed += st.block_samples;
-    co_await coproc::packet_io::write(sh, task, 0, st.pkt, /*wait=*/false);
+    co_await coproc::packet_io::write(sh, task, 0, st.pkt);
   };
 }
 
@@ -84,8 +83,7 @@ coproc::SoftCpu::StepHandler AudioDecodeApp::decoderStep() const {
     const coproc::packet_io::Packet p = co_await coproc::packet_io::tryReadView(sh, task, 0);
     if (p.status == coproc::packet_io::ReadStatus::Blocked) co_return;
     if (coproc::packet_io::tagOf(p.bytes) == media::PacketTag::Eos) {
-      co_await coproc::packet_io::write(sh, task, 1, media::packTag(media::PacketTag::Eos),
-                                        /*wait=*/false);
+      co_await coproc::packet_io::write(sh, task, 1, media::packTag(media::PacketTag::Eos));
       st.done = true;
       inst_.cpu().finish(task);
       co_return;
@@ -100,7 +98,7 @@ coproc::SoftCpu::StepHandler AudioDecodeApp::decoderStep() const {
     st.out.resize(1 + st.samples.size() * 2);
     st.out[0] = static_cast<std::uint8_t>(media::PacketTag::Mb);
     std::memcpy(st.out.data() + 1, st.samples.data(), st.samples.size() * 2);
-    co_await coproc::packet_io::write(sh, task, 1, st.out, /*wait=*/false);
+    co_await coproc::packet_io::write(sh, task, 1, st.out);
   };
 }
 

@@ -13,69 +13,13 @@
 
 namespace eclipse::app {
 
-/// PI-bus register map of a shell window (mirrors the layout in
-/// shell.cpp): max_streams stream rows of kStreamRowWords 32-bit words,
-/// then max_tasks task rows of kTaskRowWords words, then a kShellCtlWords
-/// control block. Shared by the Configurator, the graph_dump tool and the
+/// PI-bus addresses of a shell's table registers. The layout and the
+/// field names are shell::mmio's (shell/tables.hpp); this adds the shell's
+/// window base. Shared by the Configurator, the graph_dump tool and the
 /// reconfiguration/fault tests.
 namespace mmio {
 
-inline constexpr std::uint32_t kStreamRowWords = 32;
-inline constexpr std::uint32_t kTaskRowWords = 32;
-inline constexpr std::uint32_t kShellCtlWords = 8;
-
-/// Stream-row fields (word offsets). Fields past kRemoteRow are read-only
-/// position/measurement registers, except kStreamStalled (write 0 to clear
-/// a latched stall).
-enum StreamField : std::uint32_t {
-  kStreamValid = 0,
-  kStreamTask = 1,
-  kStreamPort = 2,
-  kStreamIsProducer = 3,
-  kStreamBase = 4,
-  kStreamSize = 5,
-  kStreamSpace = 6,
-  kStreamRemoteShell = 7,
-  kStreamRemoteRow = 8,
-  kStreamPosLo = 9,
-  kStreamPosHi = 10,
-  kStreamGranted = 11,
-  kStreamBytesLo = 12,
-  kStreamBytesHi = 13,
-  // Watchdog stall latch (DESIGN §9).
-  kStreamStalled = 27,
-  kStreamStallCycleLo = 28,
-  kStreamStallCycleHi = 29,
-};
-
-/// Task-row fields (word offsets). Fields past kTaskInfo are read-only,
-/// except kTaskFaulted (write 0 to clear the fault latch; the enable bit
-/// must be restored separately — recovery is a deliberate two-step).
-enum TaskField : std::uint32_t {
-  kTaskValid = 0,
-  kTaskEnabled = 1,
-  kTaskBudget = 2,
-  kTaskInfo = 3,
-  kTaskBusyLo = 4,
-  kTaskBusyHi = 5,
-  kTaskBlocked = 6,  ///< write 0 to clear the blocked latch (row re-binding)
-  // Fault register block (DESIGN §9).
-  kTaskFaulted = 14,
-  kTaskFaultCause = 15,
-  kTaskFaultCycleLo = 16,
-  kTaskFaultCycleHi = 17,
-  kTaskFaultRow = 18,
-  kTaskFaultCount = 19,
-};
-
-/// Shell control block fields (word offsets past the task table).
-enum CtlField : std::uint32_t {
-  kCtlLateSyncDrops = 0,   ///< sticky drop counter; writable (reset)
-  kCtlWatchdogTimeout = 1, ///< write arms/disarms the watchdog (0 = off)
-  kCtlWatchdogPeriod = 2,  ///< scan period; write BEFORE the timeout
-  kCtlFaultsLatched = 3,   ///< read-only
-  kCtlStallsLatched = 4,   ///< read-only
-};
+using namespace shell::mmio;
 
 /// PI-bus address of stream-row register `field` of row `row` of `sh`.
 inline sim::Addr streamReg(const shell::Shell& sh, std::uint32_t row, std::uint32_t field) {

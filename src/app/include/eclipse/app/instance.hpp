@@ -282,6 +282,7 @@ class EclipseInstance {
   int pending_apps_ = 0;
   bool started_ = false;
   sim::FaultInjector injector_;
+  std::vector<sim::FaultSpec> bit_flips_;  // armed bit flips, by event index
 };
 
 }  // namespace eclipse::app

@@ -334,6 +334,7 @@ bool EclipseInstance::recycle() {
   mc_->reset();
   cpu_->reset();
   injector_.clear();
+  bit_flips_.clear();
   sim_.setFaultInjector(nullptr);
   started_ = false;  // next run() re-spawns every control loop cold
   return true;
@@ -348,15 +349,18 @@ void EclipseInstance::armFaults(const sim::FaultPlan& plan) {
   for (const sim::FaultSpec& f : plan.faults) {
     if (f.kind == sim::FaultKind::BitFlipSram || f.kind == sim::FaultKind::BitFlipDram) {
       // State-mutating faults fire as one-shot events at their trigger
-      // cycle; the injector only keeps the trigger log for them.
-      sim_.scheduleAt(f.at_cycle, [this, f] {
-        auto storage = f.kind == sim::FaultKind::BitFlipSram ? sram_->storage().view()
-                                                             : dram_->storage().view();
-        if (f.addr < storage.size()) {
-          storage[f.addr] ^= static_cast<std::uint8_t>(1u << (f.bit % 8));
+      // cycle; the injector only keeps the trigger log for them. The spec
+      // stays in bit_flips_ until recycle(), and the event names it by index.
+      bit_flips_.push_back(f);
+      sim_.scheduleAt(f.at_cycle, [this, i = bit_flips_.size() - 1] {
+        const sim::FaultSpec& spec = bit_flips_[i];
+        auto storage = spec.kind == sim::FaultKind::BitFlipSram ? sram_->storage().view()
+                                                                : dram_->storage().view();
+        if (spec.addr < storage.size()) {
+          storage[spec.addr] ^= static_cast<std::uint8_t>(1u << (spec.bit % 8));
         }
-        injector_.logTrigger(sim::FaultTrigger{f.kind, sim_.now(), f.shell, f.task,
-                                               static_cast<std::uint32_t>(f.addr)});
+        injector_.logTrigger(sim::FaultTrigger{spec.kind, sim_.now(), spec.shell, spec.task,
+                                               static_cast<std::uint32_t>(spec.addr)});
       });
     } else {
       injector_.arm(f);

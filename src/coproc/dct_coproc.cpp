@@ -41,14 +41,13 @@ sim::Task<void> DctCoproc::step(sim::TaskId task, std::uint32_t task_info) {
     blocks_ += static_cast<std::uint64_t>(nb);
     co_await sim_.delay(static_cast<sim::Cycle>(nb) * params_.blockCycles());
     co_await packet_io::write(shell_, task, kOut,
-                              media::packPacketInto(writer_, media::PacketTag::Mb, out),
-                              /*wait=*/false);
+                              media::packPacketInto(writer_, media::PacketTag::Mb, out));
     co_return;
   }
   // Control packets pass through unchanged; staged in the reusable buffer
   // because the view does not survive write()'s suspension points.
   ctl_.assign(p.bytes.begin(), p.bytes.end());
-  co_await packet_io::write(shell_, task, kOut, ctl_, /*wait=*/false);
+  co_await packet_io::write(shell_, task, kOut, ctl_);
   if (tag == media::PacketTag::Eos) finishTask(task);
 }
 

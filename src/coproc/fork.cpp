@@ -18,7 +18,7 @@ sim::Task<void> ForkCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) 
   // packet is forwarded fanout times — stage it in the reusable buffer.
   pkt_.assign(p.bytes.begin(), p.bytes.end());
   for (int out = 1; out <= fanout_; ++out) {
-    co_await packet_io::write(shell_, task, out, pkt_, /*wait=*/false);
+    co_await packet_io::write(shell_, task, out, pkt_);
   }
   ++packets_;
   if (packet_io::tagOf(pkt_) == media::PacketTag::Eos) finishTask(task);

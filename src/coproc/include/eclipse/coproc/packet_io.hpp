@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "eclipse/media/packets.hpp"
 #include "eclipse/shell/shell.hpp"
@@ -21,18 +20,20 @@ namespace eclipse::coproc {
 /// the whole packet is readable, so an aborted step simply re-reads the
 /// length word on its next attempt.
 ///
-/// Since the zero-copy transport refactor packets are delivered as
-/// WindowViews into the stream FIFO instead of freshly allocated vectors:
-/// tryReadView / tryPeekView return a Packet whose `bytes` span the tag +
-/// payload directly in SRAM (gathered into the port's reusable scratch
-/// buffer only when the packet wraps the cyclic buffer).
+/// Three calls, none of which waits for space: tryReadView (read and
+/// commit), tryPeekView (read; the caller commits later) and write (into
+/// room the caller already holds). A received packet is a WindowView into
+/// the stream FIFO whose `bytes` span the tag + payload directly in SRAM
+/// (gathered into the port's reusable scratch buffer only when the packet
+/// wraps the cyclic buffer). Code that must wait for a packet calls
+/// Shell::waitSpace first.
 namespace packet_io {
 
 inline constexpr std::uint32_t kFrameHeaderBytes = 4;
 
-/// Result of a non-committing packet read attempt.
+/// Result of a packet read attempt.
 enum class ReadStatus {
-  Ok,       ///< packet read and committed
+  Ok,       ///< whole packet read (and committed, by tryReadView)
   Blocked,  ///< insufficient data; nothing committed — abort the step
 };
 
@@ -59,16 +60,13 @@ sim::Task<Packet> tryReadView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 /// compute, then PutSpace the returned frame_bytes on each port.
 sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId port);
 
-/// Blocking read: waits for space instead of aborting (used by coprocessor
-/// designs that park rather than switch, and by the sinks).
-sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port);
-
 /// Writes and commits one framed packet (tag + payload). Requires room for
-/// kFrameHeaderBytes + data.size() to have been granted by a prior
-/// Shell::getSpace on the port, or waits for it (`wait` = true). The header and payload are scattered into
-/// acquireWrite views of the FIFO.
+/// frameBytes(data.size()) to have been granted by a prior Shell::getSpace
+/// on the port (a coprocessor checks its output room before it starts a
+/// step). The header and payload are scattered into acquireWrite views of
+/// the FIFO.
 sim::Task<void> write(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                      std::span<const std::uint8_t> data, bool wait);
+                      std::span<const std::uint8_t> data);
 
 /// Frame size on the wire of a packet with `payload_bytes` content bytes.
 [[nodiscard]] inline std::uint32_t frameBytes(std::uint32_t payload_bytes) {

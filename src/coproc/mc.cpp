@@ -271,7 +271,7 @@ sim::Task<void> McCoproc::stepDecodeRecon(sim::TaskId task, TaskState& st) {
   if (tag_hdr == media::PacketTag::Resync || tag_res == media::PacketTag::Resync) {
     if (tag_hdr == tag_res) {
       st.mb_index = 0;
-      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes);
       co_await shell_.putSpace(task, kInHdr, hdr.frame_bytes);
       co_await shell_.putSpace(task, kInRes, res.frame_bytes);
     } else if (tag_hdr == media::PacketTag::Resync) {
@@ -291,7 +291,7 @@ sim::Task<void> McCoproc::stepDecodeRecon(sim::TaskId task, TaskState& st) {
       media::get(r, st.seq);
       st.have_seq = true;
       st.mb_count = (st.seq.width / media::kMbSize) * (st.seq.height / media::kMbSize);
-      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes);
       break;
     }
     case media::PacketTag::Pic: {
@@ -300,7 +300,7 @@ sim::Task<void> McCoproc::stepDecodeRecon(sim::TaskId task, TaskState& st) {
       media::get(r, ph);
       onPicHeader(st, ph);
       pic_events_.push_back(PicEvent{task, ph, sim_.now()});
-      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes);
       break;
     }
     case media::PacketTag::Mb: {
@@ -321,13 +321,12 @@ sim::Task<void> McCoproc::stepDecodeRecon(sim::TaskId task, TaskState& st) {
         co_await writeReconMb(st, st.write_slot, h.mb_x, h.mb_y, recon);
       }
       co_await packet_io::write(shell_, task, kOutPix,
-                                media::packPacketInto(writer_, media::PacketTag::Mb, recon),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Mb, recon));
       ++st.mb_index;
       break;
     }
     case media::PacketTag::Eos: {
-      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutPix, hdr.bytes);
       finishTask(task);
       break;
     }
@@ -353,9 +352,9 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
       media::get(r, st.seq);
       st.have_seq = true;
       st.mb_count = (st.seq.width / media::kMbSize) * (st.seq.height / media::kMbSize);
-      co_await packet_io::write(shell_, task, kOutRes, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutRes, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes);
       break;
     }
     case media::PacketTag::Pic: {
@@ -363,11 +362,11 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
       media::ByteReader r(packet_io::payloadOf(in.bytes));
       media::get(r, ph);
       onPicHeader(st, ph);
-      co_await packet_io::write(shell_, task, kOutRes, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutRes, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes);
       if (ph.type != media::FrameType::B) {
         // Only reference pictures travel down the reconstruction loop.
-        co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes, /*wait=*/false);
+        co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes);
       }
       break;
     }
@@ -393,14 +392,13 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
                           params_.cycles_per_block_add);
 
       co_await packet_io::write(shell_, task, kOutRes,
-                                media::packPacketInto(writer_, media::PacketTag::Mb, residual),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Mb, residual));
       // The header re-pack reuses the writer only after the residual write
       // completed; the span then stays valid for both header writes.
       const auto hdr_pkt = media::packPacketInto(writer_, media::PacketTag::Mb, h);
-      co_await packet_io::write(shell_, task, kOutHdrVle, hdr_pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutHdrVle, hdr_pkt);
       if (st.pic.type != media::FrameType::B) {
-        co_await packet_io::write(shell_, task, kOutHdrRec, hdr_pkt, /*wait=*/false);
+        co_await packet_io::write(shell_, task, kOutHdrRec, hdr_pkt);
       }
       ++st.mb_index;
       break;
@@ -409,15 +407,15 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
       // Propagate the marker on every output so the whole encode pipeline
       // realigns; picture state restarts at the next Pic header.
       st.mb_index = 0;
-      co_await packet_io::write(shell_, task, kOutRes, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutRes, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes);
       break;
     }
     case media::PacketTag::Eos: {
-      co_await packet_io::write(shell_, task, kOutRes, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutRes, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrVle, in.bytes);
+      co_await packet_io::write(shell_, task, kOutHdrRec, in.bytes);
       finishTask(task);
       break;
     }
@@ -486,13 +484,12 @@ sim::Task<void> McCoproc::stepEncodeRecon(sim::TaskId task, TaskState& st) {
       if (++st.mb_index >= st.mb_count) {
         // Frame-done token: unblocks the source for dependent pictures.
         co_await packet_io::write(shell_, task, kOutToken,
-                                  media::packPacketInto(writer_, media::PacketTag::Pic, st.pic),
-                                  /*wait=*/false);
+                                  media::packPacketInto(writer_, media::PacketTag::Pic, st.pic));
       }
       break;
     }
     case media::PacketTag::Eos: {
-      co_await packet_io::write(shell_, task, kOutToken, hdr.bytes, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutToken, hdr.bytes);
       finishTask(task);
       break;
     }

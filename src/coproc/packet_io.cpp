@@ -63,26 +63,10 @@ sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId po
   co_return p;
 }
 
-sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
-  co_await sh.waitSpace(task, port, kFrameHeaderBytes);
-  const std::uint32_t len = co_await ReadLen(sh, task, port);
-  co_await sh.waitSpace(task, port, kFrameHeaderBytes + len);
-  Packet p;
-  p.view = co_await sh.acquireRead(task, port, kFrameHeaderBytes, len);
-  p.frame_bytes = kFrameHeaderBytes + len;
-  p.bytes = p.view.gather(sh.portScratch(task, port));
-  co_await sh.putSpace(task, port, p.frame_bytes);
-  p.status = ReadStatus::Ok;
-  co_return p;
-}
-
 sim::Task<void> write(shell::Shell& sh, sim::TaskId task, sim::PortId port,
-                      std::span<const std::uint8_t> data, bool wait) {
+                      std::span<const std::uint8_t> data) {
   const auto len = static_cast<std::uint32_t>(data.size());
   const std::uint32_t total = kFrameHeaderBytes + len;
-  if (wait) {
-    co_await sh.waitSpace(task, port, total);
-  }
   std::uint8_t hdr[kFrameHeaderBytes];
   std::memcpy(hdr, &len, sizeof len);
   // Two separate acquires — the same two transfer charges as the classic

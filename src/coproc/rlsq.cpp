@@ -42,12 +42,10 @@ sim::Task<void> RlsqCoproc::stepDecode(sim::TaskId task, TaskState& st) {
     const auto tag = packet_io::tagOf(p.bytes);
     if (tag == media::PacketTag::Resync) {
       st.discard = false;
-      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Resync),
-                                /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Resync));
     } else if (tag == media::PacketTag::Eos) {
       st.discard = false;
-      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos),
-                                /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos));
       finishTask(task);
     } else {
       ++discarded_;
@@ -63,16 +61,14 @@ sim::Task<void> RlsqCoproc::stepDecode(sim::TaskId task, TaskState& st) {
       media::get(r, st.seq);
       st.have_seq = true;
       co_await packet_io::write(shell_, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Seq, st.seq),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Seq, st.seq));
       break;
     }
     case media::PacketTag::Pic: {
       media::ByteReader r(packet_io::payloadOf(p.bytes));
       media::get(r, st.pic);
       co_await packet_io::write(shell_, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Pic, st.pic),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Pic, st.pic));
       break;
     }
     case media::PacketTag::Mb: {
@@ -89,19 +85,16 @@ sim::Task<void> RlsqCoproc::stepDecode(sim::TaskId task, TaskState& st) {
       co_await sim_.delay(np * params_.cycles_per_pair +
                           static_cast<sim::Cycle>(nb) * params_.cycles_per_block);
       co_await packet_io::write(shell_, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Mb, out),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Mb, out));
       break;
     }
     case media::PacketTag::Resync: {
       // Pass the marker through so downstream stages resynchronise too.
-      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Resync),
-                                /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Resync));
       break;
     }
     case media::PacketTag::Eos: {
-      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos),
-                                /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos));
       finishTask(task);
       break;
     }
@@ -125,8 +118,8 @@ sim::Task<void> RlsqCoproc::stepEncode(sim::TaskId task, TaskState& st) {
       // One re-pack feeds both writes; the writer is untouched in between,
       // so the span stays valid across the suspensions.
       const auto out_pkt = media::packPacketInto(writer_, media::PacketTag::Seq, st.seq);
-      co_await packet_io::write(shell_, task, kOut, out_pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutRecon, out_pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, out_pkt);
+      co_await packet_io::write(shell_, task, kOutRecon, out_pkt);
       break;
     }
     case media::PacketTag::Pic: {
@@ -134,9 +127,9 @@ sim::Task<void> RlsqCoproc::stepEncode(sim::TaskId task, TaskState& st) {
       media::get(r, st.pic);
       st.pic_is_ref = st.pic.type != media::FrameType::B;
       const auto out_pkt = media::packPacketInto(writer_, media::PacketTag::Pic, st.pic);
-      co_await packet_io::write(shell_, task, kOut, out_pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, out_pkt);
       if (st.pic_is_ref) {
-        co_await packet_io::write(shell_, task, kOutRecon, out_pkt, /*wait=*/false);
+        co_await packet_io::write(shell_, task, kOutRecon, out_pkt);
       }
       break;
     }
@@ -153,23 +146,21 @@ sim::Task<void> RlsqCoproc::stepEncode(sim::TaskId task, TaskState& st) {
                           static_cast<sim::Cycle>(media::kBlocksPerMacroblock) *
                               params_.cycles_per_block);
       const auto out_pkt = media::packPacketInto(writer_, media::PacketTag::Mb, out);
-      co_await packet_io::write(shell_, task, kOut, out_pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, out_pkt);
       if (st.pic_is_ref) {
-        co_await packet_io::write(shell_, task, kOutRecon, out_pkt, /*wait=*/false);
+        co_await packet_io::write(shell_, task, kOutRecon, out_pkt);
       }
       break;
     }
     case media::PacketTag::Resync: {
       const auto out_pkt = media::packTag(media::PacketTag::Resync);
-      co_await packet_io::write(shell_, task, kOut, out_pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutRecon, out_pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, out_pkt);
+      co_await packet_io::write(shell_, task, kOutRecon, out_pkt);
       break;
     }
     case media::PacketTag::Eos: {
-      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos),
-                                /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutRecon, media::packTag(media::PacketTag::Eos),
-                                /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOut, media::packTag(media::PacketTag::Eos));
+      co_await packet_io::write(shell_, task, kOutRecon, media::packTag(media::PacketTag::Eos));
       finishTask(task);
       break;
     }

@@ -23,8 +23,7 @@ sim::Task<void> EncoderSource::step(sim::TaskId task, std::uint32_t /*info*/) {
     case Phase::Seq: {
       if (!co_await sh.getSpace(task, kOut, withCtl(kMaxPixelsFrame))) co_return;
       co_await packet_io::write(sh, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Seq, seq_),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Seq, seq_));
       phase_ = Phase::PicStart;
       break;
     }
@@ -50,8 +49,7 @@ sim::Task<void> EncoderSource::step(sim::TaskId task, std::uint32_t /*info*/) {
       ph.temporal_ref = static_cast<std::uint16_t>(cp.display_idx);
       ph.qscale = seq_.qscale;
       co_await packet_io::write(sh, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Pic, ph),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Pic, ph));
       mb_index_ = 0;
       phase_ = Phase::Mb;
       break;
@@ -64,8 +62,7 @@ sim::Task<void> EncoderSource::step(sim::TaskId task, std::uint32_t /*info*/) {
       media::MbPixels px;
       media::stages::extractMb(f, mb_index_ % mb_w, mb_index_ / mb_w, px);
       co_await packet_io::write(sh, task, kOut,
-                                media::packPacketInto(writer_, media::PacketTag::Mb, px),
-                                /*wait=*/false);
+                                media::packPacketInto(writer_, media::PacketTag::Mb, px));
       if (++mb_index_ >= mb_count_) {
         if (cp.type != media::FrameType::B) ++refs_emitted_;
         if (++pic_idx_ >= order_.size()) {
@@ -78,8 +75,7 @@ sim::Task<void> EncoderSource::step(sim::TaskId task, std::uint32_t /*info*/) {
     }
     case Phase::Eos: {
       if (!co_await sh.getSpace(task, kOut, withCtl(kMaxPixelsFrame))) co_return;
-      co_await packet_io::write(sh, task, kOut, media::packTag(media::PacketTag::Eos),
-                                /*wait=*/false);
+      co_await packet_io::write(sh, task, kOut, media::packTag(media::PacketTag::Eos));
       phase_ = Phase::Done;
       cpu_.finish(task);
       break;
@@ -101,14 +97,13 @@ sim::Task<void> VleTask::step(sim::TaskId task, std::uint32_t /*info*/) {
     writer_.clear();
     writer_.u8(static_cast<std::uint8_t>(media::PacketTag::Mb));
     writer_.bytes(std::span<const std::uint8_t>(pending_.data(), n));
-    co_await packet_io::write(sh, task, kOut, writer_.data(), /*wait=*/false);
+    co_await packet_io::write(sh, task, kOut, writer_.data());
     pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(n));
     co_return;
   }
   if (eos_seen_) {
     if (!co_await sh.getSpace(task, kOut, out_reserve)) co_return;
-    co_await packet_io::write(sh, task, kOut, media::packTag(media::PacketTag::Eos),
-                              /*wait=*/false);
+    co_await packet_io::write(sh, task, kOut, media::packTag(media::PacketTag::Eos));
     cpu_.finish(task);
     co_return;
   }

@@ -62,8 +62,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
     st.resync_pending = false;
     if (st.phase != Phase::Done) {
       const auto pkt = media::packTag(media::PacketTag::Eos);
-      co_await packet_io::write(shell_, task, kOutCoef, pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdr, pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutCoef, pkt);
+      co_await packet_io::write(shell_, task, kOutHdr, pkt);
       st.phase = Phase::Done;
     }
     finishTask(task);
@@ -75,8 +75,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       // Tell every downstream stage to drop in-flight state, then discard
       // the rest of the current picture and hunt for the next I-frame.
       const auto pkt = media::packTag(media::PacketTag::Resync);
-      co_await packet_io::write(shell_, task, kOutCoef, pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdr, pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutCoef, pkt);
+      co_await packet_io::write(shell_, task, kOutHdr, pkt);
       st.skipping = true;
     }
   }
@@ -89,8 +89,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       co_await sim_.delay(8 * params_.cycles_per_symbol);
       symbols_ += 8;
       const auto pkt = media::packPacketInto(writer_, media::PacketTag::Seq, st.seq);
-      co_await packet_io::write(shell_, task, kOutCoef, pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdr, pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutCoef, pkt);
+      co_await packet_io::write(shell_, task, kOutHdr, pkt);
       st.phase = Phase::PicHeader;
       break;
     }
@@ -112,8 +112,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
         }
       }
       const auto pkt = media::packPacketInto(writer_, media::PacketTag::Pic, st.pic);
-      co_await packet_io::write(shell_, task, kOutCoef, pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdr, pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutCoef, pkt);
+      co_await packet_io::write(shell_, task, kOutHdr, pkt);
       st.mb_index = 0;
       st.phase = Phase::Macroblock;
       break;
@@ -129,12 +129,10 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       if (!st.skipping) {
         co_await packet_io::write(
             shell_, task, kOutCoef,
-            media::packPacketInto(writer_, media::PacketTag::Mb, parsed.coefs),
-            /*wait=*/false);
+            media::packPacketInto(writer_, media::PacketTag::Mb, parsed.coefs));
         co_await packet_io::write(
             shell_, task, kOutHdr,
-            media::packPacketInto(writer_, media::PacketTag::Mb, parsed.header),
-            /*wait=*/false);
+            media::packPacketInto(writer_, media::PacketTag::Mb, parsed.header));
       }
       if (++st.mb_index >= st.mb_count) {
         st.phase = ++st.pics_done >= st.seq.frame_count ? Phase::EndOfStream : Phase::PicHeader;
@@ -143,8 +141,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
     }
     case Phase::EndOfStream: {
       const auto pkt = media::packTag(media::PacketTag::Eos);
-      co_await packet_io::write(shell_, task, kOutCoef, pkt, /*wait=*/false);
-      co_await packet_io::write(shell_, task, kOutHdr, pkt, /*wait=*/false);
+      co_await packet_io::write(shell_, task, kOutCoef, pkt);
+      co_await packet_io::write(shell_, task, kOutHdr, pkt);
       st.phase = Phase::Done;
       finishTask(task);
       break;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 
@@ -223,43 +224,38 @@ void fdctMb(const MbBlocks& in, MbBlocks& out) {
   }
 }
 
+// Macroblock <-> frame copies, one row at a time: a 16-byte luma row, then
+// an 8-byte row of each chroma plane.
+
 void extractMb(const Frame& f, int mb_x, int mb_y, MbPixels& out) {
-  const int px = mb_x * kMbSize;
-  const int py = mb_y * kMbSize;
-  for (int y = 0; y < kMbSize; ++y) {
-    for (int x = 0; x < kMbSize; ++x) {
-      out.y[static_cast<std::size_t>(y * kMbSize + x)] = f.yAt(px + x, py + y);
-    }
+  const auto w = static_cast<std::size_t>(f.width());
+  const auto px = static_cast<std::size_t>(mb_x * kMbSize);
+  const auto py = static_cast<std::size_t>(mb_y * kMbSize);
+  const std::uint8_t* y = f.yPlane().data() + py * w + px;
+  for (std::size_t r = 0; r < kMbSize; ++r) {
+    std::memcpy(out.y.data() + r * kMbSize, y + r * w, kMbSize);
   }
-  const int cw = f.width() / 2;
-  const auto& cb = f.cbPlane();
-  const auto& cr = f.crPlane();
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const std::size_t src = static_cast<std::size_t>((py / 2 + y) * cw + (px / 2 + x));
-      out.cb[static_cast<std::size_t>(y * 8 + x)] = cb[src];
-      out.cr[static_cast<std::size_t>(y * 8 + x)] = cr[src];
-    }
+  const std::size_t cw = w / 2;
+  const std::size_t c0 = py / 2 * cw + px / 2;
+  for (std::size_t r = 0; r < 8; ++r) {
+    std::memcpy(out.cb.data() + r * 8, f.cbPlane().data() + c0 + r * cw, 8);
+    std::memcpy(out.cr.data() + r * 8, f.crPlane().data() + c0 + r * cw, 8);
   }
 }
 
 void placeMb(Frame& f, int mb_x, int mb_y, const MbPixels& in) {
-  const int px = mb_x * kMbSize;
-  const int py = mb_y * kMbSize;
-  for (int y = 0; y < kMbSize; ++y) {
-    for (int x = 0; x < kMbSize; ++x) {
-      f.setY(px + x, py + y, in.y[static_cast<std::size_t>(y * kMbSize + x)]);
-    }
+  const auto w = static_cast<std::size_t>(f.width());
+  const auto px = static_cast<std::size_t>(mb_x * kMbSize);
+  const auto py = static_cast<std::size_t>(mb_y * kMbSize);
+  std::uint8_t* y = f.yPlane().data() + py * w + px;
+  for (std::size_t r = 0; r < kMbSize; ++r) {
+    std::memcpy(y + r * w, in.y.data() + r * kMbSize, kMbSize);
   }
-  const int cw = f.width() / 2;
-  auto& cb = f.cbPlane();
-  auto& cr = f.crPlane();
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const std::size_t dst = static_cast<std::size_t>((py / 2 + y) * cw + (px / 2 + x));
-      cb[dst] = in.cb[static_cast<std::size_t>(y * 8 + x)];
-      cr[dst] = in.cr[static_cast<std::size_t>(y * 8 + x)];
-    }
+  const std::size_t cw = w / 2;
+  const std::size_t c0 = py / 2 * cw + px / 2;
+  for (std::size_t r = 0; r < 8; ++r) {
+    std::memcpy(f.cbPlane().data() + c0 + r * cw, in.cb.data() + r * 8, 8);
+    std::memcpy(f.crPlane().data() + c0 + r * cw, in.cr.data() + r * 8, 8);
   }
 }
 

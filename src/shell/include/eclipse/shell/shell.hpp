@@ -84,7 +84,7 @@ class Shell {
   /// granted window of an input port. Charged exactly the cycle costs of a
   /// read() of the same size (port handshake, cache hit/miss walk,
   /// prefetch); the returned view points directly into the stream FIFO in
-  /// SRAM. view.commit() performs PutSpace(offset + n).
+  /// SRAM. putSpace(task, port, offset + n) commits it.
   [[nodiscard]] AcquireOp acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                       std::size_t n);
 
@@ -92,7 +92,7 @@ class Shell {
   /// granted window of an output port; same cycle costs as a write() of
   /// the same size. Bytes stored through the view land in the stream FIFO
   /// immediately (write-through); the cache replays the dirty-line /
-  /// flush timing. view.commit() performs PutSpace(offset + n).
+  /// flush timing. putSpace(task, port, offset + n) commits it.
   [[nodiscard]] AcquireOp acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                        std::size_t n);
 
@@ -246,8 +246,7 @@ class Shell {
   void chargeStep();
   bool pickTask(GetTaskResult& out);
   void commitPut(std::uint32_t idx, sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
-  [[nodiscard]] WindowView makeView(const StreamRow& row, sim::TaskId task, sim::PortId port,
-                                    std::uint64_t offset, std::size_t n);
+  [[nodiscard]] WindowView makeView(const StreamRow& row, std::uint64_t offset, std::size_t n);
 
   sim::Task<void> profilerProcess();
   sim::Task<void> watchdogProcess();
@@ -419,7 +418,7 @@ class [[nodiscard]] Shell::AcquireOp : StreamCache::Walk {
   }
   WindowView await_resume() {
     row_->access_latency.add(static_cast<double>(sh_.sim_.now() - t0_));
-    return sh_.makeView(*row_, task_, port_, offset_, n_);
+    return sh_.makeView(*row_, offset_, n_);
   }
 
  private:

@@ -250,4 +250,91 @@ class TaskTable {
   std::vector<TaskRow> rows_;
 };
 
+/// PI-bus register map of a shell's tables (Section 5.4): max_streams
+/// stream rows of kStreamRowWords 32-bit words, then max_tasks task rows
+/// of kTaskRowWords words, then a kShellCtlWords control block. Each field
+/// is a word offset within its row or block; Shell::mmioRead/mmioWrite
+/// decode these, and app::mmio builds bus addresses from them.
+namespace mmio {
+
+inline constexpr std::uint32_t kStreamRowWords = 32;
+inline constexpr std::uint32_t kTaskRowWords = 32;
+inline constexpr std::uint32_t kShellCtlWords = 8;
+
+/// Stream-row fields. Fields past kStreamRemoteRow are read-only
+/// position/measurement registers, except kStreamStalled (write 0 to clear
+/// a latched stall).
+enum StreamField : std::uint32_t {
+  kStreamValid = 0,
+  kStreamTask = 1,
+  kStreamPort = 2,
+  kStreamIsProducer = 3,
+  kStreamBase = 4,
+  kStreamSize = 5,
+  kStreamSpace = 6,
+  kStreamRemoteShell = 7,
+  kStreamRemoteRow = 8,
+  kStreamPosLo = 9,
+  kStreamPosHi = 10,
+  kStreamGranted = 11,
+  kStreamBytesLo = 12,
+  kStreamBytesHi = 13,
+  kStreamGetspaceCalls = 14,
+  kStreamGetspaceDenied = 15,
+  kStreamPutspaceCalls = 16,
+  kStreamReadCalls = 17,
+  kStreamWriteCalls = 18,
+  kStreamCacheHits = 19,
+  kStreamCacheMisses = 20,
+  kStreamCacheFlushes = 21,
+  kStreamCacheInvalidations = 22,
+  kStreamPrefetches = 23,
+  kStreamAccessCount = 24,
+  kStreamAccessMean = 25,
+  kStreamAccessMax = 26,
+  // Watchdog stall latch (DESIGN §9).
+  kStreamStalled = 27,
+  kStreamStallCycleLo = 28,
+  kStreamStallCycleHi = 29,
+};
+
+/// Task-row fields. Fields past kTaskInfo are read-only, except
+/// kTaskBlocked and kTaskFaulted (write 0 to clear the latch; after a fault
+/// the enable bit must be restored separately — recovery is a deliberate
+/// two-step).
+enum TaskField : std::uint32_t {
+  kTaskValid = 0,
+  kTaskEnabled = 1,
+  kTaskBudget = 2,
+  kTaskInfo = 3,
+  kTaskBusyLo = 4,
+  kTaskBusyHi = 5,
+  kTaskBlocked = 6,  ///< write 0 to clear the blocked latch (row re-binding)
+  kTaskGettaskCount = 7,
+  kTaskScheduleCount = 8,
+  kTaskSwitchCount = 9,
+  kTaskBlockedCycles = 10,
+  kTaskStepCount = 11,
+  kTaskStepMean = 12,
+  kTaskStepMax = 13,
+  // Fault register block (DESIGN §9).
+  kTaskFaulted = 14,
+  kTaskFaultCause = 15,
+  kTaskFaultCycleLo = 16,
+  kTaskFaultCycleHi = 17,
+  kTaskFaultRow = 18,
+  kTaskFaultCount = 19,
+};
+
+/// Shell control block fields (word offsets past the task table).
+enum CtlField : std::uint32_t {
+  kCtlLateSyncDrops = 0,    ///< sticky drop counter; writable (reset)
+  kCtlWatchdogTimeout = 1,  ///< write arms/disarms the watchdog (0 = off)
+  kCtlWatchdogPeriod = 2,   ///< scan period; write BEFORE the timeout
+  kCtlFaultsLatched = 3,    ///< read-only
+  kCtlStallsLatched = 4,    ///< read-only
+};
+
+}  // namespace mmio
+
 }  // namespace eclipse::shell

@@ -7,9 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "eclipse/sim/coro.hpp"
-#include "eclipse/sim/types.hpp"
-
 namespace eclipse::shell {
 
 class Shell;
@@ -24,6 +21,9 @@ class Shell;
 /// free host work — the paper's observation 1 (data inside a granted
 /// window is private to the access point) makes the view semantically
 /// exact.
+///
+/// A view only addresses bytes; the coprocessor commits the window with
+/// Shell::putSpace like any other access.
 ///
 /// Lifetime rules (see DESIGN.md §7):
 ///  * a write view is valid until its window is committed (PutSpace);
@@ -104,23 +104,11 @@ class WindowView {
     return scratch;
   }
 
-  /// Commits the window this view was acquired in: PutSpace of every byte
-  /// from the access point up to the end of the view (offset + length).
-  /// The view must not be used afterwards.
-  sim::Task<void> commit();
-
-  /// Bytes a commit() would PutSpace (the view's offset plus its length).
-  [[nodiscard]] std::uint32_t commitBytes() const { return commit_bytes_; }
-
  private:
   friend class Shell;
 
   std::array<Chunk, 2> chunks_{};
   int n_chunks_ = 0;
-  Shell* shell_ = nullptr;
-  sim::TaskId task_ = 0;
-  sim::PortId port_ = 0;
-  std::uint32_t commit_bytes_ = 0;
 };
 
 }  // namespace eclipse::shell

@@ -9,14 +9,9 @@
 
 namespace eclipse::shell {
 
-namespace {
+using namespace mmio;
 
-/// Register map strides (32-bit words). A shell-control block of
-/// kShellCtlWords registers (watchdog config, sticky fault counters)
-/// follows the task table.
-constexpr sim::Addr kStreamRowWords = 32;
-constexpr sim::Addr kTaskRowWords = 32;
-constexpr sim::Addr kShellCtlWords = 8;
+namespace {
 
 std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
 std::uint32_t hi32(std::uint64_t v) { return static_cast<std::uint32_t>(v >> 32); }
@@ -367,16 +362,11 @@ bool Shell::AcquireOp::nextSegment() {
   return false;
 }
 
-WindowView Shell::makeView(const StreamRow& row, sim::TaskId task, sim::PortId port,
-                           std::uint64_t offset, std::size_t n) {
+WindowView Shell::makeView(const StreamRow& row, std::uint64_t offset, std::size_t n) {
   // The scatter-gather view straight into the FIFO's SRAM bytes (<= 2
   // segments: the window may wrap the cyclic buffer once, since the
   // granted window never exceeds the buffer size).
   WindowView v;
-  v.shell_ = this;
-  v.task_ = task;
-  v.port_ = port;
-  v.commit_bytes_ = static_cast<std::uint32_t>(offset + n);
   const auto storage = sram_.storage().view();
   forEachSegment(row, offset, n, [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
     v.chunks_[v.n_chunks_++] =
@@ -395,13 +385,6 @@ sim::Task<void> Shell::write(sim::TaskId task, sim::PortId port, std::uint64_t o
                              std::span<const std::uint8_t> in) {
   WindowView v = co_await acquireWrite(task, port, offset, in.size());
   v.copyFrom(in);
-}
-
-sim::Task<void> WindowView::commit() {
-  if (shell_ == nullptr) throw std::logic_error("WindowView::commit: empty view");
-  Shell* sh = shell_;
-  shell_ = nullptr;
-  co_await sh->putSpace(task_, port_, commit_bytes_);
 }
 
 // ---------------------------------------------------------------------
@@ -600,36 +583,36 @@ std::uint32_t Shell::mmioRead(sim::Addr offset) const {
     const auto f = static_cast<std::uint32_t>(word % kStreamRowWords);
     const StreamRow& r = streams_.row(rix);
     switch (f) {
-      case 0: return r.valid ? 1 : 0;
-      case 1: return static_cast<std::uint32_t>(r.task);
-      case 2: return static_cast<std::uint32_t>(r.port);
-      case 3: return r.is_producer ? 1 : 0;
-      case 4: return static_cast<std::uint32_t>(r.base);
-      case 5: return r.size;
-      case 6: return r.space;
-      case 7: return r.remote_shell;
-      case 8: return r.remote_row;
-      case 9: return lo32(r.pos);
-      case 10: return hi32(r.pos);
-      case 11: return r.granted;
-      case 12: return lo32(r.bytes_transferred);
-      case 13: return hi32(r.bytes_transferred);
-      case 14: return lo32(r.getspace_calls);
-      case 15: return lo32(r.getspace_denied);
-      case 16: return lo32(r.putspace_calls);
-      case 17: return lo32(r.read_calls);
-      case 18: return lo32(r.write_calls);
-      case 19: return lo32(r.cache_hits);
-      case 20: return lo32(r.cache_misses);
-      case 21: return lo32(r.cache_flushes);
-      case 22: return lo32(r.cache_invalidations);
-      case 23: return lo32(r.prefetches);
-      case 24: return lo32(r.access_latency.count());
-      case 25: return static_cast<std::uint32_t>(r.access_latency.mean());
-      case 26: return static_cast<std::uint32_t>(r.access_latency.max());
-      case 27: return r.stalled ? 1 : 0;
-      case 28: return lo32(r.stall_cycle);
-      case 29: return hi32(r.stall_cycle);
+      case kStreamValid: return r.valid ? 1 : 0;
+      case kStreamTask: return static_cast<std::uint32_t>(r.task);
+      case kStreamPort: return static_cast<std::uint32_t>(r.port);
+      case kStreamIsProducer: return r.is_producer ? 1 : 0;
+      case kStreamBase: return static_cast<std::uint32_t>(r.base);
+      case kStreamSize: return r.size;
+      case kStreamSpace: return r.space;
+      case kStreamRemoteShell: return r.remote_shell;
+      case kStreamRemoteRow: return r.remote_row;
+      case kStreamPosLo: return lo32(r.pos);
+      case kStreamPosHi: return hi32(r.pos);
+      case kStreamGranted: return r.granted;
+      case kStreamBytesLo: return lo32(r.bytes_transferred);
+      case kStreamBytesHi: return hi32(r.bytes_transferred);
+      case kStreamGetspaceCalls: return lo32(r.getspace_calls);
+      case kStreamGetspaceDenied: return lo32(r.getspace_denied);
+      case kStreamPutspaceCalls: return lo32(r.putspace_calls);
+      case kStreamReadCalls: return lo32(r.read_calls);
+      case kStreamWriteCalls: return lo32(r.write_calls);
+      case kStreamCacheHits: return lo32(r.cache_hits);
+      case kStreamCacheMisses: return lo32(r.cache_misses);
+      case kStreamCacheFlushes: return lo32(r.cache_flushes);
+      case kStreamCacheInvalidations: return lo32(r.cache_invalidations);
+      case kStreamPrefetches: return lo32(r.prefetches);
+      case kStreamAccessCount: return lo32(r.access_latency.count());
+      case kStreamAccessMean: return static_cast<std::uint32_t>(r.access_latency.mean());
+      case kStreamAccessMax: return static_cast<std::uint32_t>(r.access_latency.max());
+      case kStreamStalled: return r.stalled ? 1 : 0;
+      case kStreamStallCycleLo: return lo32(r.stall_cycle);
+      case kStreamStallCycleHi: return hi32(r.stall_cycle);
       default: return 0;
     }
   }
@@ -640,11 +623,11 @@ std::uint32_t Shell::mmioRead(sim::Addr offset) const {
     const sim::Addr c = tword - task_words;
     if (c >= kShellCtlWords) throw std::out_of_range("Shell::mmioRead: offset beyond tables");
     switch (static_cast<std::uint32_t>(c)) {
-      case 0: return lo32(late_sync_drops_);
-      case 1: return lo32(params_.watchdog_timeout);
-      case 2: return lo32(params_.watchdog_period);
-      case 3: return lo32(faults_latched_);
-      case 4: return lo32(stalls_latched_);
+      case kCtlLateSyncDrops: return lo32(late_sync_drops_);
+      case kCtlWatchdogTimeout: return lo32(params_.watchdog_timeout);
+      case kCtlWatchdogPeriod: return lo32(params_.watchdog_period);
+      case kCtlFaultsLatched: return lo32(faults_latched_);
+      case kCtlStallsLatched: return lo32(stalls_latched_);
       default: return 0;
     }
   }
@@ -652,26 +635,26 @@ std::uint32_t Shell::mmioRead(sim::Addr offset) const {
   const auto f = static_cast<std::uint32_t>(tword % kTaskRowWords);
   const TaskRow& t = tasks_.row(tix);
   switch (f) {
-    case 0: return t.valid ? 1 : 0;
-    case 1: return t.enabled ? 1 : 0;
-    case 2: return t.budget_cycles;
-    case 3: return t.task_info;
-    case 4: return lo32(t.busy_cycles);
-    case 5: return hi32(t.busy_cycles);
-    case 6: return t.blocked ? 1 : 0;
-    case 7: return lo32(t.gettask_count);
-    case 8: return lo32(t.schedule_count);
-    case 9: return lo32(t.switch_count);
-    case 10: return lo32(t.blocked_cycles);
-    case 11: return lo32(t.step_cycles.count());
-    case 12: return static_cast<std::uint32_t>(t.step_cycles.mean());
-    case 13: return static_cast<std::uint32_t>(t.step_cycles.max());
-    case 14: return t.faulted ? 1 : 0;
-    case 15: return static_cast<std::uint32_t>(t.fault_cause);
-    case 16: return lo32(t.fault_cycle);
-    case 17: return hi32(t.fault_cycle);
-    case 18: return static_cast<std::uint32_t>(t.fault_row);
-    case 19: return t.fault_count;
+    case kTaskValid: return t.valid ? 1 : 0;
+    case kTaskEnabled: return t.enabled ? 1 : 0;
+    case kTaskBudget: return t.budget_cycles;
+    case kTaskInfo: return t.task_info;
+    case kTaskBusyLo: return lo32(t.busy_cycles);
+    case kTaskBusyHi: return hi32(t.busy_cycles);
+    case kTaskBlocked: return t.blocked ? 1 : 0;
+    case kTaskGettaskCount: return lo32(t.gettask_count);
+    case kTaskScheduleCount: return lo32(t.schedule_count);
+    case kTaskSwitchCount: return lo32(t.switch_count);
+    case kTaskBlockedCycles: return lo32(t.blocked_cycles);
+    case kTaskStepCount: return lo32(t.step_cycles.count());
+    case kTaskStepMean: return static_cast<std::uint32_t>(t.step_cycles.mean());
+    case kTaskStepMax: return static_cast<std::uint32_t>(t.step_cycles.max());
+    case kTaskFaulted: return t.faulted ? 1 : 0;
+    case kTaskFaultCause: return static_cast<std::uint32_t>(t.fault_cause);
+    case kTaskFaultCycleLo: return lo32(t.fault_cycle);
+    case kTaskFaultCycleHi: return hi32(t.fault_cycle);
+    case kTaskFaultRow: return static_cast<std::uint32_t>(t.fault_row);
+    case kTaskFaultCount: return t.fault_count;
     default: return 0;
   }
 }
@@ -684,7 +667,7 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
     const auto f = static_cast<std::uint32_t>(word % kStreamRowWords);
     StreamRow& r = streams_.row(rix);
     switch (f) {
-      case 0: {
+      case kStreamValid: {
         const bool was_valid = r.valid;
         if (value != 0 && !was_valid) checkBufferInSram(r.base, r.size);
         streams_.rekey(rix, [&](StreamRow& row) {
@@ -702,15 +685,19 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
         }
         break;
       }
-      case 1: streams_.rekey(rix, [&](StreamRow& row) { row.task = static_cast<sim::TaskId>(value); }); break;
-      case 2: streams_.rekey(rix, [&](StreamRow& row) { row.port = static_cast<sim::PortId>(value); }); break;
-      case 3: r.is_producer = value != 0; break;
-      case 4: r.base = value; break;
-      case 5:
+      case kStreamTask:
+        streams_.rekey(rix, [&](StreamRow& row) { row.task = static_cast<sim::TaskId>(value); });
+        break;
+      case kStreamPort:
+        streams_.rekey(rix, [&](StreamRow& row) { row.port = static_cast<sim::PortId>(value); });
+        break;
+      case kStreamIsProducer: r.is_producer = value != 0; break;
+      case kStreamBase: r.base = value; break;
+      case kStreamSize:
         r.size = value;
         r.pos_off = value == 0 ? 0 : static_cast<std::uint32_t>(r.pos % value);
         break;
-      case 6: {
+      case kStreamSpace: {
         // Space repair (recovery path): raising the space field of a live
         // row may make a best-guess-blocked task runnable, so wake the
         // scheduler. Configuration writes (valid bit still clear — the
@@ -724,9 +711,9 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
         }
         break;
       }
-      case 7: r.remote_shell = value; break;
-      case 8: r.remote_row = value; break;
-      case 27:
+      case kStreamRemoteShell: r.remote_shell = value; break;
+      case kStreamRemoteRow: r.remote_row = value; break;
+      case kStreamStalled:
         r.stalled = value != 0;
         if (!r.stalled) r.stall_cycle = 0;
         break;
@@ -741,9 +728,9 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
     const sim::Addr c = tword - task_words;
     if (c >= kShellCtlWords) throw std::out_of_range("Shell::mmioWrite: offset beyond tables");
     switch (static_cast<std::uint32_t>(c)) {
-      case 0: late_sync_drops_ = value; break;  // sticky counter reset
-      case 1: startWatchdog(value, params_.watchdog_period); break;
-      case 2: params_.watchdog_period = value; break;
+      case kCtlLateSyncDrops: late_sync_drops_ = value; break;  // sticky counter reset
+      case kCtlWatchdogTimeout: startWatchdog(value, params_.watchdog_period); break;
+      case kCtlWatchdogPeriod: params_.watchdog_period = value; break;
       default:
         throw std::invalid_argument("Shell::mmioWrite: read-only control field");
     }
@@ -753,7 +740,7 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
   const auto f = static_cast<std::uint32_t>(tword % kTaskRowWords);
   TaskRow& t = tasks_.row(tix);
   switch (f) {
-    case 0: {
+    case kTaskValid: {
       const bool was_valid = t.valid;
       t.valid = value != 0;
       if (!t.valid && was_valid) {
@@ -763,13 +750,13 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
       }
       break;
     }
-    case 1:
+    case kTaskEnabled:
       t.enabled = value != 0;
       if (t.enabled) sched_event_.notifyAll();
       break;
-    case 2: t.budget_cycles = value; break;
-    case 3: t.task_info = value; break;
-    case 6:
+    case kTaskBudget: t.budget_cycles = value; break;
+    case kTaskInfo: t.task_info = value; break;
+    case kTaskBlocked:
       // Writing 0 clears the best-guess blocked latch. After a mode
       // transition re-binds stream rows, a task may be parked on a space
       // threshold of a row that no longer exists; clearing the latch makes
@@ -780,9 +767,9 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
         sched_event_.notifyAll();
       }
       break;
-    case 14:
+    case kTaskFaulted:
       // Writing 0 acknowledges and clears the fault register (the enable
-      // bit is restored separately via field 1 — two-step recovery).
+      // bit is restored separately via kTaskEnabled — two-step recovery).
       if (value == 0) clearFault(tix, /*reenable=*/false);
       break;
     default:

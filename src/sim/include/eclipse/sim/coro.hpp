@@ -138,7 +138,7 @@ struct FinalAwaiter {
 /// A Task<T> models a thread of control in the simulated hardware: a
 /// coprocessor program, a shell primitive handler, a bus transaction. Tasks
 /// compose by `co_await`ing each other; simulated time passes only through
-/// awaitables that go via the Simulator (Delay, SimEvent, Semaphore), so a
+/// awaitables that go via the Simulator (Delay, SimEvent), so a
 /// chain of nested tasks with no delays completes in zero simulated cycles.
 ///
 /// Ownership: the Task object owns the coroutine frame and destroys it when

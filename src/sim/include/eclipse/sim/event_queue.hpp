@@ -43,7 +43,7 @@ class EventQueue {
 
   /// Schedules an event at absolute cycle `at`, built directly in its
   /// wheel node from `what`: a coroutine handle, a callable (see Event) or
-  /// an Event to move. Cycles before the window base (only reachable
+  /// an Event. Cycles before the window base (only reachable
   /// through direct queue use — the Simulator clamps to `now()`) fire at
   /// the earliest pending opportunity. The wheel path is inline; events
   /// beyond the horizon take the out-of-line overflow path.
@@ -60,7 +60,7 @@ class EventQueue {
   }
 
   /// Schedules `ev` at absolute cycle `at` (see emplace).
-  void push(Cycle at, Event ev) { emplace(at, std::move(ev)); }
+  void push(Cycle at, const Event& ev) { emplace(at, ev); }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -80,8 +80,7 @@ class EventQueue {
   Event pop(Cycle* at = nullptr) {
     if (at != nullptr) *at = nextCycle();
     const std::uint32_t i = unlinkNext();
-    Event ev;
-    ev.set(std::move(slab_[i].ev));
+    const Event ev = slab_[i].ev;
     release(i);
     return ev;
   }
@@ -95,14 +94,13 @@ class EventQueue {
   /// consistent.
   void dispatchNext() {
     const std::uint32_t i = unlinkNext();
-    Event& ev = slab_[i].ev;
+    const Event& ev = slab_[i].ev;
     const auto fn = ev.invoke_;
     if (fn == nullptr) {
       void* const h = ev.storage_.coro;
       release(i);
       if (h != nullptr) std::coroutine_handle<>::from_address(h).resume();
     } else {
-      ev.invoke_ = nullptr;  // the free node owns nothing
       release(i);
       fn(ev.storage_);
     }
@@ -113,7 +111,7 @@ class EventQueue {
   /// capacity for reuse.
   void clear() {
     if (size_ == 0) return;
-    slab_.clear();  // destroys each node's event once; free nodes are empty
+    slab_.clear();
     free_ = kNil;
     head_.fill(kNil);
     bitmap_.fill(0);
@@ -131,7 +129,7 @@ class EventQueue {
   static_assert(kWheelSpan == 2 * 64);
 
   struct Node {
-    Event ev;           // empty while the node is on the free list
+    Event ev;           // stale while the node is on the free list
     std::uint32_t next; // next node of the same cycle, or of the free list
   };
   struct Far {
@@ -151,7 +149,7 @@ class EventQueue {
 
   /// Appends a node to the FIFO of `slot`, taking it from the free list
   /// (most recently freed first) or growing the slab, and returns its
-  /// index. The node's event is empty.
+  /// index. The caller overwrites the node's event.
   std::uint32_t link(std::size_t slot) {
     std::uint32_t i = free_;
     if (i != kNil) [[likely]] {
@@ -176,13 +174,13 @@ class EventQueue {
     return static_cast<std::uint32_t>(slab_.size() - 1);
   }
 
-  [[gnu::noinline]] void pushFar(Cycle at, Event&& ev) {
-    overflow_.push_back(Far{at, seq_++, std::move(ev)});
+  [[gnu::noinline]] void pushFar(Cycle at, const Event& ev) {
+    overflow_.push_back(Far{at, seq_++, ev});
     std::push_heap(overflow_.begin(), overflow_.end(), FarLater{});
   }
 
   /// Unlinks the earliest pending event's node from its cycle's FIFO and
-  /// returns its index; the caller empties the node and releases it.
+  /// returns its index; the caller releases it.
   /// Advancing the window migrates overflow entries that now fit before
   /// anything else runs. A window jump (every pending event in the
   /// overflow heap) migrates the heap top's cycle into the wheel first;
@@ -206,7 +204,7 @@ class EventQueue {
     return i;
   }
 
-  /// Puts an emptied node on the free list.
+  /// Puts a dispatched node on the free list.
   void release(std::uint32_t i) {
     slab_[i].next = free_;
     free_ = i;
@@ -238,7 +236,7 @@ class EventQueue {
   void migrate() {
     while (!overflow_.empty() && overflow_.front().at - base_ < kWheelSpan) {
       std::pop_heap(overflow_.begin(), overflow_.end(), FarLater{});
-      slab_[link(slotOf(overflow_.back().at))].ev.set(std::move(overflow_.back().ev));
+      slab_[link(slotOf(overflow_.back().at))].ev = overflow_.back().ev;
       overflow_.pop_back();
     }
   }

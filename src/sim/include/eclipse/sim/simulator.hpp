@@ -23,7 +23,7 @@ class FaultInjector;
 ///
 /// The kernel is purely event-driven: hardware blocks (shells, buses,
 /// memories, coprocessors) are modelled as coroutine processes that await
-/// Delay / SimEvent / Semaphore awaitables. Events scheduled for the same
+/// Delay / SimEvent awaitables. Events scheduled for the same
 /// cycle run in scheduling order, so a given model and seed always produce
 /// the same trace.
 ///
@@ -45,9 +45,8 @@ class Simulator {
   [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedules an event `delay` cycles from now. Accepts anything an Event
-  /// can hold: a coroutine handle (allocation-free fast path), a callable
-  /// (stored inline when small and trivially copyable) or an Event. The
-  /// event is built directly in its queue node.
+  /// can hold: a coroutine handle, a small trivially copyable callable (see
+  /// Event) or an Event. The event is built directly in its queue node.
   template <typename E>
     requires std::is_constructible_v<Event, E&&>
   void schedule(Cycle delay, E&& ev) {
@@ -99,8 +98,8 @@ class Simulator {
 
   /// Destroys all coroutine frames and drops pending events.
   ///
-  /// Coroutine frames may hold RAII objects (e.g. semaphore guards)
-  /// that reference simulation models; owners whose models are destroyed
+  /// Coroutine frames may hold RAII objects that reference simulation
+  /// models; owners whose models are destroyed
   /// before the Simulator member must call this first so frame unwinding
   /// never touches freed models. Idempotent; the destructor calls it too.
   void destroyProcesses();

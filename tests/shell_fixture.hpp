@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "eclipse/mem/message_network.hpp"
@@ -79,5 +81,17 @@ class TwoShellFixture : public ::testing::Test {
   std::uint32_t prod_row = 0;
   std::uint32_t cons_row = 0;
 };
+
+/// Waits until one whole length-framed packet (a u32 length, then that
+/// many bytes: the packet_io framing) is readable at the access point of
+/// (task, port), so a following packet_io::tryReadView returns it.
+inline sim::Task<void> waitPacket(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
+  std::uint8_t hdr[4];
+  co_await sh.waitSpace(task, port, sizeof hdr);
+  co_await sh.read(task, port, 0, hdr);
+  std::uint32_t len = 0;
+  std::memcpy(&len, hdr, sizeof len);
+  co_await sh.waitSpace(task, port, static_cast<std::uint32_t>(sizeof hdr) + len);
+}
 
 }  // namespace eclipse::test

@@ -63,6 +63,7 @@ using namespace eclipse;
 // headroom above that.
 constexpr double kMaxAllocationsPerEvent = 0.01;
 
+#ifndef ECLIPSE_SANITIZED
 std::vector<std::uint8_t> pinnedBitstream() {
   media::VideoGenParams vp;
   vp.width = 96;
@@ -99,6 +100,7 @@ RunCount countedDecode(const std::vector<std::uint8_t>& bitstream) {
   EXPECT_TRUE(dec.done());
   return r;
 }
+#endif
 
 TEST(AllocationBudget, PutspaceDeliveryEventIsStoredInline) {
 #ifdef ECLIPSE_SANITIZED
@@ -115,27 +117,12 @@ TEST(AllocationBudget, PutspaceDeliveryEventIsStoredInline) {
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   {
-    sim::Event ev(deliver);
-    sim::Event moved = std::move(ev);
-    moved();
+    const sim::Event ev(deliver);
+    const sim::Event copy = ev;
+    copy();
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(got.bytes, 48u);
-
-  // A wider capture takes the single heap-holder allocation.
-  struct Wide {
-    std::uint64_t a, b, c;
-    std::uint8_t d;
-  } wide{1, 2, 3, 4};
-  std::uint64_t sum = 0;
-  std::uint64_t* out = &sum;
-  const std::uint64_t before_wide = g_allocations.load(std::memory_order_relaxed);
-  {
-    sim::Event ev([wide, out] { *out = wide.a + wide.b + wide.c + wide.d; });
-    ev();
-  }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before_wide, 1u);
-  EXPECT_EQ(sum, 10u);
 #endif
 }
 

@@ -23,8 +23,13 @@ using sim::Task;
 class PacketIo : public TwoShellFixture {};
 
 Task<void> writeThenRead(Shell& prod, Shell& cons, const std::vector<std::uint8_t>& pkt) {
-  co_await packet_io::write(prod, 0, 0, pkt, /*wait=*/true);
-  const packet_io::Packet got = co_await packet_io::blockingReadView(cons, 0, 0);
+  const std::uint32_t frame = packet_io::frameBytes(static_cast<std::uint32_t>(pkt.size()));
+  co_await prod.waitSpace(0, 0, frame);
+  co_await packet_io::write(prod, 0, 0, pkt);
+  co_await eclipse::test::waitPacket(cons, 0, 0);
+  const packet_io::Packet got = co_await packet_io::tryReadView(cons, 0, 0);
+  EXPECT_EQ(got.status, packet_io::ReadStatus::Ok);
+  EXPECT_EQ(got.frame_bytes, frame);
   EXPECT_EQ(std::vector<std::uint8_t>(got.bytes.begin(), got.bytes.end()), pkt);
 }
 
@@ -48,7 +53,8 @@ TEST_F(PacketIo, TryReadReportsBlockedWithoutCommitting) {
 
 Task<void> peekDoesNotConsume(Shell& prod, Shell& cons) {
   const std::vector<std::uint8_t> pkt{static_cast<std::uint8_t>(media::PacketTag::Pic), 7, 7};
-  co_await packet_io::write(prod, 0, 0, pkt, true);
+  co_await prod.waitSpace(0, 0, packet_io::frameBytes(static_cast<std::uint32_t>(pkt.size())));
+  co_await packet_io::write(prod, 0, 0, pkt);
 
   const packet_io::Packet r1 = co_await packet_io::tryPeekView(cons, 0, 0);
   EXPECT_EQ(r1.status, packet_io::ReadStatus::Ok);

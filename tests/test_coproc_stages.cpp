@@ -17,8 +17,9 @@
 namespace {
 
 using namespace eclipse;
-using coproc::packet_io::blockingReadView;
+using coproc::packet_io::frameBytes;
 using coproc::packet_io::Packet;
+using coproc::packet_io::tryReadView;
 using coproc::packet_io::write;
 using shell::Shell;
 using sim::Task;
@@ -69,7 +70,8 @@ class StageHarness : public ::testing::Test {
   static Task<void> collector(Shell& sh, sim::PortId port,
                               std::vector<std::vector<std::uint8_t>>& out) {
     while (true) {
-      const Packet p = co_await blockingReadView(sh, 0, port);
+      co_await test::waitPacket(sh, 0, port);
+      const Packet p = co_await tryReadView(sh, 0, port);
       std::vector<std::uint8_t> pkt(p.bytes.begin(), p.bytes.end());
       const bool eos = static_cast<media::PacketTag>(pkt.at(0)) == media::PacketTag::Eos;
       out.push_back(std::move(pkt));
@@ -80,7 +82,8 @@ class StageHarness : public ::testing::Test {
   static Task<void> feeder(Shell& sh, sim::PortId port,
                            std::vector<std::vector<std::uint8_t>> packets) {
     for (auto& pkt : packets) {
-      co_await write(sh, 0, port, pkt, /*wait=*/true);
+      co_await sh.waitSpace(0, port, frameBytes(static_cast<std::uint32_t>(pkt.size())));
+      co_await write(sh, 0, port, pkt);
     }
   }
 

@@ -39,101 +39,77 @@ static_assert(sizeof(Event) == 32);
 
 // ----------------------------------------------------------------- event
 
-// Heap-held callable (non-trivially copyable) that counts how often the
-// instance owning its state is destroyed; moved-from copies do not count.
-struct CountedDrop {
-  int* drops;
-  bool owner = true;
-  explicit CountedDrop(int* d) : drops(d) {}
-  CountedDrop(CountedDrop&& o) noexcept : drops(o.drops), owner(std::exchange(o.owner, false)) {}
-  CountedDrop(const CountedDrop&) = delete;
-  CountedDrop& operator=(const CountedDrop&) = delete;
-  CountedDrop& operator=(CountedDrop&&) = delete;
-  ~CountedDrop() {
-    if (owner) ++*drops;
-  }
-  void operator()() {}
+// What an Event cannot hold: one byte too wide, or not trivially copyable.
+struct Wide25 {
+  unsigned char bytes[25];
+  void operator()() const {}
 };
+struct UserCopied {
+  UserCopied() = default;
+  UserCopied(const UserCopied&) {}  // user-provided: not trivially copyable
+  void operator()() const {}
+};
+struct Fits24 {
+  unsigned char bytes[24];
+  void operator()() const {}
+};
+static_assert(sizeof(Wide25) == Event::kInlineBytes + 1);
+static_assert(sizeof(Fits24) == Event::kInlineBytes);
+
+template <typename F>
+concept Schedulable = requires(Simulator& sim, F fn) { sim.schedule(0, fn); };
 
 TEST(Event, InlineCallableRunsWithoutAllocation) {
   int hits = 0;
   int* p = &hits;
   Event ev([p] { ++*p; });  // small + trivially copyable: stored inline
-  Event moved = std::move(ev);
-  moved();
-  EXPECT_EQ(hits, 1);
-  EXPECT_FALSE(static_cast<bool>(ev));  // NOLINT(bugprone-use-after-move)
+  const Event copy = ev;
+  copy();
+  ev();
+  EXPECT_EQ(hits, 2);
+  EXPECT_TRUE(static_cast<bool>(ev));
 }
 
-TEST(Event, LargeOrNonTrivialCallableFallsBackToHeap) {
+// A callable that does not fit the event is a compile error, in the
+// constructor and in Simulator::schedule alike.
+TEST(Event, LargeOrNonTrivialCallableIsRejected) {
+  static_assert(!std::is_constructible_v<Event, Wide25>);
+  static_assert(!std::is_constructible_v<Event, UserCopied>);
   auto token = std::make_shared<int>(7);
-  int got = 0;
-  {
-    Event ev([token, &got] { got = *token; });  // shared_ptr: non-trivial copy
-    EXPECT_EQ(token.use_count(), 2);
-    ev();
-  }
-  EXPECT_EQ(got, 7);
-  EXPECT_EQ(token.use_count(), 1);  // holder destroyed with the event
-}
+  auto holds_token = [token] { (void)token; };
+  static_assert(!std::is_constructible_v<Event, decltype(holds_token)>);
+  static_assert(!Schedulable<Wide25>);
+  static_assert(!Schedulable<UserCopied>);
 
-TEST(Event, DroppingHeapEventReleasesWithoutInvoking) {
-  auto token = std::make_shared<int>(1);
-  bool ran = false;
-  {
-    Event ev([token, &ran] { ran = true; });
-    EXPECT_EQ(token.use_count(), 2);
-  }  // destroyed, never invoked
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(Event, HeapHolderIsDestroyedExactlyOnce) {
-  int dropped = 0;
-  { Event ev(CountedDrop{&dropped}); }
-  EXPECT_EQ(dropped, 1);
-
-  int replaced = 0, kept = 0;
-  {
-    Event a(CountedDrop{&replaced});
-    Event b(CountedDrop{&kept});
-    a = std::move(b);  // a's old holder goes, b's holder moves into a
-    EXPECT_EQ(replaced, 1);
-    EXPECT_EQ(kept, 0);
-  }
-  EXPECT_EQ(replaced, 1);
-  EXPECT_EQ(kept, 1);
-
-  int cleared = 0;
-  EventQueue q;
-  q.push(3, CountedDrop{&cleared});          // in the wheel
-  q.push(kSpan * 2, CountedDrop{&cleared});  // in the overflow heap
-  q.clear();
-  EXPECT_EQ(cleared, 2);
+  static_assert(std::is_constructible_v<Event, Fits24>);
+  static_assert(Schedulable<Fits24>);
+  static_assert(std::is_trivially_copyable_v<Event>);
+  EXPECT_EQ(token.use_count(), 2);  // only the lambda holds a second reference
 }
 
 Task<void> noop() { co_return; }
 
-TEST(Event, MovedFromEventIsEmpty) {
+TEST(Event, CopiedEventRunsLikeTheOriginal) {
   int hits = 0;
   int* p = &hits;
-  auto token = std::make_shared<int>(0);
   Task<void> task = noop();
-  std::vector<Event> events;
-  events.emplace_back(task.handle());                         // coroutine
-  events.emplace_back([p] { ++*p; });                         // inline
-  events.emplace_back([token, p] { *p += *token + 10; });     // heap
-  for (Event& ev : events) {
-    ASSERT_TRUE(static_cast<bool>(ev));
-    Event moved = std::move(ev);
-    EXPECT_FALSE(static_cast<bool>(ev));  // NOLINT(bugprone-use-after-move)
-    EXPECT_FALSE(ev.isCoroutine());       // NOLINT(bugprone-use-after-move)
-    ev();                                 // invoking an empty event is a no-op
-    moved();
-  }
+  const Event resume(task.handle());
+  const Event inline_fn([p] { ++*p; });
+  EXPECT_TRUE(resume.isCoroutine());
+  EXPECT_FALSE(inline_fn.isCoroutine());
+  const Event resume_copy = resume;
+  const Event inline_copy = inline_fn;
+  EXPECT_TRUE(resume_copy.isCoroutine());
+  resume_copy();
+  inline_copy();
+  inline_fn();
   EXPECT_TRUE(task.done());
-  EXPECT_EQ(hits, 11);
-  EXPECT_EQ(token.use_count(), 1);  // each holder went with its `moved`
+  EXPECT_EQ(hits, 2);
+
+  const Event empty;
+  EXPECT_FALSE(static_cast<bool>(empty));
+  EXPECT_FALSE(empty.isCoroutine());
+  empty();  // invoking an empty event is a no-op
 }
 
 // ------------------------------------------------------------ frame pool
@@ -258,16 +234,14 @@ TEST(EventQueueWheel, PushDuringDrainOfSameCycleKeepsFifo) {
 
 TEST(EventQueueWheel, ClearDropsPendingHeapEventsWithoutInvoking) {
   EventQueue q;
-  auto token = std::make_shared<int>(0);
   bool ran = false;
-  q.push(3, [token, &ran] { ran = true; });       // heap-held callable
-  q.push(kSpan * 2, [token, &ran] { ran = true; });  // pending in overflow
-  EXPECT_EQ(token.use_count(), 3);
+  q.push(3, [&ran] { ran = true; });          // in the wheel
+  q.push(kSpan * 2, [&ran] { ran = true; });  // pending in the overflow heap
+  EXPECT_EQ(q.size(), 2u);
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(ran);
-  EXPECT_EQ(token.use_count(), 1);
 }
 
 // ------------------------------------------------------------- teardown
@@ -469,31 +443,22 @@ TEST(EventQueueGenerated, HorizonBoundariesFromMidRingBase) {
 
 TEST(EventQueueGenerated, ClearAfterSlabGrowthReleasesOnceAndStaysUsable) {
   EventQueue q;
-  int drops = 0;
-  int pushed = 0;
-  auto token = std::make_shared<int>(0);
+  int ran = 0;
+  int* hits = &ran;
+  auto count = [hits] { ++*hits; };
   // Grow the slab well past a handful of nodes, spread over many cycles,
   // with some entries in the overflow heap as well.
-  for (int i = 0; i < 300; ++i) {
-    q.push(static_cast<Cycle>(i % 97), CountedDrop{&drops});
-    ++pushed;
-  }
-  for (int i = 0; i < 20; ++i) {
-    q.push(kSpan * 3 + static_cast<Cycle>(i), [token] { (void)token; });
-  }
+  for (int i = 0; i < 300; ++i) q.push(static_cast<Cycle>(i % 97), count);
+  for (int i = 0; i < 20; ++i) q.push(kSpan * 3 + static_cast<Cycle>(i), count);
   // Drain part of it: the dispatched nodes go onto the free list.
   for (int i = 0; i < 150; ++i) q.pop()();
-  EXPECT_EQ(drops, 150);
-  // Refill some of the freed nodes, then drop everything.
-  for (int i = 0; i < 50; ++i) {
-    q.push(100 + static_cast<Cycle>(i % 7), CountedDrop{&drops});
-    ++pushed;
-  }
-  EXPECT_EQ(token.use_count(), 21);
+  EXPECT_EQ(ran, 150);
+  // Refill some of the freed nodes, then drop everything unrun.
+  for (int i = 0; i < 50; ++i) q.push(100 + static_cast<Cycle>(i % 7), count);
+  EXPECT_EQ(q.size(), 300u + 20u - 150u + 50u);
   q.clear();
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(drops, pushed);  // each holder released exactly once
-  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(ran, 150);
 
   // Reusable afterwards: time order and same-cycle FIFO still hold.
   std::vector<int> order;
@@ -509,7 +474,7 @@ TEST(EventQueueGenerated, ClearAfterSlabGrowthReleasesOnceAndStaysUsable) {
     prev = at;
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(drops, pushed);
+  EXPECT_EQ(ran, 150);
 }
 
 }  // namespace
@@ -553,15 +518,14 @@ Task<void> logAfter(Simulator& sim, Cycle n, std::vector<std::string>& log, std:
   log.push_back(std::move(tag));
 }
 
-// Same-cycle FIFO order holds across the three ways an event is held:
-// coroutine resumes, inline callables and heap-held callables, whether
-// they reach the cycle's slot by migrating from the overflow heap or by a
-// direct wheel push.
+// Same-cycle FIFO order holds across the ways an event is held: coroutine
+// resumes, narrow callables and callables filling the whole storage,
+// whether they reach the cycle's slot by migrating from the overflow heap
+// or by a direct wheel push.
 TEST(InPlaceEvents, SameCycleFifoAcrossKindsAndOverflowMigration) {
   Simulator sim;
   std::vector<std::string> log;
   const Cycle x = kSpan * 3 + 7;  // beyond the horizon from cycle 0
-  auto token = std::make_shared<int>(0);
   // Cycle 0, in this order: a coroutine parks a resume at x, a callable
   // pushes an inline callable at x, a second coroutine parks at x. All
   // three land in the overflow heap.
@@ -569,35 +533,35 @@ TEST(InPlaceEvents, SameCycleFifoAcrossKindsAndOverflowMigration) {
   sim.schedule(0, [&sim, &log, x] { sim.schedule(x, [&log] { log.push_back("c1"); }); });
   sim.spawn(logAfter(sim, x, log, "r2"), "r2");
   // Cycle x - 5: the window advance migrates the heap entries into x's
-  // slot; then direct pushes queue behind them: an inline callable, a
-  // heap-held callable, then a coroutine started in this event.
-  sim.schedule(x - 5, [&sim, &log, token] {
+  // slot; then direct pushes queue behind them: a narrow callable, a
+  // callable of the full width, then a coroutine started in this event.
+  sim.schedule(x - 5, [&sim, &log] {
     sim.schedule(5, [&log] { log.push_back("c2"); });
     sim.spawn(logAfter(sim, 5, log, "r3"), "r3");
-    sim.schedule(5, [&log, token] { log.push_back("h1"); });  // shared_ptr: heap-held
+    const std::uint64_t a = 1, b = 2;
+    auto wide = [&log, a, b] { log.push_back("w" + std::to_string(a + b)); };
+    static_assert(sizeof(wide) == Event::kInlineBytes);
+    sim.schedule(5, wide);
   });
   sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"r1", "c1", "r2", "c2", "h1", "r3"}));
+  EXPECT_EQ(log, (std::vector<std::string>{"r1", "c1", "r2", "c2", "w3", "r3"}));
   EXPECT_EQ(sim.now(), x);
-  EXPECT_EQ(token.use_count(), 1);
 }
 
 // A callback that throws leaves the queue consistent: the event's node is
-// already back on the free list and counted out, a heap-held callable is
-// released, and the remaining events run in order afterwards.
+// already back on the free list and counted out, and the remaining events
+// run in order afterwards.
 TEST(InPlaceEvents, ThrowingCallbackLeavesTheQueueConsistent) {
   EventQueue q;
   std::vector<int> order;
-  auto token = std::make_shared<int>(0);
   q.push(3, [&order] { order.push_back(0); });
-  q.push(3, [token] { throw std::runtime_error("boom"); });  // heap-held
+  q.push(3, [] { throw std::runtime_error("boom"); });
   q.push(3, [&order] { order.push_back(1); });
   q.push(kSpan * 2, [&order] { order.push_back(2); });  // overflow heap
   q.dispatchNext();
   EXPECT_EQ(q.size(), 3u);
   EXPECT_THROW(q.dispatchNext(), std::runtime_error);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(token.use_count(), 1);  // the holder went with the throw
   // The freed nodes are reused; same-cycle FIFO still holds.
   q.push(3, [&order] { order.push_back(3); });
   while (!q.empty()) q.dispatchNext();

@@ -12,8 +12,9 @@ namespace {
 
 using namespace eclipse;
 using coproc::ForkCoproc;
-using coproc::packet_io::blockingReadView;
+using coproc::packet_io::frameBytes;
 using coproc::packet_io::Packet;
+using coproc::packet_io::tryReadView;
 using coproc::packet_io::write;
 using shell::Shell;
 using sim::Task;
@@ -73,15 +74,18 @@ Task<void> produceN(Shell& sh, int n) {
   for (int i = 0; i < n; ++i) {
     std::vector<std::uint8_t> pkt{static_cast<std::uint8_t>(media::PacketTag::Mb)};
     for (int b = 0; b < 40; ++b) pkt.push_back(static_cast<std::uint8_t>(i * 40 + b));
-    co_await write(sh, 0, 0, pkt, /*wait=*/true);
+    co_await sh.waitSpace(0, 0, frameBytes(static_cast<std::uint32_t>(pkt.size())));
+    co_await write(sh, 0, 0, pkt);
   }
-  co_await write(sh, 0, 0, media::packTag(media::PacketTag::Eos), /*wait=*/true);
+  co_await sh.waitSpace(0, 0, frameBytes(1));
+  co_await write(sh, 0, 0, media::packTag(media::PacketTag::Eos));
 }
 
 Task<void> collect(Shell& sh, std::vector<std::vector<std::uint8_t>>& out, sim::Simulator& sim,
                    sim::Cycle delay_per_packet) {
   while (true) {
-    const Packet p = co_await blockingReadView(sh, 0, 0);
+    co_await test::waitPacket(sh, 0, 0);
+    const Packet p = co_await tryReadView(sh, 0, 0);
     std::vector<std::uint8_t> pkt(p.bytes.begin(), p.bytes.end());
     const bool eos = static_cast<media::PacketTag>(pkt.at(0)) == media::PacketTag::Eos;
     out.push_back(std::move(pkt));

@@ -1,5 +1,5 @@
 // Unit tests for the simulation kernel: event queue, simulator, coroutine
-// tasks, events/semaphores, PRNG, config parser and statistics.
+// tasks, SimEvent wake-ups, PRNG, config parser and statistics.
 
 #include <gtest/gtest.h>
 
@@ -178,50 +178,6 @@ TEST(SimEvent, NotifyAllWakesAllWaiters) {
   EXPECT_EQ(a, 42);
   EXPECT_EQ(b, 42);
   EXPECT_EQ(ev.waiterCount(), 0u);
-}
-
-TEST(SimEvent, NotifyOneWakesOldestOnly) {
-  Simulator sim;
-  SimEvent ev(sim);
-  int a = 0, b = 0, value = 1;
-  sim.spawn(waiter(sim, ev, a, value), "a");
-  sim.spawn(waiter(sim, ev, b, value), "b");
-  sim.schedule(5, [&] { ev.notifyOne(); });
-  sim.run();
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 0);
-  EXPECT_EQ(ev.waiterCount(), 1u);
-}
-
-Task<void> semUser(Simulator& sim, Semaphore& sem, std::vector<int>& order, int id, Cycle hold) {
-  co_await sem.acquire();
-  order.push_back(id);
-  co_await sim.delay(hold);
-  sem.release();
-}
-
-TEST(Semaphore, GrantsInArrivalOrder) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn(semUser(sim, sem, order, i, 10), "u");
-  }
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sem.available(), 1u);
-}
-
-TEST(Semaphore, CountedAllowsParallelHolders) {
-  Simulator sim;
-  Semaphore sem(sim, 2);
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn(semUser(sim, sem, order, i, 10), "u");
-  }
-  const Cycle end = sim.run();
-  // 4 holders of 10 cycles each with 2 slots: finishes at 20, not 40.
-  EXPECT_EQ(end, 20u);
 }
 
 // ------------------------------------------------------------------ prng

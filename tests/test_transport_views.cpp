@@ -1,9 +1,10 @@
-// Zero-copy transport path: acquire/commit window views (DESIGN.md §7).
+// Zero-copy transport path: acquired window views (DESIGN.md §7).
 //
 // Covers the scatter-gather geometry (two-segment views where the cyclic
 // FIFO wraps, at cache-line-misaligned offsets), write-through visibility
 // of view stores in the shared SRAM, zero-length edge cases of acquire and
-// the span read/write adapters, and the PutSpace accounting of commit().
+// the span read/write adapters, and the PutSpace accounting of committing
+// a view's window.
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ TEST_F(TransportViews, WrapAroundTwoSegmentsAtMisalignedOffsets) {
     std::vector<std::uint8_t> got(60);
     rv.copyTo(got);
     EXPECT_EQ(got, first);
-    co_await rv.commit();
+    co_await cons->putSpace(0, 0, 60);
 
     // A 100-byte write window starting at position 60 must split into
     // [60, 128) and [0, 32) — two segments, the first one line-misaligned.
@@ -64,7 +65,7 @@ TEST_F(TransportViews, WrapAroundTwoSegmentsAtMisalignedOffsets) {
     const auto storage = sram->storage().view();
     for (std::size_t i = 0; i < 68; ++i) EXPECT_EQ(storage[kBase + 60 + i], pat[i]);
     for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(storage[kBase + i], pat[68 + i]);
-    co_await wv.commit();
+    co_await prod->putSpace(0, 0, 100);
 
     // The consumer's view wraps identically; gather() must fall back to
     // the scratch copy for the fragmented geometry.
@@ -85,7 +86,7 @@ TEST_F(TransportViews, WrapAroundTwoSegmentsAtMisalignedOffsets) {
     std::vector<std::uint8_t> subgot(80);
     sub.copyTo(subgot);
     EXPECT_EQ(subgot, std::vector<std::uint8_t>(pat.begin() + 3, pat.begin() + 83));
-    co_await rv2.commit();
+    co_await cons->putSpace(0, 0, 100);
   }());
 }
 
@@ -99,12 +100,7 @@ TEST_F(TransportViews, ZeroLengthAcquireAndSpanAdapters) {
     EXPECT_TRUE(wv.chunks().empty());
     EXPECT_TRUE(wv.span().empty());
     wv.copyFrom({});  // size 0 matches
-    EXPECT_EQ(wv.commitBytes(), 0u);
-    co_await wv.commit();  // PutSpace(0): legal no-op commit
-
-    // Committing twice is a protocol violation.
-    EXPECT_THROW(
-        { co_await wv.commit(); }, std::logic_error);
+    co_await prod->putSpace(0, 0, 0);  // PutSpace(0): legal no-op commit
 
     // Zero-length span adapters complete without touching the cache.
     EXPECT_TRUE(co_await prod->getSpace(0, 0, 16));
@@ -130,11 +126,10 @@ TEST_F(TransportViews, CommitPerformsPutSpaceAccounting) {
   run([this]() -> sim::Task<void> {
     EXPECT_TRUE(co_await prod->getSpace(0, 0, 48));
     shell::WindowView wv = co_await prod->acquireWrite(0, 0, 16, 24);
-    // commit() releases everything up to the end of the view: offset + n.
-    EXPECT_EQ(wv.commitBytes(), 40u);
     const auto pat = pattern(24, 0x01);
     wv.copyFrom(pat);
-    co_await wv.commit();
+    // Committing the view releases everything up to its end: offset + n.
+    co_await prod->putSpace(0, 0, 16 + 24);
 
     auto& prow = prod->streams().row(prod_row);
     EXPECT_EQ(prow.pos, 40u);
@@ -148,7 +143,7 @@ TEST_F(TransportViews, CommitPerformsPutSpaceAccounting) {
     std::vector<std::uint8_t> got(24);
     rv.copyTo(got);
     EXPECT_EQ(got, pat);
-    co_await rv.commit();
+    co_await cons->putSpace(0, 0, 16 + 24);
     EXPECT_EQ(cons->streams().row(cons_row).pos, 40u);
   }());
 }
