@@ -2,7 +2,7 @@
 // kernels and the simulation kernel itself. These measure the *simulator*
 // (wall-clock), complementing the simulated-cycle experiments E1-E11.
 // Media kernels run on the startup SIMD backend; ECLIPSE_SIMD=<backend>
-// (scalar, sse2, avx2, neon) times one backend.
+// (scalar, avx2) times one backend.
 
 #include <benchmark/benchmark.h>
 

@@ -97,10 +97,6 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
   t_demux_ = demux_handle_.taskId("demux");
 }
 
-TransitionStats AvPlaybackApp::detachAudioDecode() { return audio_->switchMode("bypass"); }
-
-TransitionStats AvPlaybackApp::attachAudioDecode() { return audio_->switchMode("play"); }
-
 void AvPlaybackApp::teardown() {
   demux_handle_.teardown();
   video_->teardown();

@@ -40,13 +40,6 @@ class AvPlaybackApp {
   [[nodiscard]] const AudioDecodeApp& audio() const { return *audio_; }
   [[nodiscard]] AudioDecodeApp& audio() { return *audio_; }
 
-  /// Detaches the audio decoder subgraph live (bypass mode: the feeder
-  /// streams coded blocks straight to the sink). The video pipeline and
-  /// the demux keep running through the transition.
-  TransitionStats detachAudioDecode();
-  /// Re-attaches the audio decoder subgraph (play mode).
-  TransitionStats attachAudioDecode();
-
   /// Control handle for the demux task's one-task graph.
   [[nodiscard]] AppHandle& demuxHandle() { return demux_handle_; }
   /// Tears down the demux graph and both media applications.

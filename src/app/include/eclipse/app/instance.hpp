@@ -283,6 +283,7 @@ class EclipseInstance {
   bool started_ = false;
   sim::FaultInjector injector_;
   std::vector<sim::FaultSpec> bit_flips_;  // armed bit flips, by event index
+  std::uint64_t fault_plan_ = 0;  // bumped by armFaults/recycle; stale flips skip
 };
 
 }  // namespace eclipse::app

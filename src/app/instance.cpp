@@ -335,6 +335,7 @@ bool EclipseInstance::recycle() {
   cpu_->reset();
   injector_.clear();
   bit_flips_.clear();
+  ++fault_plan_;
   sim_.setFaultInjector(nullptr);
   started_ = false;  // next run() re-spawns every control loop cold
   return true;
@@ -346,13 +347,20 @@ bool EclipseInstance::recycle() {
 
 void EclipseInstance::armFaults(const sim::FaultPlan& plan) {
   injector_.clear();
+  // Events cannot be cancelled, so the bit flips of the plan being replaced
+  // stay queued; each carries the plan it belongs to and returns untouched
+  // when that plan is no longer the armed one.
+  bit_flips_.clear();
+  ++fault_plan_;
   for (const sim::FaultSpec& f : plan.faults) {
     if (f.kind == sim::FaultKind::BitFlipSram || f.kind == sim::FaultKind::BitFlipDram) {
       // State-mutating faults fire as one-shot events at their trigger
       // cycle; the injector only keeps the trigger log for them. The spec
-      // stays in bit_flips_ until recycle(), and the event names it by index.
+      // stays in bit_flips_ while its plan is armed, and the event names it
+      // by index.
       bit_flips_.push_back(f);
-      sim_.scheduleAt(f.at_cycle, [this, i = bit_flips_.size() - 1] {
+      sim_.scheduleAt(f.at_cycle, [this, plan = fault_plan_, i = bit_flips_.size() - 1] {
+        if (plan != fault_plan_) return;
         const sim::FaultSpec& spec = bit_flips_[i];
         auto storage = spec.kind == sim::FaultKind::BitFlipSram ? sram_->storage().view()
                                                                 : dram_->storage().view();

@@ -63,10 +63,6 @@ class Coprocessor {
   sim::Simulator& sim_;
   shell::Shell& shell_;
 
-  /// Faults latched by this coprocessor's dispatch wrapper (containment
-  /// events, not counting faults latched directly by the shell watchdog).
-  [[nodiscard]] std::uint64_t faultsContained() const { return faults_contained_; }
-
  private:
   sim::Task<void> controlLoop() {
     while (true) {
@@ -102,7 +98,6 @@ class Coprocessor {
   }
 
   void containFault(sim::TaskId task, shell::FaultCause cause, const char* what) {
-    ++faults_contained_;
     shell_.latchFault(task, cause, -1,
                       name_ + " task " + std::to_string(task) + " @" +
                           std::to_string(sim_.now()) + ": " + what);
@@ -110,7 +105,6 @@ class Coprocessor {
 
   std::string name_;
   std::uint64_t steps_ = 0;
-  std::uint64_t faults_contained_ = 0;
 };
 
 }  // namespace eclipse::coproc

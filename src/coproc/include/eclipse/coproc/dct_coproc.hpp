@@ -38,7 +38,6 @@ class DctCoproc final : public Coprocessor {
       : Coprocessor(sim, sh, "dct"), params_(params) {}
 
   [[nodiscard]] std::uint64_t blocksTransformed() const { return blocks_; }
-  [[nodiscard]] const DctParams& dctParams() const { return params_; }
 
   /// Recovery (DESIGN §9): drop incoming Mb packets until the next Resync
   /// marker (control packets still pass through unchanged).

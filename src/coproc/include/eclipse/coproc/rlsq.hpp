@@ -37,9 +37,6 @@ class RlsqCoproc final : public Coprocessor {
   RlsqCoproc(sim::Simulator& sim, shell::Shell& sh, const RlsqParams& params)
       : Coprocessor(sim, sh, "rlsq"), params_(params) {}
 
-  [[nodiscard]] std::uint64_t pairsProcessed() const { return pairs_; }
-  [[nodiscard]] std::uint64_t blocksProcessed() const { return blocks_; }
-
   /// Recovery (DESIGN §9): drop incoming packets until a Resync marker (or
   /// Eos) arrives. Issued by the CPU before re-enabling a faulted task so
   /// stale in-flight data from before the fault never reaches downstream.
@@ -68,8 +65,6 @@ class RlsqCoproc final : public Coprocessor {
   RlsqParams params_;
   std::map<sim::TaskId, TaskState> states_;
   media::ByteWriter writer_;  // reusable serialisation buffer (steps are serial)
-  std::uint64_t pairs_ = 0;
-  std::uint64_t blocks_ = 0;
   std::uint64_t discarded_ = 0;
 };
 

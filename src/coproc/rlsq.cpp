@@ -80,8 +80,6 @@ sim::Task<void> RlsqCoproc::stepDecode(sim::TaskId task, TaskState& st) {
       out.intra = coefs.intra;
       const std::uint64_t np = pairCount(coefs);
       const int nb = codedBlocks(coefs.cbp);
-      pairs_ += np;
-      blocks_ += static_cast<std::uint64_t>(nb);
       co_await sim_.delay(np * params_.cycles_per_pair +
                           static_cast<sim::Cycle>(nb) * params_.cycles_per_block);
       co_await packet_io::write(shell_, task, kOut,
@@ -140,8 +138,6 @@ sim::Task<void> RlsqCoproc::stepEncode(sim::TaskId task, TaskState& st) {
       media::MbCoefs out;
       media::stages::rlsqEncode(in, in.intra != 0, st.seq, st.pic.qscale, out);
       const std::uint64_t np = pairCount(out);
-      pairs_ += np;
-      blocks_ += static_cast<std::uint64_t>(media::kBlocksPerMacroblock);
       co_await sim_.delay(np * params_.cycles_per_pair +
                           static_cast<sim::Cycle>(media::kBlocksPerMacroblock) *
                               params_.cycles_per_block);

@@ -162,13 +162,9 @@ class Farm {
   void resizeWorkers(int n);
 
   [[nodiscard]] FarmMetrics metrics() const;
-  /// Per-lane depth + oldest-job age right now (telemetry gauges).
-  [[nodiscard]] std::array<LaneGauge, 3> laneGauges() const { return queue_.gauges(); }
   /// Jobs retired for killing two workers (terminal; never re-admitted).
   [[nodiscard]] std::vector<QuarantineRecord> quarantined() const;
-  [[nodiscard]] std::size_t queueDepth() const { return queue_.depth(); }
   [[nodiscard]] int workerCount() const;
-  [[nodiscard]] WorkloadCache& workloadCache() { return *cache_; }
 
  private:
   friend class Supervisor;

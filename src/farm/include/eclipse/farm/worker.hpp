@@ -106,7 +106,6 @@ class Worker {
   /// worker — the thread is joined later (zombie list), never destroyed
   /// while possibly still inside the simulator.
   void retire();
-  [[nodiscard]] bool isRetired() const { return retired_.load(std::memory_order_acquire); }
 
   [[nodiscard]] int index() const { return index_; }
 

@@ -59,10 +59,9 @@ void Graph::run() {
   threads.reserve(tasks_.size());
   std::mutex error_mu;
   std::exception_ptr first_error;
-  failed_task_.clear();
 
   for (auto& node : tasks_) {
-    threads.emplace_back([this, &node, &error_mu, &first_error] {
+    threads.emplace_back([&node, &error_mu, &first_error] {
       TaskContext ctx;
       ctx.name_ = node.name;
       // Densify the sparse port maps into indexable vectors.
@@ -80,10 +79,7 @@ void Graph::run() {
         node.fn(ctx);
       } catch (...) {
         std::lock_guard lock(error_mu);
-        if (!first_error) {
-          first_error = std::current_exception();
-          failed_task_ = node.name;  // attribution only; the exception is rethrown unchanged
-        }
+        if (!first_error) first_error = std::current_exception();
       }
       // Kahn EOF propagation: a finished task closes its outputs so that
       // consumers drain and terminate rather than block forever. Closing on
@@ -107,26 +103,6 @@ std::string Graph::describe() const {
        << " -> " << tasks_[static_cast<std::size_t>(e.consumer)].name << "." << e.in_port
        << " [" << e.fifo->capacity() << " B]\n";
   }
-  return ss.str();
-}
-
-std::string Graph::toDot(const std::string& graph_name) const {
-  std::ostringstream ss;
-  ss << "digraph \"" << graph_name << "\" {\n"
-     << "  rankdir=LR;\n"
-     << "  node [shape=box];\n";
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    ss << "  t" << i << " [label=\"" << tasks_[i].name << "\"";
-    if (tasks_[i].name == failed_task_ && !failed_task_.empty()) {
-      ss << ", style=filled, fillcolor=salmon";
-    }
-    ss << "];\n";
-  }
-  for (const auto& e : edges_) {
-    ss << "  t" << e.producer << " -> t" << e.consumer << " [label=\"" << e.out_port << "->"
-       << e.in_port << " (" << e.fifo->capacity() << " B)\"];\n";
-  }
-  ss << "}\n";
   return ss.str();
 }
 

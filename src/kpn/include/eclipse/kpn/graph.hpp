@@ -77,11 +77,6 @@ class Graph {
   /// undersized buffer or a dependency cycle.
   void run();
 
-  /// Name of the task whose exception run() rethrew (fault attribution for
-  /// the functional model); empty when the last run completed cleanly.
-  [[nodiscard]] const std::string& failedTask() const { return failed_task_; }
-
-  [[nodiscard]] std::size_t taskCount() const { return tasks_.size(); }
   [[nodiscard]] std::size_t edgeCount() const { return edges_.size(); }
   [[nodiscard]] const std::string& taskName(int id) const { return tasks_.at(id).name; }
   [[nodiscard]] ByteFifo& edge(int id) { return *edges_.at(id).fifo; }
@@ -90,10 +85,6 @@ class Graph {
   /// Human-readable structure dump (nodes and edges), used to reproduce the
   /// Figure-2 style network listings.
   [[nodiscard]] std::string describe() const;
-
-  /// Graphviz DOT rendering of the network (tasks as nodes, streams as
-  /// edges labelled with port ids and buffer capacity).
-  [[nodiscard]] std::string toDot(const std::string& graph_name = "kpn") const;
 
   /// Applies a blocking timeout to every edge (deadlock detection budget).
   void setTimeout(std::chrono::milliseconds t);
@@ -115,7 +106,6 @@ class Graph {
 
   std::vector<TaskNode> tasks_;
   std::vector<Edge> edges_;
-  std::string failed_task_;
 };
 
 }  // namespace eclipse::kpn

@@ -13,15 +13,15 @@
 
 namespace eclipse::media::kernels {
 
-/// Vector backends for the media substrate. `Scalar` is the original C++
-/// code kept verbatim — it is the oracle every other backend must match
-/// bit for bit (DESIGN.md §11). Backends only change host wall time; the
-/// simulated cost charged by the shells is backend-invariant because the
-/// timing model consumes functional outputs (symbol/pair/block counts),
-/// never host time.
-enum class Backend : int { Scalar = 0, Sse2 = 1, Avx2 = 2, Neon = 3 };
+/// Backends for the media substrate. `Scalar` is the original C++ code
+/// kept verbatim — the oracle `Avx2`, the one vector backend, must match
+/// bit for bit (DESIGN.md §11); a host without AVX2 runs `Scalar`.
+/// Backends only change host wall time; the simulated cost charged by the
+/// shells is backend-invariant because the timing model consumes
+/// functional outputs (symbol/pair/block counts), never host time.
+enum class Backend : int { Scalar = 0, Avx2 = 1 };
 
-inline constexpr int kBackendCount = 4;
+inline constexpr int kBackendCount = 2;
 
 /// One entry per vectorized kernel. Raw-pointer signatures carry explicit
 /// strides so the same SAD/interp primitives serve motion.cpp (frame
@@ -87,7 +87,7 @@ extern const KernelTable* g_active;
 /// Currently selected backend.
 [[nodiscard]] Backend backend() noexcept;
 
-/// Human-readable backend name ("scalar", "sse2", "avx2", "neon").
+/// Human-readable backend name ("scalar", "avx2").
 [[nodiscard]] const char* backendName(Backend b) noexcept;
 
 /// True when the backend is compiled in AND supported by this CPU.
@@ -100,7 +100,7 @@ extern const KernelTable* g_active;
 /// available on this machine.
 void setBackend(Backend b);
 
-/// Parses "scalar" | "sse2" | "avx2" | "neon" (case-sensitive); throws
+/// Parses "scalar" | "avx2" (case-sensitive); throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] Backend parseBackendName(const std::string& name);
 

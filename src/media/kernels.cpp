@@ -14,27 +14,11 @@ bool cpuSupports(Backend b) {
   switch (b) {
     case Backend::Scalar:
       return true;
+    case Backend::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
-    case Backend::Sse2: {
-      __builtin_cpu_init();
-      return __builtin_cpu_supports("sse2") != 0;
-    }
-    case Backend::Avx2: {
       __builtin_cpu_init();
       return __builtin_cpu_supports("avx2") != 0;
-    }
-    case Backend::Neon:
-      return false;
-#elif defined(__aarch64__)
-    case Backend::Sse2:
-    case Backend::Avx2:
-      return false;
-    case Backend::Neon:
-      return true;  // NEON is architectural on AArch64
 #else
-    case Backend::Sse2:
-    case Backend::Avx2:
-    case Backend::Neon:
       return false;
 #endif
   }
@@ -44,19 +28,12 @@ bool cpuSupports(Backend b) {
 const KernelTable* tableFor(Backend b) {
   switch (b) {
     case Backend::Scalar: return &detail::scalarTable();
-    case Backend::Sse2: return detail::sse2Table();
     case Backend::Avx2: return detail::avx2Table();
-    case Backend::Neon: return detail::neonTable();
   }
   return nullptr;
 }
 
-Backend bestBackend() {
-  for (Backend b : {Backend::Avx2, Backend::Neon, Backend::Sse2}) {
-    if (available(b)) return b;
-  }
-  return Backend::Scalar;
-}
+Backend bestBackend() { return available(Backend::Avx2) ? Backend::Avx2 : Backend::Scalar; }
 
 Backend startupBackend() {
   const char* env = std::getenv("ECLIPSE_SIMD");
@@ -68,7 +45,7 @@ Backend startupBackend() {
                    env, backendName(bestBackend()));
     } catch (const std::invalid_argument&) {
       std::fprintf(stderr, "eclipse: ignoring unknown ECLIPSE_SIMD=%s (use %s)\n", env,
-                   "scalar|sse2|avx2|neon");
+                   "scalar|avx2");
     }
   }
   return bestBackend();
@@ -87,9 +64,7 @@ Backend backend() noexcept { return detail::g_active->backend; }
 const char* backendName(Backend b) noexcept {
   switch (b) {
     case Backend::Scalar: return "scalar";
-    case Backend::Sse2: return "sse2";
     case Backend::Avx2: return "avx2";
-    case Backend::Neon: return "neon";
   }
   return "?";
 }

@@ -18,10 +18,13 @@ namespace {
 // ----------------------------------------------------------------- tables
 
 struct DctTabs {
-  // Row-pass pmaddwd pairs: one 256-bit row per x-pair (layout as in the
-  // SSE2 backend, lanes u0..u7 resp. x0..x7).
+  // Row-pass coefficient pairs for pmaddwd, one 256-bit row per x-pair:
+  // fwd_pairs[p][2u+e] = K[u][2p+e] (u = output lane, e = pair element).
   alignas(32) std::int16_t fwd_pairs[4][16];
+  // inv_pairs[p][2x+e] = K[2p+e][x] (x = output lane, summing over u).
   alignas(32) std::int16_t inv_pairs[4][16];
+  // Column-pass broadcast factors: fwd out[v] uses colF[v][y] = K[v][y],
+  // inverse out[y] uses colI[y][v] = K[v][y].
   alignas(32) std::int32_t colF[8][8];
   alignas(32) std::int32_t colI[8][8];
 
@@ -169,8 +172,10 @@ void avx2Quantize(const Block& coefs, Block& levels, int qscale, const quant::Ma
         qs);
     const __m256i sign = _mm256_srai_epi32(c32, 31);
     const __m256i absc = _mm256_sub_epi32(_mm256_xor_si256(c32, sign), sign);
-    // n = |coef|*16 + step/2; exact n/step via double division (see the
-    // SSE2 backend for the error-bound argument).
+    // n = |coef|*16 + step/2; exact n/step via double division. For
+    // 0 <= n < 2^20 and 0 < step < 2^13 a quotient is either exactly
+    // representable or at least 2^-13 away from an integer, while the
+    // rounding error is below 2^-32, so truncation equals integer division.
     const __m256i n = _mm256_add_epi32(_mm256_slli_epi32(absc, 4), _mm256_srli_epi32(step, 1));
     const __m128i q_lo = _mm256_cvttpd_epi32(
         _mm256_div_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(n)),
@@ -264,6 +269,130 @@ void avx2RleEncode(const Block& scanned, rle::RunLevels& out) {
   }
 }
 
+// ------------------------------------------------- 128-bit motion and pixels
+// 16-byte rows and 8x8 tiles fill an SSE register exactly, so these stay
+// 128-bit: the odd-height tails of the 16xH kernels, the 8-wide chroma
+// interpolation, residual add/diff and the generator's clamped row store.
+
+inline __m128i loadu8(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// 16-wide half-pel prediction row; the 4-tap case widens to u16 because
+/// pavgb-of-pavgb is NOT bit-exact for (a+b+c+d+2)/4.
+inline __m128i predRow16(const std::uint8_t* r0, int ref_stride, int fx, int fy) {
+  const std::uint8_t* r1 = r0 + ref_stride;
+  if (fx == 0 && fy == 0) return loadu8(r0);
+  if (fx != 0 && fy == 0) return _mm_avg_epu8(loadu8(r0), loadu8(r0 + 1));
+  if (fx == 0) return _mm_avg_epu8(loadu8(r0), loadu8(r1));
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i two = _mm_set1_epi16(2);
+  const __m128i a = loadu8(r0);
+  const __m128i b = loadu8(r0 + 1);
+  const __m128i c = loadu8(r1);
+  const __m128i d = loadu8(r1 + 1);
+  __m128i lo = _mm_add_epi16(_mm_add_epi16(_mm_unpacklo_epi8(a, zero), _mm_unpacklo_epi8(b, zero)),
+                             _mm_add_epi16(_mm_unpacklo_epi8(c, zero), _mm_unpacklo_epi8(d, zero)));
+  __m128i hi = _mm_add_epi16(_mm_add_epi16(_mm_unpackhi_epi8(a, zero), _mm_unpackhi_epi8(b, zero)),
+                             _mm_add_epi16(_mm_unpackhi_epi8(c, zero), _mm_unpackhi_epi8(d, zero)));
+  lo = _mm_srli_epi16(_mm_add_epi16(lo, two), 2);
+  hi = _mm_srli_epi16(_mm_add_epi16(hi, two), 2);
+  return _mm_packus_epi16(lo, hi);
+}
+
+/// 8-wide variant (chroma); loads stay within [0, 8+fx) x rows touched.
+inline __m128i predRow8(const std::uint8_t* r0, int ref_stride, int fx, int fy) {
+  const std::uint8_t* r1 = r0 + ref_stride;
+  if (fx == 0 && fy == 0) return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0));
+  if (fx != 0 && fy == 0) {
+    return _mm_avg_epu8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0)),
+                        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0 + 1)));
+  }
+  if (fx == 0) {
+    return _mm_avg_epu8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0)),
+                        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1)));
+  }
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i two = _mm_set1_epi16(2);
+  const __m128i a = _mm_unpacklo_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0)), zero);
+  const __m128i b = _mm_unpacklo_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0 + 1)), zero);
+  const __m128i c = _mm_unpacklo_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1)), zero);
+  const __m128i d = _mm_unpacklo_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1 + 1)), zero);
+  __m128i sum = _mm_add_epi16(_mm_add_epi16(a, b), _mm_add_epi16(c, d));
+  sum = _mm_srli_epi16(_mm_add_epi16(sum, two), 2);
+  return _mm_packus_epi16(sum, sum);
+}
+
+std::uint32_t xmmSad16xH(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
+                         int ref_stride, int h, int fx, int fy) {
+  __m128i acc = _mm_setzero_si128();
+  for (int y = 0; y < h; ++y) {
+    const __m128i c = loadu8(cur + static_cast<std::ptrdiff_t>(y) * cur_stride);
+    const __m128i p = predRow16(ref + static_cast<std::ptrdiff_t>(y) * ref_stride, ref_stride, fx, fy);
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(c, p));
+  }
+  acc = _mm_add_epi64(acc, _mm_srli_si128(acc, 8));
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc));
+}
+
+void xmmInterp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
+                   int h, int fx, int fy) {
+  for (int y = 0; y < h; ++y) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + static_cast<std::ptrdiff_t>(y) * dst_stride),
+                     predRow16(src + static_cast<std::ptrdiff_t>(y) * src_stride, src_stride, fx, fy));
+  }
+}
+
+void xmmInterp8xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
+                  int h, int fx, int fy) {
+  for (int y = 0; y < h; ++y) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + static_cast<std::ptrdiff_t>(y) * dst_stride),
+                     predRow8(src + static_cast<std::ptrdiff_t>(y) * src_stride, src_stride, fx, fy));
+  }
+}
+
+void xmmAddRes8x8(std::uint8_t* dst, int dst_stride, const std::uint8_t* pred, int pred_stride,
+                  const std::int16_t* res) {
+  const __m128i zero = _mm_setzero_si128();
+  for (int y = 0; y < 8; ++y) {
+    const __m128i p = _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pred + static_cast<std::ptrdiff_t>(y) * pred_stride)), zero);
+    const __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(res + y * 8));
+    // adds_epi16 saturation keeps overflows on the correct side of the
+    // [0,255] clamp that packus applies (clampPel equivalence).
+    const __m128i s = _mm_adds_epi16(p, r);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + static_cast<std::ptrdiff_t>(y) * dst_stride),
+                     _mm_packus_epi16(s, s));
+  }
+}
+
+void xmmDiff8x8(std::int16_t* res, const std::uint8_t* cur, int cur_stride,
+                const std::uint8_t* pred, int pred_stride) {
+  const __m128i zero = _mm_setzero_si128();
+  for (int y = 0; y < 8; ++y) {
+    const __m128i c = _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(cur + static_cast<std::ptrdiff_t>(y) * cur_stride)), zero);
+    const __m128i p = _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pred + static_cast<std::ptrdiff_t>(y) * pred_stride)), zero);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(res + y * 8), _mm_sub_epi16(c, p));
+  }
+}
+
+void xmmClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 4));
+    const __m128i v16 = _mm_packs_epi32(a, b);
+    const __m128i v8 = _mm_packus_epi16(v16, v16);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i), v8);
+  }
+  for (; i < n; ++i) {
+    const std::int32_t v = src[i];
+    dst[i] = static_cast<std::uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+  }
+}
+
 // ------------------------------------------------------------------ motion
 
 /// Two consecutive 16-byte rows in one 256-bit register.
@@ -309,8 +438,8 @@ std::uint32_t avx2Sad16xH(const std::uint8_t* cur, int cur_stride, const std::ui
   s = _mm_add_epi64(s, _mm_srli_si128(s, 8));
   std::uint32_t sad = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
   if (y < h) {  // odd h tail
-    sad += sse2Sad16xH(cur + static_cast<std::ptrdiff_t>(y) * cur_stride, cur_stride,
-                       ref + static_cast<std::ptrdiff_t>(y) * ref_stride, ref_stride, h - y, fx, fy);
+    sad += xmmSad16xH(cur + static_cast<std::ptrdiff_t>(y) * cur_stride, cur_stride,
+                      ref + static_cast<std::ptrdiff_t>(y) * ref_stride, ref_stride, h - y, fx, fy);
   }
   return sad;
 }
@@ -327,8 +456,8 @@ void avx2Interp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, 
         _mm256_extracti128_si256(p, 1));
   }
   if (y < h) {
-    sse2Interp16xH(dst + static_cast<std::ptrdiff_t>(y) * dst_stride, dst_stride,
-                   src + static_cast<std::ptrdiff_t>(y) * src_stride, src_stride, h - y, fx, fy);
+    xmmInterp16xH(dst + static_cast<std::ptrdiff_t>(y) * dst_stride, dst_stride,
+                  src + static_cast<std::ptrdiff_t>(y) * src_stride, src_stride, h - y, fx, fy);
   }
 }
 
@@ -357,11 +486,11 @@ const KernelTable* avx2Table() {
     k.rle_encode = avx2RleEncode;
     k.sad_16xh = avx2Sad16xH;
     k.interp_16xh = avx2Interp16xH;
-    k.interp_8xh = sse2Interp8xH;  // 8-wide: 128-bit is already full width
+    k.interp_8xh = xmmInterp8xH;
     k.avg_u8 = avx2AvgU8;
-    k.add_res_8x8 = sse2AddRes8x8;
-    k.diff_8x8 = sse2Diff8x8;
-    k.clamp_store_row = sse2ClampStoreRow;
+    k.add_res_8x8 = xmmAddRes8x8;
+    k.diff_8x8 = xmmDiff8x8;
+    k.clamp_store_row = xmmClampStoreRow;
     k.vlc_get_block = vlcGetBlockFast;
     return k;
   }();

@@ -3,8 +3,7 @@
 // Internal header shared by the media kernel backends (not installed).
 // Holds the per-backend table accessors, the fixed-point DCT constants,
 // the scan tables (constexpr so SIMD shuffle masks can be built from them
-// at compile time) and the scalar entry points that backends reuse as
-// per-kernel fallbacks.
+// at compile time) and the table-driven VLD the AVX2 table borrows.
 
 #include <array>
 #include <cmath>
@@ -74,59 +73,11 @@ inline constexpr std::array<int, 64> scanPerm(const std::array<int, 64>& t, bool
 /// for this architecture"; runtime CPU support is checked separately in
 /// kernels.cpp.
 [[nodiscard]] const KernelTable& scalarTable();
-[[nodiscard]] const KernelTable* sse2Table();
 [[nodiscard]] const KernelTable* avx2Table();
-[[nodiscard]] const KernelTable* neonTable();
 
-// ------------------------------------------------------ scalar entry points
-// Reused by SIMD backends for kernels they do not accelerate.
-
-void scalarDctForward(const Block& in, Block& out);
-void scalarDctInverse(const Block& in, Block& out);
-void scalarQuantize(const Block& coefs, Block& levels, int qscale, const quant::Matrix& m);
-void scalarDequantize(const Block& levels, Block& coefs, int qscale, const quant::Matrix& m);
-void scalarToScan(const Block& raster, Block& scanned, scan::Order order);
-void scalarFromScan(const Block& scanned, Block& raster, scan::Order order);
-void scalarRleEncode(const Block& scanned, rle::RunLevels& out);
-std::uint32_t scalarSad16xH(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
-                            int ref_stride, int h, int fx, int fy);
-void scalarInterp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
-                      int h, int fx, int fy);
-void scalarInterp8xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
-                     int h, int fx, int fy);
-void scalarAvgU8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, std::size_t n);
-void scalarAddRes8x8(std::uint8_t* dst, int dst_stride, const std::uint8_t* pred, int pred_stride,
-                     const std::int16_t* res);
-void scalarDiff8x8(std::int16_t* res, const std::uint8_t* cur, int cur_stride,
-                   const std::uint8_t* pred, int pred_stride);
-void scalarClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t n);
-
-#if defined(__x86_64__) || defined(__i386__)
-// SSE2 entry points, exported so the AVX2 backend can reuse the 8-wide /
-// byte-wise kernels where a 256-bit version buys nothing.
-void sse2Quantize(const Block& coefs, Block& levels, int qscale, const quant::Matrix& m);
-void sse2Dequantize(const Block& levels, Block& coefs, int qscale, const quant::Matrix& m);
-void sse2RleEncode(const Block& scanned, rle::RunLevels& out);
-std::uint32_t sse2Sad16xH(const std::uint8_t* cur, int cur_stride, const std::uint8_t* ref,
-                          int ref_stride, int h, int fx, int fy);
-void sse2Interp16xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
-                    int h, int fx, int fy);
-void sse2Interp8xH(std::uint8_t* dst, int dst_stride, const std::uint8_t* src, int src_stride,
-                   int h, int fx, int fy);
-void sse2AvgU8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, std::size_t n);
-void sse2AddRes8x8(std::uint8_t* dst, int dst_stride, const std::uint8_t* pred, int pred_stride,
-                   const std::int16_t* res);
-void sse2Diff8x8(std::int16_t* res, const std::uint8_t* cur, int cur_stride,
-                 const std::uint8_t* pred, int pred_stride);
-void sse2ClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t n);
-#endif
-
-/// Verbatim bit-at-a-time VLD (the oracle, vlc.cpp's original getBlock).
-void vlcGetBlockBitwise(BitReader& br, rle::RunLevels& out);
-
-/// Table-driven multi-bit VLD: classifies symbols from an 8-bit peek and
-/// decodes Exp-Golomb escapes from a 32-bit peek. Falls back to the
-/// bitwise oracle near the end of the stream so the number of bits
+/// Table-driven multi-bit VLD (kernels_scalar.cpp): classifies symbols from
+/// an 8-bit peek and decodes Exp-Golomb escapes from a 32-bit peek. Falls
+/// back to the bitwise oracle near the end of the stream so the number of bits
 /// consumed on every path — including throws — matches the oracle exactly
 /// (fault recovery resumes parsing from the same BitReader position).
 void vlcGetBlockFast(BitReader& br, rle::RunLevels& out);

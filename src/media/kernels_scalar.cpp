@@ -120,8 +120,7 @@ std::uint32_t fastGetUe(BitReader& br) {
   return v - 1;
 }
 
-}  // namespace
-
+/// Verbatim bit-at-a-time VLD (the oracle, vlc.cpp's original getBlock).
 void vlcGetBlockBitwise(BitReader& br, rle::RunLevels& out) {
   while (true) {
     if (br.getBit() == 0) {
@@ -145,6 +144,8 @@ void vlcGetBlockBitwise(BitReader& br, rle::RunLevels& out) {
                                                               : static_cast<int>(mag))});
   }
 }
+
+}  // namespace
 
 void vlcGetBlockFast(BitReader& br, rle::RunLevels& out) {
   while (true) {
@@ -198,6 +199,8 @@ void vlcGetBlockFast(BitReader& br, rle::RunLevels& out) {
                                                               : static_cast<int>(mag))});
   }
 }
+
+namespace {
 
 // ------------------------------------------------------------ 8x8 DCT (oracle)
 
@@ -359,6 +362,8 @@ void scalarDiff8x8(std::int16_t* res, const std::uint8_t* cur, int cur_stride,
 void scalarClampStoreRow(const std::int32_t* src, std::uint8_t* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = clampPel(src[i]);
 }
+
+}  // namespace
 
 const KernelTable& scalarTable() {
   static const KernelTable t = [] {

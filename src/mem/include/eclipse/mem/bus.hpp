@@ -124,8 +124,6 @@ class Bus {
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint32_t widthBytes() const { return width_bytes_; }
-  [[nodiscard]] sim::Cycle arbitrationLatency() const { return arb_latency_; }
   [[nodiscard]] const BusStats& stats() const { return total_; }
 
   /// Bus occupancy as a fraction of `elapsed` cycles.
@@ -133,8 +131,6 @@ class Bus {
     if (elapsed == 0) return 0.0;
     return static_cast<double>(total_.busy_cycles) / static_cast<double>(elapsed);
   }
-
-  void resetStats() { total_ = BusStats{}; }
 
  private:
   [[nodiscard]] sim::Cycle occupancy(const Request& r) const {

@@ -88,12 +88,6 @@ class MessageNetwork {
   [[nodiscard]] std::uint64_t messagesDropped() const { return messages_dropped_; }
   [[nodiscard]] std::uint64_t bytesSignalled() const { return bytes_signalled_; }
 
-  void resetStats() {
-    messages_sent_ = 0;
-    messages_dropped_ = 0;
-    bytes_signalled_ = 0;
-  }
-
  private:
   sim::Simulator& sim_;
   sim::Cycle latency_;

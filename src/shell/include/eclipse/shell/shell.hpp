@@ -151,13 +151,11 @@ class Shell {
   /// task has waited `timeout` cycles with no space granted. timeout 0
   /// stops the watchdog after the current period.
   void startWatchdog(sim::Cycle timeout, sim::Cycle period = 0);
-  [[nodiscard]] sim::Cycle watchdogTimeout() const { return params_.watchdog_timeout; }
 
   /// Sticky counter of putspace messages that arrived for an unconfigured
   /// stream row (e.g. a message in flight across teardown) and were
   /// dropped instead of tearing down the simulation.
   [[nodiscard]] std::uint64_t lateSyncDrops() const { return late_sync_drops_; }
-  [[nodiscard]] std::uint64_t faultsLatched() const { return faults_latched_; }
   [[nodiscard]] std::uint64_t stallsLatched() const { return stalls_latched_; }
 
   /// Maps the stream and task tables as 32-bit registers on the PI-bus at
@@ -184,7 +182,6 @@ class Shell {
 
   [[nodiscard]] sim::Cycle idleCycles() const { return idle_cycles_; }
   [[nodiscard]] std::uint64_t taskSwitches() const { return task_switches_; }
-  [[nodiscard]] std::uint64_t syncMessagesReceived() const { return sync_messages_rx_; }
 
   /// Coprocessor busy fraction over `elapsed` cycles (busy = not waiting
   /// inside GetTask).
@@ -192,7 +189,6 @@ class Shell {
 
   /// Starts the sampling process (requires params.profiler_period > 0).
   void startProfiler();
-  void stopProfiler() { profiling_ = false; }
 
   /// Returns the shell to its just-constructed scheduler state so the
   /// instance can be reused for a fresh set of control-loop processes
@@ -272,7 +268,6 @@ class Shell {
   sim::Cycle idle_cycles_ = 0;
   std::optional<sim::Cycle> idle_since_;
   std::uint64_t task_switches_ = 0;
-  std::uint64_t sync_messages_rx_ = 0;
   bool profiling_ = false;
 
   // Fault containment state.

@@ -107,7 +107,6 @@ class StreamCache {
   [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a & ~line_mask_; }
 
   [[nodiscard]] std::uint32_t lineBytes() const { return line_bytes_; }
-  [[nodiscard]] std::uint32_t lineCount() const { return static_cast<std::uint32_t>(lines_.size()); }
 
  private:
   struct Line {

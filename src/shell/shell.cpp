@@ -287,7 +287,6 @@ void Shell::onSyncMessage(const mem::SyncMessage& msg) {
     return;
   }
   row.space += msg.bytes;
-  ++sync_messages_rx_;
   // Best-guess readiness may have changed; wake an idle coprocessor and
   // any blocking-style waiters.
   sched_event_.notifyAll();
@@ -409,8 +408,6 @@ void Shell::latchFault(sim::TaskId task, FaultCause cause, std::int32_t row,
   // Containment: the scheduler skips the task from now on; sibling tasks
   // on the same coprocessor keep running.
   t.enabled = false;
-  sim_.trace(1, "[" + params_.name + "] fault latched: task " + std::to_string(task) + " " +
-                    faultCauseName(cause) + " @" + std::to_string(sim_.now()) + ": " + what);
   if (!fault_observers_.empty()) {
     // Copy: an observer may add/remove observers (e.g. teardown) mid-call.
     auto observers = fault_observers_;
@@ -482,10 +479,6 @@ void Shell::scanStalls() {
     r.stalled = true;
     r.stall_cycle = now;
     ++stalls_latched_;
-    sim_.trace(1, "[" + params_.name + "] stall latched: task " + std::to_string(i) +
-                      " row " + std::to_string(t.blocked_row) + " needs " +
-                      std::to_string(t.blocked_need) + "B, has " + std::to_string(r.space) +
-                      "B since cycle " + std::to_string(t.blocked_since));
   }
 
   // Step-overrun check: the scheduled task has not come back to GetTask

@@ -5,7 +5,6 @@
 #include <exception>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -107,12 +106,6 @@ class Simulator {
   /// Total events dispatched so far (for sanity checks and profiling).
   [[nodiscard]] std::uint64_t eventsDispatched() const { return events_; }
 
-  /// Verbosity: 0 silent, 1 info, 2 debug. trace() writes to stderr when
-  /// level <= verbosity.
-  void setVerbosity(int v) { verbosity_ = v; }
-  [[nodiscard]] int verbosity() const { return verbosity_; }
-  void trace(int level, std::string_view msg) const;
-
   /// Fault-injection hook. Null (the default) means no faults: models guard
   /// every query with a branch-on-null, so the unarmed path costs nothing
   /// and schedules nothing. The injector is owned by the caller (typically
@@ -134,7 +127,6 @@ class Simulator {
   std::size_t live_ = 0;
   std::uint64_t events_ = 0;
   bool halt_ = false;  // ends run()'s drain loop: stop() or a root's error
-  int verbosity_ = 0;
   std::exception_ptr pending_error_;
   FaultInjector* faults_ = nullptr;
 };

@@ -65,14 +65,6 @@ class TimeSeries {
     return m;
   }
 
-  /// Mean value over all samples (unweighted).
-  [[nodiscard]] double meanValue() const {
-    if (points_.empty()) return 0.0;
-    double s = 0.0;
-    for (const auto& [c, v] : points_) s += v;
-    return s / static_cast<double>(points_.size());
-  }
-
   /// Mean of samples whose cycle lies in [from, to).
   [[nodiscard]] double meanValueIn(Cycle from, Cycle to) const {
     double s = 0.0;
@@ -97,8 +89,6 @@ class TimeSeries {
 class Utilization {
  public:
   void addBusy(Cycle cycles) { busy_ += cycles; }
-
-  [[nodiscard]] Cycle busyCycles() const { return busy_; }
 
   /// Fraction of `elapsed` spent busy, clamped to [0, 1].
   [[nodiscard]] double fraction(Cycle elapsed) const {

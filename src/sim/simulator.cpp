@@ -1,6 +1,5 @@
 #include "eclipse/sim/simulator.hpp"
 
-#include <cstdio>
 #include <utility>
 
 namespace eclipse::sim {
@@ -69,13 +68,6 @@ Cycle Simulator::run(Cycle until) {
   }
   if (pending_error_) std::rethrow_exception(std::exchange(pending_error_, nullptr));
   return now_;
-}
-
-void Simulator::trace(int level, std::string_view msg) const {
-  if (level <= verbosity_) {
-    std::fprintf(stderr, "[%12llu] %.*s\n", static_cast<unsigned long long>(now()),
-                 static_cast<int>(msg.size()), msg.data());
-  }
 }
 
 }  // namespace eclipse::sim

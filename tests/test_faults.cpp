@@ -328,6 +328,45 @@ TEST(Faults, EmptyPlanAndIdleWatchdogLeaveThePinnedDecodeUnmoved) {
   }
 }
 
+TEST(Faults, ReArmingReplacesAScheduledBitFlip) {
+  const auto bitstream = validStream();
+  sim::Cycle baseline_cycles = 0;
+  std::uint64_t baseline_events = 0;
+  std::vector<media::Frame> baseline_frames;
+  {
+    app::EclipseInstance inst;
+    app::DecodeApp dec(inst, bitstream);
+    baseline_cycles = inst.run();
+    baseline_events = inst.simulator().eventsDispatched();
+    ASSERT_TRUE(dec.done());
+    baseline_frames = dec.frames();
+  }
+
+  // A plan with an SRAM bit flip halfway through the decode, replaced by
+  // an empty plan before its cycle: the flip must neither fire nor log.
+  // Applied, this flip keeps the decode from completing: the byte lies in
+  // a buffer the pipeline still reads after the trigger cycle.
+  app::EclipseInstance inst;
+  app::DecodeApp dec(inst, bitstream);
+  sim::FaultSpec flip;
+  flip.kind = sim::FaultKind::BitFlipSram;
+  flip.at_cycle = baseline_cycles / 2;
+  flip.addr = 1216;
+  flip.bit = 3;
+  sim::FaultPlan plan;
+  plan.faults.push_back(flip);
+  inst.armFaults(plan);
+  inst.armFaults(sim::FaultPlan{});
+
+  EXPECT_EQ(inst.run(), baseline_cycles);
+  // Events cannot be cancelled: the replaced flip is still dispatched,
+  // once, and returns without touching anything.
+  EXPECT_EQ(inst.simulator().eventsDispatched(), baseline_events + 1);
+  EXPECT_TRUE(inst.faults().triggers().empty());
+  ASSERT_TRUE(dec.done());
+  EXPECT_EQ(dec.frames(), baseline_frames);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end recovery: corruption mid-clip, resync at the next I-frame
 // ---------------------------------------------------------------------

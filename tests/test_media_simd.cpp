@@ -49,6 +49,19 @@ std::vector<k::Backend> simdBackends() {
   return out;
 }
 
+/// Fixture of the differential tests: they compare every vector backend
+/// against scalar, so on a host with none they skip instead of passing
+/// without a single comparison.
+class VectorBackendTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (simdBackends().empty()) GTEST_SKIP() << "no vector backend on this host, scalar only";
+  }
+};
+using SimdBlocks = VectorBackendTest;
+using SimdPixels = VectorBackendTest;
+using SimdVlc = VectorBackendTest;
+
 Block randomBlock(Prng& rng, int magnitude) {
   Block b{};
   for (auto& v : b) {
@@ -70,12 +83,19 @@ Frame noiseFrame(int w, int h, std::uint64_t seed) {
 
 TEST(SimdRegistry, ScalarAlwaysAvailableAndNamed) {
   const auto avail = k::availableBackends();
-  ASSERT_FALSE(avail.empty());
-  EXPECT_EQ(avail.front(), k::Backend::Scalar);
+  std::vector<k::Backend> want{k::Backend::Scalar};
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") != 0) want.push_back(k::Backend::Avx2);
+#endif
+  EXPECT_EQ(avail, want);
   for (const auto b : avail) {
     EXPECT_EQ(k::parseBackendName(k::backendName(b)), b);
   }
   EXPECT_THROW((void)k::parseBackendName("avx512"), std::invalid_argument);
+  // sse2 and neon name no backend.
+  EXPECT_THROW((void)k::parseBackendName("sse2"), std::invalid_argument);
+  EXPECT_THROW((void)k::parseBackendName("neon"), std::invalid_argument);
 }
 
 TEST(SimdRegistry, SetBackendSwitchesAndUnavailableThrows) {
@@ -98,6 +118,11 @@ TEST(SimdRegistry, EnvOverrideSelectsScalar) {
   ASSERT_EQ(setenv("ECLIPSE_SIMD", "scalar", 1), 0);
   k::resetBackendFromEnv();
   EXPECT_EQ(k::backend(), k::Backend::Scalar);
+  // An unknown name (sse2 is no backend) warns and falls back to the best.
+  ASSERT_EQ(setenv("ECLIPSE_SIMD", "sse2", 1), 0);
+  k::resetBackendFromEnv();
+  EXPECT_EQ(k::backend(), k::availableBackends().back());
+  k::setBackend(k::Backend::Scalar);  // so the reset below has to move it
   ASSERT_EQ(unsetenv("ECLIPSE_SIMD"), 0);
   k::resetBackendFromEnv();  // back to best-available
   EXPECT_EQ(k::backend(), k::availableBackends().back());
@@ -146,7 +171,7 @@ TEST(BitReaderMultiBit, GetPastEndThrowsAtEndPosition) {
 
 // ------------------------------------------------------------ block kernels
 
-TEST(SimdBlocks, DctMatchesScalarIncludingClampExtremes) {
+TEST_F(SimdBlocks, DctMatchesScalarIncludingClampExtremes) {
   Prng rng(0xDC7ull);
   std::vector<Block> inputs;
   for (int i = 0; i < 500; ++i) inputs.push_back(randomBlock(rng, 255));
@@ -173,7 +198,7 @@ TEST(SimdBlocks, DctMatchesScalarIncludingClampExtremes) {
   }
 }
 
-TEST(SimdBlocks, QuantDequantMatchScalarForAllQscales) {
+TEST_F(SimdBlocks, QuantDequantMatchScalarForAllQscales) {
   Prng rng(0x9A57ull);
   BackendGuard guard;
   const quant::Matrix* mats[] = {&quant::flatMatrix(), &quant::defaultIntraMatrix()};
@@ -198,7 +223,7 @@ TEST(SimdBlocks, QuantDequantMatchScalarForAllQscales) {
   }
 }
 
-TEST(SimdBlocks, ScanAndRleMatchScalar) {
+TEST_F(SimdBlocks, ScanAndRleMatchScalar) {
   Prng rng(0x5CA2ull);
   BackendGuard guard;
   for (const auto b : simdBackends()) {
@@ -237,7 +262,7 @@ TEST(SimdBlocks, ScanAndRleMatchScalar) {
 
 // ------------------------------------------------------------ pixel kernels
 
-TEST(SimdPixels, SadAndInterpMatchScalarOnRawBuffers) {
+TEST_F(SimdPixels, SadAndInterpMatchScalarOnRawBuffers) {
   Prng rng(0x5ADull);
   constexpr int kW = 40, kH = 24;  // strides wider than the block
   std::vector<std::uint8_t> ref(kW * kH), cur(kW * kH);
@@ -269,7 +294,7 @@ TEST(SimdPixels, SadAndInterpMatchScalarOnRawBuffers) {
   }
 }
 
-TEST(SimdPixels, AvgDiffAddResClampMatchScalar) {
+TEST_F(SimdPixels, AvgDiffAddResClampMatchScalar) {
   Prng rng(0xAD2ull);
   BackendGuard guard;
   std::vector<std::uint8_t> a(257), c(257);
@@ -306,7 +331,7 @@ TEST(SimdPixels, AvgDiffAddResClampMatchScalar) {
   }
 }
 
-TEST(SimdPixels, MotionApiMatchesScalarIncludingFrameBorders) {
+TEST_F(SimdPixels, MotionApiMatchesScalarIncludingFrameBorders) {
   const Frame cur = noiseFrame(64, 48, 11);
   const Frame ref = noiseFrame(64, 48, 22);
   // Vectors that keep the window inside, straddle the edge, and leave the
@@ -380,7 +405,7 @@ VlcOutcome decodeWith(k::Backend b, const std::vector<std::uint8_t>& bytes) {
   return o;
 }
 
-TEST(SimdVlc, RoundTripMatchesScalarOnValidStreams) {
+TEST_F(SimdVlc, RoundTripMatchesScalarOnValidStreams) {
   Prng rng(0x1Cull);
   for (int rep = 0; rep < 400; ++rep) {
     // Random pair list spanning common and escape symbols.
@@ -408,7 +433,7 @@ TEST(SimdVlc, RoundTripMatchesScalarOnValidStreams) {
   }
 }
 
-TEST(SimdVlc, CorruptAndTruncatedStreamsMatchScalarExactly) {
+TEST_F(SimdVlc, CorruptAndTruncatedStreamsMatchScalarExactly) {
   Prng rng(0xBADull);
   for (int rep = 0; rep < 600; ++rep) {
     std::vector<std::uint8_t> bytes(rng.below(40));
