@@ -5,30 +5,16 @@
 #include <thread>
 #include <utility>
 
+#include "eclipse/sim/prng.hpp"
+
 namespace eclipse::farm {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 double msSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -37,13 +23,14 @@ double retryBackoffMs(const RetryPolicy& p, std::uint64_t key, int attempt) {
   if (p.backoff_ms <= 0.0) return 0.0;
   double d = p.backoff_ms;
   for (int a = 2; a < attempt; ++a) {
-    d *= p.backoff_multiplier;
+    d *= 2.0;
     if (p.max_backoff_ms > 0.0 && d >= p.max_backoff_ms) break;
   }
   if (p.max_backoff_ms > 0.0) d = std::min(d, p.max_backoff_ms);
   // Jitter from a hash of (key, attempt): wall-clock-free, so a rerun of
   // the same job list spreads its retries identically.
-  const std::uint64_t h = splitmix64(key ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt)));
+  std::uint64_t state = key ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt));
+  const std::uint64_t h = sim::splitmix64(state);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   d *= 1.0 + p.jitter_frac * u;
   if (p.max_backoff_ms > 0.0) d = std::min(d, p.max_backoff_ms * (1.0 + p.jitter_frac));
@@ -220,8 +207,8 @@ void Farm::disposition(PendingJob&& pj, JobResult&& r) {
     a.worker = r.worker;
     pj.history.push_back(a);
     pj.attempt += 1;
-    if (pj.job.retry.demote_lane) pj.run_priority = demoted(pj.lane());
-    const double delay = retryBackoffMs(pj.job.retry, pj.job.seed ^ pj.id, pj.attempt);
+    pj.run_priority = demoted(pj.lane());
+    const double delay = retryBackoffMs(pj.job.retry, pj.id, pj.attempt);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++retried_;
@@ -258,7 +245,6 @@ void Farm::deliverTerminal(PendingJob&& pj, JobResult&& r) {
         quarantine_.push_back(QuarantineRecord{r.id, r.name, r.attempts, pj.worker_kills, r.error});
       }
     }
-    latencies_ms_.push_back(r.latency_ms);
     if (delivered_ >= accepted_) drained_.notify_all();
   }
   // The terminal hook (submitCallback) fires after metrics, outside every
@@ -387,7 +373,6 @@ std::vector<QuarantineRecord> Farm::quarantined() const {
 
 FarmMetrics Farm::metrics() const {
   FarmMetrics m;
-  std::vector<double> lat;
   {
     std::lock_guard<std::mutex> lock(mu_);
     m.submitted = submitted_;
@@ -402,7 +387,6 @@ FarmMetrics Farm::metrics() const {
     m.retried = retried_;
     m.retry_succeeded = retry_succeeded_;
     m.workers_replaced = workers_replaced_;
-    lat = latencies_ms_;
   }
   m.queue_depth = queue_.depth();
   m.lanes = queue_.gauges();
@@ -410,10 +394,6 @@ FarmMetrics Farm::metrics() const {
   m.elapsed_s = std::chrono::duration<double>(Clock::now() - started_).count();
   const double delivered = static_cast<double>(m.completed + m.failed);
   m.jobs_per_s = m.elapsed_s > 0 ? delivered / m.elapsed_s : 0.0;
-  std::sort(lat.begin(), lat.end());
-  m.p50_ms = percentile(lat, 50);
-  m.p95_ms = percentile(lat, 95);
-  m.p99_ms = percentile(lat, 99);
   {
     std::lock_guard<std::mutex> lock(workers_mu_);
     m.workers.reserve(workers_.size());

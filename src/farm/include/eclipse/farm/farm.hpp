@@ -63,10 +63,6 @@ struct FarmMetrics {
   std::size_t staged_retries = 0;  ///< retries waiting out their backoff
   double elapsed_s = 0.0;   ///< since farm construction
   double jobs_per_s = 0.0;  ///< delivered results / elapsed
-  // Completion-latency percentiles (submission to result, ms).
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
   std::vector<WorkerStats> workers;  ///< active workers
   std::vector<WorkerStats> zombies;  ///< retired (replaced) workers
 
@@ -205,7 +201,6 @@ class Farm {
   std::uint64_t retried_ = 0;
   std::uint64_t retry_succeeded_ = 0;
   std::uint64_t workers_replaced_ = 0;
-  std::vector<double> latencies_ms_;
   std::vector<QuarantineRecord> quarantine_;
 
   // Lifetime order matters at teardown: the supervisor is shut down only

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,24 +89,22 @@ struct ModeSegment {
 struct RetryPolicy {
   /// Total attempts, including the first. 1 = never retry.
   int max_attempts = 1;
-  /// Host-side delay before re-admission of attempt 2 (exponential from
-  /// there). 0 = immediate re-admission.
+  /// Host-side delay before re-admission of attempt 2, doubling with each
+  /// later attempt. 0 = immediate re-admission.
   double backoff_ms = 1.0;
-  double backoff_multiplier = 2.0;
   /// Upper bound on any single backoff (0 = uncapped).
   double max_backoff_ms = 250.0;
   /// Deterministic per-(job, attempt) jitter: the backoff is stretched by
-  /// up to this fraction, derived from the job seed — never wall-clock
+  /// up to this fraction, derived from the job id — never wall-clock
   /// entropy — so a rerun of the same job list spreads retries the same
   /// way every time.
   double jitter_frac = 0.25;
-  /// Re-admit retries one priority lane lower (clamped at Low), so a
-  /// flapping job cannot starve the lane it was submitted on.
-  bool demote_lane = true;
 };
 
-/// Deterministic backoff for `attempt` (>= 2) of a job: exponential in the
+/// Deterministic backoff for `attempt` (>= 2) of a job: doubling in the
 /// attempt number, jittered by a hash of (key, attempt). Pure function.
+/// Every retry is also re-admitted one priority lane lower (demoted(),
+/// clamped at Low), so a flapping job cannot starve the lane it came on.
 [[nodiscard]] double retryBackoffMs(const RetryPolicy& p, std::uint64_t key, int attempt);
 
 /// Host-side fault injection for the chaos harness and the supervision
@@ -133,7 +133,6 @@ struct Job {
   std::string tenant;
   std::vector<AppSpec> apps = std::vector<AppSpec>(1);  ///< default: one decode application
   sim::Config config{};                  ///< instance parameters (shape key)
-  std::uint64_t seed = 0;  ///< recorded; keys the retry-backoff jitter
   Priority priority = Priority::Normal;
   sim::FaultPlan faults{};     ///< non-empty => instance retired after the job
   sim::Cycle watchdog_timeout = 0;  ///< arm per-shell watchdogs when > 0
@@ -176,6 +175,34 @@ struct Job {
     return supervise_ms > 0.0 || retry.max_attempts > 1 || chaos.attempts > 0;
   }
 };
+
+/// A front end's own job-line key (farm_driver's `repeat`, the serving
+/// tier's `deadline_ms`): returns true when it consumed `key`, false when
+/// it does not know it. A bad value throws, like the built-in keys.
+using JobKeyHook = std::function<bool(const std::string& key, const std::string& value)>;
+
+/// Parses one job line, `<name> [key=value ...]`, over `base` (whose fields
+/// stand wherever the line sets no key), so farm_driver, eclipse_serve and
+/// the tests that compare served jobs with in-process oracles all build
+/// the *same* Job value from the same text.
+///
+/// Keys:
+///   kind=decode|encode|decode+encode+...   applications on one instance
+///   width= height= frames= seed= qscale= gop=N[,M] detail= motion= noise=
+///                          the workload every application of the job shares
+///   priority=high|normal|low   max_cycles=N   verify=0|1
+///   retries=N backoff_ms=X deadline=N supervise_ms=X   supervision (§14)
+///   storm=hang|corrupt storm_seed=N   one seeded fault, derived like the
+///                          farm soak's storm jobs
+///   watchdog=N             per-shell watchdog timeout in cycles
+///   hang_ms=X hang_attempts=N   host-side worker-hang injection
+///   config:KEY=VALUE       instance parameter
+/// Any other key goes to `hook`; one it does not consume is an error.
+///
+/// Returns the job; std::nullopt with `err` empty for a blank or `#` line;
+/// std::nullopt with `err` set for a malformed one.
+[[nodiscard]] std::optional<Job> parseJob(const std::string& line, std::string& err,
+                                          const Job& base = {}, const JobKeyHook& hook = {});
 
 /// Admission-control outcome of a submit.
 enum class Admission { Accepted, QueueFull, ShuttingDown };

@@ -1,17 +1,16 @@
-#include "eclipse/serve/jobspec.hpp"
+#include "eclipse/farm/job.hpp"
 
 #include <sstream>
 
-#include "eclipse/sim/fault.hpp"
 #include "eclipse/sim/prng.hpp"
 
-namespace eclipse::serve {
+namespace eclipse::farm {
 
 namespace {
 
 /// Seeded fault-storm spec, derived exactly like the farm soak's stormJob
-/// so served chaos jobs hit the same (seed, kind) → spec mapping the
-/// in-process oracles use.
+/// so storm jobs hit the same (seed, kind) → spec mapping the in-process
+/// oracles use.
 sim::FaultSpec stormSpec(std::uint64_t seed, sim::FaultKind kind) {
   sim::Prng rng(seed * 977 + static_cast<std::uint64_t>(kind));
   sim::FaultSpec spec;
@@ -32,29 +31,28 @@ sim::FaultSpec stormSpec(std::uint64_t seed, sim::FaultKind kind) {
 
 }  // namespace
 
-bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
-  std::istringstream is(spec);
+std::optional<Job> parseJob(const std::string& line, std::string& err, const Job& base,
+                            const JobKeyHook& hook) {
+  err.clear();
+  std::istringstream is(line);
   std::string name;
-  if (!(is >> name) || name[0] == '#') {
-    err = "empty job spec";
-    return false;
-  }
+  if (!(is >> name) || name[0] == '#') return std::nullopt;
 
-  out = ParsedSpec{};
-  farm::Job& job = out.job;
+  auto fail = [&err](std::string why) {
+    err = std::move(why);
+    return std::nullopt;
+  };
+  Job job = base;
   job.name = name;
-  farm::WorkloadDesc wd;  // shared by every app of the job
-  std::vector<farm::AppKind> kinds{farm::AppKind::Decode};
+  WorkloadDesc wd;  // shared by every app of the job
+  std::vector<AppKind> kinds{AppKind::Decode};
   std::string storm;  // applied after the loop (needs storm_seed)
   std::uint64_t storm_seed = 1;
 
   std::string field;
   while (is >> field) {
     const auto eq = field.find('=');
-    if (eq == std::string::npos) {
-      err = "field without '=': " + field;
-      return false;
-    }
+    if (eq == std::string::npos) return fail("field without '=': " + field);
     const std::string key = field.substr(0, eq);
     const std::string val = field.substr(eq + 1);
     try {
@@ -64,18 +62,14 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
         std::string k;
         while (std::getline(ks, k, '+')) {
           if (k == "decode") {
-            kinds.push_back(farm::AppKind::Decode);
+            kinds.push_back(AppKind::Decode);
           } else if (k == "encode") {
-            kinds.push_back(farm::AppKind::Encode);
+            kinds.push_back(AppKind::Encode);
           } else {
-            err = "unknown kind: " + k;
-            return false;
+            return fail("unknown kind: " + k);
           }
         }
-        if (kinds.empty()) {
-          err = "empty kind list";
-          return false;
-        }
+        if (kinds.empty()) return fail("empty kind list");
       } else if (key == "width") {
         wd.width = std::stoi(val);
       } else if (key == "height") {
@@ -98,14 +92,13 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
         wd.noise_level = std::stod(val);
       } else if (key == "priority") {
         if (val == "high") {
-          job.priority = farm::Priority::High;
+          job.priority = Priority::High;
         } else if (val == "normal") {
-          job.priority = farm::Priority::Normal;
+          job.priority = Priority::Normal;
         } else if (val == "low") {
-          job.priority = farm::Priority::Low;
+          job.priority = Priority::Low;
         } else {
-          err = "unknown priority: " + val;
-          return false;
+          return fail("unknown priority: " + val);
         }
       } else if (key == "max_cycles") {
         job.max_cycles = std::stoull(val);
@@ -119,13 +112,8 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
         job.deadline = std::stoull(val);
       } else if (key == "supervise_ms") {
         job.supervise_ms = std::stod(val);
-      } else if (key == "deadline_ms") {
-        out.deadline_ms = std::stod(val);
       } else if (key == "storm") {
-        if (val != "hang" && val != "corrupt") {
-          err = "unknown storm: " + val;
-          return false;
-        }
+        if (val != "hang" && val != "corrupt") return fail("unknown storm: " + val);
         storm = val;
       } else if (key == "storm_seed") {
         storm_seed = std::stoull(val);
@@ -137,13 +125,11 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
         job.chaos.attempts = std::stoi(val);
       } else if (key.rfind("config:", 0) == 0) {
         job.config.set(key.substr(7), val);
-      } else {
-        err = "unknown field: " + key;
-        return false;
+      } else if (!hook || !hook(key, val)) {
+        return fail("unknown field: " + key);
       }
     } catch (const std::exception&) {
-      err = "bad value for " + key + ": " + val;
-      return false;
+      return fail("bad value for " + key + ": " + val);
     }
   }
 
@@ -153,14 +139,9 @@ bool parseJobSpec(const std::string& spec, ParsedSpec& out, std::string& err) {
     job.faults.seed = storm_seed;
     job.faults.faults.push_back(stormSpec(storm_seed, kind));
   }
-  if (out.deadline_ms < 0.0) {
-    err = "negative deadline_ms";
-    return false;
-  }
-
   job.apps.clear();
-  for (farm::AppKind k : kinds) job.apps.push_back(farm::AppSpec{k, wd});
-  return true;
+  for (AppKind k : kinds) job.apps.push_back(AppSpec{k, wd});
+  return job;
 }
 
-}  // namespace eclipse::serve
+}  // namespace eclipse::farm

@@ -7,6 +7,10 @@ namespace eclipse::serve {
 namespace {
 using Clock = std::chrono::steady_clock;
 
+/// Dispatch-thread wake period: bounds how stale token refills and
+/// promotion scans can get when no admission/result activity wakes it.
+constexpr std::chrono::milliseconds kPoll{2};
+
 double msSince(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -162,7 +166,7 @@ void Dispatcher::threadMain() {
     const bool any = dispatchRound(lk);
     if (stop_) break;
     if (!any) {
-      cv_.wait_for(lk, std::chrono::duration<double, std::milli>(opts_.poll_ms));
+      cv_.wait_for(lk, kPoll);
     }
   }
 }

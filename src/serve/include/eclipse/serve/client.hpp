@@ -35,7 +35,7 @@ class Client {
     std::string detail;
   };
 
-  /// Submits a jobspec (grammar: serve/jobspec.hpp) and waits for the
+  /// Submits a job line (grammar: farm::parseJob) and waits for the
   /// Accepted/Rejected reply. req_ids are assigned 1, 2, ...
   Submitted submit(const std::string& spec);
 

@@ -34,9 +34,6 @@ struct DispatcherOptions {
   /// When false, jobs from unregistered tenants are rejected instead of
   /// auto-registering them under default_tenant.
   bool auto_register = true;
-  /// Dispatch-thread wake period: bounds how stale token refills and
-  /// promotion scans can get when no admission/result activity wakes it.
-  double poll_ms = 2.0;
 };
 
 /// Multi-tenant QoS dispatcher: per-tenant FIFO queues in front of the

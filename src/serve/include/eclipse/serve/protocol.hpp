@@ -31,7 +31,7 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 enum class FrameType : std::uint8_t {
   // client -> server
   Hello = 1,    ///< str tenant
-  Submit = 2,   ///< u64 req_id, str spec (jobspec grammar)
+  Submit = 2,   ///< u64 req_id, str spec (farm::parseJob grammar)
   Metrics = 3,  ///< (empty)
   Ping = 4,     ///< (empty)
   Quit = 5,     ///< (empty)

@@ -22,7 +22,6 @@ struct ServeOptions {
   TenantConfig default_tenant{};
   bool auto_register = true;
   double promote_slack_ms = 100.0;
-  double poll_ms = 2.0;
 
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via Server::port())
   /// Kernel accept backlog; beyond it the kernel refuses connections —

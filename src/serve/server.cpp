@@ -11,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "eclipse/serve/jobspec.hpp"
 #include "eclipse/serve/metrics_text.hpp"
 #include "eclipse/serve/protocol.hpp"
 
@@ -90,7 +89,6 @@ Server::Server(ServeOptions options) : opts_(std::move(options)), farm_(opts_.fa
   dopts.promote_slack_ms = opts_.promote_slack_ms;
   dopts.default_tenant = opts_.default_tenant;
   dopts.auto_register = opts_.auto_register;
-  dopts.poll_ms = opts_.poll_ms;
   dispatcher_ = std::make_unique<Dispatcher>(farm_, dopts);
   for (const TenantConfig& t : opts_.tenants) dispatcher_->configureTenant(t);
 }
@@ -371,9 +369,19 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
     }
   };
 
-  ParsedSpec ps;
+  // deadline_ms is the one serve-level key: it drives lane promotion in
+  // the dispatcher and never reaches the farm.
+  double deadline_ms = 0.0;
   std::string err;
-  if (!parseJobSpec(spec, ps, err)) {
+  auto deadlineKey = [&deadline_ms](const std::string& key, const std::string& val) {
+    if (key != "deadline_ms") return false;
+    deadline_ms = std::stod(val);
+    return true;
+  };
+  std::optional<farm::Job> job = farm::parseJob(spec, err, {}, deadlineKey);
+  if (!job && err.empty()) err = "empty job spec";
+  if (job && deadline_ms < 0.0) err = "negative deadline_ms";
+  if (!err.empty()) {
     reject(RejectReason::BadSpec, err);
     return;
   }
@@ -424,7 +432,7 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
   };
 
   const Dispatcher::Verdict v =
-      dispatcher_->admit(conn->tenant, std::move(ps.job), ps.deadline_ms, std::move(on_result));
+      dispatcher_->admit(conn->tenant, std::move(*job), deadline_ms, std::move(on_result));
   if (v == Dispatcher::Verdict::Accepted) {
     std::lock_guard<std::mutex> lk(conn->write_mu);
     ackLocked();

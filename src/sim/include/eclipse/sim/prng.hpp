@@ -4,6 +4,16 @@
 
 namespace eclipse::sim {
 
+/// One splitmix64 step: advances `state` and returns its next output. The
+/// seeding idiom for every wall-clock-free hash and jitter stream here.
+constexpr std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic, seedable pseudo-random generator (xoshiro256++).
 ///
 /// The simulator never uses std::random_device or wall-clock entropy: every
@@ -18,15 +28,7 @@ class Prng {
 
   /// Re-initialises state from a single 64-bit seed via splitmix64.
   void reseed(std::uint64_t seed) {
-    std::uint64_t x = seed;
-    for (auto& s : state_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
-    }
+    for (auto& s : state_) s = splitmix64(seed);
   }
 
   static constexpr result_type min() { return 0; }

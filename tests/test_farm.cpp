@@ -14,6 +14,8 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -487,4 +489,162 @@ TEST(Farm, CloseRacingConcurrentSubmittersLosesNothing) {
   EXPECT_LE(resolved, m.accepted) << "no future without an accepted job behind it";
   EXPECT_EQ(m.completed + m.failed, m.accepted) << "every accepted job resolved terminally";
   EXPECT_EQ(m.failed, 0u) << "close never fails an already-accepted job";
+}
+
+// --------------------------------------------------------------- job line --
+
+namespace {
+
+/// The two front ends' hooks, as farm_driver and the server define them.
+farm::JobKeyHook repeatHook(int& repeat) {
+  return [&repeat](const std::string& key, const std::string& val) {
+    if (key != "repeat") return false;
+    repeat = std::stoi(val);
+    return true;
+  };
+}
+
+farm::JobKeyHook deadlineHook(double& deadline_ms) {
+  return [&deadline_ms](const std::string& key, const std::string& val) {
+    if (key != "deadline_ms") return false;
+    deadline_ms = std::stod(val);
+    return true;
+  };
+}
+
+}  // namespace
+
+TEST(FarmJobLine, ParsesTheFarmDriverGrammarPlusServeExtensions) {
+  double deadline_ms = 0.0;
+  std::string err;
+  const std::optional<Job> job = farm::parseJob(
+      "clip kind=decode+encode width=48 height=32 frames=2 seed=9 qscale=20 "
+      "priority=high retries=2 deadline_ms=250 config:sram.size_bytes=65536",
+      err, {}, deadlineHook(deadline_ms));
+  ASSERT_TRUE(job) << err;
+  EXPECT_EQ(job->name, "clip");
+  ASSERT_EQ(job->apps.size(), 2u);
+  EXPECT_EQ(job->apps[0].kind, farm::AppKind::Decode);
+  EXPECT_EQ(job->apps[1].kind, farm::AppKind::Encode);
+  EXPECT_EQ(job->apps[0].workload.width, 48);
+  EXPECT_EQ(job->apps[0].workload.frames, 2);
+  EXPECT_EQ(job->apps[0].workload.seed, 9u);
+  EXPECT_EQ(job->priority, farm::Priority::High);
+  EXPECT_EQ(deadline_ms, 250.0);
+}
+
+TEST(FarmJobLine, RejectsMalformedSpecs) {
+  std::string err;
+  EXPECT_FALSE(farm::parseJob("", err));
+  EXPECT_FALSE(farm::parseJob("   ", err));
+  EXPECT_FALSE(farm::parseJob("j width=banana", err));
+  EXPECT_FALSE(farm::parseJob("j nosuchkey=1", err));
+  EXPECT_FALSE(farm::parseJob("j shards=2", err));
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(FarmJobLine, DefaultSpecIsThePinnedDecode) {
+  std::string err;
+  std::optional<Job> job = farm::parseJob("pin", err);
+  ASSERT_TRUE(job) << err;
+  farm::FarmOptions fo;
+  fo.workers = 1;
+  fo.cache = sharedCache();
+  farm::Farm f(fo);
+  const JobResult r = f.submitWait(std::move(*job)).get();
+  EXPECT_EQ(r.status, JobStatus::Completed);
+  EXPECT_EQ(r.sim_cycles, kPinCycles);
+  EXPECT_EQ(r.sim_events, kPinEvents);
+  EXPECT_EQ(r.macroblocks, kPinMacroblocks);
+  EXPECT_TRUE(r.bit_exact);
+}
+
+// Every key that either front end's parser used to own lands on the same
+// Job field it set there.
+TEST(FarmJobLine, EveryKeySetsItsJobField) {
+  std::string err;
+  const std::optional<Job> job = farm::parseJob(
+      "all kind=encode width=48 height=32 frames=2 seed=9 qscale=20 gop=6,2 detail=5 "
+      "motion=3 noise=1.5 priority=low max_cycles=123456 verify=0 retries=3 backoff_ms=7.5 "
+      "deadline=99999 supervise_ms=250 storm=corrupt storm_seed=11 watchdog=20000 "
+      "hang_ms=40 hang_attempts=2 config:sram.size_bytes=65536",
+      err);
+  ASSERT_TRUE(job) << err;
+  EXPECT_EQ(job->name, "all");
+  ASSERT_EQ(job->apps.size(), 1u);
+  EXPECT_EQ(job->apps[0].kind, AppKind::Encode);
+  const farm::WorkloadDesc& wd = job->apps[0].workload;
+  EXPECT_EQ(wd.width, 48);
+  EXPECT_EQ(wd.height, 32);
+  EXPECT_EQ(wd.frames, 2);
+  EXPECT_EQ(wd.seed, 9u);
+  EXPECT_EQ(wd.qscale, 20);
+  EXPECT_EQ(wd.gop_n, 6);
+  EXPECT_EQ(wd.gop_m, 2);
+  EXPECT_EQ(wd.detail, 5);
+  EXPECT_EQ(wd.motion_speed, 3);
+  EXPECT_EQ(wd.noise_level, 1.5);
+  EXPECT_EQ(job->priority, farm::Priority::Low);
+  EXPECT_EQ(job->max_cycles, 123456u);
+  EXPECT_FALSE(job->verify);
+  EXPECT_EQ(job->retry.max_attempts, 3);
+  EXPECT_EQ(job->retry.backoff_ms, 7.5);
+  EXPECT_EQ(job->deadline, 99999u);
+  EXPECT_EQ(job->supervise_ms, 250.0);
+  EXPECT_EQ(job->faults.seed, 11u);
+  ASSERT_EQ(job->faults.faults.size(), 1u);
+  EXPECT_EQ(job->faults.faults[0].kind, sim::FaultKind::CorruptPayload);
+  EXPECT_EQ(job->watchdog_timeout, 20000u);
+  EXPECT_EQ(job->chaos.hang_ms, 40.0);
+  EXPECT_EQ(job->chaos.attempts, 2);
+  EXPECT_EQ(job->config.getInt("sram.size_bytes"), 65536);
+}
+
+TEST(FarmJobLine, LineKeysOverrideBaseDefaults) {
+  Job base;
+  base.retry.max_attempts = 4;
+  base.deadline = 1'000'000;
+  base.supervise_ms = 500.0;
+  std::string err;
+  const std::optional<Job> plain = farm::parseJob("plain", err, base);
+  ASSERT_TRUE(plain) << err;
+  EXPECT_EQ(plain->retry.max_attempts, 4);
+  EXPECT_EQ(plain->deadline, 1'000'000u);
+  EXPECT_EQ(plain->supervise_ms, 500.0);
+  const std::optional<Job> own =
+      farm::parseJob("own retries=1 deadline=0 supervise_ms=0", err, base);
+  ASSERT_TRUE(own) << err;
+  EXPECT_EQ(own->retry.max_attempts, 1);
+  EXPECT_EQ(own->deadline, 0u);
+  EXPECT_EQ(own->supervise_ms, 0.0);
+}
+
+TEST(FarmJobLine, BlankOrCommentLineYieldsNoJob) {
+  std::string err = "stale";
+  for (const char* line : {"", "   ", "\t", "# a comment", "  #indented width=banana"}) {
+    EXPECT_FALSE(farm::parseJob(line, err)) << line;
+    EXPECT_TRUE(err.empty()) << line << ": " << err;
+  }
+}
+
+// Each front end's own key reaches only its hook; to the other front end
+// (and to a parse with no hook) it is an unknown field.
+TEST(FarmJobLine, EachFrontEndHookOwnsOnlyItsKey) {
+  int repeat = 1;
+  double deadline_ms = 0.0;
+  std::string err;
+  ASSERT_TRUE(farm::parseJob("r repeat=3", err, {}, repeatHook(repeat))) << err;
+  EXPECT_EQ(repeat, 3);
+  ASSERT_TRUE(farm::parseJob("d deadline_ms=75", err, {}, deadlineHook(deadline_ms))) << err;
+  EXPECT_EQ(deadline_ms, 75.0);
+
+  EXPECT_FALSE(farm::parseJob("r deadline_ms=75", err, {}, repeatHook(repeat)));
+  EXPECT_EQ(err, "unknown field: deadline_ms");
+  EXPECT_FALSE(farm::parseJob("d repeat=3", err, {}, deadlineHook(deadline_ms)));
+  EXPECT_EQ(err, "unknown field: repeat");
+  EXPECT_FALSE(farm::parseJob("n repeat=3", err));
+  EXPECT_EQ(err, "unknown field: repeat");
+  // A hook's bad value fails like a built-in key's.
+  EXPECT_FALSE(farm::parseJob("r repeat=many", err, {}, repeatHook(repeat)));
+  EXPECT_EQ(err, "bad value for repeat: many");
 }

@@ -223,7 +223,6 @@ TEST(FarmSupervision, FaultLatchRetriesAreBitIdenticalToACleanRun) {
 TEST(FarmSupervision, BackoffIsDeterministicBoundedAndGrows) {
   RetryPolicy p;
   p.backoff_ms = 2.0;
-  p.backoff_multiplier = 2.0;
   p.max_backoff_ms = 100.0;
   p.jitter_frac = 0.25;
   for (int attempt = 2; attempt <= 8; ++attempt) {
@@ -244,6 +243,17 @@ TEST(FarmSupervision, BackoffIsDeterministicBoundedAndGrows) {
   // Exponential growth below the cap.
   p.jitter_frac = 0.0;
   EXPECT_LT(farm::retryBackoffMs(p, 7, 2), farm::retryBackoffMs(p, 7, 4));
+}
+
+// The jitter hash (sim::splitmix64 of key and attempt) and the doubling
+// are pinned: a rerun of a job list spreads its retries exactly as before.
+TEST(FarmSupervision, RetryBackoffValuesArePinned) {
+  RetryPolicy p;  // 1 ms base, 250 ms cap, 25% jitter
+  EXPECT_DOUBLE_EQ(farm::retryBackoffMs(p, 1, 2), 1.242750688396699);
+  EXPECT_DOUBLE_EQ(farm::retryBackoffMs(p, 42, 3), 2.1977983625306581);
+  EXPECT_DOUBLE_EQ(farm::retryBackoffMs(p, 0xdeadbeef, 5), 8.7126147333989081);
+  p.backoff_ms = 100.0;  // 400 ms capped at 250, then jittered
+  EXPECT_DOUBLE_EQ(farm::retryBackoffMs(p, 7, 4), 294.0981655605982);
 }
 
 TEST(FarmSupervision, LaneDemotionClampsAtLow) {

@@ -5,7 +5,7 @@
 //     encoded, and torn streams throw instead of mis-parsing;
 //   * served identity — a result that traveled admission -> QoS queue ->
 //     farm -> result frame is bit-identical in every simulated field to a
-//     direct Farm::submitWait of the same jobspec (the pinned decode lands
+//     direct Farm::submitWait of the same job line (the pinned decode lands
 //     exactly on the suite-wide pin constants);
 //   * QoS — quotas, token buckets and DRR weights shed/pace a misbehaving
 //     tenant without starving a compliant one, and deadline slack promotes
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,6 @@
 #include "eclipse/serve/client.hpp"
 #include "eclipse/serve/dispatcher.hpp"
 #include "eclipse/serve/histogram.hpp"
-#include "eclipse/serve/jobspec.hpp"
 #include "eclipse/serve/protocol.hpp"
 #include "eclipse/serve/server.hpp"
 #include "eclipse/serve/tenant.hpp"
@@ -150,54 +150,6 @@ TEST(ServeProtocol, VersionOneResultBlobIsRejected) {
   EXPECT_THROW((void)serve::decodeResult(r), serve::ProtocolError);
 }
 
-// ------------------------------------------------------------- jobspec --
-
-TEST(ServeJobspec, ParsesTheFarmDriverGrammarPlusServeExtensions) {
-  serve::ParsedSpec ps;
-  std::string err;
-  ASSERT_TRUE(serve::parseJobSpec(
-      "clip kind=decode+encode width=48 height=32 frames=2 seed=9 qscale=20 "
-      "priority=high retries=2 deadline_ms=250 config:sram.size_bytes=65536",
-      ps, err))
-      << err;
-  EXPECT_EQ(ps.job.name, "clip");
-  ASSERT_EQ(ps.job.apps.size(), 2u);
-  EXPECT_EQ(ps.job.apps[0].kind, farm::AppKind::Decode);
-  EXPECT_EQ(ps.job.apps[1].kind, farm::AppKind::Encode);
-  EXPECT_EQ(ps.job.apps[0].workload.width, 48);
-  EXPECT_EQ(ps.job.apps[0].workload.frames, 2);
-  EXPECT_EQ(ps.job.apps[0].workload.seed, 9u);
-  EXPECT_EQ(ps.job.priority, farm::Priority::High);
-  EXPECT_EQ(ps.deadline_ms, 250.0);
-}
-
-TEST(ServeJobspec, RejectsMalformedSpecs) {
-  serve::ParsedSpec ps;
-  std::string err;
-  EXPECT_FALSE(serve::parseJobSpec("", ps, err));
-  EXPECT_FALSE(serve::parseJobSpec("   ", ps, err));
-  EXPECT_FALSE(serve::parseJobSpec("j width=banana", ps, err));
-  EXPECT_FALSE(serve::parseJobSpec("j nosuchkey=1", ps, err));
-  EXPECT_FALSE(serve::parseJobSpec("j shards=2", ps, err));
-  EXPECT_FALSE(err.empty());
-}
-
-TEST(ServeJobspec, DefaultSpecIsThePinnedDecode) {
-  serve::ParsedSpec ps;
-  std::string err;
-  ASSERT_TRUE(serve::parseJobSpec("pin", ps, err)) << err;
-  farm::FarmOptions fo;
-  fo.workers = 1;
-  fo.cache = sharedCache();
-  farm::Farm f(fo);
-  const farm::JobResult r = f.submitWait(std::move(ps.job)).get();
-  EXPECT_EQ(r.status, farm::JobStatus::Completed);
-  EXPECT_EQ(r.sim_cycles, pin::kDecodePinCycles);
-  EXPECT_EQ(r.sim_events, pin::kDecodePinEvents);
-  EXPECT_EQ(r.macroblocks, pin::kDecodePinMacroblocks);
-  EXPECT_TRUE(r.bit_exact);
-}
-
 // -------------------------------------------------------------- tenant --
 
 TEST(ServeTenant, SpecParsing) {
@@ -305,10 +257,10 @@ struct Collector {
 };
 
 farm::Job tinyJob(std::string name) {
-  serve::ParsedSpec ps;
   std::string err;
-  EXPECT_TRUE(serve::parseJobSpec(name + " width=32 height=32 frames=1", ps, err)) << err;
-  return std::move(ps.job);
+  std::optional<farm::Job> job = farm::parseJob(name + " width=32 height=32 frames=1", err);
+  EXPECT_TRUE(job) << err;
+  return job ? std::move(*job) : farm::Job{};
 }
 
 }  // namespace
@@ -428,10 +380,10 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
     fo.cache = sharedCache();
     farm::Farm f(fo);
     for (const std::string& s : specs) {
-      serve::ParsedSpec ps;
       std::string err;
-      ASSERT_TRUE(serve::parseJobSpec(s, ps, err)) << err;
-      const farm::JobResult r = f.submitWait(std::move(ps.job)).get();
+      std::optional<farm::Job> job = farm::parseJob(s, err);
+      ASSERT_TRUE(job) << err;
+      const farm::JobResult r = f.submitWait(std::move(*job)).get();
       ASSERT_EQ(r.status, farm::JobStatus::Completed) << s;
       oracle.push_back({r.sim_cycles, r.sim_events, r.macroblocks, r.bit_exact, r.psnr_db,
                         r.faults_latched, r.stalls_latched});
@@ -508,6 +460,31 @@ TEST(ServeServer, BadSpecAndUnknownTenantAreRejectedNotFatal) {
   const auto s3 = c2.submit(kTinySpec);
   ASSERT_TRUE(s3.accepted);
   EXPECT_EQ(c2.await(s3.req_id).status, farm::JobStatus::Completed);
+}
+
+// The server owns deadline_ms (and its sign check) and the blank-spec
+// error; farm_driver's repeat= is not part of the served grammar.
+TEST(ServeServer, DeadlineMsIsTheServeKeyAndBlankSpecsAreRejected) {
+  serve::Server server(baseOptions());
+  server.start();
+  serve::Client c;
+  c.connect("127.0.0.1", server.port(), "alice");
+  const auto blank = c.submit("   ");
+  EXPECT_FALSE(blank.accepted);
+  EXPECT_EQ(blank.reason, serve::RejectReason::BadSpec);
+  EXPECT_EQ(blank.detail, "empty job spec");
+  const auto negative = c.submit(std::string(kTinySpec) + " deadline_ms=-1");
+  EXPECT_FALSE(negative.accepted);
+  EXPECT_EQ(negative.detail, "negative deadline_ms");
+  const auto repeat = c.submit(std::string(kTinySpec) + " repeat=2");
+  EXPECT_FALSE(repeat.accepted);
+  EXPECT_EQ(repeat.detail, "unknown field: repeat");
+  const auto ok = c.submit(std::string(kTinySpec) + " deadline_ms=60000");
+  ASSERT_TRUE(ok.accepted);
+  EXPECT_EQ(c.await(ok.req_id).status, farm::JobStatus::Completed);
+  c.close();
+  server.shutdown();
+  EXPECT_EQ(server.resultsDropped(), 0u);
 }
 
 TEST(ServeServer, TextModeSpeaksLineProtocol) {

@@ -17,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "eclipse/farm/farm.hpp"
 #include "eclipse/serve/client.hpp"
-#include "eclipse/serve/jobspec.hpp"
 #include "eclipse/serve/server.hpp"
 
 #include "decode_pin.hpp"
@@ -57,7 +57,7 @@ SimFields fieldsOf(const serve::WireResult& r) {
 
 TEST(ServeSoak, ChaosTenantOverTheWireMatchesOraclesAndStarvesNobody) {
   // The same (seed, kind) -> spec derivation the farm soak uses lives in
-  // the jobspec grammar (storm= / storm_seed=), so the wire spec and the
+  // the job-line grammar (storm= / storm_seed=), so the wire spec and the
   // in-process oracle build the *same* Job value by construction.
   const std::uint64_t seeds[] = {11, 23};
   std::vector<std::string> chaos_specs;
@@ -84,10 +84,10 @@ TEST(ServeSoak, ChaosTenantOverTheWireMatchesOraclesAndStarvesNobody) {
     fo.cache = cache;
     farm::Farm f(fo);
     for (const std::string& spec : chaos_specs) {
-      serve::ParsedSpec ps;
       std::string err;
-      ASSERT_TRUE(serve::parseJobSpec(spec, ps, err)) << spec << ": " << err;
-      farm::Job o = std::move(ps.job);
+      std::optional<farm::Job> job = farm::parseJob(spec, err);
+      ASSERT_TRUE(job) << spec << ": " << err;
+      farm::Job o = std::move(*job);
       const std::string name = o.name;
       o.retry = farm::RetryPolicy{};
       o.supervise_ms = 0.0;

@@ -8,10 +8,11 @@
 // Exit status: 0 when every accepted job completed (and verified when
 // verification was on), 1 otherwise.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,145 +41,26 @@ void usage() {
       "  --json FILE    write per-job results + farm metrics as JSON\n"
       "  --quiet        suppress the per-job progress lines\n"
       "\n"
-      "job line:   <name> [key=value ...]\n"
+      "job line:   <name> [key=value ...]   (grammar: farm::parseJob)\n"
       "  kind=decode|encode|decode+decode+...   applications on one instance\n"
       "  width= height= frames= seed= qscale= gop=N,M detail= motion= noise=\n"
-      "  priority=high|normal|low   repeat=N   max_cycles=N   verify=0|1\n"
+      "  priority=high|normal|low   max_cycles=N   verify=0|1\n"
       "  retries=N   backoff_ms=X   deadline=N   supervise_ms=X\n"
+      "  storm=hang|corrupt   storm_seed=N   one seeded injected fault\n"
+      "  watchdog=N                 per-shell watchdog timeout in cycles\n"
+      "  hang_ms=X   hang_attempts=N   host-side worker-hang injection\n"
       "  config:KEY=VALUE           instance parameter (e.g. config:sram.size_bytes=65536)\n"
+      "  repeat=N                   N copies of the line, named <name>-0..N-1\n"
       "\n"
       "exit status: 0 only when every job ends Completed (quarantined, deadline-\n"
       "exceeded, stalled or errored jobs all fail the run).\n");
 }
 
-/// CLI-level defaults applied to every job a line does not override.
-struct JobDefaults {
-  int retries = 1;
-  std::uint64_t deadline = 0;
-  double supervise_ms = 0.0;
-};
-
-void applyDefaults(farm::Job& job, const JobDefaults& d) {
-  job.retry.max_attempts = d.retries;
-  job.deadline = d.deadline;
-  job.supervise_ms = d.supervise_ms;
-}
-
-bool parseJobLine(const std::string& line, const JobDefaults& defaults,
-                  std::vector<farm::Job>& out, std::string& err) {
-  std::istringstream is(line);
-  std::string name;
-  if (!(is >> name)) return true;  // blank
-  if (name[0] == '#') return true;
-
-  farm::Job job;
-  job.name = name;
-  applyDefaults(job, defaults);
-  farm::WorkloadDesc wd;  // shared by every app of the job
-  std::vector<farm::AppKind> kinds{farm::AppKind::Decode};
-  int repeat = 1;
-
-  std::string field;
-  while (is >> field) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) {
-      err = "field without '=': " + field;
-      return false;
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string val = field.substr(eq + 1);
-    try {
-      if (key == "kind") {
-        kinds.clear();
-        std::istringstream ks(val);
-        std::string k;
-        while (std::getline(ks, k, '+')) {
-          if (k == "decode") {
-            kinds.push_back(farm::AppKind::Decode);
-          } else if (k == "encode") {
-            kinds.push_back(farm::AppKind::Encode);
-          } else {
-            err = "unknown kind: " + k;
-            return false;
-          }
-        }
-        if (kinds.empty()) {
-          err = "empty kind list";
-          return false;
-        }
-      } else if (key == "width") {
-        wd.width = std::stoi(val);
-      } else if (key == "height") {
-        wd.height = std::stoi(val);
-      } else if (key == "frames") {
-        wd.frames = std::stoi(val);
-      } else if (key == "seed") {
-        wd.seed = std::stoull(val);
-      } else if (key == "qscale") {
-        wd.qscale = std::stoi(val);
-      } else if (key == "gop") {
-        const auto comma = val.find(',');
-        wd.gop_n = std::stoi(val.substr(0, comma));
-        if (comma != std::string::npos) wd.gop_m = std::stoi(val.substr(comma + 1));
-      } else if (key == "detail") {
-        wd.detail = std::stoi(val);
-      } else if (key == "motion") {
-        wd.motion_speed = std::stoi(val);
-      } else if (key == "noise") {
-        wd.noise_level = std::stod(val);
-      } else if (key == "priority") {
-        if (val == "high") {
-          job.priority = farm::Priority::High;
-        } else if (val == "normal") {
-          job.priority = farm::Priority::Normal;
-        } else if (val == "low") {
-          job.priority = farm::Priority::Low;
-        } else {
-          err = "unknown priority: " + val;
-          return false;
-        }
-      } else if (key == "repeat") {
-        repeat = std::stoi(val);
-      } else if (key == "max_cycles") {
-        job.max_cycles = std::stoull(val);
-      } else if (key == "verify") {
-        job.verify = val != "0" && val != "false";
-      } else if (key == "retries") {
-        job.retry.max_attempts = std::stoi(val);
-      } else if (key == "backoff_ms") {
-        job.retry.backoff_ms = std::stod(val);
-      } else if (key == "deadline") {
-        job.deadline = std::stoull(val);
-      } else if (key == "supervise_ms") {
-        job.supervise_ms = std::stod(val);
-      } else if (key.rfind("config:", 0) == 0) {
-        job.config.set(key.substr(7), val);
-      } else {
-        err = "unknown field: " + key;
-        return false;
-      }
-    } catch (const std::exception&) {
-      err = "bad value for " + key + ": " + val;
-      return false;
-    }
-  }
-
-  job.apps.clear();
-  for (farm::AppKind k : kinds) job.apps.push_back(farm::AppSpec{k, wd});
-  for (int i = 0; i < repeat; ++i) {
-    farm::Job j = job;
-    if (repeat > 1) j.name += "-" + std::to_string(i);
-    out.push_back(std::move(j));
-  }
-  return true;
-}
-
-std::vector<farm::Job> demoJobs(int n, const JobDefaults& defaults) {
+std::vector<farm::Job> demoJobs(int n, const farm::Job& base) {
   std::vector<farm::Job> jobs;
   for (int i = 0; i < n; ++i) {
-    farm::Job j;
+    farm::Job j = base;
     j.name = "demo-" + std::to_string(i);
-    applyDefaults(j, defaults);
     switch (i % 4) {
       case 0:  // pinned decode
         break;
@@ -227,8 +109,31 @@ void writeCsv(const std::string& path, const std::vector<farm::JobResult>& resul
   }
 }
 
+/// Submission-to-result latency percentiles over the collected results.
+struct Latency {
+  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
+
+  explicit Latency(const std::vector<farm::JobResult>& results) {
+    std::vector<double> sorted;
+    sorted.reserve(results.size());
+    for (const farm::JobResult& r : results) sorted.push_back(r.latency_ms);
+    std::sort(sorted.begin(), sorted.end());
+    // Linear interpolation between the two nearest ranks.
+    auto at = [&sorted](double p) {
+      if (sorted.empty()) return 0.0;
+      const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+      return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - static_cast<double>(lo));
+    };
+    p50_ms = at(50);
+    p95_ms = at(95);
+    p99_ms = at(99);
+  }
+};
+
 void writeJson(const std::string& path, const std::vector<farm::JobResult>& results,
-               const farm::FarmMetrics& m, int workers) {
+               const farm::FarmMetrics& m, const Latency& lat, int workers) {
   std::ofstream os(path);
   os << "{\n  \"schema\": \"eclipse-farm-results-v1\",\n";
   os << "  \"workers\": " << workers << ",\n  \"jobs\": [\n";
@@ -255,8 +160,8 @@ void writeJson(const std::string& path, const std::vector<farm::JobResult>& resu
      << ", \"quarantined\": " << m.quarantined << ", \"retried\": " << m.retried
      << ", \"retry_succeeded\": " << m.retry_succeeded
      << ", \"workers_replaced\": " << m.workers_replaced
-     << ", \"jobs_per_s\": " << m.jobs_per_s << ", \"p50_ms\": " << m.p50_ms
-     << ", \"p95_ms\": " << m.p95_ms << ", \"p99_ms\": " << m.p99_ms
+     << ", \"jobs_per_s\": " << m.jobs_per_s << ", \"p50_ms\": " << lat.p50_ms
+     << ", \"p95_ms\": " << lat.p95_ms << ", \"p99_ms\": " << lat.p99_ms
      << ", \"reused\": " << m.reused() << ", \"cold_builds\": " << m.coldBuilds() << "},\n";
   // Per-lane *now* gauges: 0/0 after a drained run, but live snapshots
   // (e.g. from the serving tier's telemetry) show depth + head age here.
@@ -277,7 +182,7 @@ int main(int argc, char** argv) {
   int demo = 0;
   int submit_timeout_ms = 0;
   bool quiet = false;
-  JobDefaults defaults;
+  farm::Job base;  // CLI defaults; a job line's own keys override them
   farm::FarmOptions opts;
 
   for (int i = 1; i < argc; ++i) {
@@ -298,11 +203,11 @@ int main(int argc, char** argv) {
     } else if (a == "--queue") {
       opts.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--retries") {
-      defaults.retries = std::atoi(next());
+      base.retry.max_attempts = std::atoi(next());
     } else if (a == "--deadline") {
-      defaults.deadline = static_cast<std::uint64_t>(std::atoll(next()));
+      base.deadline = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (a == "--supervise-ms") {
-      defaults.supervise_ms = std::atof(next());
+      base.supervise_ms = std::atof(next());
     } else if (a == "--submit-timeout-ms") {
       submit_timeout_ms = std::atoi(next());
     } else if (a == "--csv") {
@@ -332,14 +237,26 @@ int main(int argc, char** argv) {
     int line_no = 0;
     while (std::getline(is, line)) {
       ++line_no;
-      if (!parseJobLine(line, defaults, jobs, err)) {
+      int repeat = 1;  // farm_driver's own key: N copies named <name>-0..N-1
+      auto repeatKey = [&repeat](const std::string& key, const std::string& val) {
+        if (key != "repeat") return false;
+        repeat = std::stoi(val);
+        return true;
+      };
+      const std::optional<farm::Job> job = farm::parseJob(line, err, base, repeatKey);
+      if (!err.empty()) {
         std::fprintf(stderr, "farm_driver: %s:%d: %s\n", jobs_path.c_str(), line_no,
                      err.c_str());
         return 2;
       }
+      if (!job) continue;  // blank or comment
+      for (int k = 0; k < repeat; ++k) {
+        jobs.push_back(*job);
+        if (repeat > 1) jobs.back().name += "-" + std::to_string(k);
+      }
     }
   } else {
-    jobs = demoJobs(demo, defaults);
+    jobs = demoJobs(demo, base);
   }
   if (jobs.empty()) {
     std::fprintf(stderr, "farm_driver: no jobs\n");
@@ -398,11 +315,13 @@ int main(int argc, char** argv) {
   }
 
   const farm::FarmMetrics m = f.metrics();
+  const Latency lat(results);
   std::printf(
       "summary: %llu completed, %llu failed, %llu rejected | %.1f jobs/s | "
       "latency p50 %.1f ms p95 %.1f ms p99 %.1f ms | %llu reused / %llu cold builds\n",
       static_cast<unsigned long long>(m.completed), static_cast<unsigned long long>(m.failed),
-      static_cast<unsigned long long>(m.rejected), m.jobs_per_s, m.p50_ms, m.p95_ms, m.p99_ms,
+      static_cast<unsigned long long>(m.rejected), m.jobs_per_s, lat.p50_ms, lat.p95_ms,
+      lat.p99_ms,
       static_cast<unsigned long long>(m.reused()),
       static_cast<unsigned long long>(m.coldBuilds()));
   std::printf(
@@ -422,6 +341,6 @@ int main(int argc, char** argv) {
   }
 
   if (!csv_path.empty()) writeCsv(csv_path, results);
-  if (!json_path.empty()) writeJson(json_path, results, m, workers);
+  if (!json_path.empty()) writeJson(json_path, results, m, lat, workers);
   return all_ok ? 0 : 1;
 }

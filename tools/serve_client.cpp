@@ -26,6 +26,7 @@
 
 #include "eclipse/serve/client.hpp"
 #include "eclipse/serve/histogram.hpp"
+#include "eclipse/sim/prng.hpp"
 
 using namespace eclipse;
 
@@ -42,7 +43,7 @@ void usage() {
       "  --rate X          open-loop Poisson arrival rate in jobs/s\n"
       "                    (0 = back-to-back; default 0)\n"
       "  --seed N          arrival-jitter seed (default 1)\n"
-      "  --spec S          jobspec for every submission (default: a small decode)\n"
+      "  --spec S          job line for every submission (default: a small decode)\n"
       "  --deadline-ms X   append deadline_ms=X to every spec (lane promotion)\n"
       "  --metrics         fetch and print /metrics before disconnecting\n"
       "  --spawn PATH      fork/exec the eclipse_serve binary at PATH on an\n"
@@ -51,19 +52,10 @@ void usage() {
       "  --quiet           per-result lines off\n");
 }
 
-/// splitmix64: the repo-wide seeded-jitter idiom (no wall-clock entropy).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Exponential inter-arrival gap for a Poisson process at `rate` jobs/s.
 double expGapMs(std::uint64_t& state, double rate) {
   const double u =
-      (static_cast<double>(splitmix64(state) >> 11) + 1.0) / 9007199254740993.0;  // (0,1]
+      (static_cast<double>(sim::splitmix64(state) >> 11) + 1.0) / 9007199254740993.0;  // (0,1]
   return -std::log(u) / rate * 1000.0;
 }
 
