@@ -92,7 +92,10 @@ int main(int argc, char** argv) {
   if (!o.setup_file.empty()) {
     ip = app::InstanceParams::fromConfig(sim::Config::fromFile(o.setup_file));
   }
-  if (ip.profiler_period == 0) ip.profiler_period = 250;
+  // Only the fill charts and CSV series read the profiler; a plain run
+  // leaves it off unless the setup file sets shell.profiler_period.
+  const bool exports = o.charts || !o.csv_prefix.empty();
+  if (ip.profiler_period == 0 && exports) ip.profiler_period = 250;
   if (o.streams > 1 && ip.sram.size_bytes < static_cast<std::size_t>(o.streams) * 16 * 1024) {
     ip.sram.size_bytes = static_cast<std::size_t>(o.streams) * 16 * 1024;
   }

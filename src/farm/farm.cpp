@@ -83,93 +83,59 @@ int Farm::workerCount() const {
   return static_cast<int>(workers_.size());
 }
 
-PendingJob Farm::makePending(Job&& job) {
+SubmitTicket Farm::admit(Job&& job, std::function<void(const JobResult&)> on_result,
+                         std::chrono::milliseconds wait) {
   if (job.armsSupervision()) supervisor_->ensureRunning();
   PendingJob pj;
   pj.job = std::move(job);
   pj.submitted = Clock::now();
+  pj.on_terminal = std::move(on_result);
   {
     std::lock_guard<std::mutex> lock(mu_);
     pj.id = next_id_++;
     ++submitted_;
   }
-  return pj;
-}
-
-SubmitTicket Farm::submit(Job job) {
-  PendingJob pj = makePending(std::move(job));
-  std::future<JobResult> fut = pj.promise.get_future();
-  // Count the acceptance before the push: once pushed, a worker may
-  // deliver immediately, and drain() relies on accepted_ >= delivered_.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++accepted_;
-  }
-  const Admission a = queue_.tryPush(std::move(pj));
-  if (a != Admission::Accepted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    --accepted_;
-    ++rejected_;
-  }
   SubmitTicket t;
-  t.admission = a;
-  if (a == Admission::Accepted) t.result = std::move(fut);
+  t.result = pj.promise.get_future();
+  t.admission = enqueue(std::move(pj), wait);
+  if (t.admission != Admission::Accepted) t.result = {};
   return t;
 }
 
-std::future<JobResult> Farm::submitWait(Job job) {
-  PendingJob pj = makePending(std::move(job));
-  std::future<JobResult> fut = pj.promise.get_future();
-  {
+Admission Farm::enqueue(PendingJob&& pj, std::chrono::milliseconds wait) {
+  // A retry was counted when its first attempt got in.
+  const bool first = pj.attempt == 1;
+  // Count the acceptance before the push: once pushed, a worker may
+  // deliver immediately, and drain() relies on accepted_ >= delivered_.
+  if (first) {
     std::lock_guard<std::mutex> lock(mu_);
     ++accepted_;
   }
-  if (!queue_.waitPush(std::move(pj))) {
+  const Admission a = queue_.push(std::move(pj), wait);
+  if (first && a != Admission::Accepted) {
     std::lock_guard<std::mutex> lock(mu_);
     --accepted_;
     ++rejected_;
+  }
+  return a;
+}
+
+SubmitTicket Farm::submit(Job job) { return admit(std::move(job), {}, JobQueue::kNoWait); }
+
+std::future<JobResult> Farm::submitWait(Job job) {
+  SubmitTicket t = admit(std::move(job), {}, JobQueue::kWaitForever);
+  if (t.admission != Admission::Accepted) {
     throw std::runtime_error("Farm: submission while shutting down");
   }
-  return fut;
+  return std::move(t.result);
 }
 
 SubmitTicket Farm::submitFor(Job job, std::chrono::milliseconds timeout) {
-  PendingJob pj = makePending(std::move(job));
-  std::future<JobResult> fut = pj.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++accepted_;
-  }
-  const Admission a = queue_.waitPushFor(std::move(pj), timeout);
-  if (a != Admission::Accepted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    --accepted_;
-    ++rejected_;
-  }
-  SubmitTicket t;
-  t.admission = a;
-  if (a == Admission::Accepted) t.result = std::move(fut);
-  return t;
+  return admit(std::move(job), {}, timeout);
 }
 
 SubmitTicket Farm::submitCallback(Job job, std::function<void(const JobResult&)> on_result) {
-  PendingJob pj = makePending(std::move(job));
-  pj.on_terminal = std::move(on_result);
-  std::future<JobResult> fut = pj.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++accepted_;
-  }
-  const Admission a = queue_.tryPush(std::move(pj));
-  if (a != Admission::Accepted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    --accepted_;
-    ++rejected_;
-  }
-  SubmitTicket t;
-  t.admission = a;
-  if (a == Admission::Accepted) t.result = std::move(fut);
-  return t;
+  return admit(std::move(job), std::move(on_result), JobQueue::kNoWait);
 }
 
 std::vector<std::future<JobResult>> Farm::submitBatch(std::vector<Job> jobs) {
@@ -259,7 +225,7 @@ void Farm::deliverTerminal(PendingJob&& pj, JobResult&& r) {
   pj.promise.set_value(std::move(r));
 }
 
-Admission Farm::readmit(PendingJob& pj) { return queue_.tryPush(std::move(pj)); }
+Admission Farm::readmit(PendingJob& pj) { return enqueue(std::move(pj), JobQueue::kNoWait); }
 
 void Farm::terminalFailStaged(PendingJob&& pj, const char* why) {
   JobResult r;

@@ -165,7 +165,13 @@ class Farm {
  private:
   friend class Supervisor;
 
-  PendingJob makePending(Job&& job);
+  /// Every submit* entry point: stamps a fresh PendingJob and enqueues it.
+  SubmitTicket admit(Job&& job, std::function<void(const JobResult&)> on_result,
+                     std::chrono::milliseconds wait);
+  /// The one admission path (fresh jobs and retries): pushes with `wait`
+  /// and keeps accepted_/rejected_ for first attempts. Leaves `pj`
+  /// untouched unless Accepted.
+  Admission enqueue(PendingJob&& pj, std::chrono::milliseconds wait);
   /// Terminal-or-retry decision for a finished attempt. Owns `pj` (and in
   /// particular its promise); every path resolves or re-stages it.
   void disposition(PendingJob&& pj, JobResult&& r);

@@ -56,27 +56,24 @@ struct LaneGauge {
 };
 
 /// Bounded multi-producer / multi-consumer queue with three priority
-/// lanes. Admission control is explicit: tryPush() never blocks and
-/// reports QueueFull when the bound is hit, so callers can shed load
-/// (reject upstream) instead of buffering without limit; waitPush() is
-/// the cooperating-producer alternative that blocks for space (optionally
-/// bounded by a timeout via waitPushFor).
+/// lanes. Admission control is explicit: push() reports QueueFull when the
+/// bound is hit and its wait runs out, so callers can shed load (reject
+/// upstream) instead of buffering without limit; a cooperating producer
+/// passes a longer wait, or kWaitForever, to block for space instead.
 class JobQueue {
  public:
+  /// push() waits: never block, or block until a slot opens or the queue
+  /// closes.
+  static constexpr std::chrono::milliseconds kNoWait{0};
+  static constexpr std::chrono::milliseconds kWaitForever = std::chrono::milliseconds::max();
+
   explicit JobQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// Non-blocking admission. On anything but Accepted the job is returned
-  /// untouched in `pj`.
-  Admission tryPush(PendingJob&& pj);
-
-  /// Blocks while the queue is full; returns false (job untouched) when
-  /// the queue was closed before space appeared.
-  bool waitPush(PendingJob&& pj);
-
-  /// Like waitPush, but gives up after `timeout`: QueueFull when no space
-  /// appeared in time (job untouched), ShuttingDown when the queue closed
-  /// while waiting. The serving tier's bounded-blocking submission path.
-  Admission waitPushFor(PendingJob&& pj, std::chrono::milliseconds timeout);
+  /// The one admission: waits up to `wait` for a free slot (0 never
+  /// blocks; kWaitForever waits for a slot or close()). QueueFull when
+  /// no slot opened in time, ShuttingDown when the queue is (or got)
+  /// closed; on anything but Accepted the job is left untouched in `pj`.
+  Admission push(PendingJob&& pj, std::chrono::milliseconds wait);
 
   /// Blocks for the next job, highest priority lane first (FIFO within a
   /// lane). Returns nullopt once the queue is closed *and* empty, letting

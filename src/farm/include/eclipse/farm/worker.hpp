@@ -121,14 +121,13 @@ class Worker {
   struct Abandoned {};
 
   void threadMain();
+  /// Runs one job, plain or scheduled: a scheduled job is one multi-mode
+  /// DecodeApp with a live switchSegment transition at every boundary.
   JobResult runJob(InFlight& fl);
-  /// Scheduled (adaptive multi-segment) decode path: one multi-mode
-  /// DecodeApp, a live switchSegment transition at every boundary.
-  void runScheduled(InFlight& fl, JobResult& r);
   /// Runs the simulation to `budget_end`: one call when unsupervised,
-  /// bounded slices with heartbeats when supervised. Returns sim.now() at
-  /// stop. Throws Abandoned when the job was claimed away mid-run.
-  sim::Cycle runToBudget(InFlight& fl, sim::Cycle budget_end);
+  /// bounded slices with heartbeats when supervised. Throws Abandoned
+  /// when the job was claimed away mid-run.
+  void runToBudget(InFlight& fl, sim::Cycle budget_end);
   /// Failure-cause classification of a finished (non-throwing) run.
   static JobError classifyRun(const Job& job, const JobResult& r, bool all_done,
                               sim::Cycle ran);

@@ -6,37 +6,18 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }
 
-Admission JobQueue::tryPush(PendingJob&& pj) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return Admission::ShuttingDown;
-    if (depthLocked() >= capacity_) return Admission::QueueFull;
-    pj.queued = Clock::now();
-    lanes_[static_cast<int>(pj.lane())].push_back(std::move(pj));
-  }
-  not_empty_.notify_one();
-  return Admission::Accepted;
-}
-
-bool JobQueue::waitPush(PendingJob&& pj) {
+Admission JobQueue::push(PendingJob&& pj, std::chrono::milliseconds wait) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return closed_ || depthLocked() < capacity_; });
-    if (closed_) return false;
-    pj.queued = Clock::now();
-    lanes_[static_cast<int>(pj.lane())].push_back(std::move(pj));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
-Admission JobQueue::waitPushFor(PendingJob&& pj, std::chrono::milliseconds timeout) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool ready = not_full_.wait_for(
-        lock, timeout, [&] { return closed_ || depthLocked() < capacity_; });
+    const auto room = [&] { return closed_ || depthLocked() < capacity_; };
+    // The forever wait must not go through wait_for: now() + max() overflows.
+    if (wait == kWaitForever) {
+      not_full_.wait(lock, room);
+    } else if (wait.count() > 0) {
+      not_full_.wait_for(lock, wait, room);
+    }
     if (closed_) return Admission::ShuttingDown;
-    if (!ready) return Admission::QueueFull;  // timed out, job untouched
+    if (depthLocked() >= capacity_) return Admission::QueueFull;  // job untouched
     pj.queued = Clock::now();
     lanes_[static_cast<int>(pj.lane())].push_back(std::move(pj));
   }

@@ -35,7 +35,9 @@ constexpr sim::Cycle kBeatSlice = 32'768;
 /// job, kept alive across the run.
 struct RunningApp {
   AppKind kind = AppKind::Decode;
-  std::shared_ptr<const PreparedWorkload> w;
+  /// Prepared workload of each segment, in order: one for every
+  /// application of a plain job, the schedule's for a scheduled decode.
+  std::vector<std::shared_ptr<const PreparedWorkload>> segs;
   std::unique_ptr<app::DecodeApp> dec;
   std::unique_ptr<app::EncodeApp> enc;
 
@@ -157,10 +159,13 @@ JobError Worker::classifyRun(const Job& job, const JobResult& r, bool all_done,
   return JobError::Stall;
 }
 
-sim::Cycle Worker::runToBudget(InFlight& fl, sim::Cycle budget_end) {
+void Worker::runToBudget(InFlight& fl, sim::Cycle budget_end) {
   sim::Simulator& sim = inst_->simulator();
   // Unsupervised jobs take the original single-call path: zero overhead.
-  if (!fl.supervised.load(std::memory_order_relaxed)) return inst_->run(budget_end);
+  if (!fl.supervised.load(std::memory_order_relaxed)) {
+    inst_->run(budget_end);
+    return;
+  }
   // Supervised: bounded slices with a heartbeat between them. Bit-identical
   // to the single call — Simulator::run(until) executes events *at* `until`
   // and a resumed run continues the same dispatch sequence, so the slice
@@ -175,7 +180,6 @@ sim::Cycle Worker::runToBudget(InFlight& fl, sim::Cycle budget_end) {
     if (now >= budget_end) break;
     if (sim.quiescent()) break;
   }
-  return now;
 }
 
 void Worker::injectHostHang(InFlight& fl) {
@@ -196,17 +200,34 @@ JobResult Worker::runJob(InFlight& fl) {
   const Job& job = fl.pj.job;
   JobResult r;
   try {
-    if (!job.schedule.empty()) {
-      runScheduled(fl, r);
-      return r;
-    }
-
     // Workload preparation first (host-side; cache hit after the first
     // job with a given descriptor), so instance state is untouched if the
-    // descriptor is degenerate.
-    std::vector<std::shared_ptr<const PreparedWorkload>> prepared;
-    prepared.reserve(job.apps.size());
-    for (const AppSpec& s : job.apps) prepared.push_back(cache_.get(s.workload));
+    // descriptor or a scheduled mode is bad. A scheduled job is one decode
+    // application with a segment per schedule entry; every application of
+    // a plain job has one segment.
+    std::vector<RunningApp> apps;
+    std::vector<app::DecodeApp::Mode> modes;
+    if (job.schedule.empty()) {
+      apps.reserve(job.apps.size());
+      for (const AppSpec& s : job.apps) {
+        RunningApp ra;
+        ra.kind = s.kind;
+        ra.segs.push_back(cache_.get(s.workload));
+        apps.push_back(std::move(ra));
+      }
+    } else {
+      RunningApp ra;
+      for (const ModeSegment& s : job.schedule) ra.segs.push_back(cache_.get(s.workload));
+      apps.push_back(std::move(ra));
+      // The decode mode family: distinct mode names in first-seen order,
+      // so the first segment's mode is the one the constructor applies.
+      for (const ModeSegment& s : job.schedule) {
+        bool seen = false;
+        for (const app::DecodeApp::Mode& m : modes) seen = seen || m.first == s.mode;
+        if (!seen) modes.push_back({s.mode, decodeModeConfig(s.mode)});
+      }
+    }
+    const std::size_t segments = job.schedule.empty() ? 1 : job.schedule.size();
 
     acquireInstance(job, r);
 
@@ -225,64 +246,76 @@ JobResult Worker::runJob(InFlight& fl) {
     const sim::Cycle c0 = sim.now();
     const std::uint64_t e0 = sim.eventsDispatched();
 
-    std::vector<RunningApp> apps;
-    apps.reserve(job.apps.size());
-    for (std::size_t i = 0; i < job.apps.size(); ++i) {
-      RunningApp ra;
-      ra.kind = job.apps[i].kind;
-      ra.w = prepared[i];
-      if (ra.kind == AppKind::Decode) {
-        ra.dec = std::make_unique<app::DecodeApp>(*inst_, ra.w->bitstream);
+    for (RunningApp& ra : apps) {
+      const PreparedWorkload& w = *ra.segs.front();
+      if (ra.kind == AppKind::Encode) {
+        ra.enc = std::make_unique<app::EncodeApp>(*inst_, w.frames, w.codec);
+      } else if (modes.empty()) {
+        ra.dec = std::make_unique<app::DecodeApp>(*inst_, w.bitstream);
       } else {
-        ra.enc = std::make_unique<app::EncodeApp>(*inst_, ra.w->frames, ra.w->codec);
+        ra.dec = std::make_unique<app::DecodeApp>(*inst_, w.bitstream, modes);
       }
-      apps.push_back(std::move(ra));
     }
 
     const bool armed = !job.faults.faults.empty();
     if (armed) inst_->armFaults(job.faults);
     if (job.watchdog_timeout > 0) inst_->armWatchdogs(job.watchdog_timeout);
 
-    const sim::Cycle end = runToBudget(fl, budgetEnd(job, c0));
-    r.sim_cycles = end - c0;
-    r.sim_events = sim.eventsDispatched() - e0;
-
+    // Run each segment to completion and verify it while its output is
+    // still current, then transition live into the next segment's mode:
+    // the application is never torn down mid-job.
+    const sim::Cycle budget = budgetEnd(job, c0);
     bool all_done = true;
-    for (RunningApp& ra : apps) all_done = all_done && ra.done();
+    bool decode_exact = true;
+    double min_psnr = std::numeric_limits<double>::infinity();
+    for (std::size_t seg = 0; seg < segments; ++seg) {
+      runToBudget(fl, budget);
+      for (const RunningApp& ra : apps) all_done = all_done && ra.done();
+      if (!all_done) break;
+      if (job.verify) {
+        for (RunningApp& ra : apps) {
+          const PreparedWorkload& w = *ra.segs[seg];
+          if (ra.dec) {
+            const auto out = ra.dec->frames();
+            bool ok = out.size() == w.golden.size();
+            for (std::size_t i = 0; ok && i < out.size(); ++i) ok = out[i] == w.golden[i];
+            decode_exact = decode_exact && ok;
+          } else {
+            media::Decoder check;
+            min_psnr = std::min(min_psnr,
+                                media::averagePsnr(w.frames, check.decode(ra.enc->bitstream())));
+          }
+        }
+      }
+      if (seg + 1 < segments) {
+        // Only a scheduled job has a next segment: its one decode app.
+        RunningApp& ra = apps.front();
+        const app::TransitionStats st =
+            ra.dec->switchSegment(job.schedule[seg + 1].mode, ra.segs[seg + 1]->bitstream);
+        ++r.mode_switches;
+        r.switch_mmio_writes += st.mmio_writes;
+      }
+    }
+    r.sim_cycles = sim.now() - c0;
+    r.sim_events = sim.eventsDispatched() - e0;
     r.status = all_done ? JobStatus::Completed : JobStatus::Incomplete;
     if (!all_done) r.quiescence = app::quiescenceName(inst_->classifyQuiescence());
 
-    // Measurements and verification (health before teardown: the fault
-    // and stall registers live in the rows teardown resets).
-    bool decode_exact = true;
-    double min_psnr = std::numeric_limits<double>::infinity();
+    // Measurements (health before teardown: the fault and stall registers
+    // live in the rows teardown resets). A decode's macroblocks accumulate
+    // across its segments; an unfinished application counts none.
     bool any_encode = false;
     for (RunningApp& ra : apps) {
       const app::AppHealth h = ra.handle().health();
       r.faults_latched += h.faults.size();
       r.stalls_latched += h.stalls.size();
-      if (ra.kind == AppKind::Decode) {
-        if (!ra.done()) {
-          decode_exact = false;
-          continue;
-        }
+      any_encode = any_encode || ra.enc != nullptr;
+      if (!ra.done()) continue;
+      if (ra.dec) {
         r.macroblocks += ra.dec->macroblocksDecoded();
         r.frames_dropped += ra.dec->framesDropped();
-        if (job.verify) {
-          const auto out = ra.dec->frames();
-          bool ok = out.size() == ra.w->golden.size();
-          for (std::size_t i = 0; ok && i < out.size(); ++i) ok = out[i] == ra.w->golden[i];
-          decode_exact = decode_exact && ok;
-        }
       } else {
-        any_encode = true;
-        if (!ra.done()) continue;
-        r.macroblocks += ra.w->macroblocks_per_clip;
-        if (job.verify) {
-          media::Decoder check;
-          const auto out = check.decode(ra.enc->bitstream());
-          min_psnr = std::min(min_psnr, media::averagePsnr(ra.w->frames, out));
-        }
+        r.macroblocks += ra.segs.front()->macroblocks_per_clip;
       }
     }
     r.bit_exact = job.verify && all_done && decode_exact;
@@ -319,99 +352,6 @@ JobResult Worker::runJob(InFlight& fl) {
     retireOrRecycle(false);
   }
   return r;
-}
-
-void Worker::runScheduled(InFlight& fl, JobResult& r) {
-  const Job& job = fl.pj.job;
-  // Per-segment prepared workloads (host-side; the cache is shared, so a
-  // schedule reusing one descriptor pays its preparation once).
-  std::vector<std::shared_ptr<const PreparedWorkload>> segs;
-  segs.reserve(job.schedule.size());
-  for (const ModeSegment& s : job.schedule) segs.push_back(cache_.get(s.workload));
-
-  // The decode mode family: distinct mode names in first-seen order, so
-  // the first segment's mode is the one the constructor applies.
-  std::vector<app::DecodeApp::Mode> modes;
-  for (const ModeSegment& s : job.schedule) {
-    bool seen = false;
-    for (const app::DecodeApp::Mode& m : modes) seen = seen || m.first == s.mode;
-    if (!seen) modes.push_back({s.mode, decodeModeConfig(s.mode)});
-  }
-
-  acquireInstance(job, r);
-
-  if (job.supervise_ms > 0.0) {
-    fl.beat();
-    fl.supervised.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.supervised_jobs;
-  }
-  injectHostHang(fl);
-
-  sim::Simulator& sim = inst_->simulator();
-  const sim::Cycle c0 = sim.now();
-  const std::uint64_t e0 = sim.eventsDispatched();
-
-  const bool armed = !job.faults.faults.empty();
-  if (armed) inst_->armFaults(job.faults);
-  if (job.watchdog_timeout > 0) inst_->armWatchdogs(job.watchdog_timeout);
-
-  app::DecodeApp dec(*inst_, segs.front()->bitstream, modes);
-
-  const sim::Cycle budget = budgetEnd(job, c0);
-
-  // Decode each segment to completion, verify it against its own golden
-  // frames while they are still current, then transition live into the
-  // next segment's mode — the application is never torn down mid-job.
-  bool all_exact = true;
-  bool completed = true;
-  for (std::size_t i = 0; i < job.schedule.size(); ++i) {
-    runToBudget(fl, budget);
-    if (!dec.done()) {
-      completed = false;
-      break;
-    }
-    if (job.verify) {
-      const auto out = dec.frames();
-      bool ok = out.size() == segs[i]->golden.size();
-      for (std::size_t f = 0; ok && f < out.size(); ++f) ok = out[f] == segs[i]->golden[f];
-      all_exact = all_exact && ok;
-    }
-    if (i + 1 < job.schedule.size()) {
-      const app::TransitionStats st =
-          dec.switchSegment(job.schedule[i + 1].mode, segs[i + 1]->bitstream);
-      ++r.mode_switches;
-      r.switch_mmio_writes += st.mmio_writes;
-    }
-  }
-  r.sim_cycles = sim.now() - c0;
-  r.sim_events = sim.eventsDispatched() - e0;
-  r.status = completed ? JobStatus::Completed : JobStatus::Incomplete;
-  if (!completed) r.quiescence = app::quiescenceName(inst_->classifyQuiescence());
-
-  const app::AppHealth h = dec.handle().health();
-  r.faults_latched = h.faults.size();
-  r.stalls_latched = h.stalls.size();
-  r.macroblocks = dec.macroblocksDecoded();  // cumulative across segments
-  r.frames_dropped = dec.framesDropped();
-  r.bit_exact = job.verify && completed && all_exact;
-  if (armed) r.fault_triggers = inst_->faults().triggers().size();
-  r.cause = classifyRun(job, r, completed, r.sim_cycles);
-
-  bool healthy = completed && !armed && job.watchdog_timeout == 0 &&
-                 r.faults_latched == 0 && r.stalls_latched == 0;
-  const Clock::time_point tr = Clock::now();
-  if (healthy) {
-    if (!sim.quiescent()) inst_->run(sim.now() + kSettleCap);
-    healthy = sim.quiescent();
-    if (healthy) dec.handle().teardown();
-  }
-  retireOrRecycle(healthy);
-  if (healthy) {
-    const double recycle_ms = msSince(tr);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.recycle_ms += recycle_ms;
-  }
 }
 
 void Worker::acquireInstance(const Job& job, JobResult& r) {

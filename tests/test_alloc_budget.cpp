@@ -44,8 +44,11 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a `new T` site, the free() would pair
+// with the replaced operator new in GCC's view, and a UBSan build
+// (-Wmismatched-new-delete) reports that pairing as a mismatch.
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 #endif
 
 namespace {

@@ -41,6 +41,8 @@ constexpr sim::Cycle kPinCycles = pin::kDecodePinCycles;
 constexpr std::uint64_t kPinEvents = pin::kDecodePinEvents;
 constexpr std::uint64_t kPinMacroblocks = pin::kDecodePinMacroblocks;
 
+constexpr std::chrono::milliseconds kNoWait = farm::JobQueue::kNoWait;
+
 Job decodeJob(std::string name, int qscale = 14) {
   Job j;
   j.name = std::move(name);
@@ -230,14 +232,14 @@ TEST(Farm, BackpressureRejectsThenAcceptsAfterDrain) {
   // Queue-level admission is deterministic; check it directly first.
   farm::JobQueue q(2);
   farm::PendingJob pj;
-  EXPECT_EQ(q.tryPush(std::move(pj)), Admission::Accepted);
-  EXPECT_EQ(q.tryPush(std::move(pj)), Admission::Accepted);
-  EXPECT_EQ(q.tryPush(std::move(pj)), Admission::QueueFull);
+  EXPECT_EQ(q.push(std::move(pj), kNoWait), Admission::Accepted);
+  EXPECT_EQ(q.push(std::move(pj), kNoWait), Admission::Accepted);
+  EXPECT_EQ(q.push(std::move(pj), kNoWait), Admission::QueueFull);
   EXPECT_EQ(q.depth(), 2u);
   EXPECT_TRUE(q.pop().has_value());
-  EXPECT_EQ(q.tryPush(std::move(pj)), Admission::Accepted);
+  EXPECT_EQ(q.push(std::move(pj), kNoWait), Admission::Accepted);
   q.close();
-  EXPECT_EQ(q.tryPush(std::move(pj)), Admission::ShuttingDown);
+  EXPECT_EQ(q.push(std::move(pj), kNoWait), Admission::ShuttingDown);
 
   // Farm-level: a single slow worker behind a capacity-1 queue must shed
   // load from a fast submission burst, then accept again once drained.
@@ -272,7 +274,7 @@ TEST(Farm, PriorityLanesPopInOrder) {
     farm::PendingJob pj;
     pj.job.name = name;
     pj.job.priority = p;
-    ASSERT_EQ(q.tryPush(std::move(pj)), Admission::Accepted);
+    ASSERT_EQ(q.push(std::move(pj), kNoWait), Admission::Accepted);
   };
   push("low-0", farm::Priority::Low);
   push("normal-0", farm::Priority::Normal);
@@ -347,16 +349,16 @@ TEST(Farm, SubmitForBoundsTheWaitAndReportsTheOutcome) {
     farm::JobQueue q(1);
     farm::PendingJob filler;
     filler.job = decodeJob("filler");
-    ASSERT_EQ(q.tryPush(std::move(filler)), Admission::Accepted);
+    ASSERT_EQ(q.push(std::move(filler), kNoWait), Admission::Accepted);
 
     farm::PendingJob waiter;
     waiter.job = decodeJob("impatient");
-    EXPECT_EQ(q.waitPushFor(std::move(waiter), std::chrono::milliseconds(5)),
+    EXPECT_EQ(q.push(std::move(waiter), std::chrono::milliseconds(5)),
               Admission::QueueFull);
     EXPECT_EQ(waiter.job.name, "impatient") << "a timed-out job is returned untouched";
 
     q.close();
-    EXPECT_EQ(q.waitPushFor(std::move(waiter), std::chrono::milliseconds(5)),
+    EXPECT_EQ(q.push(std::move(waiter), std::chrono::milliseconds(5)),
               Admission::ShuttingDown);
   }
 
@@ -379,6 +381,39 @@ TEST(Farm, SubmitForBoundsTheWaitAndReportsTheOutcome) {
   EXPECT_FALSE(late.result.valid());
 }
 
+TEST(Farm, ForeverPushWaitsForASlotOrTheClose) {
+  // A forever push on a full queue blocks; a pop that frees the slot
+  // admits it.
+  farm::JobQueue q(1);
+  farm::PendingJob filler;
+  filler.job.name = "filler";
+  ASSERT_EQ(q.push(std::move(filler), kNoWait), Admission::Accepted);
+  farm::PendingJob waiter;
+  waiter.job.name = "patient";
+  auto pushed = std::async(std::launch::async, [&] {
+    return q.push(std::move(waiter), farm::JobQueue::kWaitForever);
+  });
+  EXPECT_EQ(pushed.wait_for(std::chrono::milliseconds(20)), std::future_status::timeout)
+      << "a push on a full queue must wait for a slot";
+  EXPECT_EQ(q.pop()->job.name, "filler");
+  EXPECT_EQ(pushed.get(), Admission::Accepted);
+  EXPECT_EQ(q.depth(), 1u);
+
+  // Full again: a forever push still waiting when the queue closes gives
+  // up with ShuttingDown and leaves its job untouched.
+  farm::PendingJob late;
+  late.job.name = "late";
+  auto refused = std::async(std::launch::async, [&] {
+    return q.push(std::move(late), farm::JobQueue::kWaitForever);
+  });
+  EXPECT_EQ(refused.wait_for(std::chrono::milliseconds(20)), std::future_status::timeout);
+  q.close();
+  EXPECT_EQ(refused.get(), Admission::ShuttingDown);
+  EXPECT_EQ(late.job.name, "late");
+  EXPECT_EQ(q.pop()->job.name, "patient");
+  EXPECT_FALSE(q.pop().has_value());
+}
+
 TEST(Farm, LaneGaugesTrackQueuedDepthsAndDrainToZero) {
   // Queue level first — no worker racing the reads, so depths are exact.
   farm::JobQueue q(8);
@@ -389,10 +424,10 @@ TEST(Farm, LaneGaugesTrackQueuedDepthsAndDrainToZero) {
     pj.queued = std::chrono::steady_clock::now();
     return pj;
   };
-  ASSERT_EQ(q.tryPush(pend("h", farm::Priority::High)), Admission::Accepted);
-  ASSERT_EQ(q.tryPush(pend("n-0", farm::Priority::Normal)), Admission::Accepted);
-  ASSERT_EQ(q.tryPush(pend("n-1", farm::Priority::Normal)), Admission::Accepted);
-  ASSERT_EQ(q.tryPush(pend("l", farm::Priority::Low)), Admission::Accepted);
+  ASSERT_EQ(q.push(pend("h", farm::Priority::High), kNoWait), Admission::Accepted);
+  ASSERT_EQ(q.push(pend("n-0", farm::Priority::Normal), kNoWait), Admission::Accepted);
+  ASSERT_EQ(q.push(pend("n-1", farm::Priority::Normal), kNoWait), Admission::Accepted);
+  ASSERT_EQ(q.push(pend("l", farm::Priority::Low), kNoWait), Admission::Accepted);
 
   const auto g = q.gauges();
   EXPECT_EQ(g[static_cast<int>(farm::Priority::High)].depth, 1u);

@@ -92,6 +92,27 @@ TEST(FarmSupervision, RetriedDeadlineAttemptsAreBitIdentical) {
   }
 }
 
+TEST(FarmSupervision, RetryReadmissionIsNotANewAdmission) {
+  // Fresh submissions and retries share one admission path; only a first
+  // attempt counts as accepted, or drain() would wait for a delivery that
+  // never comes.
+  farm::FarmOptions opts;
+  opts.workers = 1;
+  farm::Farm f(opts);
+  Job j = pinJob("deadline-readmit");
+  j.deadline = 60'000;
+  j.retry.max_attempts = 3;
+  j.retry.backoff_ms = 0.5;
+  const JobResult r = f.submitWait(std::move(j)).get();
+  EXPECT_EQ(r.attempts, 3);
+  const farm::FarmMetrics m = f.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.rejected, 0u);
+  EXPECT_EQ(m.retried, 2u);
+  ASSERT_EQ(m.accepted, 1u);
+  f.drain();  // returns: the one accepted job is delivered
+}
+
 TEST(FarmSupervision, SupervisedCleanRunStaysOnPin) {
   farm::FarmOptions opts;
   opts.workers = 2;

@@ -414,4 +414,60 @@ TEST(Faults, DecodeRecoversFromMidClipCorruption) {
   EXPECT_TRUE(dec.handle().health().faults.empty());
 }
 
+TEST(Faults, RepairStreamRestoresALostPutspaceAndTheDecodeCompletesBitExact) {
+  // One putspace message lost from a decode shell: its stream's
+  // two space registers no longer add up to the buffer, the graph stalls
+  // at quiescence, and repairStream() rebuilds both from the committed
+  // positions, after which the decode finishes bit-exact.
+  media::VideoGenParams vp;
+  vp.width = 48;
+  vp.height = 32;
+  vp.frames = 5;
+  vp.seed = 31;
+  media::CodecParams cp;
+  cp.width = vp.width;
+  cp.height = vp.height;
+  media::Encoder enc(cp);
+  const auto bits = enc.encode(media::generateVideo(vp));
+  const std::vector<media::Frame> golden = enc.reconstructed();
+
+  // A message lost from the dct shell at this cycle does not stall this
+  // clip (the decode still finishes), so it has nothing to repair here.
+  for (const char* shell_name : {"vld", "rlsq", "mc"}) {
+    SCOPED_TRACE(shell_name);
+    app::EclipseInstance inst;
+    app::DecodeApp dec(inst, bits);
+    sim::FaultSpec drop;
+    drop.kind = sim::FaultKind::DropPutspace;
+    drop.shell = inst.shell(shell_name).id();
+    drop.at_cycle = 20'000;
+    drop.count = 1;
+    inst.armFaults(sim::FaultPlan{{drop}});
+
+    inst.run();
+    ASSERT_EQ(inst.faults().triggerCount(sim::FaultKind::DropPutspace), 1u);
+    ASSERT_FALSE(dec.done()) << "a lost putspace must stall the decode";
+
+    // The stream the message belonged to is the one whose producer room
+    // and consumer data no longer add up to its buffer.
+    std::vector<std::string> broken;
+    for (const app::AppStream& s : dec.handle().streams()) {
+      const std::uint32_t room = inst.piBus().read(
+          app::mmio::streamReg(*s.producer_shell, s.producer_row, app::mmio::kStreamSpace));
+      const std::uint32_t data = inst.piBus().read(
+          app::mmio::streamReg(*s.consumer_shell, s.consumer_row, app::mmio::kStreamSpace));
+      if (room + data != s.spec.buffer_bytes) broken.push_back(s.spec.name);
+    }
+    ASSERT_EQ(broken.size(), 1u);
+
+    dec.handle().repairStream(broken.front());
+    inst.armFaults(sim::FaultPlan{});
+    inst.run();
+    ASSERT_TRUE(dec.done()) << "repaired stream " << broken.front();
+    const auto out = dec.frames();
+    ASSERT_EQ(out.size(), golden.size());
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], golden[i]) << "frame " << i;
+  }
+}
+
 }  // namespace

@@ -515,6 +515,34 @@ TEST(FarmModes, ScheduledJobSwitchesLiveAndStaysDeterministic) {
   EXPECT_EQ(r4.bit_exact, r1.bit_exact);
 }
 
+TEST(FarmModes, ScheduledJobIsPinnedAtItsSimulatedValues) {
+  // The sd/hd/sd job above, pinned at the values it had when scheduled
+  // jobs still ran through a runner of their own, so the one runner that
+  // now serves plain and scheduled jobs alike cannot move a cycle. The
+  // supervised run takes the sliced path through the same runner.
+  farm::Job job;
+  job.name = "abr";
+  job.schedule = {seg("sd", 96, 80, 2), seg("hd", 128, 96, 2), seg("sd", 96, 80, 2)};
+  farm::Job supervised = job;
+  supervised.supervise_ms = 60'000.0;
+
+  farm::FarmOptions opts;
+  opts.workers = 1;
+  farm::Farm f(opts);
+  for (const farm::Job& j : {job, supervised, job}) {
+    const farm::JobResult r = f.submit(j).result.get();
+    ASSERT_EQ(r.status, farm::JobStatus::Completed) << r.error;
+    EXPECT_TRUE(r.bit_exact);
+    EXPECT_EQ(r.sim_cycles, 218517u);
+    EXPECT_EQ(r.sim_events, 69705u);
+    EXPECT_EQ(r.macroblocks, 216u);
+    EXPECT_EQ(r.mode_switches, 2u);
+    EXPECT_EQ(r.switch_mmio_writes, 192u);
+  }
+  // The third run found the instance the second one recycled.
+  EXPECT_EQ(f.metrics().reused(), 2u);
+}
+
 TEST(FarmModes, UnknownModeInScheduleFailsTheJobCleanly) {
   farm::Job job;
   job.name = "bad-mode";
