@@ -92,18 +92,7 @@ void DecodeApp::cacheHandles() {
 
 DecodeApp::DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
                      const DecodeAppConfig& cfg)
-    : inst_(inst) {
-  auto on_done = inst.registerApp();
-  sink_ = &inst.createFrameSink(std::move(on_done));
-  modes_.mode(spec(cfg, sink_->shell().name()));
-
-  Configurator configurator(inst);
-  handle_ = configurator.apply(modes_.modes().front(), stageBitstream(std::move(bitstream)));
-  handle_.addCleanup([this] {
-    if (!sink_->done()) inst_.deregisterApp();
-  });
-  cacheHandles();
-}
+    : DecodeApp(inst, std::move(bitstream), std::vector<Mode>{{"decode", cfg}}) {}
 
 DecodeApp::DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
                      std::vector<Mode> modes)
@@ -146,41 +135,34 @@ TransitionStats DecodeApp::switchSegment(std::string_view mode_name,
   return st;
 }
 
+void DecodeApp::recoverFrom(const TaskFault& f) {
+  ++recoveries_;
+  if (f.task == "vld") {
+    // The source itself is unparseable: emit Eos downstream so the clip
+    // terminates cleanly with whatever was decoded.
+    inst_.vld().requestAbort(t_vld_);
+    handle_.clearFault("vld", /*reenable=*/true);
+    return;
+  }
+  // A downstream stage choked (typically on a corrupted packet it
+  // already consumed). Send Resync markers from the VLD, put the
+  // stateless stages into discard-until-marker mode, and re-enable the
+  // faulted task; the VLD parses forward to the next I-frame.
+  inst_.vld().requestResync(t_vld_);
+  inst_.rlsq().requestDiscard(t_rlsq_);
+  inst_.dct().requestDiscard(t_dct_);
+  handle_.clearFault(f.task, /*reenable=*/true);
+}
+
 void DecodeApp::enableRecovery() {
-  handle_.onFault([this](const TaskFault& f) {
-    ++recoveries_;
-    if (f.task == "vld") {
-      // The source itself is unparseable: emit Eos downstream so the clip
-      // terminates cleanly with whatever was decoded.
-      inst_.vld().requestAbort(t_vld_);
-      handle_.clearFault("vld", /*reenable=*/true);
-      return;
-    }
-    // A downstream stage choked (typically on a corrupted packet it
-    // already consumed). Send Resync markers from the VLD, put the
-    // stateless stages into discard-until-marker mode, and re-enable the
-    // faulted task; the VLD parses forward to the next I-frame.
-    inst_.vld().requestResync(t_vld_);
-    inst_.rlsq().requestDiscard(t_rlsq_);
-    inst_.dct().requestDiscard(t_dct_);
-    handle_.clearFault(f.task, /*reenable=*/true);
-  });
+  handle_.onFault([this](const TaskFault& f) { recoverFrom(f); });
 }
 
 void DecodeApp::enableDegradedFallback(std::string degraded_mode) {
   static_cast<void>(modes_.at(degraded_mode));  // throws std::out_of_range on an unknown mode
   degraded_mode_ = std::move(degraded_mode);
   handle_.onFault([this](const TaskFault& f) {
-    ++recoveries_;
-    if (f.task == "vld") {
-      inst_.vld().requestAbort(t_vld_);
-      handle_.clearFault("vld", /*reenable=*/true);
-    } else {
-      inst_.vld().requestResync(t_vld_);
-      inst_.rlsq().requestDiscard(t_rlsq_);
-      inst_.dct().requestDiscard(t_dct_);
-      handle_.clearFault(f.task, /*reenable=*/true);
-    }
+    recoverFrom(f);
     // First contained fault drops the clip into the degraded mode: a
     // field-only transition (same topology, reduced budgets), so it runs
     // to completion inside this callback without advancing the simulation.

@@ -46,6 +46,7 @@ class DecodeApp {
   /// its buffer sizes and budgets.
   using Mode = std::pair<std::string, DecodeAppConfig>;
 
+  /// Single-mode constructor: the mode list {{"decode", cfg}}.
   DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
             const DecodeAppConfig& cfg = {});
 
@@ -138,9 +139,11 @@ class DecodeApp {
  private:
   /// (Re)configures the VLD and MC task parameters for a bitstream whose
   /// sequence header is already parsed; allocates and adopts the off-chip
-  /// regions. Shared by the constructors and switchSegment().
+  /// regions. Shared by the constructor and switchSegment().
   std::function<void(AppHandle&)> stageBitstream(std::vector<std::uint8_t> bitstream);
   void cacheHandles();
+  /// The recovery policy of enableRecovery() for one latched fault.
+  void recoverFrom(const TaskFault& f);
 
   EclipseInstance& inst_;
   coproc::FrameSink* sink_ = nullptr;

@@ -89,10 +89,6 @@ class EclipseInstance {
   /// id * kMmioStride (the window itself is far smaller).
   static constexpr sim::Addr kMmioStride = 0x10000;
 
-  /// The five Figure-8 modules built by the constructor; shells beyond
-  /// this are per-application sinks appended at run time.
-  static constexpr std::uint32_t kFixedShells = 5;
-
   explicit EclipseInstance(const InstanceParams& params = {});
 
   /// Tears down the simulation processes before the memory/bus models they
@@ -225,18 +221,6 @@ class EclipseInstance {
   /// writes, period first). `timeout` of 0 disarms.
   void armWatchdogs(sim::Cycle timeout, sim::Cycle period = 256);
 
-  /// Returns the instance to its just-constructed state so the next
-  /// application batch behaves bit-identically to one launched on a cold
-  /// instance (farm worker reuse, DESIGN §10). Requires every application
-  /// to be torn down and the event queue to be quiescent; returns false
-  /// (and changes nothing) otherwise. On success: all coroutine processes
-  /// are destroyed, per-application sink shells are removed (PI-bus and
-  /// message-network windows released, shell ids rolled back), every
-  /// fixed shell's scheduler and every coprocessor's per-task state is
-  /// reset, the fault injector is disarmed, and the next run() re-spawns
-  /// the control loops in the canonical cold-start order.
-  bool recycle();
-
   /// Classifies the current stop state by walking the blocked-on graph:
   /// each blocked task points (via its blocked stream row's remote shell/
   /// row) at the task it waits on. A cycle is a deadlock; a chain ending
@@ -283,7 +267,7 @@ class EclipseInstance {
   bool started_ = false;
   sim::FaultInjector injector_;
   std::vector<sim::FaultSpec> bit_flips_;  // armed bit flips, by event index
-  std::uint64_t fault_plan_ = 0;  // bumped by armFaults/recycle; stale flips skip
+  std::uint64_t fault_plan_ = 0;  // bumped by armFaults; stale flips skip
 };
 
 }  // namespace eclipse::app

@@ -304,43 +304,6 @@ sim::Cycle EclipseInstance::run(sim::Cycle until) {
   return sim_.run(until);
 }
 
-bool EclipseInstance::recycle() {
-  if (pending_apps_ != 0 || !sim_.quiescent()) return false;
-  // A valid task row means some application was not torn down — reusing
-  // the instance under it would not be cold-equivalent.
-  for (auto& sh : shells_) {
-    for (std::uint32_t i = 0; i < sh->tasks().capacity(); ++i) {
-      if (sh->tasks().row(static_cast<sim::TaskId>(i)).valid) return false;
-    }
-  }
-
-  // Order matters: coroutine frames reference shells and coprocessors, so
-  // they go first; sink coprocessors reference their shells, so they go
-  // before the shells they front.
-  sim_.destroyProcesses();
-  extra_coprocs_.clear();
-  while (shells_.size() > kFixedShells) {
-    shell::Shell& sh = *shells_.back();
-    network_->detach(sh.id());
-    pi_bus_.detach(mmioBase(sh));
-    shells_.pop_back();
-    task_used_.pop_back();
-    --next_shell_id_;
-  }
-  for (auto& sh : shells_) sh->recycle();
-  vld_->reset();
-  rlsq_->reset();
-  dct_->reset();
-  mc_->reset();
-  cpu_->reset();
-  injector_.clear();
-  bit_flips_.clear();
-  ++fault_plan_;
-  sim_.setFaultInjector(nullptr);
-  started_ = false;  // next run() re-spawns every control loop cold
-  return true;
-}
-
 // ---------------------------------------------------------------------
 // Fault injection and quiescence classification (DESIGN §9)
 // ---------------------------------------------------------------------

@@ -36,14 +36,6 @@ class Coprocessor {
   /// Spawns the control loop on the simulator.
   void start() { sim_.spawn(controlLoop(), name_); }
 
-  /// Drops all per-task processing state so the coprocessor is
-  /// indistinguishable from a freshly constructed one (instance recycling:
-  /// a job must behave bit-identically whether its tasks land on a cold or
-  /// a reused coprocessor). Cumulative statistics (steps, symbols, ...)
-  /// survive — they never influence timing. Only sound while the control
-  /// loop is not running (after Simulator::destroyProcesses()).
-  virtual void reset() {}
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] shell::Shell& shell() { return shell_; }

@@ -44,8 +44,6 @@ class DctCoproc final : public Coprocessor {
   void requestDiscard(sim::TaskId task) { discard_[task] = true; }
   [[nodiscard]] std::uint64_t packetsDiscarded() const { return discarded_; }
 
-  void reset() override { discard_.clear(); }
-
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 

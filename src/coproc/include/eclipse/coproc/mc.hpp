@@ -73,11 +73,6 @@ class McCoproc final : public Coprocessor {
     return static_cast<std::uint32_t>(sh.width) * sh.height * 3 / 2;
   }
 
-  void reset() override {
-    states_.clear();
-    pic_events_.clear();
-  }
-
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 

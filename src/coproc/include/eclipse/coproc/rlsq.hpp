@@ -45,8 +45,6 @@ class RlsqCoproc final : public Coprocessor {
   /// Packets dropped while in discard mode (all tasks).
   [[nodiscard]] std::uint64_t packetsDiscarded() const { return discarded_; }
 
-  void reset() override { states_.clear(); }
-
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 

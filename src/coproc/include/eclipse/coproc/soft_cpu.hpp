@@ -47,8 +47,6 @@ class SoftCpu final : public Coprocessor {
   /// Software tasks call this when their stream ends.
   void finish(sim::TaskId task) { finishTask(task); }
 
-  void reset() override { handlers_.clear(); }
-
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override {
     if (static_cast<std::size_t>(task) >= handlers_.size() ||

@@ -64,8 +64,6 @@ class VldCoproc final : public Coprocessor {
   /// Coded pictures skipped while hunting for an I-frame after resync.
   [[nodiscard]] std::uint64_t picturesSkipped() const { return pics_skipped_; }
 
-  void reset() override { states_.clear(); }
-
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 

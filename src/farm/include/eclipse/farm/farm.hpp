@@ -66,18 +66,6 @@ struct FarmMetrics {
   std::vector<WorkerStats> workers;  ///< active workers
   std::vector<WorkerStats> zombies;  ///< retired (replaced) workers
 
-  [[nodiscard]] std::uint64_t reused() const {
-    std::uint64_t n = 0;
-    for (const WorkerStats& w : workers) n += w.reused;
-    for (const WorkerStats& w : zombies) n += w.reused;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t coldBuilds() const {
-    std::uint64_t n = 0;
-    for (const WorkerStats& w : workers) n += w.cold_builds;
-    for (const WorkerStats& w : zombies) n += w.cold_builds;
-    return n;
-  }
   /// Jobs that ran under heartbeat slicing (0 on an unarmed farm: the
   /// chaos harness gates on exactly that to pin the zero-overhead claim).
   [[nodiscard]] std::uint64_t supervisedJobs() const {
@@ -97,8 +85,9 @@ struct SubmitTicket {
 
 /// The batch-serving front-end: N workers behind a bounded priority
 /// queue. Deterministic by construction — all simulation state is private
-/// to a worker, so a job's simulated result does not depend on worker
-/// count, placement, or interleaving (see DESIGN §10).
+/// to a job (each builds its own instance), so a job's simulated result
+/// does not depend on worker count, placement, or interleaving (see
+/// DESIGN §10).
 ///
 /// Supervision tier (DESIGN §14): jobs may arm a simulated-cycle deadline,
 /// a host wall-clock supervision timeout and a retry policy. The farm then
@@ -183,7 +172,7 @@ class Farm {
   void scanForHungWorkers(std::chrono::steady_clock::time_point now);
   void handleHungWorker(int index, const std::shared_ptr<InFlight>& fl);
   /// Retires `workers_[index]` to the zombie list and spawns a fresh
-  /// worker (cold instance) in its slot.
+  /// worker in its slot.
   void replaceWorker(int index);
   [[nodiscard]] Worker::FinishFn finishFn();
 

@@ -81,11 +81,10 @@ struct ModeSegment {
   WorkloadDesc workload{};
 };
 
-/// How a failed attempt is retried. Retried runs execute on a recycled or
-/// cold instance under the same recycle() contract as first runs, so every
-/// attempt of a job is bit-identical in its simulated fields to a clean
-/// first run — retries never change *what* a job computes, only how often
-/// the farm is willing to compute it.
+/// How a failed attempt is retried. Every attempt builds its own instance,
+/// as a first run does, so every attempt of a job is bit-identical in its
+/// simulated fields to a clean first run — retries never change *what* a
+/// job computes, only how often the farm is willing to compute it.
 struct RetryPolicy {
   /// Total attempts, including the first. 1 = never retry.
   int max_attempts = 1;
@@ -122,8 +121,7 @@ struct HostHangSpec {
 ///
 /// The determinism contract: every *simulated* field of the JobResult is a
 /// pure function of this struct — independent of worker count, submission
-/// order, retry count, or whether the executing instance is cold or
-/// recycled.
+/// order or retry count.
 struct Job {
   std::string name;
   /// Owning tenant (serving tier). Pure pass-through for the farm — it
@@ -278,8 +276,7 @@ struct AttemptRecord {
 };
 
 /// Per-job outcome. Simulated fields are covered by the determinism
-/// contract; host-side fields (worker, reuse, wall/latency times, attempt
-/// count) describe this particular execution and may vary run to run.
+/// contract; host-side fields (worker, wall/latency times, attempt count) describe this particular execution and may vary run to run.
 struct JobResult {
   std::uint64_t id = 0;
   std::string name;
@@ -303,7 +300,6 @@ struct JobResult {
 
   // --- host-side (execution facts, outside the contract) ---
   int worker = -1;
-  bool reused_instance = false;
   int attempts = 1;  ///< attempts consumed (1 = succeeded/failed first try)
   std::vector<AttemptRecord> attempts_log;  ///< prior (non-terminal) attempts
   double wall_ms = 0.0;     ///< run time on the worker (terminal attempt)

@@ -21,14 +21,19 @@ struct WorkerStats {
   std::uint64_t jobs = 0;
   std::uint64_t completed = 0;  ///< status == Completed
   std::uint64_t failed = 0;     ///< Incomplete or Error
-  std::uint64_t reused = 0;     ///< jobs served by a recycled instance
-  std::uint64_t cold_builds = 0;  ///< jobs that built a fresh instance
+  /// Always 0: every job builds its own instance. Kept only because
+  /// perfbench/src/main.cpp reads it and perfbench/ is frozen as the
+  /// benchmark harness (BENCHMARK.json `paths`); delete the field together
+  /// with that read (ROADMAP, debts for the next benchmark PR).
+  std::uint64_t reused = 0;
+  std::uint64_t cold_builds = 0;  ///< instances built (one per job that got that far)
   std::uint64_t supervised_jobs = 0;  ///< jobs run under heartbeat slicing
   std::uint64_t abandoned = 0;  ///< runs whose job the Supervisor claimed away
   bool retired = false;         ///< replaced by the Supervisor (zombie)
   double busy_ms = 0.0;     ///< wall time spent inside jobs
-  double build_ms = 0.0;    ///< wall time constructing instances (cold path)
-  double recycle_ms = 0.0;  ///< wall time in teardown-settle-recycle (reuse path)
+  double build_ms = 0.0;    ///< wall time constructing instances
+  /// Always 0, like `reused` (kept for perfbench's read; same ROADMAP debt).
+  double recycle_ms = 0.0;
 };
 
 /// The job a worker is executing right now, shared with the Supervisor.
@@ -63,16 +68,13 @@ struct InFlight {
   }
 };
 
-/// One farm worker: a host thread owning a private Simulator +
-/// EclipseInstance, pulling jobs from the shared queue until it closes.
+/// One farm worker: a host thread pulling jobs from the shared queue until
+/// it closes.
 ///
-/// Instance reuse: after a clean job the instance is recycled (drain /
-/// teardown / EclipseInstance::recycle()) and kept for the next job with
-/// the same `Config` shape — bit-identical to a cold build by
-/// construction. The worker falls back to a cold rebuild when the shape
-/// changes, when the previous job armed faults or watchdogs, latched any
-/// fault or stall, ended incomplete, or threw: auditing residual state is
-/// never cheaper than rebuilding, and isolation must hold regardless.
+/// One instance per job: every job builds its own EclipseInstance (with
+/// its own Simulator, starting at cycle 0) from the job's `Config` and
+/// drops it when the job ends, on every path. No simulation state outlives
+/// a job, so a job's simulated result cannot depend on what ran before it.
 ///
 /// Supervision: a job with `supervise_ms > 0` runs in bounded simulation
 /// slices with a heartbeat published between slices. Slicing is
@@ -81,7 +83,7 @@ struct InFlight {
 /// sequence), so supervised and unsupervised runs of a job agree exactly —
 /// and unsupervised jobs take the original single-call path, keeping the
 /// unarmed overhead at zero. A worker whose job is claimed away abandons
-/// the run at the next slice boundary, discards its result and retires its
+/// the run at the next slice boundary, discards its result and drops its
 /// instance; `retire()` logically detaches the worker (it exits at the
 /// next boundary instead of being destroyed mid-run).
 class Worker {
@@ -127,32 +129,22 @@ class Worker {
   /// Runs the simulation to `budget_end`: one call when unsupervised,
   /// bounded slices with heartbeats when supervised. Throws Abandoned
   /// when the job was claimed away mid-run.
-  void runToBudget(InFlight& fl, sim::Cycle budget_end);
+  static void runToBudget(InFlight& fl, app::EclipseInstance& inst, sim::Cycle budget_end);
   /// Failure-cause classification of a finished (non-throwing) run.
   static JobError classifyRun(const Job& job, const JobResult& r, bool all_done,
                               sim::Cycle ran);
   /// Chaos hook: wedge (sleep without heartbeating) per Job::chaos. Throws
   /// Abandoned when the Supervisor claims the job away during the wedge.
   void injectHostHang(InFlight& fl);
-  /// Reuses the recycled instance when the Config shape matches, builds a
-  /// cold one otherwise; records the choice in `r` and the stats.
-  void acquireInstance(const Job& job, JobResult& r);
-  /// Quiesce/teardown the finished job and recycle the instance for
-  /// reuse; on any doubt, retire the instance (next job builds cold).
-  void retireOrRecycle(bool healthy);
-  /// Simulated-cycle stop point for the job: min(deadline, max_cycles)
-  /// past `c0`, kForever when unbounded.
-  static sim::Cycle budgetEnd(const Job& job, sim::Cycle c0);
+  /// Simulated-cycle stop point for the job: min(deadline, max_cycles),
+  /// kForever when unbounded.
+  static sim::Cycle budgetEnd(const Job& job);
 
   const int index_;
   JobQueue& queue_;
   WorkloadCache& cache_;
   FinishFn on_finish_;
   std::atomic<bool> retired_{false};
-
-  // Owned by the worker thread exclusively (one thread per Simulator).
-  std::unique_ptr<app::EclipseInstance> inst_;
-  std::string shape_;  ///< Config::toString() of the live instance
 
   mutable std::mutex inflight_mu_;
   std::shared_ptr<InFlight> inflight_;

@@ -21,18 +21,13 @@ double msSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Simulated-cycle allowance for draining residual events after a job
-/// (parked control loops, in-flight putspaces). Generous: a healthy
-/// torn-down graph settles in a few hundred cycles.
-constexpr sim::Cycle kSettleCap = 1'000'000;
-
 /// Slice length of a supervised run: big enough that the heartbeat load
 /// is negligible (a decode job is a handful of slices), small enough that
 /// a heartbeat lands every few host milliseconds on any sane config.
 constexpr sim::Cycle kBeatSlice = 32'768;
 
-/// One application instantiated on the worker's instance for the current
-/// job, kept alive across the run.
+/// One application instantiated on the job's instance, kept alive across
+/// the run.
 struct RunningApp {
   AppKind kind = AppKind::Decode;
   /// Prepared workload of each segment, in order: one for every
@@ -119,7 +114,7 @@ void Worker::threadMain() {
       // The Supervisor declared this worker hung and owns the job's
       // completion now: whatever this run produced is void (the retry will
       // recompute the identical simulated result). The abandon path
-      // already retired the instance; this thread exits on `retired_`.
+      // already dropped the instance; this thread exits on `retired_`.
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.abandoned;
       continue;
@@ -142,11 +137,10 @@ void Worker::threadMain() {
   }
 }
 
-sim::Cycle Worker::budgetEnd(const Job& job, sim::Cycle c0) {
+sim::Cycle Worker::budgetEnd(const Job& job) {
   sim::Cycle cap = job.max_cycles;
   if (job.deadline > 0 && (cap == 0 || job.deadline < cap)) cap = job.deadline;
-  if (cap == 0 || c0 > sim::Simulator::kForever - cap) return sim::Simulator::kForever;
-  return c0 + cap;
+  return cap == 0 ? sim::Simulator::kForever : cap;
 }
 
 JobError Worker::classifyRun(const Job& job, const JobResult& r, bool all_done,
@@ -159,11 +153,11 @@ JobError Worker::classifyRun(const Job& job, const JobResult& r, bool all_done,
   return JobError::Stall;
 }
 
-void Worker::runToBudget(InFlight& fl, sim::Cycle budget_end) {
-  sim::Simulator& sim = inst_->simulator();
+void Worker::runToBudget(InFlight& fl, app::EclipseInstance& inst, sim::Cycle budget_end) {
+  sim::Simulator& sim = inst.simulator();
   // Unsupervised jobs take the original single-call path: zero overhead.
   if (!fl.supervised.load(std::memory_order_relaxed)) {
-    inst_->run(budget_end);
+    inst.run(budget_end);
     return;
   }
   // Supervised: bounded slices with a heartbeat between them. Bit-identical
@@ -173,10 +167,10 @@ void Worker::runToBudget(InFlight& fl, sim::Cycle budget_end) {
   sim::Cycle now = sim.now();
   for (;;) {
     const sim::Cycle next = budget_end - now > kBeatSlice ? now + kBeatSlice : budget_end;
-    now = inst_->run(next);
+    now = inst.run(next);
     fl.beat();
     if (fl.claimed.load(std::memory_order_acquire)) throw Abandoned{};
-    if (inst_->pendingApps() <= 0) break;
+    if (inst.pendingApps() <= 0) break;
     if (now >= budget_end) break;
     if (sim.quiescent()) break;
   }
@@ -200,8 +194,11 @@ JobResult Worker::runJob(InFlight& fl) {
   const Job& job = fl.pj.job;
   JobResult r;
   try {
+    // The job's own instance, dropped when this scope ends on every path.
+    // Declared before the applications so it outlives them.
+    std::unique_ptr<app::EclipseInstance> inst;
     // Workload preparation first (host-side; cache hit after the first
-    // job with a given descriptor), so instance state is untouched if the
+    // job with a given descriptor), so no instance is built if the
     // descriptor or a scheduled mode is bad. A scheduled job is one decode
     // application with a segment per schedule entry; every application of
     // a plain job has one segment.
@@ -229,11 +226,18 @@ JobResult Worker::runJob(InFlight& fl) {
     }
     const std::size_t segments = job.schedule.empty() ? 1 : job.schedule.size();
 
-    acquireInstance(job, r);
+    const Clock::time_point tb = Clock::now();
+    inst = std::make_unique<app::EclipseInstance>(app::InstanceParams::fromConfig(job.config));
+    const double build_ms = msSince(tb);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.cold_builds;
+      stats_.build_ms += build_ms;
+    }
 
     // Supervision arms only now: preparation may legitimately block on
-    // another worker's cache build, and a cold instance build is real
-    // work — neither is a hang.
+    // another worker's cache build, and an instance build is real work —
+    // neither is a hang.
     if (job.supervise_ms > 0.0) {
       fl.beat();
       fl.supervised.store(true, std::memory_order_release);
@@ -242,34 +246,30 @@ JobResult Worker::runJob(InFlight& fl) {
     }
     injectHostHang(fl);
 
-    sim::Simulator& sim = inst_->simulator();
-    const sim::Cycle c0 = sim.now();
-    const std::uint64_t e0 = sim.eventsDispatched();
-
     for (RunningApp& ra : apps) {
       const PreparedWorkload& w = *ra.segs.front();
       if (ra.kind == AppKind::Encode) {
-        ra.enc = std::make_unique<app::EncodeApp>(*inst_, w.frames, w.codec);
+        ra.enc = std::make_unique<app::EncodeApp>(*inst, w.frames, w.codec);
       } else if (modes.empty()) {
-        ra.dec = std::make_unique<app::DecodeApp>(*inst_, w.bitstream);
+        ra.dec = std::make_unique<app::DecodeApp>(*inst, w.bitstream);
       } else {
-        ra.dec = std::make_unique<app::DecodeApp>(*inst_, w.bitstream, modes);
+        ra.dec = std::make_unique<app::DecodeApp>(*inst, w.bitstream, modes);
       }
     }
 
     const bool armed = !job.faults.faults.empty();
-    if (armed) inst_->armFaults(job.faults);
-    if (job.watchdog_timeout > 0) inst_->armWatchdogs(job.watchdog_timeout);
+    if (armed) inst->armFaults(job.faults);
+    if (job.watchdog_timeout > 0) inst->armWatchdogs(job.watchdog_timeout);
 
     // Run each segment to completion and verify it while its output is
     // still current, then transition live into the next segment's mode:
     // the application is never torn down mid-job.
-    const sim::Cycle budget = budgetEnd(job, c0);
+    const sim::Cycle budget = budgetEnd(job);
     bool all_done = true;
     bool decode_exact = true;
     double min_psnr = std::numeric_limits<double>::infinity();
     for (std::size_t seg = 0; seg < segments; ++seg) {
-      runToBudget(fl, budget);
+      runToBudget(fl, *inst, budget);
       for (const RunningApp& ra : apps) all_done = all_done && ra.done();
       if (!all_done) break;
       if (job.verify) {
@@ -296,14 +296,14 @@ JobResult Worker::runJob(InFlight& fl) {
         r.switch_mmio_writes += st.mmio_writes;
       }
     }
-    r.sim_cycles = sim.now() - c0;
-    r.sim_events = sim.eventsDispatched() - e0;
+    // A fresh instance starts at cycle 0 with no event dispatched.
+    r.sim_cycles = inst->simulator().now();
+    r.sim_events = inst->simulator().eventsDispatched();
     r.status = all_done ? JobStatus::Completed : JobStatus::Incomplete;
-    if (!all_done) r.quiescence = app::quiescenceName(inst_->classifyQuiescence());
+    if (!all_done) r.quiescence = app::quiescenceName(inst->classifyQuiescence());
 
-    // Measurements (health before teardown: the fault and stall registers
-    // live in the rows teardown resets). A decode's macroblocks accumulate
-    // across its segments; an unfinished application counts none.
+    // Measurements. A decode's macroblocks accumulate across its segments;
+    // an unfinished application counts none.
     bool any_encode = false;
     for (RunningApp& ra : apps) {
       const app::AppHealth h = ra.handle().health();
@@ -320,71 +320,17 @@ JobResult Worker::runJob(InFlight& fl) {
     }
     r.bit_exact = job.verify && all_done && decode_exact;
     r.psnr_db = any_encode && job.verify && all_done ? min_psnr : 0.0;
-    if (armed) r.fault_triggers = inst_->faults().triggers().size();
+    if (armed) r.fault_triggers = inst->faults().triggers().size();
     r.cause = classifyRun(job, r, all_done, r.sim_cycles);
-
-    // Quiesce and tear down so the instance can be recycled. Anything
-    // suspicious retires the instance instead — correctness over reuse.
-    bool healthy = all_done && !armed && job.watchdog_timeout == 0 &&
-                   r.faults_latched == 0 && r.stalls_latched == 0;
-    const Clock::time_point tr = Clock::now();
-    if (healthy) {
-      if (!sim.quiescent()) inst_->run(sim.now() + kSettleCap);
-      healthy = sim.quiescent();
-      if (healthy) {
-        for (RunningApp& ra : apps) ra.handle().teardown();
-      }
-    }
-    retireOrRecycle(healthy);
-    if (healthy) {
-      const double recycle_ms = msSince(tr);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.recycle_ms += recycle_ms;
-    }
   } catch (const Abandoned&) {
-    // Claimed away mid-run: the instance is mid-simulation and must not
-    // be reused. The result is discarded by threadMain (claim lost).
-    retireOrRecycle(false);
+    // Claimed away mid-run: the result is discarded by threadMain (claim
+    // lost).
   } catch (const std::exception& e) {
     r.status = JobStatus::Error;
     r.cause = JobError::Config;
     r.error = e.what();
-    retireOrRecycle(false);
   }
   return r;
-}
-
-void Worker::acquireInstance(const Job& job, JobResult& r) {
-  // Reuse the recycled instance only for an identical parameter shape.
-  const std::string shape = job.config.toString();
-  // Fault-armed jobs are fully isolated on both sides: they already retire
-  // the instance afterwards (retireOrRecycle(false)), and they must also
-  // *start* cold — FaultSpec::at_cycle windows (and bit-flip events) are
-  // absolute simulator cycles, so running on a recycled instance whose
-  // clock is already advanced would shift every injection window and break
-  // the job-purity contract (retried storms would diverge per worker
-  // history; the chaos gate pins this).
-  const bool reuse = inst_ != nullptr && shape == shape_ && job.faults.faults.empty();
-  if (reuse) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.reused;
-  } else {
-    const Clock::time_point tb = Clock::now();
-    inst_.reset();
-    inst_ = std::make_unique<app::EclipseInstance>(app::InstanceParams::fromConfig(job.config));
-    shape_ = shape;
-    const double build_ms = msSince(tb);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.cold_builds;
-    stats_.build_ms += build_ms;
-  }
-  r.reused_instance = reuse;
-}
-
-void Worker::retireOrRecycle(bool healthy) {
-  if (healthy && inst_ != nullptr && inst_->recycle()) return;
-  inst_.reset();
-  shape_.clear();
 }
 
 }  // namespace eclipse::farm

@@ -42,14 +42,6 @@ class MessageNetwork {
     handlers_[shell_id] = std::move(handler);
   }
 
-  /// Withdraws a shell's handler (shell removal on instance recycle).
-  /// Delivery events capture a pointer to the registered handler, so this
-  /// is only sound while no message to `shell_id` is in flight — i.e.
-  /// after the simulator has quiesced or its events were destroyed.
-  void detach(std::uint32_t shell_id) {
-    if (shell_id < handlers_.size()) handlers_[shell_id] = nullptr;
-  }
-
   /// Sends a message; delivery happens `latency` cycles later.
   void send(const SyncMessage& msg) {
     Handler* handler = msg.dst_shell < handlers_.size() ? &handlers_[msg.dst_shell] : nullptr;

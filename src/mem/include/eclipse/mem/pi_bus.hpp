@@ -35,19 +35,6 @@ class PiBus {
     devices_.push_back(Device{std::move(name), base, size, std::move(read), std::move(write)});
   }
 
-  /// Unmaps the device whose window starts at `base` (e.g. a sink shell
-  /// removed when an instance is recycled). Returns false when no window
-  /// starts there.
-  bool detach(sim::Addr base) {
-    for (auto it = devices_.begin(); it != devices_.end(); ++it) {
-      if (it->base == base) {
-        devices_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
   [[nodiscard]] std::uint32_t read(sim::Addr addr) const {
     const Device& d = find(addr);
     ++reads_;

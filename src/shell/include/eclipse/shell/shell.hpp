@@ -190,15 +190,6 @@ class Shell {
   /// Starts the sampling process (requires params.profiler_period > 0).
   void startProfiler();
 
-  /// Returns the shell to its just-constructed scheduler state so the
-  /// instance can be reused for a fresh set of control-loop processes
-  /// (farm worker recycling). Only sound after every task/stream row has
-  /// been invalidated (teardown) and the owning simulator's
-  /// destroyProcesses() ran: the parked GetTask/waitSpace waiters recorded
-  /// in the shell's events are dangling handles then. Measurement counters
-  /// (idle cycles, task switches, latched-fault totals) are preserved —
-  /// they are cumulative statistics, not scheduler state.
-  void recycle();
 
  private:
   struct Port {

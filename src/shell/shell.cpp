@@ -510,24 +510,6 @@ double Shell::utilization(sim::Cycle elapsed) const {
   return busy / static_cast<double>(elapsed);
 }
 
-void Shell::recycle() {
-  // Fresh scheduler: next GetTask starts its round-robin scan at slot 0
-  // with no task charged, exactly like a cold shell. Event waiter lists
-  // hold handles into coroutine frames destroyProcesses() already freed.
-  current_task_ = sim::kNoTask;
-  rr_index_ = 0;
-  last_gettask_return_ = 0;
-  idle_since_.reset();
-  sched_event_.clearWaiters();
-  space_event_.clearWaiters();
-  // The profiler and watchdog processes died with destroyProcesses();
-  // clear their running flags (and the armed timeout) so a recycled
-  // instance starts without observers until re-armed.
-  profiling_ = false;
-  watchdog_running_ = false;
-  params_.watchdog_timeout = 0;
-}
-
 void Shell::startProfiler() {
   if (params_.profiler_period == 0) {
     throw std::logic_error("Shell::startProfiler: profiler_period is 0");

@@ -44,12 +44,6 @@ class SimEvent {
 
   [[nodiscard]] std::size_t waiterCount() const { return waiters_.size(); }
 
-  /// Forgets all parked waiters without running them. Only sound right
-  /// after the owning simulator's destroyProcesses(): the recorded waiters
-  /// point into destroyed coroutine frames then, and recycling the event
-  /// for a fresh set of processes must not resume them.
-  void clearWaiters() { waiters_.clear(); }
-
  private:
   Simulator* sim_;
   std::vector<Event> waiters_;

@@ -5,7 +5,7 @@
 //  * a simulated-cycle deadline fails at *exactly* that cycle on every
 //    worker, every attempt — deterministic, hence retryable;
 //  * retried runs are bit-identical to a clean first run in all simulated
-//    fields (the recycle()/cold-rebuild contract extended to attempt N);
+//    fields (every attempt builds its own instance, as a first run does);
 //  * a worker that stops heartbeating is replaced and its job fail-fasts
 //    to the retry path (WorkerLost) without touching any simulated field;
 //  * a job that kills two workers is quarantined — terminal, never

@@ -539,8 +539,6 @@ TEST(FarmModes, ScheduledJobIsPinnedAtItsSimulatedValues) {
     EXPECT_EQ(r.mode_switches, 2u);
     EXPECT_EQ(r.switch_mmio_writes, 192u);
   }
-  // The third run found the instance the second one recycled.
-  EXPECT_EQ(f.metrics().reused(), 2u);
 }
 
 TEST(FarmModes, UnknownModeInScheduleFailsTheJobCleanly) {

@@ -98,14 +98,13 @@ std::string jsonEscape(const std::string& s) {
 void writeCsv(const std::string& path, const std::vector<farm::JobResult>& results) {
   std::ofstream os(path);
   os << "id,name,tenant,status,cause,attempts,sim_cycles,sim_events,macroblocks,bit_exact,"
-        "psnr_db,faults,stalls,worker,reused,wall_ms,latency_ms,error\n";
+        "psnr_db,faults,stalls,worker,wall_ms,latency_ms,error\n";
   for (const auto& r : results) {
     os << r.id << ',' << r.name << ',' << r.tenant << ',' << farm::jobStatusName(r.status) << ','
        << farm::jobErrorName(r.cause) << ',' << r.attempts << ',' << r.sim_cycles
        << ',' << r.sim_events << ',' << r.macroblocks << ',' << (r.bit_exact ? 1 : 0) << ','
        << r.psnr_db << ',' << r.faults_latched << ',' << r.stalls_latched << ',' << r.worker
-       << ',' << (r.reused_instance ? 1 : 0) << ',' << r.wall_ms << ','
-       << r.latency_ms << ',' << r.error << '\n';
+       << ',' << r.wall_ms << ',' << r.latency_ms << ',' << r.error << '\n';
   }
 }
 
@@ -148,7 +147,6 @@ void writeJson(const std::string& path, const std::vector<farm::JobResult>& resu
        << ", \"macroblocks\": " << r.macroblocks
        << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false")
        << ", \"psnr_db\": " << r.psnr_db << ", \"worker\": " << r.worker
-       << ", \"reused\": " << (r.reused_instance ? "true" : "false")
        << ", \"wall_ms\": " << r.wall_ms << ", \"latency_ms\": " << r.latency_ms
        << (r.error.empty() ? "" : ", \"error\": \"" + jsonEscape(r.error) + "\"") << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
@@ -161,8 +159,7 @@ void writeJson(const std::string& path, const std::vector<farm::JobResult>& resu
      << ", \"retry_succeeded\": " << m.retry_succeeded
      << ", \"workers_replaced\": " << m.workers_replaced
      << ", \"jobs_per_s\": " << m.jobs_per_s << ", \"p50_ms\": " << lat.p50_ms
-     << ", \"p95_ms\": " << lat.p95_ms << ", \"p99_ms\": " << lat.p99_ms
-     << ", \"reused\": " << m.reused() << ", \"cold_builds\": " << m.coldBuilds() << "},\n";
+     << ", \"p95_ms\": " << lat.p95_ms << ", \"p99_ms\": " << lat.p99_ms << "},\n";
   // Per-lane *now* gauges: 0/0 after a drained run, but live snapshots
   // (e.g. from the serving tier's telemetry) show depth + head age here.
   static const char* kLaneNames[3] = {"high", "normal", "low"};
@@ -300,12 +297,11 @@ int main(int argc, char** argv) {
                     r.faults_latched == 0;
     all_ok = all_ok && ok;
     if (!quiet) {
-      std::printf("  [%s] %-16s %10llu cycles %8llu MBs  worker %d attempt%s %d %s%s%s%s\n",
+      std::printf("  [%s] %-16s %10llu cycles %8llu MBs  worker %d attempt%s %d%s%s%s\n",
                   farm::jobStatusName(r.status), r.name.c_str(),
                   static_cast<unsigned long long>(r.sim_cycles),
                   static_cast<unsigned long long>(r.macroblocks), r.worker,
                   r.attempts == 1 ? "" : "s", r.attempts,
-                  r.reused_instance ? "(reused)" : "(cold)",
                   r.cause == farm::JobError::None ? "" : " cause: ",
                   r.cause == farm::JobError::None ? "" : farm::jobErrorName(r.cause),
                   r.error.empty() ? "" : " error: ");
@@ -318,12 +314,10 @@ int main(int argc, char** argv) {
   const Latency lat(results);
   std::printf(
       "summary: %llu completed, %llu failed, %llu rejected | %.1f jobs/s | "
-      "latency p50 %.1f ms p95 %.1f ms p99 %.1f ms | %llu reused / %llu cold builds\n",
+      "latency p50 %.1f ms p95 %.1f ms p99 %.1f ms\n",
       static_cast<unsigned long long>(m.completed), static_cast<unsigned long long>(m.failed),
       static_cast<unsigned long long>(m.rejected), m.jobs_per_s, lat.p50_ms, lat.p95_ms,
-      lat.p99_ms,
-      static_cast<unsigned long long>(m.reused()),
-      static_cast<unsigned long long>(m.coldBuilds()));
+      lat.p99_ms);
   std::printf(
       "causes: %llu deadline-exceeded, %llu fault-latched, %llu worker-lost, "
       "%llu quarantined | %llu retried, %llu retry-succeeded, %llu workers replaced\n",
