@@ -158,7 +158,29 @@ TEST(Farm, BitIdenticalAcrossWorkerCountsAndOrder) {
   EXPECT_EQ(parallel.at("dec-3").cycles, kPinCycles);
 }
 
-TEST(Farm, EachJobOnOneWorkerRunsOnItsOwnInstance) {
+TEST(Farm, InstanceReuseIsBitIdenticalToColdBuild) {
+  // Jobs of the same shape back to back on one worker: no instance is
+  // reused, each job builds its own, and every one lands on the pin.
+  farm::FarmOptions opts;
+  opts.workers = 1;
+  opts.cache = sharedCache();
+  farm::Farm f(opts);
+  auto futs = f.submitBatch({decodeJob("first"), decodeJob("second"), decodeJob("third")});
+  std::vector<JobResult> rs;
+  for (auto& fut : futs) rs.push_back(fut.get());
+
+  for (const JobResult& r : rs) {
+    EXPECT_EQ(r.sim_cycles, kPinCycles) << r.name;
+    EXPECT_EQ(r.sim_events, kPinEvents) << r.name;
+    EXPECT_TRUE(r.bit_exact) << r.name;
+  }
+  const farm::FarmMetrics m = f.metrics();
+  ASSERT_EQ(m.workers.size(), 1u);
+  EXPECT_EQ(m.workers[0].cold_builds, 3u);
+  EXPECT_EQ(m.workers[0].reused, 0u);
+}
+
+TEST(Farm, ShapeChangeForcesColdRebuild) {
   // One worker runs pinned, narrow-bus, pinned, pinned: neither the shape
   // change nor a job of the same shape before it moves a pinned job.
   farm::FarmOptions opts;
