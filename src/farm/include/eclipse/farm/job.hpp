@@ -196,6 +196,8 @@ using JobKeyHook = std::function<bool(const std::string& key, const std::string&
 ///   hang_ms=X hang_attempts=N   host-side worker-hang injection
 ///   config:KEY=VALUE       instance parameter
 /// Any other key goes to `hook`; one it does not consume is an error.
+/// Every number is a whole token under sim::parseNumber: `32x`, `2.9` for
+/// an integer key and `-1` for an unsigned one are bad values.
 ///
 /// Returns the job; std::nullopt with `err` empty for a blank or `#` line;
 /// std::nullopt with `err` set for a malformed one.

@@ -1,7 +1,9 @@
 #include "eclipse/farm/job.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
+#include "eclipse/sim/config.hpp"
 #include "eclipse/sim/prng.hpp"
 
 namespace eclipse::farm {
@@ -27,6 +29,15 @@ sim::FaultSpec stormSpec(std::uint64_t seed, sim::FaultKind kind) {
     spec.xor_mask = static_cast<std::uint8_t>(1 + rng.below(255));
   }
   return spec;
+}
+
+/// Reads a job key's number as a whole token (sim::parseNumber); a bad one
+/// throws, which parseJob reports as a bad value for the key.
+template <typename T>
+void readNumber(std::string_view val, T& out) {
+  const std::optional<T> v = sim::parseNumber<T>(val);
+  if (!v) throw std::invalid_argument("not a number");
+  out = *v;
 }
 
 }  // namespace
@@ -71,25 +82,25 @@ std::optional<Job> parseJob(const std::string& line, std::string& err, const Job
         }
         if (kinds.empty()) return fail("empty kind list");
       } else if (key == "width") {
-        wd.width = std::stoi(val);
+        readNumber(val, wd.width);
       } else if (key == "height") {
-        wd.height = std::stoi(val);
+        readNumber(val, wd.height);
       } else if (key == "frames") {
-        wd.frames = std::stoi(val);
+        readNumber(val, wd.frames);
       } else if (key == "seed") {
-        wd.seed = std::stoull(val);
+        readNumber(val, wd.seed);
       } else if (key == "qscale") {
-        wd.qscale = std::stoi(val);
+        readNumber(val, wd.qscale);
       } else if (key == "gop") {
         const auto comma = val.find(',');
-        wd.gop_n = std::stoi(val.substr(0, comma));
-        if (comma != std::string::npos) wd.gop_m = std::stoi(val.substr(comma + 1));
+        readNumber(val.substr(0, comma), wd.gop_n);
+        if (comma != std::string::npos) readNumber(val.substr(comma + 1), wd.gop_m);
       } else if (key == "detail") {
-        wd.detail = std::stoi(val);
+        readNumber(val, wd.detail);
       } else if (key == "motion") {
-        wd.motion_speed = std::stoi(val);
+        readNumber(val, wd.motion_speed);
       } else if (key == "noise") {
-        wd.noise_level = std::stod(val);
+        readNumber(val, wd.noise_level);
       } else if (key == "priority") {
         if (val == "high") {
           job.priority = Priority::High;
@@ -101,28 +112,28 @@ std::optional<Job> parseJob(const std::string& line, std::string& err, const Job
           return fail("unknown priority: " + val);
         }
       } else if (key == "max_cycles") {
-        job.max_cycles = std::stoull(val);
+        readNumber(val, job.max_cycles);
       } else if (key == "verify") {
         job.verify = val != "0" && val != "false";
       } else if (key == "retries") {
-        job.retry.max_attempts = std::stoi(val);
+        readNumber(val, job.retry.max_attempts);
       } else if (key == "backoff_ms") {
-        job.retry.backoff_ms = std::stod(val);
+        readNumber(val, job.retry.backoff_ms);
       } else if (key == "deadline") {
-        job.deadline = std::stoull(val);
+        readNumber(val, job.deadline);
       } else if (key == "supervise_ms") {
-        job.supervise_ms = std::stod(val);
+        readNumber(val, job.supervise_ms);
       } else if (key == "storm") {
         if (val != "hang" && val != "corrupt") return fail("unknown storm: " + val);
         storm = val;
       } else if (key == "storm_seed") {
-        storm_seed = std::stoull(val);
+        readNumber(val, storm_seed);
       } else if (key == "watchdog") {
-        job.watchdog_timeout = std::stoull(val);
+        readNumber(val, job.watchdog_timeout);
       } else if (key == "hang_ms") {
-        job.chaos.hang_ms = std::stod(val);
+        readNumber(val, job.chaos.hang_ms);
       } else if (key == "hang_attempts") {
-        job.chaos.attempts = std::stoi(val);
+        readNumber(val, job.chaos.attempts);
       } else if (key.rfind("config:", 0) == 0) {
         job.config.set(key.substr(7), val);
       } else if (!hook || !hook(key, val)) {

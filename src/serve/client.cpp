@@ -7,7 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+
+#include "eclipse/sim/config.hpp"
 
 namespace eclipse::serve {
 
@@ -30,44 +34,40 @@ void Client::connect(const std::string& host, std::uint16_t port, const std::str
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-  if (::send(fd_, kMagic, sizeof kMagic, MSG_NOSIGNAL) != sizeof kMagic) {
+  try {
+    sendLine("HELLO " + tenant);
+    const std::string reply = readReply();
+    if (reply != "OK hello " + tenant) throw ProtocolError("unexpected reply to HELLO: " + reply);
+  } catch (const ProtocolError&) {
     close();
-    throw std::runtime_error("client: handshake write failed");
+    throw;
   }
-  ByteWriter w;
-  w.putStr(tenant);
-  if (!sendFrame(fd_, FrameType::Hello, w.bytes())) {
-    close();
-    throw std::runtime_error("client: hello write failed");
-  }
-  const Frame f = readUntil({FrameType::HelloOk});
-  (void)f;
 }
 
 Client::Submitted Client::submit(const std::string& spec) {
+  if (spec.find_first_of("\r\n") != std::string::npos)
+    throw ProtocolError("job line contains a line break");
   Submitted s;
   s.req_id = next_req_id_++;
-  ByteWriter w;
-  w.putU64(s.req_id);
-  w.putStr(spec);
-  if (!sendFrame(fd_, FrameType::Submit, w.bytes()))
-    throw ProtocolError("submit write failed");
+  const std::string id = std::to_string(s.req_id);
+  sendLine("SUBMIT " + id + " " + spec);
 
-  // The reply for *this* id: results (even for this id, under extreme
-  // server speed) and replies never reorder within a type, but a Result
-  // may legally precede the Accepted — buffer and keep reading.
-  const Frame f = readUntil({FrameType::Accepted, FrameType::Rejected});
-  ByteReader rd(f.payload);
-  const std::uint64_t id = rd.getU64();
-  if (id != s.req_id) throw ProtocolError("reply for unexpected req_id");
-  if (f.type == FrameType::Accepted) {
+  // The reply for *this* id. A RESULT may legally precede it (even this
+  // id's, under extreme server speed): readReply buffers those.
+  const std::string reply = readReply();
+  if (reply == "OK accepted " + id) {
     s.accepted = true;
     outstanding_[s.req_id] = true;
-  } else {
-    s.accepted = false;
-    s.reason = static_cast<RejectReason>(rd.getU8());
-    s.detail = rd.getStr();
+    return s;
   }
+  const std::string err = "ERR " + id + " ";
+  if (reply.rfind(err, 0) != 0) throw ProtocolError("unexpected reply to SUBMIT: " + reply);
+  const std::string_view rest = std::string_view(reply).substr(err.size());
+  const std::size_t sp = rest.find(' ');
+  const std::optional<RejectReason> reason = rejectReasonFromName(rest.substr(0, sp));
+  if (!reason) throw ProtocolError("unknown reject reason: " + reply);
+  s.reason = *reason;
+  if (sp != std::string_view::npos) s.detail = rest.substr(sp + 1);
   return s;
 }
 
@@ -80,7 +80,8 @@ WireResult Client::await(std::uint64_t req_id) {
       outstanding_.erase(req_id);
       return r;
     }
-    bufferResult(readUntil({FrameType::Result}));
+    const std::string line = readLine();
+    if (!bufferIfResult(line)) throw ProtocolError("unexpected line while awaiting: " + line);
   }
 }
 
@@ -93,50 +94,73 @@ std::vector<WireResult> Client::awaitAll() {
 }
 
 std::string Client::metricsText() {
-  if (!sendFrame(fd_, FrameType::Metrics, {})) throw ProtocolError("metrics write failed");
-  const Frame f = readUntil({FrameType::MetricsText});
-  ByteReader rd(f.payload);
-  return rd.getStr();
+  sendLine("GET /metrics");
+  // The server writes the whole block at once, so no RESULT lands inside it.
+  std::string text;
+  for (std::string line = readReply(); line != "."; line = readLine()) text += line + "\n";
+  return text;
 }
 
 void Client::ping() {
-  if (!sendFrame(fd_, FrameType::Ping, {})) throw ProtocolError("ping write failed");
-  (void)readUntil({FrameType::Pong});
+  sendLine("PING");
+  const std::string reply = readReply();
+  if (reply != "PONG") throw ProtocolError("unexpected reply to PING: " + reply);
 }
 
 void Client::close() {
   if (fd_ < 0) return;
   // Best-effort goodbye; the server also handles plain EOF.
-  sendFrame(fd_, FrameType::Quit, {});
+  const std::string quit = "QUIT\n";
+  sendAll(fd_, quit.data(), quit.size());
   ::close(fd_);
   fd_ = -1;
+  inbuf_.clear();
 }
 
-Frame Client::readUntil(std::initializer_list<FrameType> want) {
+void Client::sendLine(const std::string& line) {
+  const std::string out = line + "\n";
+  if (!sendAll(fd_, out.data(), out.size())) throw ProtocolError("write failed: " + line);
+}
+
+std::string Client::readLine() {
   for (;;) {
-    Frame f;
-    if (!recvFrame(fd_, f)) throw ProtocolError("server closed the connection");
-    for (FrameType t : want) {
-      if (f.type == t) return f;
+    const std::size_t nl = inbuf_.find('\n');
+    if (nl != std::string::npos) {
+      std::string line = inbuf_.substr(0, nl);
+      inbuf_.erase(0, nl + 1);
+      return line;
     }
-    if (f.type == FrameType::Result) {
-      bufferResult(f);
-      continue;
-    }
-    if (f.type == FrameType::Error) {
-      ByteReader rd(f.payload);
-      throw ProtocolError("server error: " + rd.getStr());
-    }
-    throw ProtocolError("unexpected frame while waiting");
+    if (inbuf_.size() > kMaxLineBytes) throw ProtocolError("oversized line");
+    char chunk[4096];
+    ssize_t k;
+    do {
+      k = ::recv(fd_, chunk, sizeof chunk, 0);
+    } while (k < 0 && errno == EINTR);
+    if (k <= 0) throw ProtocolError("server closed the connection");
+    inbuf_.append(chunk, static_cast<std::size_t>(k));
   }
 }
 
-void Client::bufferResult(const Frame& f) {
-  ByteReader rd(f.payload);
-  const std::uint64_t id = rd.getU64();
-  WireResult r = decodeResult(rd);
-  r.req_id = id;
-  results_.emplace(id, std::move(r));
+std::string Client::readReply() {
+  for (;;) {
+    std::string line = readLine();
+    if (bufferIfResult(line)) continue;
+    if (line.rfind("ERR 0 ", 0) == 0) throw ProtocolError("server error: " + line.substr(6));
+    return line;
+  }
+}
+
+bool Client::bufferIfResult(const std::string& line) {
+  static constexpr std::string_view kResult = "RESULT ";
+  if (line.rfind(kResult, 0) != 0) return false;
+  const std::string_view rest = std::string_view(line).substr(kResult.size());
+  const std::size_t sp = rest.find(' ');
+  const std::optional<std::uint64_t> id = sim::parseNumber<std::uint64_t>(rest.substr(0, sp));
+  if (!id || sp == std::string_view::npos) throw ProtocolError("bad RESULT line: " + line);
+  WireResult r = parseResultLine(rest.substr(sp + 1));
+  r.req_id = *id;
+  results_.insert_or_assign(*id, std::move(r));
+  return true;
 }
 
 }  // namespace eclipse::serve

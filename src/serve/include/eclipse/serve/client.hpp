@@ -9,13 +9,14 @@
 
 namespace eclipse::serve {
 
-/// Blocking binary-protocol client (the canonical consumer; the text mode
-/// is for humans with nc). Single-threaded: results stream back on the
-/// same socket, so every receive path buffers Result frames that arrive
-/// while it waits for something else — submit() can be called open-loop
-/// and await()/awaitAll() collect results in any order.
+/// Blocking client for the line protocol (protocol.hpp). Single-threaded:
+/// results stream back on the same socket, so every receive path buffers
+/// RESULT lines that arrive while it waits for something else — submit()
+/// can be called open-loop and await()/awaitAll() collect results in any
+/// order.
 ///
-/// Throws ProtocolError on a torn stream and std::runtime_error on
+/// Throws ProtocolError on a torn stream or an unexpected line (an
+/// `ERR 0 ...` from the server included) and std::runtime_error on
 /// connect/handshake failure. Not thread-safe.
 class Client {
  public:
@@ -25,7 +26,7 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Connects, sends the "ECL1" magic and a Hello for `tenant`.
+  /// Connects and says HELLO as `tenant` (a single token).
   void connect(const std::string& host, std::uint16_t port, const std::string& tenant);
 
   struct Submitted {
@@ -35,8 +36,8 @@ class Client {
     std::string detail;
   };
 
-  /// Submits a job line (grammar: farm::parseJob) and waits for the
-  /// Accepted/Rejected reply. req_ids are assigned 1, 2, ...
+  /// Submits a job line (grammar: farm::parseJob; no newline) and waits
+  /// for its `OK accepted` or `ERR` reply. req_ids are assigned 1, 2, ...
   Submitted submit(const std::string& spec);
 
   /// Blocks until the result for `req_id` arrives (earlier-arriving other
@@ -51,7 +52,7 @@ class Client {
 
   void ping();
 
-  /// Polite goodbye (Quit/Bye) + socket close. Safe to call twice.
+  /// Polite goodbye (QUIT) + socket close. Safe to call twice.
   void close();
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
@@ -59,11 +60,16 @@ class Client {
   [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
 
  private:
-  /// Reads frames until one of `want` arrives, buffering Result frames.
-  Frame readUntil(std::initializer_list<FrameType> want);
-  void bufferResult(const Frame& f);
+  void sendLine(const std::string& line);
+  /// The next line from the server, without its newline.
+  std::string readLine();
+  /// The next line that is not a RESULT (those are buffered for await()).
+  std::string readReply();
+  /// Buffers `line` when it is a RESULT line; false for any other line.
+  bool bufferIfResult(const std::string& line);
 
   int fd_ = -1;
+  std::string inbuf_;  ///< received bytes not yet returned as lines
   std::uint64_t next_req_id_ = 1;
   std::map<std::uint64_t, WireResult> results_;  ///< arrived, not yet awaited
   std::map<std::uint64_t, bool> outstanding_;    ///< accepted, result not seen

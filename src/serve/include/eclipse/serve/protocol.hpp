@@ -1,50 +1,34 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "eclipse/farm/job.hpp"
 
 namespace eclipse::serve {
 
-/// eclipse_serve wire protocol (DESIGN §15).
+/// eclipse_serve wire protocol (DESIGN §15): newline-terminated text lines
+/// in both directions, so nc and curl speak it as well as serve::Client.
 ///
-/// A client that opens with the 4-byte magic "ECL1" speaks the binary
-/// protocol: a stream of frames, each
+///     client                      server
+///     HELLO <tenant>              OK hello <tenant>
+///     SUBMIT <id> <job line>      OK accepted <id>  or  ERR <id> <reason> <detail>
+///                                 ... later: RESULT <id> <formatResultLine>
+///     GET /metrics                the exposition text, then a "." line
+///     PING                        PONG
+///     QUIT                        BYE
 ///
-///     [u32 LE payload length][u8 frame type][payload bytes]
-///
-/// in both directions (the length counts the payload only, not the type
-/// byte). Anything else on the first four bytes selects the line-oriented
-/// text protocol (nc-friendly; see Server). All integers are little-endian;
-/// strings are length-prefixed (u32) byte runs; doubles travel as the
-/// bit-cast u64.
-inline constexpr char kMagic[4] = {'E', 'C', 'L', '1'};
+/// A line the server cannot act on gets `ERR 0 bad-command <detail>`; a
+/// connection over the server's cap gets `ERR 0 too-many-connections` and
+/// is closed.
 
-/// Payloads are small (specs, metrics text, result blobs); anything larger
-/// than this is a corrupt or hostile frame and the connection is dropped.
-inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
-
-enum class FrameType : std::uint8_t {
-  // client -> server
-  Hello = 1,    ///< str tenant
-  Submit = 2,   ///< u64 req_id, str spec (farm::parseJob grammar)
-  Metrics = 3,  ///< (empty)
-  Ping = 4,     ///< (empty)
-  Quit = 5,     ///< (empty)
-  // server -> client
-  HelloOk = 32,      ///< str banner
-  Accepted = 33,     ///< u64 req_id
-  Rejected = 34,     ///< u64 req_id, u8 RejectReason, str detail
-  Result = 35,       ///< u64 req_id, WireResult blob
-  MetricsText = 36,  ///< str text (the /metrics exposition)
-  Pong = 37,         ///< (empty)
-  Bye = 38,          ///< (empty)
-  Error = 39,        ///< str message (protocol violation; connection closes)
-};
+/// Longest line either side buffers; a peer that sends more without a
+/// newline is corrupt or hostile and its connection is dropped.
+inline constexpr std::size_t kMaxLineBytes = 1u << 20;
 
 enum class RejectReason : std::uint8_t {
   BadSpec = 1,
@@ -69,88 +53,13 @@ enum class RejectReason : std::uint8_t {
   return "?";
 }
 
-/// Malformed frame / short read past the framing layer. The connection
-/// that raised it is unrecoverable and gets closed.
+/// Inverse of rejectReasonName; std::nullopt for any other word.
+[[nodiscard]] std::optional<RejectReason> rejectReasonFromName(std::string_view name);
+
+/// A malformed or unexpected line. The connection that raised it is
+/// unrecoverable and gets closed.
 struct ProtocolError : std::runtime_error {
   using std::runtime_error::runtime_error;
-};
-
-/// Append-only little-endian encoder for frame payloads.
-class ByteWriter {
- public:
-  void putU8(std::uint8_t v) { buf_.push_back(v); }
-  void putU32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void putU64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void putF64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(bits);
-  }
-  void putStr(const std::string& s) {
-    putU32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian decoder; throws ProtocolError on underrun.
-class ByteReader {
- public:
-  ByteReader(const std::uint8_t* data, std::size_t size) : p_(data), end_(data + size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& v) : ByteReader(v.data(), v.size()) {}
-
-  [[nodiscard]] std::uint8_t getU8() {
-    need(1);
-    return *p_++;
-  }
-  [[nodiscard]] std::uint32_t getU32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(*p_++) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t getU64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(*p_++) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] double getF64() {
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  [[nodiscard]] std::string getStr() {
-    const std::uint32_t n = getU32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(p_), n);
-    p_ += n;
-    return s;
-  }
-  [[nodiscard]] bool empty() const { return p_ == end_; }
-
- private:
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end_ - p_) < n) throw ProtocolError("frame underrun");
-  }
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-};
-
-/// One framed message, decoded.
-struct Frame {
-  FrameType type{};
-  std::vector<std::uint8_t> payload;
 };
 
 /// The result as it travels back to the client: the farm's JobResult
@@ -187,23 +96,26 @@ struct WireResult {
 [[nodiscard]] WireResult makeWireResult(std::uint64_t req_id, const farm::JobResult& r,
                                         double queue_ms, double serve_ms, bool promoted);
 
-/// Result blob codec (the Result frame payload after the req_id).
-void encodeResult(ByteWriter& w, const WireResult& r);
-[[nodiscard]] WireResult decodeResult(ByteReader& r);
-
-/// Renders a WireResult as the text-mode RESULT line's key=value tail
-/// (also what serve_client prints per result).
+/// The RESULT line's tail after the id: every WireResult field but req_id
+/// as `key=value`, in this order:
+///
+///     name tenant status cause cycles events mbs bit_exact psnr faults
+///     stalls frames_dropped mode_switches quiescence attempts promoted
+///     wall_ms latency_ms queue_ms serve_ms error
+///
+/// Doubles are written at shortest round-trip precision (`inf` and `nan`
+/// included), flags as 0/1, status and cause by name. `error` comes last
+/// and takes the rest of the line; a newline in it is sent as a space.
+/// name, tenant and quiescence are single tokens (the job grammar and
+/// HELLO guarantee it). Also what serve_client prints per result.
 [[nodiscard]] std::string formatResultLine(const WireResult& r);
 
-/// Blocking socket I/O for frames. sendFrame returns false on a broken
-/// connection (EPIPE etc.; never raises SIGPIPE). recvFrame returns false
-/// on clean EOF at a frame boundary and throws ProtocolError on a torn
-/// frame or an oversized payload.
-bool sendFrame(int fd, FrameType type, const std::vector<std::uint8_t>& payload);
-bool recvFrame(int fd, Frame& out);
+/// Inverse of formatResultLine (req_id is left 0). Throws ProtocolError
+/// on a missing or reordered key and on a value that does not parse.
+[[nodiscard]] WireResult parseResultLine(std::string_view line);
 
-/// Exact-count recv helper: false on EOF before the first byte, throws
-/// ProtocolError on EOF mid-read.
-bool recvExact(int fd, void* buf, std::size_t n);
+/// Writes all `n` bytes to the socket; false when the peer is gone (EPIPE
+/// and the like, never raising SIGPIPE).
+bool sendAll(int fd, const void* data, std::size_t n);
 
 }  // namespace eclipse::serve

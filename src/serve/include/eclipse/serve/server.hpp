@@ -27,8 +27,8 @@ struct ServeOptions {
   /// Kernel accept backlog; beyond it the kernel refuses connections —
   /// the explicit bound on un-accepted connection pressure.
   int accept_backlog = 16;
-  /// Accepted-connection bound: beyond it a fresh connection is told
-  /// TooManyConnections and closed.
+  /// Accepted-connection bound: beyond it a fresh connection is sent
+  /// `ERR 0 too-many-connections` and closed.
   int max_connections = 64;
 };
 
@@ -38,10 +38,10 @@ struct ReloadConfig {
   int workers = 0;                    ///< > 0: resize the farm worker pool
 };
 
-/// The serving tier: a TCP front-end (binary frames or a line-oriented
-/// text mode — see protocol.hpp) over Dispatcher over Farm. One reader
-/// thread per connection; results stream back asynchronously from farm
-/// threads under a per-connection write lock (DESIGN §15).
+/// The serving tier: a TCP front-end speaking the line protocol of
+/// protocol.hpp over Dispatcher over Farm. One reader thread per
+/// connection; results stream back asynchronously from farm threads under
+/// a per-connection write lock (DESIGN §15).
 class Server {
  public:
   explicit Server(ServeOptions options);
@@ -71,7 +71,7 @@ class Server {
   /// QoS configs and resizes the farm worker pool.
   void reload(const ReloadConfig& cfg);
 
-  /// The /metrics exposition (same text the METRICS request returns).
+  /// The /metrics exposition (same text `GET /metrics` returns).
   [[nodiscard]] std::string metricsText() const;
 
   [[nodiscard]] farm::Farm& farm() { return farm_; }
@@ -89,10 +89,10 @@ class Server {
 
   void acceptLoop();
   void connLoop(std::shared_ptr<Conn> conn);
-  void serveBinary(const std::shared_ptr<Conn>& conn);
-  void serveText(const std::shared_ptr<Conn>& conn, std::string carry);
-  /// Parses + admits one submission; sends Accepted/Rejected and, later,
-  /// the Result (binary frame or text line depending on the conn mode).
+  /// Reads and answers request lines until QUIT, EOF or an overlong line.
+  void serveLines(const std::shared_ptr<Conn>& conn);
+  /// Parses + admits one submission; sends `OK accepted` or `ERR` and,
+  /// later, the RESULT line.
   void handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_id,
                     const std::string& spec);
 

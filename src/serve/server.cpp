@@ -7,12 +7,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "eclipse/serve/metrics_text.hpp"
 #include "eclipse/serve/protocol.hpp"
+#include "eclipse/sim/config.hpp"
 
 namespace eclipse::serve {
 
@@ -23,7 +24,6 @@ namespace eclipse::serve {
 /// drain flushes every result before teardown can close anything.
 struct Server::Conn {
   int fd = -1;
-  bool binary = false;
   std::string tenant = "default";
 
   std::mutex write_mu;
@@ -36,41 +36,18 @@ struct Server::Conn {
   }
 
   /// Sends raw bytes; false when the peer is gone (writes become no-ops).
-  bool sendRaw(const void* data, std::size_t n) {
+  bool sendRaw(const std::string& bytes) {
     std::lock_guard<std::mutex> lk(write_mu);
-    return sendRawLocked(data, n);
+    return sendRawLocked(bytes);
   }
-  bool sendRawLocked(const void* data, std::size_t n) {
+  bool sendRawLocked(const std::string& bytes) {
     if (fd < 0 || write_dead) return false;
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t k = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
-      if (k < 0) {
-        if (errno == EINTR) continue;
-        write_dead = true;
-        ::shutdown(fd, SHUT_RDWR);  // wake the reader; the conn is over
-        return false;
-      }
-      sent += static_cast<std::size_t>(k);
-    }
-    return true;
+    if (sendAll(fd, bytes.data(), bytes.size())) return true;
+    write_dead = true;
+    ::shutdown(fd, SHUT_RDWR);  // wake the reader; the conn is over
+    return false;
   }
-  bool sendFrameLocked(FrameType type, const std::vector<std::uint8_t>& payload) {
-    ByteWriter head;
-    head.putU32(static_cast<std::uint32_t>(payload.size()));
-    head.putU8(static_cast<std::uint8_t>(type));
-    if (!sendRawLocked(head.bytes().data(), head.bytes().size())) return false;
-    return payload.empty() || sendRawLocked(payload.data(), payload.size());
-  }
-  bool sendFrame(FrameType type, const std::vector<std::uint8_t>& payload) {
-    std::lock_guard<std::mutex> lk(write_mu);
-    return sendFrameLocked(type, payload);
-  }
-  bool sendLine(const std::string& line) {
-    const std::string out = line + "\n";
-    return sendRaw(out.data(), out.size());
-  }
+  bool sendLine(const std::string& line) { return sendRaw(line + "\n"); }
 
   void closeIfDoneLocked() {
     if (fd >= 0 && read_done && outstanding == 0) {
@@ -201,7 +178,7 @@ void Server::acceptLoop() {
       std::erase_if(conns_, [](const std::shared_ptr<Conn>& c) { return !c->live(); });
       if (static_cast<int>(conns_.size()) >= opts_.max_connections) {
         const std::string msg = "ERR 0 too-many-connections\n";
-        ::send(cfd, msg.data(), msg.size(), MSG_NOSIGNAL);
+        sendAll(cfd, msg.data(), msg.size());
         ::close(cfd);
         conn->fd = -1;  // the Conn destructor must not re-close
         continue;
@@ -213,82 +190,14 @@ void Server::acceptLoop() {
 }
 
 void Server::connLoop(std::shared_ptr<Conn> conn) {
-  char magic[4];
-  bool ok = false;
-  try {
-    ok = recvExact(conn->fd, magic, sizeof magic);
-  } catch (const ProtocolError&) {
-    ok = false;
-  }
-  if (ok) {
-    if (std::memcmp(magic, kMagic, sizeof magic) == 0) {
-      conn->binary = true;
-      serveBinary(conn);
-    } else {
-      serveText(conn, std::string(magic, sizeof magic));
-    }
-  }
+  serveLines(conn);
   std::lock_guard<std::mutex> lk(conn->write_mu);
   conn->read_done = true;
   conn->closeIfDoneLocked();
 }
 
-void Server::serveBinary(const std::shared_ptr<Conn>& conn) {
-  for (;;) {
-    Frame f;
-    try {
-      if (!recvFrame(conn->fd, f)) return;  // clean EOF
-    } catch (const ProtocolError& e) {
-      ByteWriter w;
-      w.putStr(e.what());
-      conn->sendFrame(FrameType::Error, w.bytes());
-      return;
-    }
-    try {
-      ByteReader rd(f.payload);
-      switch (f.type) {
-        case FrameType::Hello: {
-          conn->tenant = rd.getStr();
-          ByteWriter w;
-          w.putStr("eclipse-serve/1 tenant=" + conn->tenant);
-          conn->sendFrame(FrameType::HelloOk, w.bytes());
-          break;
-        }
-        case FrameType::Submit: {
-          const std::uint64_t req_id = rd.getU64();
-          handleSubmit(conn, req_id, rd.getStr());
-          break;
-        }
-        case FrameType::Metrics: {
-          ByteWriter w;
-          w.putStr(metricsText());
-          conn->sendFrame(FrameType::MetricsText, w.bytes());
-          break;
-        }
-        case FrameType::Ping:
-          conn->sendFrame(FrameType::Pong, {});
-          break;
-        case FrameType::Quit:
-          conn->sendFrame(FrameType::Bye, {});
-          return;
-        default: {
-          ByteWriter w;
-          w.putStr("unexpected frame type");
-          conn->sendFrame(FrameType::Error, w.bytes());
-          return;
-        }
-      }
-    } catch (const ProtocolError& e) {
-      ByteWriter w;
-      w.putStr(e.what());
-      conn->sendFrame(FrameType::Error, w.bytes());
-      return;
-    }
-  }
-}
-
-void Server::serveText(const std::shared_ptr<Conn>& conn, std::string carry) {
-  std::string buf = std::move(carry);
+void Server::serveLines(const std::shared_ptr<Conn>& conn) {
+  std::string buf;
   char chunk[4096];
   for (;;) {
     // Drain complete lines already buffered before reading more.
@@ -314,27 +223,22 @@ void Server::serveText(const std::shared_ptr<Conn>& conn, std::string carry) {
           conn->sendLine("ERR 0 bad-command SUBMIT needs an id");
           continue;
         }
-        std::uint64_t req_id = 0;
-        try {
-          req_id = std::stoull(id_str);
-        } catch (const std::exception&) {
+        const std::optional<std::uint64_t> req_id = sim::parseNumber<std::uint64_t>(id_str);
+        if (!req_id) {
           conn->sendLine("ERR 0 bad-command bad submit id: " + id_str);
           continue;
         }
         std::string spec;
         std::getline(is, spec);
-        handleSubmit(conn, req_id, spec);
-      } else if (cmd == "METRICS" || cmd == "GET") {
-        // `GET /metrics` is accepted as a curl-friendly alias; any other
-        // GET path is a bad command.
+        handleSubmit(conn, *req_id, spec);
+      } else if (cmd == "GET") {
         std::string path;
-        if (cmd == "GET" && (!(is >> path) || path != "/metrics")) {
+        if (!(is >> path) || path != "/metrics") {
           conn->sendLine("ERR 0 bad-command GET " + path);
           continue;
         }
         // One write: the text plus the "." terminator line.
-        const std::string text = metricsText() + ".\n";
-        conn->sendRaw(text.data(), text.size());
+        conn->sendRaw(metricsText() + ".\n");
       } else if (cmd == "PING") {
         conn->sendLine("PONG");
       } else if (cmd == "QUIT") {
@@ -344,7 +248,7 @@ void Server::serveText(const std::shared_ptr<Conn>& conn, std::string carry) {
         conn->sendLine("ERR 0 bad-command " + cmd);
       }
     }
-    if (buf.size() > kMaxFramePayload) return;  // unbounded garbage line
+    if (buf.size() > kMaxLineBytes) return;  // unbounded garbage line
     ssize_t k;
     do {
       k = ::recv(conn->fd, chunk, sizeof chunk, 0);
@@ -357,16 +261,8 @@ void Server::serveText(const std::shared_ptr<Conn>& conn, std::string carry) {
 void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_id,
                           const std::string& spec) {
   auto reject = [&](RejectReason why, const std::string& detail) {
-    if (conn->binary) {
-      ByteWriter w;
-      w.putU64(req_id);
-      w.putU8(static_cast<std::uint8_t>(why));
-      w.putStr(detail);
-      conn->sendFrame(FrameType::Rejected, w.bytes());
-    } else {
-      conn->sendLine("ERR " + std::to_string(req_id) + " " + rejectReasonName(why) +
-                     (detail.empty() ? "" : " " + detail));
-    }
+    conn->sendLine("ERR " + std::to_string(req_id) + " " + rejectReasonName(why) +
+                   (detail.empty() ? "" : " " + detail));
   };
 
   // deadline_ms is the one serve-level key: it drives lane promotion in
@@ -375,7 +271,8 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
   std::string err;
   auto deadlineKey = [&deadline_ms](const std::string& key, const std::string& val) {
     if (key != "deadline_ms") return false;
-    deadline_ms = std::stod(val);
+    deadline_ms = sim::parseNumber<double>(val).value();  // a bad value throws
+    if (!std::isfinite(deadline_ms)) throw std::invalid_argument("deadline_ms not finite");
     return true;
   };
   std::optional<farm::Job> job = farm::parseJob(spec, err, {}, deadlineKey);
@@ -399,14 +296,7 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
   auto ackLocked = [conn, req_id, acked] {
     if (*acked) return;
     *acked = true;
-    if (conn->binary) {
-      ByteWriter w;
-      w.putU64(req_id);
-      conn->sendFrameLocked(FrameType::Accepted, w.bytes());
-    } else {
-      const std::string line = "OK accepted " + std::to_string(req_id) + "\n";
-      conn->sendRawLocked(line.data(), line.size());
-    }
+    conn->sendRawLocked("OK accepted " + std::to_string(req_id) + "\n");
   };
   auto on_result = [this, conn, req_id, ackLocked](const farm::JobResult& r,
                                                     const DispatchInfo& di) {
@@ -415,16 +305,8 @@ void Server::handleSubmit(const std::shared_ptr<Conn>& conn, std::uint64_t req_i
     {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       ackLocked();
-      if (conn->binary) {
-        ByteWriter w;
-        w.putU64(req_id);
-        encodeResult(w, wr);
-        written = conn->sendFrameLocked(FrameType::Result, w.bytes());
-      } else {
-        const std::string line =
-            "RESULT " + std::to_string(req_id) + " " + formatResultLine(wr) + "\n";
-        written = conn->sendRawLocked(line.data(), line.size());
-      }
+      written = conn->sendRawLocked("RESULT " + std::to_string(req_id) + " " +
+                                    formatResultLine(wr) + "\n");
       --conn->outstanding;
       conn->closeIfDoneLocked();
     }

@@ -1,7 +1,6 @@
 #include "eclipse/sim/config.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -86,26 +85,17 @@ std::string Config::getString(const std::string& key, std::string fallback) cons
 std::int64_t Config::getInt(const std::string& key, std::int64_t fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const std::string& s = it->second;
-  std::int64_t out = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("config: key '" + key + "' is not an integer: " + s);
-  }
-  return out;
+  const std::optional<std::int64_t> out = parseNumber<std::int64_t>(it->second);
+  if (!out) throw std::runtime_error("config: key '" + key + "' is not an integer: " + it->second);
+  return *out;
 }
 
 double Config::getDouble(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t consumed = 0;
-    double out = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw std::runtime_error("config: key '" + key + "' is not a number: " + it->second);
-  }
+  const std::optional<double> out = parseNumber<double>(it->second);
+  if (!out) throw std::runtime_error("config: key '" + key + "' is not a number: " + it->second);
+  return *out;
 }
 
 bool Config::getBool(const std::string& key, bool fallback) const {

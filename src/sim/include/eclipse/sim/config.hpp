@@ -1,5 +1,6 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -8,6 +9,19 @@
 #include <vector>
 
 namespace eclipse::sim {
+
+/// Reads all of `text` as a T (an integer or floating-point type) with
+/// std::from_chars: no leading blank or '+', no trailing characters, no
+/// fraction for an integer T and no minus sign for an unsigned one.
+/// std::nullopt otherwise. The one number rule of setup files, job lines
+/// and the serving wire.
+template <typename T>
+[[nodiscard]] std::optional<T> parseNumber(std::string_view text) {
+  T out{};
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) return std::nullopt;
+  return out;
+}
 
 /// Architectural setup file, as used for design-space exploration.
 ///

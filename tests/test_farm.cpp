@@ -586,6 +586,12 @@ TEST(FarmJobLine, RejectsMalformedSpecs) {
   EXPECT_FALSE(farm::parseJob("j nosuchkey=1", err));
   EXPECT_FALSE(farm::parseJob("j shards=2", err));
   EXPECT_FALSE(err.empty());
+  // Numbers are whole tokens: no trailing text, no fraction for an
+  // integer key, no minus sign wrapped into an unsigned one.
+  for (const char* line : {"j width=32x", "j frames=2.9", "j seed=-1", "j max_cycles=-5"}) {
+    EXPECT_FALSE(farm::parseJob(line, err)) << line;
+    EXPECT_EQ(err.rfind("bad value for ", 0), 0u) << line << ": " << err;
+  }
 }
 
 TEST(FarmJobLine, DefaultSpecIsThePinnedDecode) {

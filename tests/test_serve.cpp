@@ -1,10 +1,11 @@
 // eclipse_serve: the network-facing multi-tenant serving tier (DESIGN §15).
 //
 // The load-bearing properties checked here:
-//   * wire fidelity — frames and result blobs decode to exactly what was
-//     encoded, and torn streams throw instead of mis-parsing;
+//   * wire fidelity — a RESULT line parses back to exactly the result it
+//     was written from, and a torn or short line throws instead of
+//     mis-parsing;
 //   * served identity — a result that traveled admission -> QoS queue ->
-//     farm -> result frame is bit-identical in every simulated field to a
+//     farm -> RESULT line is bit-identical in every simulated field to a
 //     direct Farm::submitWait of the same job line (the pinned decode lands
 //     exactly on the suite-wide pin constants);
 //   * QoS — quotas, token buckets and DRR weights shed/pace a misbehaving
@@ -22,11 +23,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eclipse/farm/farm.hpp"
@@ -64,90 +68,136 @@ serve::ServeOptions baseOptions(int workers = 2) {
 
 // ---------------------------------------------------------------- wire --
 
-TEST(ServeProtocol, ByteCodecRoundTrips) {
-  serve::ByteWriter w;
-  w.putU8(7);
-  w.putU32(0xdeadbeefu);
-  w.putU64(0x0123456789abcdefULL);
-  w.putF64(-1234.5625);
-  w.putStr("tenant/α");
+namespace {
 
-  serve::ByteReader r(w.bytes());
-  EXPECT_EQ(r.getU8(), 7u);
-  EXPECT_EQ(r.getU32(), 0xdeadbeefu);
-  EXPECT_EQ(r.getU64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.getF64(), -1234.5625);
-  EXPECT_EQ(r.getStr(), "tenant/α");
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(ServeProtocol, UnderrunThrowsInsteadOfMisparsing) {
-  serve::ByteWriter w;
-  w.putU32(42);
-  serve::ByteReader r(w.bytes());
-  (void)r.getU8();
-  (void)r.getU8();
-  EXPECT_THROW((void)r.getU64(), serve::ProtocolError);
-
-  // A declared string length past the end of the buffer must also throw.
-  serve::ByteWriter w2;
-  w2.putU32(1000);  // str length prefix with no payload behind it
-  serve::ByteReader r2(w2.bytes());
-  EXPECT_THROW((void)r2.getStr(), serve::ProtocolError);
-}
-
-TEST(ServeProtocol, ResultBlobRoundTrips) {
-  serve::WireResult in;
-  in.req_id = 991;
-  in.name = "job-x";
-  in.tenant = "alice";
-  in.status = farm::JobStatus::Completed;
-  in.sim_cycles = pin::kDecodePinCycles;
-  in.sim_events = pin::kDecodePinEvents;
-  in.macroblocks = pin::kDecodePinMacroblocks;
-  in.bit_exact = true;
-  in.psnr_db = 37.25;
-  in.faults_latched = 2;
-  in.attempts = 3;
-  in.wall_ms = 12.5;
-  in.latency_ms = 20.25;
-  in.queue_ms = 5.75;
-  in.serve_ms = 26.0;
-  in.promoted = true;
-  in.error = "none";
-
-  serve::ByteWriter w;
-  serve::encodeResult(w, in);
-  serve::ByteReader r(w.bytes());
-  const serve::WireResult out = serve::decodeResult(r);
-
-  // req_id travels in the Result frame header, not the blob.
+/// Every field a RESULT line carries (all of WireResult but req_id).
+void expectSameResult(const serve::WireResult& out, const serve::WireResult& in) {
   EXPECT_EQ(out.name, in.name);
   EXPECT_EQ(out.tenant, in.tenant);
   EXPECT_EQ(out.status, in.status);
+  EXPECT_EQ(out.cause, in.cause);
   EXPECT_EQ(out.sim_cycles, in.sim_cycles);
   EXPECT_EQ(out.sim_events, in.sim_events);
   EXPECT_EQ(out.macroblocks, in.macroblocks);
   EXPECT_EQ(out.bit_exact, in.bit_exact);
   EXPECT_EQ(out.psnr_db, in.psnr_db);
   EXPECT_EQ(out.faults_latched, in.faults_latched);
+  EXPECT_EQ(out.stalls_latched, in.stalls_latched);
+  EXPECT_EQ(out.frames_dropped, in.frames_dropped);
+  EXPECT_EQ(out.mode_switches, in.mode_switches);
+  EXPECT_EQ(out.quiescence, in.quiescence);
   EXPECT_EQ(out.attempts, in.attempts);
   EXPECT_EQ(out.wall_ms, in.wall_ms);
+  EXPECT_EQ(out.latency_ms, in.latency_ms);
   EXPECT_EQ(out.queue_ms, in.queue_ms);
   EXPECT_EQ(out.serve_ms, in.serve_ms);
   EXPECT_EQ(out.promoted, in.promoted);
   EXPECT_EQ(out.error, in.error);
 }
 
-// A peer on the version-1 layout (which carried a `lanes` field) must be
-// refused outright rather than misparsed field by field.
+/// A result with every field off its default.
+serve::WireResult everyFieldSet() {
+  serve::WireResult r;
+  r.req_id = 991;
+  r.name = "job-x";
+  r.tenant = "alice";
+  r.status = farm::JobStatus::Incomplete;
+  r.cause = farm::JobError::Stall;
+  r.sim_cycles = pin::kDecodePinCycles;
+  r.sim_events = pin::kDecodePinEvents;
+  r.macroblocks = pin::kDecodePinMacroblocks;
+  r.bit_exact = true;
+  r.psnr_db = std::nextafter(37.25, 100.0);  // 37.250000000000007: 17 digits
+  r.faults_latched = 2;
+  r.stalls_latched = 1;
+  r.frames_dropped = 4;
+  r.mode_switches = 3;
+  r.quiescence = "starved";
+  r.attempts = 3;
+  r.wall_ms = 12.5;
+  r.latency_ms = 20.25;
+  r.queue_ms = 5.75;
+  r.serve_ms = 26.0;
+  r.promoted = true;
+  r.error = "stalled after 3 attempts: starved";
+  return r;
+}
+
+}  // namespace
+
+TEST(ServeProtocol, ResultBlobRoundTrips) {
+  const serve::WireResult in = everyFieldSet();
+  ASSERT_NE(std::stod(std::to_string(in.psnr_db)), in.psnr_db)
+      << "the psnr must need more digits than the stream default";
+  const std::string line = serve::formatResultLine(in);
+  const serve::WireResult out = serve::parseResultLine(line);
+  expectSameResult(out, in);
+  EXPECT_EQ(out.req_id, 0u) << "req_id travels after RESULT, not in the tail";
+  EXPECT_EQ(line.rfind("name=job-x tenant=alice status=incomplete cause=stall ", 0), 0u)
+      << line;
+}
+
+TEST(ServeProtocol, ByteCodecRoundTrips) {
+  serve::WireResult in;
+  in.name = "edge";
+  in.tenant = "tenant/α";
+  in.sim_cycles = UINT64_MAX;
+  in.psnr_db = std::numeric_limits<double>::infinity();  // a lossless encode
+  in.wall_ms = std::numeric_limits<double>::denorm_min();
+  in.latency_ms = -0.0;
+  const std::string line = serve::formatResultLine(in);
+  EXPECT_NE(line.find(" cycles=18446744073709551615 "), std::string::npos) << line;
+  EXPECT_NE(line.find(" psnr=inf "), std::string::npos) << line;
+  EXPECT_NE(line.find(" quiescence= "), std::string::npos) << line;
+  EXPECT_EQ(line.substr(line.size() - 7), " error=") << line;
+  const serve::WireResult out = serve::parseResultLine(line);
+  expectSameResult(out, in);
+  EXPECT_TRUE(std::signbit(out.latency_ms));
+
+  // A line break in an error must not split the RESULT line.
+  in.error = "two\nlines";
+  EXPECT_EQ(serve::parseResultLine(serve::formatResultLine(in)).error, "two lines");
+}
+
+TEST(ServeProtocol, UnderrunThrowsInsteadOfMisparsing) {
+  const std::string line = serve::formatResultLine(everyFieldSet());
+  // Cut before any key but the last: a key goes missing.
+  const std::size_t error_at = line.find(" error=");
+  ASSERT_NE(error_at, std::string::npos);
+  for (std::size_t sp = line.find(' '); sp <= error_at; sp = line.find(' ', sp + 1)) {
+    EXPECT_THROW((void)serve::parseResultLine(line.substr(0, sp)), serve::ProtocolError)
+        << line.substr(0, sp);
+  }
+  EXPECT_THROW((void)serve::parseResultLine(""), serve::ProtocolError);
+
+  // A value that is not whole, or not of its key's type, is refused.
+  auto with = [&line](const std::string& from, const std::string& to) {
+    std::string bad = line;
+    const std::size_t at = bad.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return bad.replace(at, from.size(), to);
+  };
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {" cycles=144885 ", " cycles=14x885 "},
+           {" cycles=144885 ", " cycles=144885.0 "},
+           {" events=48109 ", " events=-1 "},
+           {" bit_exact=1 ", " bit_exact=2 "},
+           {" psnr=", " psnr=high"},
+           {" status=incomplete ", " status=done "},
+           {" attempts=3 ", " attempts= "},
+       }) {
+    EXPECT_THROW((void)serve::parseResultLine(with(from, to)), serve::ProtocolError) << to;
+  }
+}
+
+// The RESULT line the server wrote before it carried every field (no
+// faults=, stalls=, frames_dropped=, ...) must be refused outright, not
+// read with the missing fields left at their defaults.
 TEST(ServeProtocol, VersionOneResultBlobIsRejected) {
-  serve::ByteWriter w;
-  serve::encodeResult(w, serve::WireResult{});
-  std::vector<std::uint8_t> blob = w.bytes();
-  blob[0] = 1;  // the layout version is the blob's first byte
-  serve::ByteReader r(blob);
-  EXPECT_THROW((void)serve::decodeResult(r), serve::ProtocolError);
+  const std::string short_line =
+      "name=pin tenant=alice status=completed cause=none cycles=144885 events=48109 mbs=150 "
+      "bit_exact=1 psnr=0 attempts=1 promoted=0 queue_ms=0.5 serve_ms=30.25";
+  EXPECT_THROW((void)serve::parseResultLine(short_line), serve::ProtocolError);
 }
 
 // -------------------------------------------------------------- tenant --
@@ -371,7 +421,8 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
     std::uint64_t cycles, events, mbs;
     bool bit_exact;
     double psnr;
-    std::uint64_t faults, stalls;
+    std::uint64_t faults, stalls, frames_dropped, mode_switches;
+    std::string quiescence;
   };
   std::vector<Fields> oracle;
   {
@@ -386,7 +437,8 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
       const farm::JobResult r = f.submitWait(std::move(*job)).get();
       ASSERT_EQ(r.status, farm::JobStatus::Completed) << s;
       oracle.push_back({r.sim_cycles, r.sim_events, r.macroblocks, r.bit_exact, r.psnr_db,
-                        r.faults_latched, r.stalls_latched});
+                        r.faults_latched, r.stalls_latched, r.frames_dropped, r.mode_switches,
+                        r.quiescence});
     }
   }
   ASSERT_EQ(oracle[0].cycles, pin::kDecodePinCycles);
@@ -428,6 +480,9 @@ TEST(ServeServer, ServedResultsMatchDirectOraclesBitForBit) {
     EXPECT_EQ(r.psnr_db, want.psnr) << spec;
     EXPECT_EQ(r.faults_latched, want.faults) << spec;
     EXPECT_EQ(r.stalls_latched, want.stalls) << spec;
+    EXPECT_EQ(r.frames_dropped, want.frames_dropped) << spec;
+    EXPECT_EQ(r.mode_switches, want.mode_switches) << spec;
+    EXPECT_EQ(r.quiescence, want.quiescence) << spec;
   }
   // Serving never arms supervision on its own: the unarmed batch path
   // stays zero-overhead (the decode pin above is the other half of this).
@@ -462,8 +517,8 @@ TEST(ServeServer, BadSpecAndUnknownTenantAreRejectedNotFatal) {
   EXPECT_EQ(c2.await(s3.req_id).status, farm::JobStatus::Completed);
 }
 
-// The server owns deadline_ms (and its sign check) and the blank-spec
-// error; farm_driver's repeat= is not part of the served grammar.
+// The server owns deadline_ms (a whole, finite, non-negative number) and
+// the blank-spec error; farm_driver's repeat= is not part of the served grammar.
 TEST(ServeServer, DeadlineMsIsTheServeKeyAndBlankSpecsAreRejected) {
   serve::Server server(baseOptions());
   server.start();
@@ -476,6 +531,12 @@ TEST(ServeServer, DeadlineMsIsTheServeKeyAndBlankSpecsAreRejected) {
   const auto negative = c.submit(std::string(kTinySpec) + " deadline_ms=-1");
   EXPECT_FALSE(negative.accepted);
   EXPECT_EQ(negative.detail, "negative deadline_ms");
+  for (const char* bad : {"nan", "inf", "5abc"}) {
+    const auto s = c.submit(std::string(kTinySpec) + " deadline_ms=" + bad);
+    EXPECT_FALSE(s.accepted) << bad;
+    EXPECT_EQ(s.reason, serve::RejectReason::BadSpec) << bad;
+    EXPECT_EQ(s.detail, std::string("bad value for deadline_ms: ") + bad);
+  }
   const auto repeat = c.submit(std::string(kTinySpec) + " repeat=2");
   EXPECT_FALSE(repeat.accepted);
   EXPECT_EQ(repeat.detail, "unknown field: repeat");
@@ -525,15 +586,67 @@ TEST(ServeServer, TextModeSpeaksLineProtocol) {
   sendAll(std::string("SUBMIT 5 ") + kTinySpec + "\n");
   EXPECT_EQ(readLine(), "OK accepted 5");
   const std::string result = readLine();
-  EXPECT_EQ(result.rfind("RESULT 5 ", 0), 0u) << result;
-  EXPECT_NE(result.find("completed"), std::string::npos) << result;
+  ASSERT_EQ(result.rfind("RESULT 5 ", 0), 0u) << result;
+  const serve::WireResult r = serve::parseResultLine(result.substr(9));
+  EXPECT_EQ(r.name, "tiny");
+  EXPECT_EQ(r.tenant, "texty");
+  EXPECT_EQ(r.status, farm::JobStatus::Completed) << result;
+  // An id must be a whole unsigned number, or the line is a bad command.
+  for (const char* id : {"-1", "5x"}) {
+    sendAll(std::string("SUBMIT ") + id + " " + kTinySpec + "\n");
+    EXPECT_EQ(readLine(), std::string("ERR 0 bad-command bad submit id: ") + id);
+  }
   sendAll("NOSUCH\n");
   EXPECT_EQ(readLine().rfind("ERR 0 bad-command", 0), 0u);
+  sendAll("METRICS\n");  // `GET /metrics` is the one spelling
+  EXPECT_EQ(readLine(), "ERR 0 bad-command METRICS");
+  sendAll("GET /metrics\n");
+  std::string metrics;
+  for (std::string line = readLine(); line != "." && line != "<EOF>"; line = readLine()) {
+    metrics += line + "\n";
+  }
+  EXPECT_NE(metrics.find("eclipse_serve_admitted_total{tenant=\"texty\"} 1"), std::string::npos)
+      << metrics;
   sendAll("QUIT\n");
   EXPECT_EQ(readLine(), "BYE");
   ::close(fd);
   server.shutdown();
   EXPECT_EQ(server.resultsDropped(), 0u);
+}
+
+// At the connection cap the server says why before it closes. The probe is
+// a raw socket that sends nothing: a peer that has already sent HELLO can
+// have the server's close turn into a reset that eats the reply.
+TEST(ServeServer, ConnectionCapRefusesWithAReason) {
+  serve::ServeOptions so = baseOptions();
+  so.max_connections = 1;
+  serve::Server server(so);
+  server.start();
+  serve::Client c;
+  c.connect("127.0.0.1", server.port(), "alice");  // HELLO answered: c holds the slot
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  std::string got;
+  char chunk[256];
+  ssize_t k;
+  while ((k = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    got.append(chunk, static_cast<std::size_t>(k));
+  }
+  EXPECT_EQ(k, 0) << "the refusal ends in EOF";
+  EXPECT_EQ(got, "ERR 0 too-many-connections\n");
+  ::close(fd);
+
+  // The connection that holds the slot is untouched.
+  c.ping();
+  EXPECT_EQ(server.connectionCount(), 1);
+  c.close();
+  server.shutdown();
 }
 
 TEST(ServeServer, RollingDrainDeliversEveryAcceptedResult) {

@@ -37,20 +37,22 @@ struct SimFields {
   sim::Cycle cycles;
   std::uint64_t events, macroblocks;
   bool bit_exact;
-  std::uint64_t faults, stalls;
+  std::uint64_t faults, stalls, frames_dropped;
+  std::string quiescence;
   bool operator==(const SimFields&) const = default;
 };
 
 SimFields fieldsOf(const farm::JobResult& r) {
-  return {r.status,     r.sim_cycles,     r.sim_events,     r.macroblocks,
-          r.bit_exact,  r.faults_latched, r.stalls_latched};
+  return {r.status,         r.sim_cycles,     r.sim_events,     r.macroblocks, r.bit_exact,
+          r.faults_latched, r.stalls_latched, r.frames_dropped, r.quiescence};
 }
 
 SimFields fieldsOf(const serve::WireResult& r) {
-  return {r.status,     static_cast<sim::Cycle>(r.sim_cycles),
-          r.sim_events, r.macroblocks,
-          r.bit_exact,  r.faults_latched,
-          r.stalls_latched};
+  return {r.status,         static_cast<sim::Cycle>(r.sim_cycles),
+          r.sim_events,     r.macroblocks,
+          r.bit_exact,      r.faults_latched,
+          r.stalls_latched, r.frames_dropped,
+          r.quiescence};
 }
 
 }  // namespace
@@ -131,9 +133,10 @@ TEST(ServeSoak, ChaosTenantOverTheWireMatchesOraclesAndStarvesNobody) {
   }
 
   // Every served chaos result must be bit-identical to its oracle.
-  std::size_t chaos_results = 0;
+  std::size_t chaos_results = 0, quiescent = 0;
   for (const serve::WireResult& r : chaos.awaitAll()) {
     ++chaos_results;
+    if (!r.quiescence.empty()) ++quiescent;
     const auto it = chaos_sent.find(r.req_id);
     ASSERT_NE(it, chaos_sent.end());
     const auto ref = oracle.find(it->second);
@@ -141,11 +144,14 @@ TEST(ServeSoak, ChaosTenantOverTheWireMatchesOraclesAndStarvesNobody) {
     EXPECT_TRUE(fieldsOf(r) == ref->second)
         << it->second << ": served (status=" << farm::jobStatusName(r.status)
         << " cycles=" << r.sim_cycles << " events=" << r.sim_events
-        << " faults=" << r.faults_latched << ") diverged from its unarmed oracle (status="
+        << " faults=" << r.faults_latched << " quiescence=" << r.quiescence
+        << ") diverged from its unarmed oracle (status="
         << farm::jobStatusName(ref->second.status) << " cycles=" << ref->second.cycles
-        << " events=" << ref->second.events << " faults=" << ref->second.faults << ")";
+        << " events=" << ref->second.events << " faults=" << ref->second.faults
+        << " quiescence=" << ref->second.quiescence << ")";
   }
   EXPECT_EQ(chaos_results, chaos_specs.size());
+  EXPECT_GT(quiescent, 0u) << "storms that end incomplete carry their quiescence";
 
   // The clean tenant must land on the pin, every job, despite the storm.
   std::size_t clean_results = 0;

@@ -1,8 +1,9 @@
 // eclipse_serve — the network-facing serving daemon (DESIGN §15).
 //
-// Listens on loopback, speaks the ECL1 binary protocol (or the nc-friendly
-// text mode), and serves submitted jobs through the multi-tenant QoS
-// dispatcher over an eclipse::farm::Farm.
+// Listens on loopback, speaks the line protocol (HELLO / SUBMIT / PING /
+// QUIT / GET /metrics; serve::Client, nc and curl all use it), and serves
+// submitted jobs through the multi-tenant QoS dispatcher over an
+// eclipse::farm::Farm.
 //
 // Signals:
 //   SIGTERM / SIGINT  rolling drain: stop admitting, finish every accepted

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "eclipse/farm/farm.hpp"
+#include "eclipse/sim/config.hpp"
 
 using namespace eclipse;
 
@@ -237,7 +238,7 @@ int main(int argc, char** argv) {
       int repeat = 1;  // farm_driver's own key: N copies named <name>-0..N-1
       auto repeatKey = [&repeat](const std::string& key, const std::string& val) {
         if (key != "repeat") return false;
-        repeat = std::stoi(val);
+        repeat = sim::parseNumber<int>(val).value();  // a bad value throws
         return true;
       };
       const std::optional<farm::Job> job = farm::parseJob(line, err, base, repeatKey);

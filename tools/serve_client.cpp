@@ -1,9 +1,9 @@
 // serve_client — load generator / e2e driver for eclipse_serve.
 //
-// Submits jobs over the ECL1 binary protocol with open-loop Poisson
-// arrivals (seeded, wall-clock-free jitter: exponential inter-arrival
-// gaps from a splitmix64 stream) spread round-robin across one connection
-// per tenant, then collects every result and prints per-tenant latency.
+// Submits jobs over the line protocol with open-loop Poisson arrivals
+// (seeded, wall-clock-free jitter: exponential inter-arrival gaps from a
+// splitmix64 stream) spread round-robin across one connection per tenant,
+// then collects every result and prints per-tenant latency.
 //
 // --spawn PATH runs the whole serving lifecycle in one process: fork/exec
 // the daemon on an ephemeral port, drive the load, SIGTERM it mid-flight,
