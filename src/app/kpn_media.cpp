@@ -18,23 +18,23 @@ using media::PacketTag;
 
 /// Length-framed packet transport over KPN byte FIFOs — the same wire
 /// format as coproc::packet_io, with Kahn blocking semantics.
-void kpnWrite(kpn::ByteFifo& fifo, std::span<const std::uint8_t> packet) {
+sim::Task<void> kpnWrite(kpn::ByteFifo& fifo, std::span<const std::uint8_t> packet) {
   const auto len = static_cast<std::uint32_t>(packet.size());
   std::uint8_t hdr[4];
   std::memcpy(hdr, &len, sizeof len);
-  fifo.write(hdr);
-  fifo.write(packet);
+  co_await fifo.write(hdr);
+  co_await fifo.write(packet);
 }
 
 /// Returns the packet (tag + payload) or nullopt at end of stream.
-std::optional<std::vector<std::uint8_t>> kpnRead(kpn::ByteFifo& fifo) {
+sim::Task<std::optional<std::vector<std::uint8_t>>> kpnRead(kpn::ByteFifo& fifo) {
   std::uint8_t hdr[4];
-  if (!fifo.readAll(hdr)) return std::nullopt;
+  if (!co_await fifo.readAll(hdr)) co_return std::nullopt;
   std::uint32_t len = 0;
   std::memcpy(&len, hdr, sizeof len);
   std::vector<std::uint8_t> pkt(len);
-  if (!fifo.readAll(pkt)) throw std::runtime_error("kpn packet truncated");
-  return pkt;
+  if (!co_await fifo.readAll(pkt)) throw std::runtime_error("kpn packet truncated");
+  co_return pkt;
 }
 
 PacketTag tagOf(const std::vector<std::uint8_t>& pkt) { return static_cast<PacketTag>(pkt.at(0)); }
@@ -47,35 +47,36 @@ std::span<const std::uint8_t> payload(const std::vector<std::uint8_t>& pkt) {
 
 KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_bytes) {
   // --- VLD: parse the elementary stream into coef + header packets ---
-  const int vld = graph_.addTask("vld", [bits = std::move(bitstream)](kpn::TaskContext& ctx) {
+  const int vld = graph_.addTask("vld", [bits = std::move(bitstream)](kpn::TaskContext& ctx)
+          -> sim::Task<void> {
     media::BitReader br(bits);
     const media::SeqHeader seq = media::stages::parseSeqHeader(br);
     const auto seq_pkt = media::packPacket(PacketTag::Seq, seq);
-    kpnWrite(ctx.out(0), seq_pkt);
-    kpnWrite(ctx.out(1), seq_pkt);
+    co_await kpnWrite(ctx.out(0), seq_pkt);
+    co_await kpnWrite(ctx.out(1), seq_pkt);
     const int mb_count = (seq.width / media::kMbSize) * (seq.height / media::kMbSize);
     const int mb_w = seq.width / media::kMbSize;
     for (int pic = 0; pic < seq.frame_count; ++pic) {
       const media::PicHeader ph = media::stages::parsePicHeader(br);
       const auto pic_pkt = media::packPacket(PacketTag::Pic, ph);
-      kpnWrite(ctx.out(0), pic_pkt);
-      kpnWrite(ctx.out(1), pic_pkt);
+      co_await kpnWrite(ctx.out(0), pic_pkt);
+      co_await kpnWrite(ctx.out(1), pic_pkt);
       for (int mb = 0; mb < mb_count; ++mb) {
         auto parsed = media::stages::parseMb(br, ph.type, static_cast<std::uint16_t>(mb % mb_w),
                                              static_cast<std::uint16_t>(mb / mb_w), ph.qscale);
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, parsed.coefs));
-        kpnWrite(ctx.out(1), media::packPacket(PacketTag::Mb, parsed.header));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, parsed.coefs));
+        co_await kpnWrite(ctx.out(1), media::packPacket(PacketTag::Mb, parsed.header));
       }
     }
     const auto eos = media::packTag(PacketTag::Eos);
-    kpnWrite(ctx.out(0), eos);
-    kpnWrite(ctx.out(1), eos);
+    co_await kpnWrite(ctx.out(0), eos);
+    co_await kpnWrite(ctx.out(1), eos);
   });
 
   // --- RLSQ: run-length decode + inverse scan + dequantise ---
-  const int rlsq = graph_.addTask("rlsq", [](kpn::TaskContext& ctx) {
+  const int rlsq = graph_.addTask("rlsq", [](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::SeqHeader seq;
-    while (auto pkt = kpnRead(ctx.in(0))) {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       if (tagOf(*pkt) == PacketTag::Mb) {
         media::MbCoefs coefs;
         media::ByteReader r(payload(*pkt));
@@ -83,50 +84,50 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
         media::MbBlocks out;
         media::stages::rlsqDecode(coefs, coefs.intra != 0, seq, out);
         out.intra = coefs.intra;
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
         continue;
       }
       if (tagOf(*pkt) == PacketTag::Seq) {
         media::ByteReader r(payload(*pkt));
         media::get(r, seq);
       }
-      kpnWrite(ctx.out(0), *pkt);
-      if (tagOf(*pkt) == PacketTag::Eos) return;
+      co_await kpnWrite(ctx.out(0), *pkt);
+      if (tagOf(*pkt) == PacketTag::Eos) co_return;
     }
   });
 
   // --- inverse DCT ---
-  const int idct = graph_.addTask("idct", [](kpn::TaskContext& ctx) {
-    while (auto pkt = kpnRead(ctx.in(0))) {
+  const int idct = graph_.addTask("idct", [](kpn::TaskContext& ctx) -> sim::Task<void> {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       if (tagOf(*pkt) == PacketTag::Mb) {
         media::MbBlocks in, out;
         media::ByteReader r(payload(*pkt));
         media::get(r, in);
         media::stages::idctMb(in, out);
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
         continue;
       }
-      kpnWrite(ctx.out(0), *pkt);
-      if (tagOf(*pkt) == PacketTag::Eos) return;
+      co_await kpnWrite(ctx.out(0), *pkt);
+      if (tagOf(*pkt) == PacketTag::Eos) co_return;
     }
   });
 
   // --- MC: prediction + reconstruction (references kept as local frames,
   // the functional analogue of the off-chip frame store) ---
-  const int mc = graph_.addTask("mc", [](kpn::TaskContext& ctx) {
+  const int mc = graph_.addTask("mc", [](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::SeqHeader seq;
     media::PicHeader pic;
     media::Frame refs[3];
     int slot_prev = -1, slot_last = -1, write_slot = -1;
     bool prev_pic_ref = false;
     int mb_index = 0;
-    while (auto hdr_pkt = kpnRead(ctx.in(0))) {
+    while (auto hdr_pkt = co_await kpnRead(ctx.in(0))) {
       const auto tag = tagOf(*hdr_pkt);
       if (tag == PacketTag::Eos) {
-        kpnWrite(ctx.out(0), *hdr_pkt);
-        return;
+        co_await kpnWrite(ctx.out(0), *hdr_pkt);
+        co_return;
       }
-      auto res_pkt = kpnRead(ctx.in(1));
+      auto res_pkt = co_await kpnRead(ctx.in(1));
       if (!res_pkt || tagOf(*res_pkt) != tag) {
         throw std::runtime_error("kpn mc: streams out of step");
       }
@@ -135,7 +136,7 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
           media::ByteReader r(payload(*hdr_pkt));
           media::get(r, seq);
           for (auto& f : refs) f = media::Frame(seq.width, seq.height);
-          kpnWrite(ctx.out(0), *hdr_pkt);
+          co_await kpnWrite(ctx.out(0), *hdr_pkt);
           break;
         }
         case PacketTag::Pic: {
@@ -156,7 +157,7 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
           }
           prev_pic_ref = is_ref;
           mb_index = 0;
-          kpnWrite(ctx.out(0), *hdr_pkt);
+          co_await kpnWrite(ctx.out(0), *hdr_pkt);
           break;
         }
         case PacketTag::Mb: {
@@ -177,7 +178,7 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
           if (pic.type != media::FrameType::B) {
             media::stages::placeMb(refs[write_slot], h.mb_x, h.mb_y, recon);
           }
-          kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, recon));
+          co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, recon));
           ++mb_index;
           break;
         }
@@ -188,12 +189,12 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
   });
 
   // --- sink: assemble display frames ---
-  const int sink = graph_.addTask("sink", [this](kpn::TaskContext& ctx) {
+  const int sink = graph_.addTask("sink", [this](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::SeqHeader seq;
     media::PicHeader pic;
     std::map<int, media::Frame> by_display;
     int mb_index = 0;
-    while (auto pkt = kpnRead(ctx.in(0))) {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       switch (tagOf(*pkt)) {
         case PacketTag::Seq: {
           media::ByteReader r(payload(*pkt));
@@ -221,7 +222,7 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
           break;  // never emitted by the functional pipeline; tolerated
         case PacketTag::Eos: {
           for (auto& [idx, f] : by_display) result_.push_back(std::move(f));
-          return;
+          co_return;
         }
       }
     }
@@ -300,15 +301,16 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
 
   // --- source: coded-order reordering, gated by frame-done tokens ---
   const int src = graph_.addTask(
-      "src", [frames = std::move(frames), params, seq, mb_count, mb_w](kpn::TaskContext& ctx) {
+      "src", [frames = std::move(frames), params, seq, mb_count, mb_w](kpn::TaskContext& ctx)
+              -> sim::Task<void> {
         const auto order = media::codedOrder(static_cast<int>(frames.size()), params.gop);
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Seq, seq));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Seq, seq));
         int refs_emitted = 0;
         int tokens = 0;
         for (const auto& cp : order) {
           if (cp.type != media::FrameType::I) {
             while (tokens < refs_emitted) {
-              auto tok = kpnRead(ctx.in(0));
+              auto tok = co_await kpnRead(ctx.in(0));
               if (!tok) throw std::runtime_error("kpn src: token stream ended early");
               ++tokens;
             }
@@ -317,35 +319,36 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           ph.type = cp.type;
           ph.temporal_ref = static_cast<std::uint16_t>(cp.display_idx);
           ph.qscale = seq.qscale;
-          kpnWrite(ctx.out(0), media::packPacket(PacketTag::Pic, ph));
+          co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Pic, ph));
           for (int m = 0; m < mb_count; ++m) {
             media::MbPixels px;
             media::stages::extractMb(frames[static_cast<std::size_t>(cp.display_idx)], m % mb_w,
                                      m / mb_w, px);
-            kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, px));
+            co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, px));
           }
           if (cp.type != media::FrameType::B) ++refs_emitted;
         }
-        kpnWrite(ctx.out(0), media::packTag(PacketTag::Eos));
+        co_await kpnWrite(ctx.out(0), media::packTag(PacketTag::Eos));
       });
 
   // --- motion estimation ---
-  const int me = graph_.addTask("me", [store, params, mb_w](kpn::TaskContext& ctx) {
+  const int me = graph_.addTask("me", [store, params, mb_w](kpn::TaskContext& ctx)
+          -> sim::Task<void> {
     media::SeqHeader sh;
     media::PicHeader pic;
     SlotTracker slots;
     media::Frame scratch;
     int mb_index = 0;
-    while (auto pkt = kpnRead(ctx.in(0))) {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       switch (tagOf(*pkt)) {
         case PacketTag::Seq: {
           media::ByteReader r(payload(*pkt));
           media::get(r, sh);
           scratch = media::Frame(sh.width, sh.height);
           for (auto& s : store->slots) s = media::Frame(sh.width, sh.height);
-          kpnWrite(ctx.out(0), *pkt);
-          kpnWrite(ctx.out(1), *pkt);
-          kpnWrite(ctx.out(2), *pkt);
+          co_await kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(1), *pkt);
+          co_await kpnWrite(ctx.out(2), *pkt);
           break;
         }
         case PacketTag::Pic: {
@@ -353,9 +356,9 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           media::get(r, pic);
           slots.onPic(pic);
           mb_index = 0;
-          kpnWrite(ctx.out(0), *pkt);
-          kpnWrite(ctx.out(1), *pkt);
-          if (pic.type != media::FrameType::B) kpnWrite(ctx.out(2), *pkt);
+          co_await kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(1), *pkt);
+          if (pic.type != media::FrameType::B) co_await kpnWrite(ctx.out(2), *pkt);
           break;
         }
         case PacketTag::Mb: {
@@ -374,61 +377,61 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           media::MbBlocks residual;
           media::stages::residualMb(cur, pred, residual);
           residual.intra = h.mode == media::MbMode::Intra ? 1 : 0;
-          kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, residual));
+          co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, residual));
           const auto hdr_pkt = media::packPacket(PacketTag::Mb, h);
-          kpnWrite(ctx.out(1), hdr_pkt);
-          if (pic.type != media::FrameType::B) kpnWrite(ctx.out(2), hdr_pkt);
+          co_await kpnWrite(ctx.out(1), hdr_pkt);
+          if (pic.type != media::FrameType::B) co_await kpnWrite(ctx.out(2), hdr_pkt);
           ++mb_index;
           break;
         }
         case PacketTag::Resync:
           break;  // never emitted by the functional pipeline; tolerated
         case PacketTag::Eos: {
-          kpnWrite(ctx.out(0), *pkt);
-          kpnWrite(ctx.out(1), *pkt);
-          kpnWrite(ctx.out(2), *pkt);
-          return;
+          co_await kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(1), *pkt);
+          co_await kpnWrite(ctx.out(2), *pkt);
+          co_return;
         }
       }
     }
   });
 
   // --- forward DCT ---
-  const int fdct = graph_.addTask("fdct", [](kpn::TaskContext& ctx) {
-    while (auto pkt = kpnRead(ctx.in(0))) {
+  const int fdct = graph_.addTask("fdct", [](kpn::TaskContext& ctx) -> sim::Task<void> {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       if (tagOf(*pkt) == PacketTag::Mb) {
         media::MbBlocks in, out;
         media::ByteReader r(payload(*pkt));
         media::get(r, in);
         media::stages::fdctMb(in, out);
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
         continue;
       }
-      kpnWrite(ctx.out(0), *pkt);
-      if (tagOf(*pkt) == PacketTag::Eos) return;
+      co_await kpnWrite(ctx.out(0), *pkt);
+      if (tagOf(*pkt) == PacketTag::Eos) co_return;
     }
   });
 
   // --- quantise + scan + RLE, with the recon-loop side stream ---
-  const int qrle = graph_.addTask("qrle", [](kpn::TaskContext& ctx) {
+  const int qrle = graph_.addTask("qrle", [](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::SeqHeader sh;
     media::PicHeader cur_pic;
     bool pic_is_ref = false;
-    while (auto pkt = kpnRead(ctx.in(0))) {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       switch (tagOf(*pkt)) {
         case PacketTag::Seq: {
           media::ByteReader r(payload(*pkt));
           media::get(r, sh);
-          kpnWrite(ctx.out(0), *pkt);
-          kpnWrite(ctx.out(1), *pkt);
+          co_await kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(1), *pkt);
           break;
         }
         case PacketTag::Pic: {
           media::ByteReader r(payload(*pkt));
           media::get(r, cur_pic);
           pic_is_ref = cur_pic.type != media::FrameType::B;
-          kpnWrite(ctx.out(0), *pkt);
-          if (pic_is_ref) kpnWrite(ctx.out(1), *pkt);
+          co_await kpnWrite(ctx.out(0), *pkt);
+          if (pic_is_ref) co_await kpnWrite(ctx.out(1), *pkt);
           break;
         }
         case PacketTag::Mb: {
@@ -439,30 +442,30 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           media::stages::rlsqEncode(in, in.intra != 0, sh,
                                     cur_pic.qscale != 0 ? cur_pic.qscale : sh.qscale, out);
           const auto out_pkt = media::packPacket(PacketTag::Mb, out);
-          kpnWrite(ctx.out(0), out_pkt);
-          if (pic_is_ref) kpnWrite(ctx.out(1), out_pkt);
+          co_await kpnWrite(ctx.out(0), out_pkt);
+          if (pic_is_ref) co_await kpnWrite(ctx.out(1), out_pkt);
           break;
         }
         case PacketTag::Resync:
           break;  // never emitted by the functional pipeline; tolerated
         case PacketTag::Eos: {
-          kpnWrite(ctx.out(0), *pkt);
-          kpnWrite(ctx.out(1), *pkt);
-          return;
+          co_await kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(1), *pkt);
+          co_return;
         }
       }
     }
   });
 
   // --- dequantise (decode direction of RLSQ) ---
-  const int deq = graph_.addTask("deq", [](kpn::TaskContext& ctx) {
+  const int deq = graph_.addTask("deq", [](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::SeqHeader sh;
-    while (auto pkt = kpnRead(ctx.in(0))) {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       switch (tagOf(*pkt)) {
         case PacketTag::Seq: {
           media::ByteReader r(payload(*pkt));
           media::get(r, sh);
-          kpnWrite(ctx.out(0), *pkt);
+          co_await kpnWrite(ctx.out(0), *pkt);
           break;
         }
         case PacketTag::Mb: {
@@ -472,45 +475,46 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           media::MbBlocks out;
           media::stages::rlsqDecode(coefs, coefs.intra != 0, sh, out);
           out.intra = coefs.intra;
-          kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
+          co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
           break;
         }
         default:
-          kpnWrite(ctx.out(0), *pkt);
-          if (tagOf(*pkt) == PacketTag::Eos) return;
+          co_await kpnWrite(ctx.out(0), *pkt);
+          if (tagOf(*pkt) == PacketTag::Eos) co_return;
       }
     }
   });
 
   // --- inverse DCT of the reconstruction loop ---
-  const int idct = graph_.addTask("idct", [](kpn::TaskContext& ctx) {
-    while (auto pkt = kpnRead(ctx.in(0))) {
+  const int idct = graph_.addTask("idct", [](kpn::TaskContext& ctx) -> sim::Task<void> {
+    while (auto pkt = co_await kpnRead(ctx.in(0))) {
       if (tagOf(*pkt) == PacketTag::Mb) {
         media::MbBlocks in, out;
         media::ByteReader r(payload(*pkt));
         media::get(r, in);
         media::stages::idctMb(in, out);
-        kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
+        co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Mb, out));
         continue;
       }
-      kpnWrite(ctx.out(0), *pkt);
-      if (tagOf(*pkt) == PacketTag::Eos) return;
+      co_await kpnWrite(ctx.out(0), *pkt);
+      if (tagOf(*pkt) == PacketTag::Eos) co_return;
     }
   });
 
   // --- reconstruction: rebuild reference frames, emit frame-done tokens ---
-  const int recon = graph_.addTask("recon", [store, mb_count](kpn::TaskContext& ctx) {
+  const int recon = graph_.addTask("recon", [store, mb_count](kpn::TaskContext& ctx)
+          -> sim::Task<void> {
     media::SeqHeader sh;
     media::PicHeader pic;
     SlotTracker slots;
     int mb_index = 0;
-    while (auto res_pkt = kpnRead(ctx.in(0))) {
+    while (auto res_pkt = co_await kpnRead(ctx.in(0))) {
       const auto tag = tagOf(*res_pkt);
       if (tag == PacketTag::Eos) {
-        kpnWrite(ctx.out(0), *res_pkt);
-        return;
+        co_await kpnWrite(ctx.out(0), *res_pkt);
+        co_return;
       }
-      auto hdr_pkt = kpnRead(ctx.in(1));
+      auto hdr_pkt = co_await kpnRead(ctx.in(1));
       if (!hdr_pkt || tagOf(*hdr_pkt) != tag) {
         throw std::runtime_error("kpn recon: streams out of step");
       }
@@ -542,7 +546,7 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           media::stages::placeMb(store->slots[static_cast<std::size_t>(slots.write)], h.mb_x,
                                  h.mb_y, out);
           if (++mb_index >= mb_count) {
-            kpnWrite(ctx.out(0), media::packPacket(PacketTag::Pic, pic));  // token
+            co_await kpnWrite(ctx.out(0), media::packPacket(PacketTag::Pic, pic));  // token
           }
           break;
         }
@@ -553,12 +557,12 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
   });
 
   // --- variable-length encoder: pairs headers with coefficients ---
-  const int vle = graph_.addTask("vle", [this](kpn::TaskContext& ctx) {
+  const int vle = graph_.addTask("vle", [this](kpn::TaskContext& ctx) -> sim::Task<void> {
     media::BitWriter bw;
     media::SeqHeader sh;
-    while (auto hdr_pkt = kpnRead(ctx.in(0))) {
+    while (auto hdr_pkt = co_await kpnRead(ctx.in(0))) {
       const auto tag = tagOf(*hdr_pkt);
-      auto coef_pkt = kpnRead(ctx.in(1));
+      auto coef_pkt = co_await kpnRead(ctx.in(1));
       if (!coef_pkt || tagOf(*coef_pkt) != tag) {
         throw std::runtime_error("kpn vle: streams out of step");
       }
@@ -591,7 +595,7 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           break;  // never emitted by the functional pipeline; tolerated
         case PacketTag::Eos: {
           result_ = bw.finish();
-          return;
+          co_return;
         }
       }
     }

@@ -1,10 +1,9 @@
 #include "eclipse/kpn/graph.hpp"
 
-#include <exception>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
+
+#include "eclipse/sim/simulator.hpp"
 
 namespace eclipse::kpn {
 
@@ -54,41 +53,72 @@ int Graph::connect(int producer, int out_port, int consumer, int in_port, std::s
   return static_cast<int>(edges_.size()) - 1;
 }
 
-void Graph::run() {
-  std::vector<std::thread> threads;
-  threads.reserve(tasks_.size());
-  std::mutex error_mu;
-  std::exception_ptr first_error;
+namespace {
 
-  for (auto& node : tasks_) {
-    threads.emplace_back([&node, &error_mu, &first_error] {
-      TaskContext ctx;
-      ctx.name_ = node.name;
-      // Densify the sparse port maps into indexable vectors.
-      auto densify = [](const std::map<int, ByteFifo*>& ports) {
-        std::vector<ByteFifo*> v;
-        for (const auto& [idx, fifo] : ports) {
-          if (idx >= static_cast<int>(v.size())) v.resize(static_cast<std::size_t>(idx) + 1);
-          v[static_cast<std::size_t>(idx)] = fifo;
-        }
-        return v;
-      };
-      ctx.inputs_ = densify(node.inputs);
-      ctx.outputs_ = densify(node.outputs);
-      try {
-        node.fn(ctx);
-      } catch (...) {
-        std::lock_guard lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      // Kahn EOF propagation: a finished task closes its outputs so that
-      // consumers drain and terminate rather than block forever. Closing on
-      // the error path too unblocks the rest of the network.
-      for (auto& [idx, fifo] : node.outputs) fifo->close();
-    });
+/// One task as a root process: the body, then Kahn EOF propagation — a
+/// finished task closes its outputs so that consumers drain and terminate
+/// rather than block forever.
+sim::Task<void> runTask(const TaskFn& fn, TaskContext& ctx,
+                        const std::map<int, ByteFifo*>& outputs) {
+  co_await fn(ctx);
+  for (const auto& [idx, fifo] : outputs) fifo->close();
+}
+
+/// Densifies a sparse port map into an indexable vector.
+std::vector<ByteFifo*> densify(const std::map<int, ByteFifo*>& ports) {
+  std::vector<ByteFifo*> v;
+  for (const auto& [idx, fifo] : ports) {
+    if (idx >= static_cast<int>(v.size())) v.resize(static_cast<std::size_t>(idx) + 1);
+    v[static_cast<std::size_t>(idx)] = fifo;
   }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  return v;
+}
+
+}  // namespace
+
+void Graph::run() {
+  std::vector<TaskContext> contexts(tasks_.size());
+  sim::Simulator sim;
+  // The FIFOs hold handles into this run's coroutine frames, which die
+  // with `sim`; detach them on every way out.
+  struct Detach {
+    std::vector<Edge>& edges;
+    ~Detach() {
+      for (auto& e : edges) {
+        e.fifo->sim_ = nullptr;
+        e.fifo->reader_ = nullptr;
+        e.fifo->writer_ = nullptr;
+      }
+    }
+  } detach{edges_};
+  for (auto& e : edges_) e.fifo->sim_ = &sim;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const TaskNode& node = tasks_[i];
+    TaskContext& ctx = contexts[i];
+    ctx.name_ = node.name;
+    ctx.inputs_ = densify(node.inputs);
+    ctx.outputs_ = densify(node.outputs);
+    sim.spawn(runTask(node.fn, ctx, node.outputs), node.name);
+  }
+  sim.run();  // rethrows the first task exception
+  if (sim.liveProcesses() > 0) throw DeadlockError(blockedReport());
+}
+
+std::string Graph::blockedReport() const {
+  std::ostringstream ss;
+  ss << "KPN deadlock:";
+  const char* sep = " ";
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    for (const auto& e : edges_) {
+      const bool reading = e.consumer == static_cast<int>(t) && e.fifo->reader_;
+      const bool writing = e.producer == static_cast<int>(t) && e.fifo->writer_;
+      if (!reading && !writing) continue;
+      ss << sep << tasks_[t].name << (reading ? " reads " : " writes ") << e.fifo->name()
+         << (reading ? " (empty)" : " (full)");
+      sep = "; ";
+    }
+  }
+  return ss.str();
 }
 
 std::string Graph::describe() const {
@@ -104,10 +134,6 @@ std::string Graph::describe() const {
        << " [" << e.fifo->capacity() << " B]\n";
   }
   return ss.str();
-}
-
-void Graph::setTimeout(std::chrono::milliseconds t) {
-  for (auto& e : edges_) e.fifo->setTimeout(t);
 }
 
 }  // namespace eclipse::kpn

@@ -1,20 +1,23 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
+#include <coroutine>
 #include <cstdint>
-#include <cstring>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "eclipse/sim/coro.hpp"
+#include "eclipse/sim/simulator.hpp"
 
 namespace eclipse::kpn {
 
-/// Thrown when a blocking FIFO operation times out — in a correctly sized
-/// Kahn network this indicates deadlock (insufficient buffer capacity or a
+class Graph;
+
+/// Thrown by Graph::run() when the network stops with tasks unfinished: in
+/// a bounded Kahn network that is a deadlock (an undersized buffer or a
 /// cyclic dependency), which Kahn semantics turn into permanent blocking.
 class DeadlockError : public std::runtime_error {
  public:
@@ -28,6 +31,13 @@ class DeadlockError : public std::runtime_error {
 /// from a stream with insufficient data blocks the consumer; writing to a
 /// full stream blocks the producer, which is what bounds Kahn's otherwise
 /// unbounded FIFOs to a finite buffer.
+///
+/// The operations are awaitables for the graph's tasks, which run as
+/// processes of one sim::Simulator (Graph::run). Blocking is byte-granular:
+/// a read takes whatever bytes are there and parks for the rest, a write
+/// stores what fits and parks until the consumer makes room. A FIFO holds
+/// at most one parked reader and one parked writer; the other side wakes
+/// it as a zero-delay event.
 class ByteFifo {
  public:
   explicit ByteFifo(std::size_t capacity, std::string name = {})
@@ -39,103 +49,97 @@ class ByteFifo {
   ByteFifo(const ByteFifo&) = delete;
   ByteFifo& operator=(const ByteFifo&) = delete;
 
-  /// Blocks until `out.size()` bytes are available (or EOF). Returns false
-  /// if the stream closed before the request could be fully satisfied.
-  bool readAll(std::span<std::uint8_t> out) {
-    std::unique_lock lock(mu_);
+  /// Completes when `out.size()` bytes have been read (true) or the stream
+  /// closed before the request could be fully satisfied (false).
+  sim::Task<bool> readAll(std::span<std::uint8_t> out) {
     std::size_t done = 0;
     while (done < out.size()) {
-      waitFor(lock, [&] { return fill_ > 0 || closed_; });
-      if (fill_ == 0 && closed_) return false;
+      if (fill_ == 0) {
+        if (closed_) co_return false;
+        co_await Park{*this, reader_};
+        continue;
+      }
       const std::size_t n = std::min(out.size() - done, fill_);
-      popLocked(out.subspan(done, n));
+      pop(out.subspan(done, n));
       done += n;
-      cv_.notify_all();
     }
-    return true;
+    co_return true;
   }
 
-  /// Blocks until at least one byte is available; reads up to out.size().
+  /// Completes when at least one byte is available; reads up to out.size().
   /// Returns the number of bytes read; 0 means EOF.
-  std::size_t readSome(std::span<std::uint8_t> out) {
-    std::unique_lock lock(mu_);
-    waitFor(lock, [&] { return fill_ > 0 || closed_; });
-    if (fill_ == 0) return 0;
+  sim::Task<std::size_t> readSome(std::span<std::uint8_t> out) {
+    while (fill_ == 0 && !closed_) co_await Park{*this, reader_};
     const std::size_t n = std::min(out.size(), fill_);
-    popLocked(out.subspan(0, n));
-    cv_.notify_all();
-    return n;
+    pop(out.subspan(0, n));
+    co_return n;
   }
 
-  /// Blocks until there is room for all of `in`, then appends it.
+  /// Completes when all of `in` has been appended.
   /// Throws std::logic_error when writing to a closed stream.
-  void write(std::span<const std::uint8_t> in) {
-    std::unique_lock lock(mu_);
+  sim::Task<void> write(std::span<const std::uint8_t> in) {
     std::size_t done = 0;
     while (done < in.size()) {
       if (closed_) throw std::logic_error("ByteFifo: write after close on " + name_);
-      waitFor(lock, [&] { return fill_ < capacity_ || closed_; });
-      if (closed_) throw std::logic_error("ByteFifo: write after close on " + name_);
+      if (fill_ == capacity_) {
+        co_await Park{*this, writer_};
+        continue;
+      }
       const std::size_t n = std::min(in.size() - done, capacity_ - fill_);
-      pushLocked(in.subspan(done, n));
+      push(in.subspan(done, n));
       done += n;
-      cv_.notify_all();
     }
   }
 
   /// Marks end-of-stream; readers drain remaining bytes, then see EOF.
   void close() {
-    std::lock_guard lock(mu_);
     closed_ = true;
-    cv_.notify_all();
+    wake(reader_);
+    wake(writer_);
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  [[nodiscard]] std::size_t fill() const {
-    std::lock_guard lock(mu_);
-    return fill_;
-  }
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-  [[nodiscard]] std::uint64_t totalProduced() const {
-    std::lock_guard lock(mu_);
-    return produced_;
-  }
-  [[nodiscard]] std::uint64_t totalConsumed() const {
-    std::lock_guard lock(mu_);
-    return consumed_;
-  }
-  [[nodiscard]] std::size_t maxFill() const {
-    std::lock_guard lock(mu_);
-    return max_fill_;
-  }
-
-  /// Blocking-wait timeout; a Kahn deadlock surfaces as DeadlockError.
-  void setTimeout(std::chrono::milliseconds t) { timeout_ = t; }
+  [[nodiscard]] std::size_t fill() const { return fill_; }
+  [[nodiscard]] bool closed() const { return closed_; }
+  [[nodiscard]] std::uint64_t totalProduced() const { return produced_; }
+  [[nodiscard]] std::uint64_t totalConsumed() const { return consumed_; }
+  [[nodiscard]] std::size_t maxFill() const { return max_fill_; }
 
  private:
-  template <typename Pred>
-  void waitFor(std::unique_lock<std::mutex>& lock, Pred pred) {
-    if (!cv_.wait_for(lock, timeout_, pred)) {
-      throw DeadlockError("ByteFifo: blocked > timeout on stream '" + name_ +
-                          "' (likely Kahn deadlock / undersized buffer)");
+  friend class Graph;
+
+  /// Suspends the calling coroutine in `slot` until the other side wakes it.
+  struct Park {
+    ByteFifo& fifo;
+    std::coroutine_handle<>& slot;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      if (fifo.sim_ == nullptr) {
+        throw std::logic_error("ByteFifo: blocking on '" + fifo.name_ +
+                               "' outside a running graph");
+      }
+      if (slot) throw std::logic_error("ByteFifo: two tasks on one side of " + fifo.name_);
+      slot = h;
     }
+    void await_resume() const noexcept {}
+  };
+
+  void wake(std::coroutine_handle<>& slot) {
+    if (slot) sim_->scheduleResume(0, std::exchange(slot, nullptr));
   }
 
-  void popLocked(std::span<std::uint8_t> out) {
+  void pop(std::span<std::uint8_t> out) {
     for (auto& b : out) {
       b = data_[head_];
       head_ = (head_ + 1) % capacity_;
     }
     fill_ -= out.size();
     consumed_ += out.size();
+    wake(writer_);
   }
 
-  void pushLocked(std::span<const std::uint8_t> in) {
+  void push(std::span<const std::uint8_t> in) {
     for (auto b : in) {
       data_[tail_] = b;
       tail_ = (tail_ + 1) % capacity_;
@@ -143,10 +147,9 @@ class ByteFifo {
     fill_ += in.size();
     produced_ += in.size();
     max_fill_ = std::max(max_fill_, fill_);
+    wake(reader_);
   }
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::uint8_t> data_;
   std::size_t capacity_;
   std::string name_;
@@ -157,7 +160,11 @@ class ByteFifo {
   bool closed_ = false;
   std::uint64_t produced_ = 0;
   std::uint64_t consumed_ = 0;
-  std::chrono::milliseconds timeout_{30000};
+  // Set by Graph::run() for the run's duration: the kernel that resumes a
+  // parked task, and the parked consumer and producer.
+  sim::Simulator* sim_ = nullptr;
+  std::coroutine_handle<> reader_;
+  std::coroutine_handle<> writer_;
 };
 
 }  // namespace eclipse::kpn

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "eclipse/kpn/fifo.hpp"
+#include "eclipse/sim/coro.hpp"
 
 namespace eclipse::kpn {
 
@@ -31,21 +32,21 @@ class TaskContext {
 
   /// Reads one trivially-copyable value; false on EOF.
   template <typename T>
-  bool read(int port, T& value) const {
+  sim::Task<bool> read(int port, T& value) const {
     static_assert(std::is_trivially_copyable_v<T>);
     std::uint8_t buf[sizeof(T)];
-    if (!in(port).readAll(buf)) return false;
+    if (!co_await in(port).readAll(buf)) co_return false;
     std::memcpy(&value, buf, sizeof(T));
-    return true;
+    co_return true;
   }
 
   /// Writes one trivially-copyable value.
   template <typename T>
-  void write(int port, const T& value) const {
+  sim::Task<void> write(int port, T value) const {
     static_assert(std::is_trivially_copyable_v<T>);
     std::uint8_t buf[sizeof(T)];
     std::memcpy(buf, &value, sizeof(T));
-    out(port).write(buf);
+    co_await out(port).write(buf);
   }
 
  private:
@@ -55,12 +56,14 @@ class TaskContext {
   std::vector<ByteFifo*> outputs_;
 };
 
-using TaskFn = std::function<void(TaskContext&)>;
+/// A task body: a coroutine that `co_await`s its stream reads and writes.
+using TaskFn = std::function<sim::Task<void>(TaskContext&)>;
 
 /// Runtime-configurable Kahn Process Network (the paper's application
 /// model): tasks as nodes, bounded byte streams as edges. Running the graph
-/// executes every task on its own thread; Kahn semantics guarantee the
-/// observable stream contents are schedule-independent.
+/// executes every task as a process of one deterministic sim::Simulator,
+/// the kernel of the timed model; Kahn semantics guarantee the observable
+/// stream contents are schedule-independent.
 class Graph {
  public:
   /// Adds a task; returns its node id.
@@ -71,10 +74,13 @@ class Graph {
   /// Returns the edge id.
   int connect(int producer, int out_port, int consumer, int in_port, std::size_t capacity);
 
-  /// Executes the network to completion. A task's output streams close
-  /// automatically when its function returns, propagating EOF downstream.
-  /// Rethrows the first task exception; DeadlockError indicates an
-  /// undersized buffer or a dependency cycle.
+  /// Executes the network until no task can make progress. A task's output
+  /// streams close automatically when its function returns, propagating
+  /// EOF downstream. Rethrows the first task exception in dispatch order.
+  /// Otherwise, if any task is unfinished, throws DeadlockError at once
+  /// (an undersized buffer or a dependency cycle); its message names every
+  /// blocked task in task-id order with its stream and whether that stream
+  /// is empty or full, and is the same on every run.
   void run();
 
   [[nodiscard]] std::size_t edgeCount() const { return edges_.size(); }
@@ -86,10 +92,10 @@ class Graph {
   /// Figure-2 style network listings.
   [[nodiscard]] std::string describe() const;
 
-  /// Applies a blocking timeout to every edge (deadlock detection budget).
-  void setTimeout(std::chrono::milliseconds t);
-
  private:
+  /// The DeadlockError message: every task parked on one of its streams.
+  [[nodiscard]] std::string blockedReport() const;
+
   struct TaskNode {
     std::string name;
     TaskFn fn;

@@ -1,8 +1,24 @@
 #include "eclipse/serve/tenant.hpp"
 
+#include <optional>
 #include <sstream>
 
+#include "eclipse/sim/config.hpp"
+
 namespace eclipse::serve {
+
+namespace {
+
+/// Whole-token numbers only (sim::parseNumber): "2x", "5abc" and a negative
+/// count are bad values, not a prefix or a wrapped minus sign.
+template <typename T>
+bool readNumber(const std::string& text, T& out) {
+  const std::optional<T> v = sim::parseNumber<T>(text);
+  if (v) out = *v;
+  return v.has_value();
+}
+
+}  // namespace
 
 bool parseTenantSpec(const std::string& spec, TenantConfig& out, std::string& err) {
   out = TenantConfig{};
@@ -25,36 +41,37 @@ bool parseTenantSpec(const std::string& spec, TenantConfig& out, std::string& er
     }
     const std::string key = field.substr(0, eq);
     const std::string val = field.substr(eq + 1);
-    try {
-      if (key == "rate") {
-        out.rate = std::stod(val);
-      } else if (key == "burst") {
-        out.burst = std::stod(val);
-      } else if (key == "quota") {
-        out.max_inflight = std::stoi(val);
-      } else if (key == "pending") {
-        out.max_pending = static_cast<std::size_t>(std::stoul(val));
-      } else if (key == "weight") {
-        out.weight = std::stod(val);
-      } else if (key == "policy") {
-        if (val == "shed") {
-          out.policy = OverloadPolicy::Shed;
-        } else if (val == "queue") {
-          out.policy = OverloadPolicy::Queue;
-        } else {
-          err = "unknown policy: " + val;
-          return false;
-        }
+    bool ok = true;
+    if (key == "rate") {
+      ok = readNumber(val, out.rate);
+    } else if (key == "burst") {
+      ok = readNumber(val, out.burst);
+    } else if (key == "quota") {
+      ok = readNumber(val, out.max_inflight);
+    } else if (key == "pending") {
+      ok = readNumber(val, out.max_pending);
+    } else if (key == "weight") {
+      ok = readNumber(val, out.weight);
+    } else if (key == "policy") {
+      if (val == "shed") {
+        out.policy = OverloadPolicy::Shed;
+      } else if (val == "queue") {
+        out.policy = OverloadPolicy::Queue;
       } else {
-        err = "unknown tenant field: " + key;
+        err = "unknown policy: " + val;
         return false;
       }
-    } catch (const std::exception&) {
+    } else {
+      err = "unknown tenant field: " + key;
+      return false;
+    }
+    if (!ok) {
       err = "bad value for tenant " + key + ": " + val;
       return false;
     }
   }
-  if (out.rate < 0.0 || out.weight <= 0.0 || out.max_inflight < 1) {
+  // Negated so that a NaN rate or weight is out of range too.
+  if (!(out.rate >= 0.0 && out.weight > 0.0 && out.max_inflight >= 1)) {
     err = "tenant limits out of range (rate >= 0, weight > 0, quota >= 1)";
     return false;
   }

@@ -119,6 +119,35 @@ TEST(KpnDecoder, SmallFifosStillComplete) {
   EXPECT_LE(dec.graph().edge(dec.coefEdge()).maxFill(), 2048u);
 }
 
+// One FIFO size for every edge. 5 bytes is the decode's smallest uniform
+// buffer: it completes bit-exact. At 4 bytes it deadlocks, which run()
+// reports at once and the same way on every run (a bounded Kahn network is
+// still determinate), naming each blocked task with its stream and whether
+// that stream is empty or full. The one blocked task is idct: mc ends on
+// the header stream's Eos and never reads the residual stream's Eos packet
+// (4 length bytes and a tag), whose last byte idct cannot write.
+TEST(KpnDecoder, FiveByteFifosCompleteAndFourBytesDeadlockExactly) {
+  media::Encoder enc(tinyCodec());
+  const auto bits = tinyStream(enc);
+  app::KpnDecoder dec(bits, 5);
+  const auto out = dec.run();
+  ASSERT_EQ(out.size(), enc.reconstructed().size());
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], enc.reconstructed()[i]);
+
+  auto deadlockReport = [&bits]() -> std::string {
+    app::KpnDecoder small(bits, 4);
+    try {
+      (void)small.run();
+    } catch (const kpn::DeadlockError& e) {
+      return e.what();
+    }
+    return "no deadlock";
+  };
+  const std::string report = deadlockReport();
+  EXPECT_EQ(report, "KPN deadlock: idct writes idct:0->mc:1 (full)");
+  EXPECT_EQ(report, deadlockReport());
+}
+
 // ------------------------------------------------------------- traces
 
 TEST(Trace, RenderSeriesShowsNameAndScale) {

@@ -224,6 +224,11 @@ TEST(ServeTenant, SpecParsing) {
   EXPECT_FALSE(serve::parseTenantSpec("x:quota=0", cfg, err));
   EXPECT_FALSE(serve::parseTenantSpec("x:policy=maybe", cfg, err));
   EXPECT_FALSE(serve::parseTenantSpec("x:nosuchkey=1", cfg, err));
+  // Whole-token numbers: no prefix, no wrapped minus sign, no NaN.
+  EXPECT_FALSE(serve::parseTenantSpec("x:quota=2x", cfg, err));
+  EXPECT_FALSE(serve::parseTenantSpec("x:pending=-1", cfg, err));
+  EXPECT_FALSE(serve::parseTenantSpec("x:rate=5abc", cfg, err));
+  EXPECT_FALSE(serve::parseTenantSpec("x:rate=nan", cfg, err));
 }
 
 TEST(ServeTenant, TokenBucketStartsFullThenPaces) {

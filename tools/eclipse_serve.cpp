@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "eclipse/serve/server.hpp"
+#include "flag_number.hpp"
 
 using namespace eclipse;
 
@@ -124,11 +125,11 @@ int main(int argc, char** argv) {
     };
     std::string err;
     if (a == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::atoi(next()));
+      opts.port = flagNumber<std::uint16_t>(a, next());
     } else if (a == "--workers") {
-      opts.farm.workers = std::atoi(next());
+      opts.farm.workers = flagNumber<int>(a, next());
     } else if (a == "--queue") {
-      opts.farm.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
+      opts.farm.queue_capacity = flagNumber<std::size_t>(a, next());
     } else if (a == "--tenant") {
       serve::TenantConfig cfg;
       if (!serve::parseTenantSpec(next(), cfg, err)) {
@@ -144,11 +145,11 @@ int main(int argc, char** argv) {
     } else if (a == "--no-auto-register") {
       opts.auto_register = false;
     } else if (a == "--promote-slack-ms") {
-      opts.promote_slack_ms = std::atof(next());
+      opts.promote_slack_ms = flagNumber<double>(a, next());
     } else if (a == "--max-connections") {
-      opts.max_connections = std::atoi(next());
+      opts.max_connections = flagNumber<int>(a, next());
     } else if (a == "--accept-backlog") {
-      opts.accept_backlog = std::atoi(next());
+      opts.accept_backlog = flagNumber<int>(a, next());
     } else if (a == "--config") {
       config_path = next();
     } else if (a == "--quiet") {

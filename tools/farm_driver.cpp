@@ -18,6 +18,7 @@
 
 #include "eclipse/farm/farm.hpp"
 #include "eclipse/sim/config.hpp"
+#include "flag_number.hpp"
 
 using namespace eclipse;
 
@@ -195,19 +196,19 @@ int main(int argc, char** argv) {
     if (a == "--jobs") {
       jobs_path = next();
     } else if (a == "--demo") {
-      demo = i + 1 < argc && argv[i + 1][0] != '-' ? std::atoi(argv[++i]) : 12;
+      demo = i + 1 < argc && argv[i + 1][0] != '-' ? flagNumber<int>(a, argv[++i]) : 12;
     } else if (a == "--workers") {
-      opts.workers = std::atoi(next());
+      opts.workers = flagNumber<int>(a, next());
     } else if (a == "--queue") {
-      opts.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
+      opts.queue_capacity = flagNumber<std::size_t>(a, next());
     } else if (a == "--retries") {
-      base.retry.max_attempts = std::atoi(next());
+      base.retry.max_attempts = flagNumber<int>(a, next());
     } else if (a == "--deadline") {
-      base.deadline = static_cast<std::uint64_t>(std::atoll(next()));
+      base.deadline = flagNumber<std::uint64_t>(a, next());
     } else if (a == "--supervise-ms") {
-      base.supervise_ms = std::atof(next());
+      base.supervise_ms = flagNumber<double>(a, next());
     } else if (a == "--submit-timeout-ms") {
-      submit_timeout_ms = std::atoi(next());
+      submit_timeout_ms = flagNumber<int>(a, next());
     } else if (a == "--csv") {
       csv_path = next();
     } else if (a == "--json") {

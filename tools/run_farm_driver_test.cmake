@@ -1,10 +1,18 @@
 # Runs farm_driver on the example job list and checks its output as well
 # as its exit status: the CSV header has no `reused` column, and the
 # pin-decode row holds the decode pin (144885 cycles, 150 macroblocks).
+# A numeric flag that is not a whole number (`--workers 2x`) must be a
+# usage error (exit 2), not read as its prefix.
 #
 #   cmake -DFARM_DRIVER=<farm_driver> -DJOBS=<job list> -DWORK_DIR=<dir>
 #         -P run_farm_driver_test.cmake
 cmake_minimum_required(VERSION 3.16)
+execute_process(COMMAND ${FARM_DRIVER} --jobs ${JOBS} --workers 2x --quiet
+                OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_rc)
+if(NOT bad_rc EQUAL 2)
+  message(FATAL_ERROR "farm_driver --workers 2x exited ${bad_rc}, want the usage error 2")
+endif()
+
 execute_process(COMMAND ${FARM_DRIVER} --jobs ${JOBS} --workers 2 --quiet
                         --csv ${WORK_DIR}/farm_results.csv
                         --json ${WORK_DIR}/farm_results.json

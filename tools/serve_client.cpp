@@ -21,12 +21,15 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "eclipse/serve/client.hpp"
 #include "eclipse/serve/histogram.hpp"
+#include "eclipse/sim/config.hpp"
 #include "eclipse/sim/prng.hpp"
+#include "flag_number.hpp"
 
 using namespace eclipse;
 
@@ -92,7 +95,8 @@ bool spawnServer(const std::string& path, SpawnedServer& out) {
     if (c == '\n') {
       const auto pos = line.rfind("127.0.0.1:");
       if (pos != std::string::npos) {
-        out.port = static_cast<std::uint16_t>(std::atoi(line.c_str() + pos + 10));
+        const std::string_view rest = std::string_view(line).substr(pos + 10);
+        out.port = sim::parseNumber<std::uint16_t>(rest.substr(0, rest.find(' '))).value_or(0);
         return out.port != 0;
       }
       line.clear();
@@ -127,19 +131,19 @@ int main(int argc, char** argv) {
     if (a == "--host") {
       host = next();
     } else if (a == "--port") {
-      port = std::atoi(next());
+      port = flagNumber<std::uint16_t>(a, next());
     } else if (a == "--tenant") {
       tenants.emplace_back(next());
     } else if (a == "--jobs") {
-      jobs = std::atoi(next());
+      jobs = flagNumber<int>(a, next());
     } else if (a == "--rate") {
-      rate = std::atof(next());
+      rate = flagNumber<double>(a, next());
     } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = flagNumber<std::uint64_t>(a, next());
     } else if (a == "--spec") {
       spec = next();
     } else if (a == "--deadline-ms") {
-      deadline_ms = std::atof(next());
+      deadline_ms = flagNumber<double>(a, next());
     } else if (a == "--metrics") {
       want_metrics = true;
     } else if (a == "--spawn") {

@@ -19,6 +19,7 @@
 
 #include "eclipse/app/trace.hpp"
 #include "eclipse/sim/stats.hpp"
+#include "flag_number.hpp"
 
 using namespace eclipse;
 
@@ -88,9 +89,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--width" && i + 1 < argc) {
-      opts.width = std::atoi(argv[++i]);
+      opts.width = flagNumber<int>(a, argv[++i]);
     } else if (a == "--height" && i + 1 < argc) {
-      opts.height = std::atoi(argv[++i]);
+      opts.height = flagNumber<int>(a, argv[++i]);
     } else if (a == "--lanes") {
       lanes = true;
     } else if (!a.empty() && a[0] != '-') {
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (path.empty()) {
+  if (path.empty() || opts.width < 1 || opts.height < 1) {
     std::fprintf(stderr, "usage: trace_viewer FILE.csv [--width N] [--height N] [--lanes]\n");
     return 2;
   }
