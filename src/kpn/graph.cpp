@@ -84,14 +84,10 @@ void Graph::run() {
   struct Detach {
     std::vector<Edge>& edges;
     ~Detach() {
-      for (auto& e : edges) {
-        e.fifo->sim_ = nullptr;
-        e.fifo->reader_ = nullptr;
-        e.fifo->writer_ = nullptr;
-      }
+      for (auto& e : edges) e.fifo->detach();
     }
   } detach{edges_};
-  for (auto& e : edges_) e.fifo->sim_ = &sim;
+  for (auto& e : edges_) e.fifo->attach(sim);
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskNode& node = tasks_[i];
     TaskContext& ctx = contexts[i];
@@ -110,8 +106,9 @@ std::string Graph::blockedReport() const {
   const char* sep = " ";
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     for (const auto& e : edges_) {
-      const bool reading = e.consumer == static_cast<int>(t) && e.fifo->reader_;
-      const bool writing = e.producer == static_cast<int>(t) && e.fifo->writer_;
+      const ByteFifo::Parked parked = e.fifo->parked();
+      const bool reading = e.consumer == static_cast<int>(t) && parked == ByteFifo::Parked::reader;
+      const bool writing = e.producer == static_cast<int>(t) && parked == ByteFifo::Parked::writer;
       if (!reading && !writing) continue;
       ss << sep << tasks_[t].name << (reading ? " reads " : " writes ") << e.fifo->name()
          << (reading ? " (empty)" : " (full)");

@@ -14,8 +14,6 @@
 
 namespace eclipse::kpn {
 
-class Graph;
-
 /// Thrown by Graph::run() when the network stops with tasks unfinished: in
 /// a bounded Kahn network that is a deadlock (an undersized buffer or a
 /// cyclic dependency), which Kahn semantics turn into permanent blocking.
@@ -106,9 +104,29 @@ class ByteFifo {
   [[nodiscard]] std::uint64_t totalConsumed() const { return consumed_; }
   [[nodiscard]] std::size_t maxFill() const { return max_fill_; }
 
- private:
-  friend class Graph;
+  /// Binds the FIFO to the kernel that resumes its parked tasks, for one
+  /// run of a graph.
+  void attach(sim::Simulator& sim) { sim_ = &sim; }
 
+  /// Unbinds the FIFO from its kernel and forgets any parked task: the
+  /// handles point into coroutine frames that die with the kernel.
+  void detach() {
+    sim_ = nullptr;
+    reader_ = nullptr;
+    writer_ = nullptr;
+  }
+
+  /// Which side of the stream has a task parked on it. At most one side
+  /// can be: a reader parks only on an empty FIFO, a writer only on a
+  /// full one, and a wake clears the slot.
+  enum class Parked { none, reader, writer };
+  [[nodiscard]] Parked parked() const {
+    if (reader_) return Parked::reader;
+    if (writer_) return Parked::writer;
+    return Parked::none;
+  }
+
+ private:
   /// Suspends the calling coroutine in `slot` until the other side wakes it.
   struct Park {
     ByteFifo& fifo;
@@ -160,8 +178,8 @@ class ByteFifo {
   bool closed_ = false;
   std::uint64_t produced_ = 0;
   std::uint64_t consumed_ = 0;
-  // Set by Graph::run() for the run's duration: the kernel that resumes a
-  // parked task, and the parked consumer and producer.
+  // Bound by attach() for one run: the kernel that resumes a parked task,
+  // and the parked consumer and producer.
   sim::Simulator* sim_ = nullptr;
   std::coroutine_handle<> reader_;
   std::coroutine_handle<> writer_;

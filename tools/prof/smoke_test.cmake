@@ -13,7 +13,7 @@ endif()
 if(NOT EXISTS ${OUT})
   message(FATAL_ERROR "the sampler wrote no ${OUT}")
 endif()
-execute_process(COMMAND ${PYTHON} ${SYMBOLIZE} ${OUT} --top 10 --layers
+execute_process(COMMAND ${PYTHON} ${SYMBOLIZE} ${OUT} --top 10
                 OUTPUT_VARIABLE out RESULT_VARIABLE rc2)
 if(NOT rc2 EQUAL 0)
   message(FATAL_ERROR "symbolize.py failed: ${rc2}")
@@ -25,7 +25,7 @@ if(found EQUAL -1)
 endif()
 string(REGEX MATCH "([0-9.]+)% +[0-9]+  other" other_line "${out}")
 if(NOT other_line)
-  message(FATAL_ERROR "symbolize.py --layers printed no \"other\" layer")
+  message(FATAL_ERROR "symbolize.py printed no \"other\" layer")
 endif()
 if(CMAKE_MATCH_1 GREATER 5)
   message(FATAL_ERROR "${CMAKE_MATCH_1}% of samples are in no layer (at most 5% allowed)")

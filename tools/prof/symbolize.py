@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize a libeclipse_prof sample file and print where the host time went.
 
-    python3 tools/prof/symbolize.py prof.txt [--top N] [--layers]
+    python3 tools/prof/symbolize.py prof.txt [--top N]
 
 Each sampled PC is mapped through the recorded /proc/self/maps to its ELF
 file and virtual address, then to the enclosing function with `nm -C`.
@@ -9,9 +9,9 @@ libc, libm, libstdc++, libgcc_s and the dynamic loader are reported as one
 line each: their time is the program's calls into them (memcpy, operator
 new, ...), and their symbols say little on their own.
 
---layers also prints the share of each layer of the simulator, from the
-symbol-to-layer map LAYERS (first match wins); a sample no rule matches is
-"other".
+After the top symbols it prints the share of each layer of the simulator,
+from the symbol-to-layer map LAYERS (first match wins); a sample no rule
+matches is "other".
 """
 
 import argparse
@@ -27,8 +27,8 @@ GROUPED = re.compile(r"^(libc|libm|libstdc\+\+|libgcc_s|ld-linux[^.]*)[.-]")
 TEXT_TYPES = set("tTwWiI")
 
 # Symbol-to-layer map, in order; a symbol belongs to the first layer whose
-# pattern it contains. The grouped libraries are the "[libc.so.6]"-style
-# entries above.
+# pattern it contains. The libraries GROUPED reports as one "[libc.so.6]"-style
+# entry each are the last layer, "libraries".
 LAYERS = [
     ("kernel", r"Simulator::run|EventQueue|invokeInline<eclipse::sim::"),
     ("cache walk", r"StreamCache::"),
@@ -38,7 +38,6 @@ LAYERS = [
     ("coproc", r"coproc::"),
     ("media", r"media::|avx2|scalar"),
     ("farm", r"farm::"),
-    ("libraries", r"^\[(libc|libm|libstdc\+\+|libgcc_s|ld-linux)"),
 ]
 
 
@@ -46,6 +45,8 @@ def layer_of(symbol):
     for name, pattern in LAYERS:
         if re.search(pattern, symbol):
             return name
+    if symbol.startswith("[") and GROUPED.match(symbol[1:]):
+        return "libraries"
     return "other"
 
 
@@ -119,7 +120,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=25, help="entries to print (default 25)")
-    ap.add_argument("--layers", action="store_true", help="also print per-layer shares")
     args = ap.parse_args()
 
     header, maps, pcs = read_profile(args.profile)
@@ -151,13 +151,12 @@ def main():
     print(header)
     for sym, n in counts.most_common(args.top):
         print("%6.2f%% %7d  %s" % (100.0 * n / max(total, 1), n, sym))
-    if args.layers:
-        layers = collections.Counter()
-        for sym, n in counts.items():
-            layers[layer_of(sym)] += n
-        print("layers:")
-        for name in [l for l, _ in LAYERS] + ["other"]:
-            print("%6.2f%% %7d  %s" % (100.0 * layers[name] / max(total, 1), layers[name], name))
+    layers = collections.Counter()
+    for sym, n in counts.items():
+        layers[layer_of(sym)] += n
+    print("layers:")
+    for name in [l for l, _ in LAYERS] + ["libraries", "other"]:
+        print("%6.2f%% %7d  %s" % (100.0 * layers[name] / max(total, 1), layers[name], name))
 
 
 if __name__ == "__main__":
