@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   }
 
   // Measurement exports.
-  auto series = [&](const app::EclipseInstance::StreamHandle& h, const std::string& name) {
+  auto series = [&](const app::AppStream& h, const std::string& name) {
     sim::TimeSeries s(name);
     const auto& src = h.consumer_shell->streams().row(h.consumer_row).fill_series;
     for (auto& [c, v] : src.points()) s.sample(c, v);

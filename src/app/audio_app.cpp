@@ -156,14 +156,6 @@ void AudioDecodeApp::initStreams(std::vector<std::uint8_t>& coded_stream) {
   pcm_frame_ = frameBytes(1 + block_samples * 2);
 }
 
-void AudioDecodeApp::cacheTaskIds() {
-  t_feeder_ = handle_.taskId("feeder");
-  t_decoder_ = 0;
-  for (const AppTask& t : handle_.tasks()) {
-    if (t.spec.name == "decoder") t_decoder_ = t.id;
-  }
-}
-
 AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
                                const AudioAppConfig& cfg)
     : inst_(inst) {
@@ -173,13 +165,11 @@ AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> 
   decoder_->cycles_per_sample = cfg.cycles_per_sample;
 
   modes_.mode(modeSpec("audio", cfg));
-  Configurator configurator(inst);
-  handle_ = configurator.apply(modes_.modes().front());
+  handle_ = AppHandle::configure(inst, modes_.modes().front());
   handle_.adoptDram(feeder_->dram_addr, feeder_->stream_bytes);
   handle_.addCleanup([this] {
     if (!sink_->done()) inst_.deregisterApp();
   });
-  cacheTaskIds();
 }
 
 AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
@@ -193,19 +183,15 @@ AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> 
 
   for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
   modes_.validate(inst);
-  Configurator configurator(inst);
-  handle_ = configurator.apply(modes_.at(modes.front().first));
+  handle_ = AppHandle::configure(inst, modes_.at(modes.front().first));
   handle_.adoptDram(feeder_->dram_addr, feeder_->stream_bytes);
   handle_.addCleanup([this] {
     if (!sink_->done()) inst_.deregisterApp();
   });
-  cacheTaskIds();
 }
 
 TransitionStats AudioDecodeApp::switchMode(std::string_view mode_name) {
-  const TransitionStats st = handle_.switchMode(modes_, mode_name);
-  cacheTaskIds();
-  return st;
+  return handle_.switchTo(modes_.at(mode_name));
 }
 
 bool AudioDecodeApp::done() const { return sink_->done(); }

@@ -91,10 +91,8 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
   GraphSpec g("av-demux");
   g.task({.name = "demux", .shell = "dsp-cpu", .budget_cycles = 2000,
           .software = std::move(demux_step)});
-  Configurator configurator(inst);
-  demux_handle_ = configurator.apply(g);
+  demux_handle_ = AppHandle::configure(inst, g);
   demux_handle_.adoptDram(demux_->ts_addr, transport_stream.size());
-  t_demux_ = demux_handle_.taskId("demux");
 }
 
 void AvPlaybackApp::teardown() {

@@ -17,7 +17,7 @@ std::uint32_t findFreeStreamRow(mem::PiBus& bus, const shell::Shell& sh) {
   for (std::uint32_t row = 0; row < sh.params().max_streams; ++row) {
     if (bus.read(mmio::streamReg(sh, row, mmio::kStreamValid)) == 0) return row;
   }
-  throw std::runtime_error("Configurator: no free stream row on shell '" + sh.name() + "'");
+  throw std::runtime_error("AppHandle: no free stream row on shell '" + sh.name() + "'");
 }
 
 }  // namespace
@@ -25,6 +25,15 @@ std::uint32_t findFreeStreamRow(mem::PiBus& bus, const shell::Shell& sh) {
 // ---------------------------------------------------------------------
 // AppHandle
 // ---------------------------------------------------------------------
+
+AppHandle AppHandle::configure(EclipseInstance& inst, const GraphSpec& spec,
+                               const std::function<void(AppHandle&)>& before_enable) {
+  AppHandle handle;
+  handle.inst_ = &inst;
+  handle.name_ = spec.name();
+  handle.switchTo(spec, before_enable);
+  return handle;
+}
 
 void AppHandle::requireLive() const {
   if (inst_ == nullptr) throw std::logic_error("AppHandle: empty handle");
@@ -200,30 +209,41 @@ void AppHandle::repairStream(std::string_view stream_name) {
   bus.write(mmio::streamReg(*s.consumer_shell, s.consumer_row, mmio::kStreamStalled), 0);
 }
 
-bool AppHandle::streamsSettled(const std::vector<const AppStream*>& subset) const {
-  for (const AppStream* s : subset) {
+bool AppHandle::streamsSettled(const std::set<std::string>* subset) const {
+  for (const AppStream& s : streams_) {
+    if (subset != nullptr && subset->count(s.spec.name) == 0) continue;
     const std::uint32_t producer_room = inst_->piBus().read(
-        mmio::streamReg(*s->producer_shell, s->producer_row, mmio::kStreamSpace));
+        mmio::streamReg(*s.producer_shell, s.producer_row, mmio::kStreamSpace));
     const std::uint32_t consumer_data = inst_->piBus().read(
-        mmio::streamReg(*s->consumer_shell, s->consumer_row, mmio::kStreamSpace));
+        mmio::streamReg(*s.consumer_shell, s.consumer_row, mmio::kStreamSpace));
     // Empty and settled: the producer sees the whole buffer free again and
     // the consumer sees nothing to read (no putspace message in flight).
-    if (producer_room != s->spec.buffer_bytes || consumer_data != 0) return false;
+    if (producer_room != s.spec.buffer_bytes || consumer_data != 0) return false;
   }
   return true;
 }
 
 bool AppHandle::quiesced() const {
-  if (inst_ == nullptr || torn_down_) return true;
-  std::vector<const AppStream*> all;
-  all.reserve(streams_.size());
-  for (const AppStream& s : streams_) all.push_back(&s);
-  return streamsSettled(all);
+  return inst_ == nullptr || torn_down_ || streamsSettled(nullptr);
 }
 
-bool AppHandle::drain(sim::Cycle max_cycles, sim::Cycle slice) {
+bool AppHandle::settle(const std::set<std::string>* subset) {
+  const sim::Cycle deadline = inst_->simulator().now() + kSettleCycles;
+  while (!streamsSettled(subset)) {
+    const sim::Cycle before = inst_->simulator().now();
+    if (before >= deadline) return false;
+    inst_->run(std::min(deadline, before + kSettleSlice));
+    if (inst_->simulator().now() == before) {
+      // The event queue ran dry without advancing time: the state is
+      // final, so one last check decides.
+      return streamsSettled(subset);
+    }
+  }
+  return true;
+}
+
+bool AppHandle::drain() {
   requireLive();
-  if (slice == 0) throw std::invalid_argument("AppHandle::drain: zero slice");
   // Stop injecting new data; the rest of the graph keeps running and
   // consumes whatever is still buffered in the FIFOs.
   for (const AppTask& t : tasks_) {
@@ -231,18 +251,7 @@ bool AppHandle::drain(sim::Cycle max_cycles, sim::Cycle slice) {
       inst_->piBus().write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), 0);
     }
   }
-  const sim::Cycle deadline = inst_->simulator().now() + max_cycles;
-  while (!quiesced()) {
-    const sim::Cycle before = inst_->simulator().now();
-    if (before >= deadline) return false;
-    inst_->run(std::min(deadline, before + slice));
-    if (inst_->simulator().now() == before) {
-      // The event queue ran dry without advancing time: the state is
-      // final, so one last check decides.
-      return quiesced();
-    }
-  }
-  return true;
+  return settle(nullptr);
 }
 
 void AppHandle::teardown(bool force) {
@@ -268,29 +277,33 @@ void AppHandle::teardown(bool force) {
   }
   for (const auto& [sh, id] : fault_observers_) sh->removeFaultObserver(id);
   fault_observers_.clear();
-  mem::PiBus& bus = inst_->piBus();
-  // Task rows first, so the schedulers stop selecting the tasks; clearing
-  // the valid bit resets the row for the next application.
-  for (const AppTask& t : tasks_) {
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), 0);
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskValid), 0);
-    if (t.spec.software) {
-      if (coproc::SoftCpu* cpu = inst_->softCpuAt(*t.shell)) cpu->unregisterTask(t.id);
-    }
-    inst_->freeTask(*t.shell, t.id);
-  }
-  // Stream rows next; clearing valid resets position/space state and
-  // releases the port cache.
-  for (const AppStream& s : streams_) {
-    bus.write(mmio::streamReg(*s.producer_shell, s.producer_row, mmio::kStreamValid), 0);
-    bus.write(mmio::streamReg(*s.consumer_shell, s.consumer_row, mmio::kStreamValid), 0);
-    inst_->freeSram(s.buffer_base, s.spec.buffer_bytes);
-  }
+  // Task rows first, so the schedulers stop selecting the tasks.
+  for (const AppTask& t : tasks_) releaseTask(t);
+  for (const AppStream& s : streams_) releaseStream(s);
   for (const auto& [addr, bytes] : dram_regions_) inst_->freeDram(addr, bytes);
   dram_regions_.clear();
   for (const auto& fn : cleanups_) fn();
   cleanups_.clear();
   torn_down_ = true;
+}
+
+void AppHandle::releaseTask(const AppTask& t) {
+  // Clearing the valid bit resets the row for the next application.
+  mem::PiBus& bus = inst_->piBus();
+  bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), 0);
+  bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskValid), 0);
+  if (t.spec.software) {
+    if (coproc::SoftCpu* cpu = inst_->softCpuAt(*t.shell)) cpu->unregisterTask(t.id);
+  }
+  inst_->freeTask(*t.shell, t.id);
+}
+
+void AppHandle::releaseStream(const AppStream& s) {
+  // Clearing valid resets position/space state and releases the port cache.
+  mem::PiBus& bus = inst_->piBus();
+  bus.write(mmio::streamReg(*s.producer_shell, s.producer_row, mmio::kStreamValid), 0);
+  bus.write(mmio::streamReg(*s.consumer_shell, s.consumer_row, mmio::kStreamValid), 0);
+  inst_->freeSram(s.buffer_base, s.spec.buffer_bytes);
 }
 
 AppStream AppHandle::programStream(const StreamSpec& s) {
@@ -336,48 +349,28 @@ AppStream AppHandle::programStream(const StreamSpec& s) {
 }
 
 TransitionStats AppHandle::switchTo(const GraphSpec& target,
-                                    const std::function<void(AppHandle&)>& before_enable,
-                                    sim::Cycle max_drain_cycles, sim::Cycle slice) {
+                                    const std::function<void(AppHandle&)>& before_enable) {
   requireLive();
-  if (slice == 0) throw std::invalid_argument("AppHandle::switchTo: zero slice");
-  target.validateStructure();
 
-  // The currently programmed graph, rebuilt from the placed elements.
+  // ---- Check: nothing is written before the target is known to fit ---
+  // The currently programmed graph, rebuilt from the placed elements, and
+  // what removing the diff's elements gives back.
   GraphSpec current(mode_);
   for (const AppTask& t : tasks_) current.task(t.spec);
   for (const AppStream& s : streams_) current.stream(s.spec);
   const GraphDiff d = diffGraphs(current, target);
-
-  // Interface reconciliation before the first MMIO write: kept tasks must
-  // keep their shell and software-ness (the slot stays in place), added
-  // tasks must land on known shells with matching bindings, added buffers
-  // must respect the cache-line constraint.
-  for (const TaskSpec& t : target.tasks()) {
-    if (const TaskSpec* cur = current.findTask(t.name)) {
-      if (cur->shell != t.shell) {
-        throw GraphSpecError("switchTo '" + name_ + "': task '" + t.name + "' moves from shell '" +
-                             cur->shell + "' to '" + t.shell + "' — rename the task if it moves");
-      }
-      if (bool(cur->software) != bool(t.software)) {
-        throw GraphSpecError("switchTo '" + name_ + "': task '" + t.name +
-                             "' switches between software and hardware");
-      }
-    } else {
-      shell::Shell& sh = inst_->shell(t.shell);
-      if ((inst_->softCpuAt(sh) != nullptr) != bool(t.software)) {
-        throw GraphSpecError("switchTo '" + name_ + "': task '" + t.name +
-                             "' software binding does not match shell '" + t.shell + "'");
-      }
-    }
+  const std::set<std::string> removed(d.streams_removed.begin(), d.streams_removed.end());
+  Released released;
+  for (const AppTask& t : tasks_) {
+    if (target.findTask(t.spec.name) == nullptr) released.task_slots.push_back(t.shell);
   }
-  const std::uint32_t line = inst_->params().cache_line_bytes;
-  for (const StreamSpec& s : d.streams_added) {
-    if (s.buffer_bytes == 0 || s.buffer_bytes % line != 0) {
-      throw GraphSpecError("switchTo '" + name_ + "': stream '" + s.name + "' buffer of " +
-                           std::to_string(s.buffer_bytes) + " bytes is not a positive multiple " +
-                           "of the " + std::to_string(line) + "-byte cache line");
-    }
+  for (const AppStream& s : streams_) {
+    if (removed.count(s.spec.name) == 0) continue;
+    released.stream_rows.push_back(s.producer_shell);
+    released.stream_rows.push_back(s.consumer_shell);
+    released.buffers.emplace_back(s.buffer_base, s.spec.buffer_bytes);
   }
+  checkTransition(*inst_, current, target, d, released);
 
   mem::PiBus& bus = inst_->piBus();
   const sim::Cycle t0 = inst_->simulator().now();
@@ -400,8 +393,8 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
   // reachability over consumer-task -> produced-stream edges, cycles
   // included) must settle before any row is re-bound; only the sources
   // feeding that closure are gated. The rest of the graph keeps running.
-  if (!d.streams_removed.empty()) {
-    std::set<std::string> closure(d.streams_removed.begin(), d.streams_removed.end());
+  if (!removed.empty()) {
+    std::set<std::string> closure = removed;
     bool grew = true;
     while (grew) {
       grew = false;
@@ -427,10 +420,6 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
         bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), 0);
       }
     }
-    std::vector<const AppStream*> subset;
-    for (const AppStream& s : streams_) {
-      if (closure.count(s.spec.name) != 0) subset.push_back(&s);
-    }
     // A finished subgraph cannot settle: its tasks self-disabled at Eos,
     // and whatever trailing bytes remain in the closure FIFOs are exactly
     // what the removal discards. Only a live closure — some task on one of
@@ -438,9 +427,10 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
     bool closure_live = false;
     for (const AppTask& t : tasks_) {
       bool touches = false;
-      for (const AppStream* s : subset) {
-        touches = touches || s->spec.producer.task == t.spec.name ||
-                  s->spec.consumer.task == t.spec.name;
+      for (const AppStream& s : streams_) {
+        touches = touches || (closure.count(s.spec.name) != 0 &&
+                              (s.spec.producer.task == t.spec.name ||
+                               s.spec.consumer.task == t.spec.name));
       }
       if (touches && bus.read(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled)) != 0) {
         closure_live = true;
@@ -448,51 +438,26 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
       }
     }
     if (closure_live) {
-      const sim::Cycle deadline = inst_->simulator().now() + max_drain_cycles;
-      while (!streamsSettled(subset)) {
-        const sim::Cycle before = inst_->simulator().now();
-        const bool dry_or_late = before >= deadline;
-        if (!dry_or_late) inst_->run(std::min(deadline, before + slice));
-        if (dry_or_late || inst_->simulator().now() == before) {
-          if (streamsSettled(subset)) break;
-          throw std::runtime_error("AppHandle '" + name_ + "': mode transition to '" +
-                                   target.name() + "' could not drain the affected subgraph");
-        }
+      if (!settle(&closure)) {
+        throw std::runtime_error("AppHandle '" + name_ + "': mode transition to '" +
+                                 target.name() + "' could not drain the affected subgraph");
       }
       st.drained = true;
     }
   }
 
   // ---- Phase 2: invalidate and free only the removed elements ---------
-  for (const std::string& nm : d.tasks_removed) {
-    for (auto it = tasks_.begin(); it != tasks_.end(); ++it) {
-      if (it->spec.name != nm) continue;
-      bus.write(mmio::taskReg(*it->shell, it->id, mmio::kTaskEnabled), 0);
-      bus.write(mmio::taskReg(*it->shell, it->id, mmio::kTaskValid), 0);
-      if (it->spec.software) {
-        if (coproc::SoftCpu* cpu = inst_->softCpuAt(*it->shell)) cpu->unregisterTask(it->id);
-      }
-      inst_->freeTask(*it->shell, it->id);
-      tasks_.erase(it);
-      break;
-    }
+  for (const AppTask& t : tasks_) {
+    if (target.findTask(t.spec.name) == nullptr) releaseTask(t);
   }
-  for (const std::string& nm : d.streams_removed) {
-    for (auto it = streams_.begin(); it != streams_.end(); ++it) {
-      if (it->spec.name != nm) continue;
-      bus.write(mmio::streamReg(*it->producer_shell, it->producer_row, mmio::kStreamValid), 0);
-      bus.write(mmio::streamReg(*it->consumer_shell, it->consumer_row, mmio::kStreamValid), 0);
-      inst_->freeSram(it->buffer_base, it->spec.buffer_bytes);
-      streams_.erase(it);
-      break;
-    }
+  for (const AppStream& s : streams_) {
+    if (removed.count(s.spec.name) != 0) releaseStream(s);
   }
+  std::erase_if(streams_, [&](const AppStream& s) { return removed.count(s.spec.name) != 0; });
 
   // ---- Phase 3: allocate/program added elements, rebind the rest ------
   // Tasks first (stream rows reference task ids); kept tasks keep their
   // slots, software handlers are refreshed from the target spec.
-  std::set<std::string> added_tasks;
-  for (const TaskSpec& t : d.tasks_added) added_tasks.insert(t.name);
   std::vector<AppTask> new_tasks;
   new_tasks.reserve(target.tasks().size());
   for (const TaskSpec& tspec : target.tasks()) {
@@ -547,14 +512,14 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
   // parked on a stale row re-evaluate against the new stream table.
   const bool rebind = d.touchesStreams();
   for (const AppTask& t : tasks_) {
-    if (added_tasks.count(t.spec.name) != 0) {
+    const TaskSpec* prev = current.findTask(t.spec.name);
+    if (prev == nullptr) {  // added: fields, then valid, then enable
       bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskBudget), t.spec.budget_cycles);
       bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskInfo), t.spec.task_info);
       bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskValid), 1);
       bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), t.spec.enabled ? 1 : 0);
       continue;
     }
-    const TaskSpec* prev = current.findTask(t.spec.name);
     if (prev->budget_cycles != t.spec.budget_cycles) {
       bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskBudget), t.spec.budget_cycles);
     }
@@ -578,11 +543,6 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
   return st;
 }
 
-TransitionStats AppHandle::switchMode(const ModeSet& modes, std::string_view mode_name,
-                                      const std::function<void(AppHandle&)>& before_enable) {
-  return switchTo(modes.at(mode_name), before_enable);
-}
-
 void AppHandle::adoptDram(sim::Addr addr, std::size_t bytes) {
   requireLive();
   dram_regions_.emplace_back(addr, bytes);
@@ -591,56 +551,6 @@ void AppHandle::adoptDram(sim::Addr addr, std::size_t bytes) {
 void AppHandle::addCleanup(std::function<void()> fn) {
   requireLive();
   cleanups_.push_back(std::move(fn));
-}
-
-// ---------------------------------------------------------------------
-// Configurator
-// ---------------------------------------------------------------------
-
-AppHandle Configurator::apply(const GraphSpec& spec,
-                              const std::function<void(AppHandle&)>& before_enable) {
-  spec.validate(inst_);
-
-  AppHandle handle;
-  handle.inst_ = &inst_;
-  handle.name_ = spec.name();
-  handle.mode_ = spec.name();
-  mem::PiBus& bus = inst_.piBus();
-
-  // Phase 1: allocate a task slot per task, in spec order (the legacy
-  // hand-wired applications allocated in the same order, which keeps slot
-  // ids — and therefore all downstream timing — identical).
-  for (const TaskSpec& t : spec.tasks()) {
-    shell::Shell& sh = inst_.shell(t.shell);
-    const sim::TaskId id = inst_.allocTask(sh);
-    if (t.software) inst_.softCpuAt(sh)->registerTask(id, t.software);
-    handle.tasks_.push_back(AppTask{t, &sh, id});
-  }
-
-  // Phase 2: allocate each stream's FIFO and program both stream-table
-  // rows over the PI-bus — fields first, valid bit last (the valid write
-  // instantiates the port cache), then patch the producer's remote row id
-  // once the consumer row is known. Streams are fully programmed before
-  // any task is enabled, so a freshly scheduled task can never look up a
-  // half-wired port.
-  for (const StreamSpec& s : spec.streams()) {
-    handle.streams_.push_back(handle.programStream(s));
-  }
-
-  // Coprocessor-specific parameter setup (needs task ids, must precede the
-  // first scheduling opportunity).
-  if (before_enable) before_enable(handle);
-
-  // Phase 3: make the task rows valid and enable them. The enable write is
-  // last — it wakes the shell scheduler on an already-consistent graph.
-  for (const AppTask& t : handle.tasks_) {
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskBudget), t.spec.budget_cycles);
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskInfo), t.spec.task_info);
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskValid), 1);
-    bus.write(mmio::taskReg(*t.shell, t.id, mmio::kTaskEnabled), t.spec.enabled ? 1 : 0);
-  }
-
-  return handle;
 }
 
 }  // namespace eclipse::app

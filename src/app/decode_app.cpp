@@ -7,15 +7,6 @@
 
 namespace eclipse::app {
 
-namespace {
-
-EclipseInstance::StreamHandle toStreamHandle(const AppStream& s) {
-  return EclipseInstance::StreamHandle{s.producer_shell, s.producer_row, s.consumer_shell,
-                                       s.consumer_row,   s.buffer_base,  s.spec.buffer_bytes};
-}
-
-}  // namespace
-
 GraphSpec DecodeApp::spec(const DecodeAppConfig& cfg, const std::string& sink_shell,
                           const std::string& name) {
   GraphSpec g(name);
@@ -78,18 +69,6 @@ std::function<void(AppHandle&)> DecodeApp::stageBitstream(std::vector<std::uint8
   };
 }
 
-void DecodeApp::cacheHandles() {
-  t_vld_ = handle_.taskId("vld");
-  t_rlsq_ = handle_.taskId("rlsq");
-  t_dct_ = handle_.taskId("idct");
-  t_mc_ = handle_.taskId("mc");
-  s_coef_ = toStreamHandle(handle_.stream("coef"));
-  s_hdr_ = toStreamHandle(handle_.stream("hdr"));
-  s_blocks_ = toStreamHandle(handle_.stream("blocks"));
-  s_res_ = toStreamHandle(handle_.stream("res"));
-  s_pix_ = toStreamHandle(handle_.stream("pix"));
-}
-
 DecodeApp::DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
                      const DecodeAppConfig& cfg)
     : DecodeApp(inst, std::move(bitstream), std::vector<Mode>{{"decode", cfg}}) {}
@@ -103,19 +82,15 @@ DecodeApp::DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
   modes_ = modeSet(modes, sink_->shell().name());
   modes_.validate(inst);
 
-  Configurator configurator(inst);
-  handle_ = configurator.apply(modes_.at(modes.front().first),
-                               stageBitstream(std::move(bitstream)));
+  handle_ = AppHandle::configure(inst, modes_.at(modes.front().first),
+                                 stageBitstream(std::move(bitstream)));
   handle_.addCleanup([this] {
     if (!sink_->done()) inst_.deregisterApp();
   });
-  cacheHandles();
 }
 
 TransitionStats DecodeApp::switchMode(std::string_view mode_name) {
-  TransitionStats st = handle_.switchMode(modes_, mode_name);
-  cacheHandles();
-  return st;
+  return handle_.switchTo(modes_.at(mode_name));
 }
 
 TransitionStats DecodeApp::switchSegment(std::string_view mode_name,
@@ -131,7 +106,6 @@ TransitionStats DecodeApp::switchSegment(std::string_view mode_name,
   const std::uint64_t w0 = inst_.piBus().writeCount();
   handle_.resume();
   st.mmio_writes += inst_.piBus().writeCount() - w0;
-  cacheHandles();
   return st;
 }
 
@@ -140,7 +114,7 @@ void DecodeApp::recoverFrom(const TaskFault& f) {
   if (f.task == "vld") {
     // The source itself is unparseable: emit Eos downstream so the clip
     // terminates cleanly with whatever was decoded.
-    inst_.vld().requestAbort(t_vld_);
+    inst_.vld().requestAbort(vldTask());
     handle_.clearFault("vld", /*reenable=*/true);
     return;
   }
@@ -148,9 +122,9 @@ void DecodeApp::recoverFrom(const TaskFault& f) {
   // already consumed). Send Resync markers from the VLD, put the
   // stateless stages into discard-until-marker mode, and re-enable the
   // faulted task; the VLD parses forward to the next I-frame.
-  inst_.vld().requestResync(t_vld_);
-  inst_.rlsq().requestDiscard(t_rlsq_);
-  inst_.dct().requestDiscard(t_dct_);
+  inst_.vld().requestResync(vldTask());
+  inst_.rlsq().requestDiscard(rlsqTask());
+  inst_.dct().requestDiscard(dctTask());
   handle_.clearFault(f.task, /*reenable=*/true);
 }
 
@@ -168,8 +142,7 @@ void DecodeApp::enableDegradedFallback(std::string degraded_mode) {
     // to completion inside this callback without advancing the simulation.
     if (!degraded_ && handle_.currentMode() != degraded_mode_) {
       degraded_ = true;
-      handle_.switchMode(modes_, degraded_mode_);
-      cacheHandles();
+      handle_.switchTo(modes_.at(degraded_mode_));
     }
   });
 }

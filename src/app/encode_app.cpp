@@ -66,8 +66,7 @@ void EncodeApp::init(const media::CodecParams& params, int frame_count) {
       static_cast<std::size_t>(coproc::McCoproc::frameSlotBytes(sh)) * 3;
   const sim::Addr store = inst_.allocDram(store_bytes);
 
-  Configurator configurator(inst_);
-  handle_ = configurator.apply(modes_.modes().front(), [&](AppHandle& h) {
+  handle_ = AppHandle::configure(inst_, modes_.modes().front(), [&](AppHandle& h) {
     coproc::McTaskConfig me_cfg;
     me_cfg.kind = coproc::McTaskKind::MotionEst;
     me_cfg.frame_store_base = store;
@@ -82,13 +81,6 @@ void EncodeApp::init(const media::CodecParams& params, int frame_count) {
   handle_.addCleanup([this] {
     if (!sink_->done()) inst_.deregisterApp();
   });
-
-  t_me_ = handle_.taskId("me");
-  t_recon_ = handle_.taskId("recon");
-  t_fdct_ = handle_.taskId("fdct");
-  t_idct_ = handle_.taskId("idct");
-  t_qrle_ = handle_.taskId("qrle");
-  t_deq_ = handle_.taskId("deq");
 }
 
 EncodeApp::EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
@@ -124,7 +116,7 @@ EncodeApp::EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
 }
 
 TransitionStats EncodeApp::switchMode(std::string_view mode_name) {
-  return handle_.switchMode(modes_, mode_name);
+  return handle_.switchTo(modes_.at(mode_name));
 }
 
 bool EncodeApp::done() const { return sink_->done(); }

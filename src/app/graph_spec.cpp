@@ -1,10 +1,9 @@
 #include "eclipse/app/graph_spec.hpp"
 
-#include <map>
 #include <set>
 #include <utility>
 
-#include "eclipse/app/instance.hpp"
+#include "eclipse/app/mode_set.hpp"
 
 namespace eclipse::app {
 
@@ -50,64 +49,8 @@ void GraphSpec::validateStructure() const {
 }
 
 void GraphSpec::validate(EclipseInstance& inst) const {
-  auto fail = [this](const std::string& msg) {
-    throw GraphSpecError("GraphSpec '" + name_ + "': " + msg);
-  };
-
-  validateStructure();
-
-  // --- Capacity checks against the instance ---------------------------
-  std::map<shell::Shell*, std::uint32_t> tasks_needed;
-  std::map<std::string, shell::Shell*> task_shell;
-  for (const TaskSpec& t : tasks_) {
-    shell::Shell* sh = inst.findShell(t.shell);
-    if (sh == nullptr) fail("task '" + t.name + "' names unknown shell '" + t.shell + "'");
-    task_shell[t.name] = sh;
-    ++tasks_needed[sh];
-    const bool is_cpu = inst.softCpuAt(*sh) != nullptr;
-    if (is_cpu && !t.software) {
-      fail("task '" + t.name + "' runs on software shell '" + t.shell +
-           "' but has no software step handler");
-    }
-    if (!is_cpu && t.software) {
-      fail("task '" + t.name + "' binds a software step to hardware shell '" + t.shell + "'");
-    }
-  }
-  for (const auto& [sh, needed] : tasks_needed) {
-    const std::uint32_t free = inst.freeTaskSlots(*sh);
-    if (needed > free) {
-      fail("shell '" + sh->name() + "' has " + std::to_string(free) + " free task slots, " +
-           std::to_string(needed) + " needed");
-    }
-  }
-
-  std::map<shell::Shell*, std::uint32_t> rows_needed;
-  std::size_t sram_needed = 0;
-  const std::uint32_t line = inst.params().cache_line_bytes;
-  for (const StreamSpec& s : streams_) {
-    if (s.buffer_bytes == 0 || s.buffer_bytes % line != 0) {
-      fail("stream '" + s.name + "' buffer of " + std::to_string(s.buffer_bytes) +
-           " bytes is not a positive multiple of the " + std::to_string(line) +
-           "-byte cache line");
-    }
-    sram_needed += s.buffer_bytes;
-    ++rows_needed[task_shell.at(s.producer.task)];
-    ++rows_needed[task_shell.at(s.consumer.task)];
-  }
-  for (const auto& [sh, needed] : rows_needed) {
-    std::uint32_t free = 0;
-    for (std::uint32_t i = 0; i < sh->streams().capacity(); ++i) {
-      if (!sh->streams().row(i).valid) ++free;
-    }
-    if (needed > free) {
-      fail("shell '" + sh->name() + "' has " + std::to_string(free) + " free stream rows, " +
-           std::to_string(needed) + " needed");
-    }
-  }
-  if (sram_needed > inst.sramBytesFree()) {
-    fail("graph needs " + std::to_string(sram_needed) + " bytes of SRAM, " +
-         std::to_string(inst.sramBytesFree()) + " free");
-  }
+  const GraphSpec empty(name_);
+  checkTransition(inst, empty, *this, diffGraphs(empty, *this), Released{});
 }
 
 }  // namespace eclipse::app

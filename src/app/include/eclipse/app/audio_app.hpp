@@ -79,8 +79,9 @@ class AudioDecodeApp {
   [[nodiscard]] const AppHandle& handle() const { return handle_; }
   void teardown() { handle_.teardown(); }
 
-  [[nodiscard]] sim::TaskId feederTask() const { return t_feeder_; }
-  [[nodiscard]] sim::TaskId decoderTask() const { return t_decoder_; }
+  [[nodiscard]] sim::TaskId feederTask() const { return handle_.taskId("feeder"); }
+  /// Throws std::out_of_range in a mode without the decoder (bypass).
+  [[nodiscard]] sim::TaskId decoderTask() const { return handle_.taskId("decoder"); }
 
  private:
   struct FeederState;
@@ -92,7 +93,6 @@ class AudioDecodeApp {
   /// The graph of one mode: play (feeder -> decoder -> sink) or bypass
   /// (feeder -> sink).
   [[nodiscard]] GraphSpec modeSpec(const std::string& name, const AudioAppConfig& cfg) const;
-  void cacheTaskIds();
 
   EclipseInstance& inst_;
   coproc::ByteSink* sink_ = nullptr;
@@ -100,7 +100,6 @@ class AudioDecodeApp {
   std::shared_ptr<DecoderState> decoder_;
   AppHandle handle_;
   ModeSet modes_{"audio-modes"};
-  sim::TaskId t_feeder_ = 0, t_decoder_ = 0;
   std::uint32_t total_samples_ = 0;
   std::uint32_t block_frame_ = 0, pcm_frame_ = 0;
 };

@@ -56,7 +56,6 @@ class AvPlaybackApp {
   std::unique_ptr<AudioDecodeApp> audio_;
   std::shared_ptr<DemuxState> demux_;
   AppHandle demux_handle_;
-  sim::TaskId t_demux_ = 0;
 };
 
 }  // namespace eclipse::app

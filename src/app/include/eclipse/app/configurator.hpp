@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -15,7 +16,7 @@ namespace eclipse::app {
 
 /// PI-bus addresses of a shell's table registers. The layout and the
 /// field names are shell::mmio's (shell/tables.hpp); this adds the shell's
-/// window base. Shared by the Configurator, the graph_dump tool and the
+/// window base. Shared by AppHandle, the graph_dump tool and the
 /// reconfiguration/fault tests.
 namespace mmio {
 
@@ -72,7 +73,7 @@ struct AppHealth {
 };
 
 /// A task as placed onto the instance: its spec plus the shell and task
-/// slot the Configurator allocated for it.
+/// slot the handle allocated for it.
 struct AppTask {
   TaskSpec spec;
   shell::Shell* shell = nullptr;
@@ -80,7 +81,9 @@ struct AppTask {
 };
 
 /// A stream as placed onto the instance: its spec plus both programmed
-/// stream-table rows and the SRAM FIFO region.
+/// stream-table rows and the SRAM FIFO region. The one record of a placed
+/// stream; applications hand it out for measurement (DecodeApp's
+/// coefStream() and the rest).
 struct AppStream {
   StreamSpec spec;
   shell::Shell* producer_shell = nullptr;
@@ -93,11 +96,14 @@ struct AppStream {
 /// Runtime control handle for one configured application. All table state
 /// changes go through the PI-bus, the same path the configuring CPU uses.
 ///
-/// Lifecycle: pause()/resume() toggle the scheduler-enable bits; drain()
-/// quiesces the graph (sources disabled, simulation sliced forward until
-/// every stream is empty by space accounting); teardown() — only safe on a
-/// quiesced or never-started graph — invalidates all rows and returns task
-/// slots, stream rows and SRAM regions to the instance for reuse.
+/// One path programs a graph: switchTo() moves the handle from the graph it
+/// holds to a target graph, and configure() is that transition from the
+/// empty graph. Lifecycle: pause()/resume() toggle the scheduler-enable
+/// bits; drain() quiesces the graph (sources disabled, simulation sliced
+/// forward until every stream is empty by space accounting); teardown() —
+/// only safe on a quiesced or never-started graph — invalidates all rows
+/// and returns task slots, stream rows and SRAM regions to the instance
+/// for reuse.
 class AppHandle {
  public:
   AppHandle() = default;
@@ -105,6 +111,15 @@ class AppHandle {
   AppHandle& operator=(const AppHandle&) = delete;
   AppHandle(AppHandle&&) = default;
   AppHandle& operator=(AppHandle&&) = default;
+
+  /// Programs `spec` onto `inst` over the PI-bus: switchTo(spec) from the
+  /// empty graph, so it runs the same admission check (GraphSpec::validate)
+  /// before its first write. `before_enable`, when given, runs after every
+  /// slot/row/buffer is allocated and programmed but before any task row
+  /// is made valid+enabled — the place for coprocessor-specific parameter
+  /// setup (e.g. VLD bitstream address) that needs task ids.
+  static AppHandle configure(EclipseInstance& inst, const GraphSpec& spec,
+                             const std::function<void(AppHandle&)>& before_enable = {});
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool live() const { return inst_ != nullptr && !torn_down_; }
@@ -157,36 +172,32 @@ class AppHandle {
   [[nodiscard]] bool quiesced() const;
 
   /// Quiesces the application: disables source tasks, then advances the
-  /// simulation in `slice`-cycle increments until quiesced() holds or no
-  /// further progress is possible / `max_cycles` elapsed. Returns whether
-  /// the graph quiesced. Other applications on the instance keep running
-  /// during the drain.
-  bool drain(sim::Cycle max_cycles = 2'000'000, sim::Cycle slice = 5'000);
+  /// simulation until quiesced() holds, no further progress is possible or
+  /// kSettleCycles elapsed. Returns whether the graph quiesced. Other
+  /// applications on the instance keep running during the drain.
+  bool drain();
 
   /// Live diff-based reconfiguration: computes the task/stream delta to
-  /// `target` (diffGraphs), gates only the source tasks that can reach an
-  /// affected stream, slice-runs until the affected subgraph is empty by
-  /// space accounting (read back over the PI-bus), invalidates and frees
-  /// only removed rows/buffers, programs only added ones (kept streams
-  /// reuse their rows and SRAM in place, kept tasks their slots), then
-  /// re-enables. `before_enable` runs after programming, before any enable
-  /// write — the hook for coprocessor parameter setup that needs task ids.
-  /// Field-only diffs (budgets/info) never pause the graph. Returns the
-  /// measured transition cost; throws if the partial drain does not
-  /// converge within `max_drain_cycles`.
+  /// `target` (diffGraphs) and checks that the target fits once the
+  /// removed elements are freed (checkTransition) before its first PI-bus
+  /// write. Then it gates only the source tasks that can reach an affected
+  /// stream, runs until the affected subgraph is empty by space accounting
+  /// (read back over the PI-bus), invalidates and frees only removed
+  /// rows/buffers, programs only added ones (kept streams reuse their rows
+  /// and SRAM in place, kept tasks their slots), then re-enables.
+  /// `before_enable` runs after programming, before any enable write — the
+  /// hook for coprocessor parameter setup that needs task ids. Field-only
+  /// diffs (budgets/info) never pause the graph. Returns the measured
+  /// transition cost. Throws GraphSpecError, with the graph untouched, when
+  /// the target does not fit; throws std::runtime_error if the partial
+  /// drain does not settle within kSettleCycles.
   TransitionStats switchTo(const GraphSpec& target,
-                           const std::function<void(AppHandle&)>& before_enable = {},
-                           sim::Cycle max_drain_cycles = 2'000'000, sim::Cycle slice = 5'000);
+                           const std::function<void(AppHandle&)>& before_enable = {});
 
-  /// switchTo on a named mode of a validated ModeSet.
-  TransitionStats switchMode(const ModeSet& modes, std::string_view mode_name,
-                             const std::function<void(AppHandle&)>& before_enable = {});
-
-  /// Name of the GraphSpec currently programmed (mode name after a
-  /// switchTo/switchMode, the applied spec's name before the first switch).
+  /// Name of the GraphSpec currently programmed.
   [[nodiscard]] const std::string& currentMode() const { return mode_; }
 
-  /// Cost record of the most recent switchTo/switchMode.
+  /// Cost record of the most recent switchTo (configure() included).
   [[nodiscard]] const TransitionStats& lastTransition() const { return last_transition_; }
 
   /// Frees everything the application holds: task rows and stream rows are
@@ -207,17 +218,36 @@ class AppHandle {
   /// registerApp() slot for an application torn down before completion).
   void addCleanup(std::function<void()> fn);
 
- private:
-  friend class Configurator;
+  /// How long drain() and a switch's partial drain may run the simulation
+  /// (cycles), and the slice between two quiescence polls over the PI-bus.
+  static constexpr sim::Cycle kSettleCycles = 2'000'000;
+  static constexpr sim::Cycle kSettleSlice = 5'000;
 
+ private:
   void requireLive() const;
 
-  /// quiesced(), restricted to the given streams (partial-drain check).
-  [[nodiscard]] bool streamsSettled(const std::vector<const AppStream*>& subset) const;
+  /// quiesced(), restricted to the streams named in `subset` (every
+  /// stream when null). It walks the current streams on each call, so a
+  /// fault callback that switches the graph mid-drain leaves no stale
+  /// pointer behind.
+  [[nodiscard]] bool streamsSettled(const std::set<std::string>* subset) const;
+
+  /// Runs the simulation in kSettleSlice steps until streamsSettled(subset)
+  /// holds; false when kSettleCycles pass or the event queue runs dry
+  /// first. Shared by drain() and switchTo().
+  bool settle(const std::set<std::string>* subset);
 
   /// Allocates SRAM and free rows for one stream and programs both table
-  /// rows (fields first, valid last). Shared by apply() and switchTo().
+  /// rows (fields first, valid last).
   AppStream programStream(const StreamSpec& s);
+
+  /// Invalidates a task row over the PI-bus (enable, then valid), unbinds
+  /// its software step and returns the slot. Shared by teardown() and
+  /// switchTo().
+  void releaseTask(const AppTask& t);
+  /// Invalidates both rows of a stream over the PI-bus and returns its
+  /// SRAM buffer. Shared by teardown() and switchTo().
+  void releaseStream(const AppStream& s);
 
   EclipseInstance* inst_ = nullptr;
   std::string name_;
@@ -230,26 +260,6 @@ class AppHandle {
   TransitionStats last_transition_{};
   bool torn_down_ = false;
   bool paused_ = false;
-};
-
-/// Programs a validated GraphSpec onto a live instance through the PI-bus:
-/// allocates task slots and SRAM FIFOs, scans each shell's stream table
-/// for free rows via valid-bit reads, writes configuration fields then the
-/// valid bit (stream rows first, task enables last so no task can be
-/// scheduled against a half-programmed graph), and returns the AppHandle.
-class Configurator {
- public:
-  explicit Configurator(EclipseInstance& inst) : inst_(inst) {}
-
-  /// Validates and applies `spec`. `before_enable`, when given, runs after
-  /// every slot/row/buffer is allocated and programmed but before any task
-  /// row is made valid+enabled — the place for coprocessor-specific
-  /// parameter setup (e.g. VLD bitstream address) that needs task ids.
-  AppHandle apply(const GraphSpec& spec,
-                  const std::function<void(AppHandle&)>& before_enable = {});
-
- private:
-  EclipseInstance& inst_;
 };
 
 }  // namespace eclipse::app

@@ -36,7 +36,7 @@ struct DecodeAppConfig {
 ///                               (headers / motion vectors)
 ///
 /// The graph is declared as a GraphSpec and programmed onto the instance
-/// by the Configurator over the PI-bus; this class is a thin adapter that
+/// by AppHandle::configure over the PI-bus; this class is a thin adapter that
 /// owns the resulting AppHandle. Several DecodeApps can run on the same
 /// instance simultaneously; each adds one task to every coprocessor's task
 /// table (time-shared hardware).
@@ -123,25 +123,26 @@ class DecodeApp {
   /// Frees every resource the application holds (see AppHandle::teardown).
   void teardown() { handle_.teardown(); }
 
-  // Stream handles for measurement (Figures 9/10: buffer filling of the
-  // RLSQ, DCT and MC input streams).
-  [[nodiscard]] const EclipseInstance::StreamHandle& coefStream() const { return s_coef_; }
-  [[nodiscard]] const EclipseInstance::StreamHandle& hdrStream() const { return s_hdr_; }
-  [[nodiscard]] const EclipseInstance::StreamHandle& blocksStream() const { return s_blocks_; }
-  [[nodiscard]] const EclipseInstance::StreamHandle& resStream() const { return s_res_; }
-  [[nodiscard]] const EclipseInstance::StreamHandle& pixStream() const { return s_pix_; }
+  // Placed streams for measurement (Figures 9/10: buffer filling of the
+  // RLSQ, DCT and MC input streams) and task slots, read from the handle's
+  // current graph. A returned stream reference holds until the next mode
+  // switch, which re-places the streams.
+  [[nodiscard]] const AppStream& coefStream() const { return handle_.stream("coef"); }
+  [[nodiscard]] const AppStream& hdrStream() const { return handle_.stream("hdr"); }
+  [[nodiscard]] const AppStream& blocksStream() const { return handle_.stream("blocks"); }
+  [[nodiscard]] const AppStream& resStream() const { return handle_.stream("res"); }
+  [[nodiscard]] const AppStream& pixStream() const { return handle_.stream("pix"); }
 
-  [[nodiscard]] sim::TaskId vldTask() const { return t_vld_; }
-  [[nodiscard]] sim::TaskId rlsqTask() const { return t_rlsq_; }
-  [[nodiscard]] sim::TaskId dctTask() const { return t_dct_; }
-  [[nodiscard]] sim::TaskId mcTask() const { return t_mc_; }
+  [[nodiscard]] sim::TaskId vldTask() const { return handle_.taskId("vld"); }
+  [[nodiscard]] sim::TaskId rlsqTask() const { return handle_.taskId("rlsq"); }
+  [[nodiscard]] sim::TaskId dctTask() const { return handle_.taskId("idct"); }
+  [[nodiscard]] sim::TaskId mcTask() const { return handle_.taskId("mc"); }
 
  private:
   /// (Re)configures the VLD and MC task parameters for a bitstream whose
   /// sequence header is already parsed; allocates and adopts the off-chip
   /// regions. Shared by the constructor and switchSegment().
   std::function<void(AppHandle&)> stageBitstream(std::vector<std::uint8_t> bitstream);
-  void cacheHandles();
   /// The recovery policy of enableRecovery() for one latched fault.
   void recoverFrom(const TaskFault& f);
 
@@ -150,8 +151,6 @@ class DecodeApp {
   AppHandle handle_;
   ModeSet modes_{"decode-modes"};
   std::string degraded_mode_;
-  sim::TaskId t_vld_ = 0, t_rlsq_ = 0, t_dct_ = 0, t_mc_ = 0;
-  EclipseInstance::StreamHandle s_coef_{}, s_hdr_{}, s_blocks_{}, s_res_{}, s_pix_{};
   std::uint64_t recoveries_ = 0;
   bool degraded_ = false;
 };

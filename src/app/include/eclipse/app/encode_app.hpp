@@ -35,7 +35,7 @@ struct EncodeAppConfig {
 ///                                             \-> DEQ(RLSQ) -> IDCT(DCT) -> RECON(MC)
 ///   RECON -> source: frame-done tokens close the reconstruction loop.
 ///
-/// Declared as a GraphSpec and programmed by the Configurator over the
+/// Declared as a GraphSpec and programmed by AppHandle::configure over the
 /// PI-bus; this class owns the resulting AppHandle.
 class EncodeApp {
  public:
@@ -76,12 +76,12 @@ class EncodeApp {
   [[nodiscard]] const AppHandle& handle() const { return handle_; }
   void teardown() { handle_.teardown(); }
 
-  [[nodiscard]] sim::TaskId meTask() const { return t_me_; }
-  [[nodiscard]] sim::TaskId fdctTask() const { return t_fdct_; }
-  [[nodiscard]] sim::TaskId qrleTask() const { return t_qrle_; }
-  [[nodiscard]] sim::TaskId deqTask() const { return t_deq_; }
-  [[nodiscard]] sim::TaskId idctTask() const { return t_idct_; }
-  [[nodiscard]] sim::TaskId reconTask() const { return t_recon_; }
+  [[nodiscard]] sim::TaskId meTask() const { return handle_.taskId("me"); }
+  [[nodiscard]] sim::TaskId fdctTask() const { return handle_.taskId("fdct"); }
+  [[nodiscard]] sim::TaskId qrleTask() const { return handle_.taskId("qrle"); }
+  [[nodiscard]] sim::TaskId deqTask() const { return handle_.taskId("deq"); }
+  [[nodiscard]] sim::TaskId idctTask() const { return handle_.taskId("idct"); }
+  [[nodiscard]] sim::TaskId reconTask() const { return handle_.taskId("recon"); }
 
  private:
   /// spec() bound to this app's sink shell and software handlers.
@@ -94,8 +94,6 @@ class EncodeApp {
   std::unique_ptr<coproc::VleTask> vle_;
   AppHandle handle_;
   ModeSet modes_{"encode-modes"};
-  sim::TaskId t_me_ = 0, t_fdct_ = 0, t_qrle_ = 0;
-  sim::TaskId t_deq_ = 0, t_idct_ = 0, t_recon_ = 0;
 };
 
 }  // namespace eclipse::app

@@ -51,9 +51,9 @@ class GraphSpecError : public std::runtime_error {
 /// Declarative application graph — the *what* of an Eclipse application,
 /// decoupled from *how* it is programmed onto a running instance. A
 /// GraphSpec names tasks (bound to shells by name) and streams (FIFO edges
-/// between task ports); the Configurator validates it against an instance
-/// and programs the shell stream/task tables over the PI-bus, exactly like
-/// the CPU of a real subsystem (Sections 2–5 of the paper).
+/// between task ports); AppHandle::configure validates it against an
+/// instance and programs the shell stream/task tables over the PI-bus,
+/// exactly like the CPU of a real subsystem (Sections 2–5 of the paper).
 class GraphSpec {
  public:
   explicit GraphSpec(std::string name = "app") : name_(std::move(name)) {}
@@ -88,16 +88,15 @@ class GraphSpec {
 
   /// Instance-independent structural validation: dangling ports,
   /// double-bound endpoints, duplicate names, empty graphs. Throws
-  /// GraphSpecError naming the offending element. Used on its own by the
-  /// mode-transition path, where capacity is settled incrementally by the
-  /// diff (freed resources are reused before new ones are allocated).
+  /// GraphSpecError naming the offending element.
   void validateStructure() const;
 
-  /// Interface checking before deployment: validateStructure() plus
-  /// software-binding checks and capacity validation against the instance
-  /// (unknown shells, task-slot and stream-row exhaustion, SRAM headroom,
-  /// buffer size vs. cache-line constraints). Throws GraphSpecError with a
-  /// message naming the offending element.
+  /// Interface checking before deployment: checkTransition (mode_set.hpp)
+  /// from the empty graph — validateStructure() plus unknown shells,
+  /// software bindings, buffer size vs. cache-line constraints, task-slot
+  /// and stream-row exhaustion, and first-fit SRAM placement of every
+  /// FIFO. Throws GraphSpecError with a message naming the offending
+  /// element.
   void validate(EclipseInstance& inst) const;
 
  private:

@@ -3,8 +3,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "eclipse/coproc/dct_coproc.hpp"
@@ -79,7 +81,7 @@ struct InstanceParams {
 /// the PI-bus with every shell's tables mapped.
 ///
 /// Applications are configured onto a running instance at run time through
-/// the GraphSpec/Configurator control plane (see graph_spec.hpp), exactly
+/// the GraphSpec/AppHandle control plane (see configurator.hpp), exactly
 /// like the CPU programming the stream and task tables of a real
 /// subsystem. Shells are addressed by *name* ("vld", "dct", "dsp-cpu",
 /// ...), never by construction position.
@@ -149,6 +151,14 @@ class EclipseInstance {
   void freeSram(sim::Addr addr, std::uint32_t bytes);
   /// Bytes currently allocatable in SRAM (largest-hole not guaranteed).
   [[nodiscard]] std::size_t sramBytesFree() const;
+  /// Dry run of a transition's SRAM traffic on a copy of the free list:
+  /// returns the `released` (base, bytes) regions, then places `wanted`
+  /// FIFOs first-fit in order, exactly as freeSram/allocSram would.
+  /// Returns the index of the first FIFO that finds no hole, or
+  /// wanted.size() when all fit. Changes nothing.
+  [[nodiscard]] std::size_t sramFirstMisfit(
+      const std::vector<std::pair<sim::Addr, std::uint32_t>>& released,
+      const std::vector<std::uint32_t>& wanted) const;
 
   /// Allocates a region in off-chip memory (first-fit free list).
   sim::Addr allocDram(std::size_t bytes);
@@ -161,29 +171,6 @@ class EclipseInstance {
   void freeTask(shell::Shell& sh, sim::TaskId task);
   /// Number of unallocated task slots on a shell (capacity check).
   [[nodiscard]] std::uint32_t freeTaskSlots(const shell::Shell& sh) const;
-
-  /// One end of a stream.
-  struct Endpoint {
-    shell::Shell* shell;
-    sim::TaskId task;
-    sim::PortId port;
-  };
-
-  /// Handle to a configured stream (for measurement access).
-  struct StreamHandle {
-    shell::Shell* producer_shell = nullptr;
-    std::uint32_t producer_row = 0;
-    shell::Shell* consumer_shell = nullptr;
-    std::uint32_t consumer_row = 0;
-    sim::Addr buffer_base = 0;
-    std::uint32_t buffer_bytes = 0;
-  };
-
-  /// Allocates a FIFO in SRAM and programs both shells' stream tables
-  /// directly (legacy/testing path; applications go through the
-  /// Configurator, which programs the same tables over the PI-bus).
-  StreamHandle connectStream(const Endpoint& producer, const Endpoint& consumer,
-                             std::uint32_t buffer_bytes);
 
   /// Starts every coprocessor control loop (and profilers if enabled).
   /// Idempotent per coprocessor; sinks created later start on creation.
@@ -236,11 +223,14 @@ class EclipseInstance {
     std::uint64_t bytes;
   };
 
-  static sim::Addr allocRegion(std::vector<Region>& free_list, std::uint64_t bytes,
-                               const char* what);
+  /// First fit; std::nullopt when no hole is large enough.
+  static std::optional<sim::Addr> allocRegion(std::vector<Region>& free_list,
+                                              std::uint64_t bytes);
   static void freeRegion(std::vector<Region>& free_list, sim::Addr addr, std::uint64_t bytes,
                          const char* what);
   static std::size_t regionBytes(const std::vector<Region>& free_list);
+  /// An SRAM request rounded up to whole cache lines.
+  [[nodiscard]] std::uint32_t sramRounded(std::uint32_t bytes) const;
 
   shell::Shell& makeShell(const std::string& name);
 

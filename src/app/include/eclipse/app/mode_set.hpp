@@ -3,10 +3,15 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "eclipse/app/graph_spec.hpp"
 #include "eclipse/sim/types.hpp"
+
+namespace eclipse::shell {
+class Shell;
+}
 
 namespace eclipse::app {
 
@@ -45,6 +50,30 @@ struct GraphDiff {
 /// Computes the task/stream delta between two graphs (see GraphDiff).
 [[nodiscard]] GraphDiff diffGraphs(const GraphSpec& current, const GraphSpec& target);
 
+/// What a transition gives back before it allocates: the shell of every
+/// removed task slot and of every removed stream row, and every removed
+/// stream's SRAM buffer (base, bytes).
+struct Released {
+  std::vector<const shell::Shell*> task_slots;
+  std::vector<const shell::Shell*> stream_rows;
+  std::vector<std::pair<sim::Addr, std::uint32_t>> buffers;
+};
+
+/// The admission check of a transition from `current` (placed on `inst`)
+/// to `target`, with `d` = diffGraphs(current, target); it reads no
+/// register over the PI-bus and changes nothing. `target` must pass
+/// validateStructure(); every task must name a known shell with a
+/// matching software binding; a task both graphs name must keep its shell
+/// and its software/hardware binding (the task-identity rule
+/// ModeSet::validate applies too); every buffer must be a positive
+/// cache-line multiple; and the added elements must fit once `released`
+/// is returned: task slots and free stream rows counted per shell, added
+/// FIFOs placed first-fit in target order on a copy of the SRAM free
+/// list. Throws GraphSpecError naming the offending element.
+/// GraphSpec::validate is this check from the empty graph.
+void checkTransition(EclipseInstance& inst, const GraphSpec& current, const GraphSpec& target,
+                     const GraphDiff& d, const Released& released);
+
 /// Cost record of one live mode transition (AppHandle::switchTo):
 /// simulated cycles spent draining the affected subgraph plus every PI-bus
 /// access the transition issued — the paper-level "mode transition delay"
@@ -68,7 +97,7 @@ struct TransitionStats {
 /// A validated family of application graphs over shared shells — the
 /// multi-mode application model: one AppHandle, several named GraphSpecs
 /// ("sd", "hd", "degraded", ...), live diff-based transitions between them
-/// via AppHandle::switchMode. Mode names are the GraphSpec names.
+/// via AppHandle::switchTo. Mode names are the GraphSpec names.
 class ModeSet {
  public:
   explicit ModeSet(std::string name = "modes") : name_(std::move(name)) {}
@@ -86,10 +115,10 @@ class ModeSet {
   [[nodiscard]] const GraphSpec& at(std::string_view mode_name) const;
 
   /// Static validation before any MMIO write happens: every mode passes
-  /// GraphSpec::validate against the instance, and task identity is
-  /// consistent across modes — a task name shared by two modes must keep
-  /// its shell and its software/hardware nature, because transitions keep
-  /// the task slot in place. Throws GraphSpecError.
+  /// GraphSpec::validate against the instance, and a task name shared by
+  /// two modes keeps its shell and its software/hardware binding, because
+  /// a transition keeps the task slot in place and only rewrites scalar
+  /// fields (the identity rule switches check too). Throws GraphSpecError.
   void validate(EclipseInstance& inst) const;
 
  private:

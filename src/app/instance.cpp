@@ -130,8 +130,8 @@ coproc::ByteSink& EclipseInstance::createByteSink(std::function<void()> on_done)
 // Memory and task-slot resource management
 // ---------------------------------------------------------------------
 
-sim::Addr EclipseInstance::allocRegion(std::vector<Region>& free_list, std::uint64_t bytes,
-                                       const char* what) {
+std::optional<sim::Addr> EclipseInstance::allocRegion(std::vector<Region>& free_list,
+                                                      std::uint64_t bytes) {
   // First fit over the address-sorted free list: on a fresh instance this
   // degenerates to the classic bump allocator (identical addresses), while
   // teardown returns holes that later applications reuse.
@@ -144,7 +144,7 @@ sim::Addr EclipseInstance::allocRegion(std::vector<Region>& free_list, std::uint
       return addr;
     }
   }
-  throw std::runtime_error(std::string("EclipseInstance: out of ") + what);
+  return std::nullopt;
 }
 
 void EclipseInstance::freeRegion(std::vector<Region>& free_list, sim::Addr addr,
@@ -184,23 +184,39 @@ std::size_t EclipseInstance::regionBytes(const std::vector<Region>& free_list) {
   return total;
 }
 
-sim::Addr EclipseInstance::allocSram(std::uint32_t bytes) {
+std::uint32_t EclipseInstance::sramRounded(std::uint32_t bytes) const {
   const std::uint32_t line = params_.cache_line_bytes;
-  const std::uint32_t rounded = (bytes + line - 1) / line * line;
-  return allocRegion(sram_free_, rounded, "on-chip SRAM");
+  return (bytes + line - 1) / line * line;
+}
+
+sim::Addr EclipseInstance::allocSram(std::uint32_t bytes) {
+  if (const auto addr = allocRegion(sram_free_, sramRounded(bytes))) return *addr;
+  throw std::runtime_error("EclipseInstance: out of on-chip SRAM");
 }
 
 void EclipseInstance::freeSram(sim::Addr addr, std::uint32_t bytes) {
-  const std::uint32_t line = params_.cache_line_bytes;
-  const std::uint32_t rounded = (bytes + line - 1) / line * line;
-  freeRegion(sram_free_, addr, rounded, "on-chip SRAM");
+  freeRegion(sram_free_, addr, sramRounded(bytes), "on-chip SRAM");
 }
 
 std::size_t EclipseInstance::sramBytesFree() const { return regionBytes(sram_free_); }
 
+std::size_t EclipseInstance::sramFirstMisfit(
+    const std::vector<std::pair<sim::Addr, std::uint32_t>>& released,
+    const std::vector<std::uint32_t>& wanted) const {
+  std::vector<Region> free_list = sram_free_;
+  for (const auto& [addr, bytes] : released) {
+    freeRegion(free_list, addr, sramRounded(bytes), "on-chip SRAM");
+  }
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    if (!allocRegion(free_list, sramRounded(wanted[i]))) return i;
+  }
+  return wanted.size();
+}
+
 sim::Addr EclipseInstance::allocDram(std::size_t bytes) {
   const std::size_t rounded = (bytes + 63) / 64 * 64;
-  return allocRegion(dram_free_, rounded, "off-chip memory");
+  if (const auto addr = allocRegion(dram_free_, rounded)) return *addr;
+  throw std::runtime_error("EclipseInstance: out of off-chip memory");
 }
 
 void EclipseInstance::freeDram(sim::Addr addr, std::size_t bytes) {
@@ -237,38 +253,6 @@ void EclipseInstance::freeTask(shell::Shell& sh, sim::TaskId task) {
     throw std::logic_error("EclipseInstance: freeing unallocated task slot on " + sh.name());
   }
   used[idx] = false;
-}
-
-EclipseInstance::StreamHandle EclipseInstance::connectStream(const Endpoint& producer,
-                                                             const Endpoint& consumer,
-                                                             std::uint32_t buffer_bytes) {
-  const sim::Addr base = allocSram(buffer_bytes);
-
-  shell::StreamConfig pc;
-  pc.task = producer.task;
-  pc.port = producer.port;
-  pc.is_producer = true;
-  pc.buffer_base = base;
-  pc.buffer_bytes = buffer_bytes;
-  pc.remote_shell = consumer.shell->id();
-  pc.remote_row = 0;  // patched below
-  pc.initial_space = buffer_bytes;
-  const std::uint32_t prow = producer.shell->configureStream(pc);
-
-  shell::StreamConfig cc;
-  cc.task = consumer.task;
-  cc.port = consumer.port;
-  cc.is_producer = false;
-  cc.buffer_base = base;
-  cc.buffer_bytes = buffer_bytes;
-  cc.remote_shell = producer.shell->id();
-  cc.remote_row = prow;
-  cc.initial_space = 0;
-  const std::uint32_t crow = consumer.shell->configureStream(cc);
-
-  producer.shell->streams().row(prow).remote_row = crow;
-
-  return StreamHandle{producer.shell, prow, consumer.shell, crow, base, buffer_bytes};
 }
 
 void EclipseInstance::start() {

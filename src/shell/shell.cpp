@@ -675,8 +675,8 @@ void Shell::mmioWrite(sim::Addr offset, std::uint32_t value) {
       case kStreamSpace: {
         // Space repair (recovery path): raising the space field of a live
         // row may make a best-guess-blocked task runnable, so wake the
-        // scheduler. Configuration writes (valid bit still clear — the
-        // Configurator programs valid last) must stay silent to keep the
+        // scheduler. Configuration writes (valid bit still clear —
+        // AppHandle programs valid last) must stay silent to keep the
         // no-fault event trace bit-identical.
         const bool wake = r.valid && value > r.space;
         r.space = value;

@@ -61,7 +61,12 @@ TEST(Instance, TaskAllocatorExhaustsPerShell) {
 
 TEST(Instance, ConnectStreamLinksRemoteRows) {
   app::EclipseInstance inst;
-  const auto h = inst.connectStream({&inst.vldShell(), 0, 0}, {&inst.rlsqShell(), 0, 0}, 256);
+  app::GraphSpec g("link");
+  g.task({.name = "p", .shell = "vld", .software = {}})
+      .task({.name = "c", .shell = "rlsq", .software = {}});
+  g.stream("s", "p", 0, "c", 0, 256);
+  const app::AppHandle handle = app::AppHandle::configure(inst, g);
+  const app::AppStream& h = handle.stream("s");
   const auto& prow = inst.vldShell().streams().row(h.producer_row);
   const auto& crow = inst.rlsqShell().streams().row(h.consumer_row);
   EXPECT_EQ(prow.remote_shell, inst.rlsqShell().id());

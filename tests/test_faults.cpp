@@ -173,8 +173,7 @@ TEST(Faults, ClassifierDetectsTrueDeadlockCycle) {
       .task({.name = "y", .shell = "dsp-cpu", .software = need_input_first});
   g.stream("xy", "x", /*out=*/1, "y", /*in=*/0, 256).stream("yx", "y", 1, "x", 0, 256);
 
-  app::Configurator cfg(inst);
-  app::AppHandle h = cfg.apply(g);
+  app::AppHandle h = app::AppHandle::configure(inst, g);
   inst.run(100'000);
   EXPECT_EQ(inst.classifyQuiescence(), app::Quiescence::Deadlocked);
 }
@@ -191,10 +190,14 @@ sim::Task<void> pump(shell::Shell& sh, std::uint64_t rounds, std::uint64_t& done
   }
 }
 
+/// Programs that stream and one enabled task on each shell (slot 0, port
+/// 0). The rows stay programmed for the instance's lifetime.
 void connectVldToDct(app::EclipseInstance& inst) {
-  inst.connectStream({&inst.vldShell(), 0, 0}, {&inst.dctShell(), 0, 0}, 256);
-  inst.vldShell().configureTask(0, {});
-  inst.dctShell().configureTask(0, {});
+  app::GraphSpec g("vld-dct");
+  g.task({.name = "p", .shell = "vld", .software = {}})
+      .task({.name = "c", .shell = "dct", .software = {}});
+  g.stream("s", "p", 0, "c", 0, 256);
+  app::AppHandle::configure(inst, g);
 }
 
 TEST(Faults, DelayedPutspaceHonorsBudgetAndPipelineCompletes) {

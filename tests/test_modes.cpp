@@ -365,6 +365,35 @@ TEST(ModeSwitch, AudioDecoderDetachReattachRoundTrip) {
   EXPECT_GT(media::audio::snrDb(tone, aud.pcm()), 25.0);
 }
 
+TEST(ModeSwitch, SwitchThatDoesNotFitFailsBeforeItsFirstWrite) {
+  // A's "big" mode widens pix to 12288 bytes. Once B is placed, the SRAM
+  // has 12288 bytes free after A's old pix buffer is returned, but split
+  // into a 2048-byte and a 10240-byte hole: first fit cannot place the new
+  // FIFO, so the switch must refuse before it touches a register.
+  const Clip clip = makeClip(48, 32, 3);
+  app::DecodeAppConfig big;
+  big.pix_buffer = 12288;
+  app::EclipseInstance inst;
+  app::DecodeApp a(inst, clip.bitstream, {{"sd", app::DecodeAppConfig{}}, {"big", big}});
+  app::DecodeApp b(inst, clip.bitstream);
+
+  const std::size_t free0 = inst.sramBytesFree();
+  ASSERT_EQ(free0, 12288u - 2048u);
+  const std::uint64_t w0 = inst.piBus().writeCount();
+  EXPECT_THROW((void)a.switchMode("big"), app::GraphSpecError);
+  EXPECT_EQ(inst.piBus().writeCount() - w0, 0u);
+  EXPECT_EQ(a.handle().streams().size(), 5u);
+  EXPECT_EQ(a.currentMode(), "sd");
+  EXPECT_TRUE(inst.vldShell().tasks().row(a.vldTask()).enabled);
+  EXPECT_EQ(inst.sramBytesFree(), free0);
+
+  inst.run();
+  ASSERT_TRUE(a.done());
+  ASSERT_TRUE(b.done());
+  expectFramesEqual(a.frames(), clip.golden, "A after the refused switch");
+  expectFramesEqual(b.frames(), clip.golden, "B");
+}
+
 // --------------------------------------------- teardown lifecycle (asserts)
 
 TEST(AppLifecycle, TeardownThrowsOnUndrainedRunningApp) {

@@ -1,9 +1,10 @@
 // Tests for the declarative graph control plane: GraphSpec validation,
-// free-list allocator reuse, and runtime reconfiguration through the
-// Configurator/AppHandle — pause/resume, drain-to-quiescence, teardown
-// with resource reclamation, relaunching a different application on the
-// same instance, and a concurrent two-application launch/teardown sweep
-// followed by repeated configure/teardown of a never-run graph.
+// free-list allocator reuse, the PI-bus cost of configure and teardown,
+// and runtime reconfiguration through AppHandle — pause/resume,
+// drain-to-quiescence, teardown with resource reclamation, relaunching a
+// different application on the same instance, and a concurrent
+// two-application launch/teardown sweep followed by repeated
+// configure/teardown of a never-run graph.
 
 #include <gtest/gtest.h>
 
@@ -207,7 +208,7 @@ TEST(FreeList, DramRoundTripRestoresFreeBytes) {
 
 TEST(Reconfig, DecodeTimingViaGraphSpecStaysPinned) {
   // The control-plane acceptance pin: building the decode graph through
-  // GraphSpec + Configurator MMIO writes must be cycle-identical to the
+  // GraphSpec + AppHandle MMIO writes must be cycle-identical to the
   // historical direct-wiring path.
   media::VideoGenParams vp;
   vp.width = 96;
@@ -231,6 +232,45 @@ TEST(Reconfig, DecodeTimingViaGraphSpecStaysPinned) {
   ASSERT_TRUE(dec.done());
   EXPECT_EQ(cycles, pin::kDecodePinCycles);
   EXPECT_EQ(inst.simulator().eventsDispatched(), pin::kDecodePinEvents);
+}
+
+TEST(Reconfig, ConfigureAndTeardownPiBusTrafficIsPinned) {
+  // The configuring CPU's cost of two decode applications on one default
+  // instance, access for access: building both (task slots, stream rows
+  // found by valid-bit reads, fields, valid bits, enables) and tearing
+  // both down after the run (quiescence and enable reads, then every row
+  // invalidated).
+  media::VideoGenParams vp = tinyVideo();
+  vp.frames = 3;
+  media::Encoder enc(tinyCodec());
+  const auto bits = enc.encode(media::generateVideo(vp));
+
+  app::EclipseInstance inst;
+  const mem::PiBus& bus = inst.piBus();
+  std::uint64_t w0 = bus.writeCount();
+  std::uint64_t r0 = bus.readCount();
+  app::DecodeApp a(inst, bits);
+  app::DecodeApp b(inst, bits);
+  EXPECT_EQ(bus.writeCount() - w0, 220u);
+  EXPECT_EQ(bus.readCount() - r0, 53u);
+
+  inst.run();
+  ASSERT_TRUE(a.done());
+  ASSERT_TRUE(b.done());
+  for (const app::DecodeApp* d : {&a, &b}) {
+    const auto frames = d->frames();
+    ASSERT_EQ(frames.size(), enc.reconstructed().size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i], enc.reconstructed()[i]) << "frame " << i;
+    }
+  }
+
+  w0 = bus.writeCount();
+  r0 = bus.readCount();
+  a.teardown();
+  b.teardown();
+  EXPECT_EQ(bus.writeCount() - w0, 40u);
+  EXPECT_EQ(bus.readCount() - r0, 25u);
 }
 
 TEST(Reconfig, PauseFreezesProgressAndResumeCompletes) {
@@ -390,8 +430,7 @@ TEST(Reconfig, TwoAppConcurrentLaunchTeardownSweep) {
       .stream("res", "idct", coproc::DctCoproc::kOut, "mc", coproc::McCoproc::kInRes,
               cfg.res_buffer);
   for (int cycle = 0; cycle < 20; ++cycle) {
-    app::Configurator configurator(inst);
-    app::AppHandle h = configurator.apply(probe);
+    app::AppHandle h = app::AppHandle::configure(inst, probe);
     h.teardown();
     EXPECT_EQ(inst.sramBytesFree(), sram0) << "probe cycle " << cycle;
   }

@@ -3,8 +3,8 @@
 // register path the configuring CPU uses — and renders what the *hardware*
 // thinks the graphs look like as Graphviz DOT and JSON. Because the dump is
 // reconstructed purely from MMIO reads, it is an end-to-end check of the
-// register map shared by the Configurator and the shells: a field that the
-// Configurator writes to the wrong word shows up here as a broken edge.
+// register map shared by AppHandle and the shells: a field that AppHandle
+// writes to the wrong word shows up here as a broken edge.
 //
 // Usage: graph_dump [--dot FILE] [--json FILE] [--run] [--demo-fault]
 //                   [--modes]

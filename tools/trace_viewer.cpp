@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +32,9 @@ struct Csv {
 };
 
 /// Parses "cycle,name1,name2,..." CSV as written by app::toCsv. Empty
-/// cells mean "no sample for this series at this cycle".
+/// cells mean "no sample for this series at this cycle"; every other cell
+/// is a whole-token number (sim::parseNumber), so "12x" and a negative
+/// cycle are errors naming their line.
 Csv parseCsv(std::istream& in) {
   Csv csv;
   std::string line;
@@ -59,20 +62,18 @@ Csv parseCsv(std::istream& in) {
     std::stringstream row(line);
     std::string cell;
     if (!std::getline(row, cell, ',')) continue;
-    sim::Cycle cycle = 0;
-    try {
-      cycle = static_cast<sim::Cycle>(std::stoull(cell));
-    } catch (const std::exception&) {
+    const std::optional<sim::Cycle> cycle = sim::parseNumber<sim::Cycle>(cell);
+    if (!cycle) {
       throw std::runtime_error("trace_viewer: bad cycle value at line " + std::to_string(line_no));
     }
     for (std::size_t col = 0; col < csv.columns.size(); ++col) {
       if (!std::getline(row, cell, ',')) break;
       if (cell.empty()) continue;
-      try {
-        csv.series[col].sample(cycle, std::stod(cell));
-      } catch (const std::exception&) {
+      const std::optional<double> value = sim::parseNumber<double>(cell);
+      if (!value) {
         throw std::runtime_error("trace_viewer: bad value at line " + std::to_string(line_no));
       }
+      csv.series[col].sample(*cycle, *value);
     }
   }
   return csv;
