@@ -131,62 +131,41 @@ GraphSpec AudioDecodeApp::modeSpec(const std::string& name, const AudioAppConfig
   return g;
 }
 
-void AudioDecodeApp::initStreams(std::vector<std::uint8_t>& coded_stream) {
+AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
+                               const AudioAppConfig& cfg)
+    : AudioDecodeApp(inst, std::move(coded_stream), std::vector<Mode>{{"audio", cfg}}) {}
+
+AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
+                               std::vector<Mode> modes)
+    : inst_(inst) {
+  if (modes.empty()) throw GraphSpecError("AudioDecodeApp: empty mode list");
   if (coded_stream.size() < 16 || getU32(coded_stream, 0) != media::audio::kAudioMagic) {
     throw std::invalid_argument("AudioDecodeApp: not an audio elementary stream");
   }
   const std::uint32_t block_samples = getU32(coded_stream, 8);
   total_samples_ = getU32(coded_stream, 12);
 
-  auto on_done = inst_.registerApp();
-  sink_ = &inst_.createByteSink(std::move(on_done));
-
-  // The coded stream lives off-chip, like the video elementary streams.
-  const sim::Addr addr = inst_.allocDram(coded_stream.size());
-  inst_.dram().storage().write(addr, coded_stream);
-
   feeder_ = std::make_shared<FeederState>();
-  feeder_->dram_addr = addr;
   feeder_->stream_bytes = coded_stream.size();
   feeder_->block_samples = block_samples;
   feeder_->total_samples = total_samples_;
-
+  decoder_ = std::make_shared<DecoderState>();
+  decoder_->block_samples = block_samples;
+  decoder_->cycles_per_sample = modes.front().second.cycles_per_sample;
   block_frame_ =
       frameBytes(1 + static_cast<std::uint32_t>(media::audio::blockBytes(block_samples)));
   pcm_frame_ = frameBytes(1 + block_samples * 2);
-}
 
-AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
-                               const AudioAppConfig& cfg)
-    : inst_(inst) {
-  initStreams(coded_stream);
-  decoder_ = std::make_shared<DecoderState>();
-  decoder_->block_samples = feeder_->block_samples;
-  decoder_->cycles_per_sample = cfg.cycles_per_sample;
-
-  modes_.mode(modeSpec("audio", cfg));
-  handle_ = AppHandle::configure(inst, modes_.modes().front());
-  handle_.adoptDram(feeder_->dram_addr, feeder_->stream_bytes);
-  handle_.addCleanup([this] {
-    if (!sink_->done()) inst_.deregisterApp();
-  });
-}
-
-AudioDecodeApp::AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
-                               std::vector<Mode> modes)
-    : inst_(inst) {
-  if (modes.empty()) throw GraphSpecError("AudioDecodeApp: empty mode list");
-  initStreams(coded_stream);
-  decoder_ = std::make_shared<DecoderState>();
-  decoder_->block_samples = feeder_->block_samples;
-  decoder_->cycles_per_sample = modes.front().second.cycles_per_sample;
-
-  for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
-  modes_.validate(inst);
-  handle_ = AppHandle::configure(inst, modes_.at(modes.front().first));
-  handle_.adoptDram(feeder_->dram_addr, feeder_->stream_bytes);
-  handle_.addCleanup([this] {
-    if (!sink_->done()) inst_.deregisterApp();
+  inst.addSink<coproc::ByteSink>([&](coproc::ByteSink& sink) {
+    sink_ = &sink;
+    for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
+    modes_.validate(inst);
+    handle_ = AppHandle::configure(inst, modes_.at(modes.front().first), [&](AppHandle& h) {
+      // The coded stream lives off-chip, like the video elementary streams.
+      feeder_->dram_addr = inst_.allocDram(coded_stream.size());
+      inst_.dram().storage().write(feeder_->dram_addr, coded_stream);
+      h.adoptDram(feeder_->dram_addr, coded_stream.size());
+    });
   });
 }
 
@@ -203,7 +182,5 @@ std::vector<std::int16_t> AudioDecodeApp::pcm() const {
   out.resize(total_samples_);
   return out;
 }
-
-const std::vector<std::uint8_t>& AudioDecodeApp::sinkBytes() const { return sink_->bytes(); }
 
 }  // namespace eclipse::app

@@ -33,28 +33,10 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
     throw std::invalid_argument("AvPlaybackApp: stream ids not present in the multiplex");
   }
 
-  DecodeAppConfig vcfg;
-  vcfg.vld_enabled = false;  // enabled by the demux task at run time
-  video_ = std::make_unique<DecodeApp>(inst, std::move(streams[vs]), vcfg);
-
-  // The audio application is a mode family: it boots with the feeder held
-  // back (the demux enables it once the stream is staged), and the decoder
-  // subgraph can be detached ("bypass") and re-attached ("play") live.
-  AudioAppConfig boot;
-  boot.feeder_enabled = false;
-  AudioAppConfig play;
-  AudioAppConfig bypass;
-  bypass.bypass = true;
-  audio_ = std::make_unique<AudioDecodeApp>(
-      inst, std::move(streams[as]),
-      std::vector<AudioDecodeApp::Mode>{{"boot", boot}, {"play", play}, {"bypass", bypass}});
-
   demux_ = std::make_shared<DemuxState>();
   demux_->ts_bytes = transport_stream.size();
-  demux_->ts_addr = inst.allocDram(transport_stream.size());
   demux_->video_stream_id = layout.video_stream_id;
   demux_->audio_stream_id = layout.audio_stream_id;
-  inst.dram().storage().write(demux_->ts_addr, transport_stream);
 
   auto demux_step = [this](sim::TaskId task, std::uint32_t) -> sim::Task<void> {
     auto& st = *demux_;
@@ -91,8 +73,33 @@ AvPlaybackApp::AvPlaybackApp(EclipseInstance& inst, std::vector<std::uint8_t> tr
   GraphSpec g("av-demux");
   g.task({.name = "demux", .shell = "dsp-cpu", .budget_cycles = 2000,
           .software = std::move(demux_step)});
-  demux_handle_ = AppHandle::configure(inst, g);
-  demux_handle_.adoptDram(demux_->ts_addr, transport_stream.size());
+
+  // The audio application is a mode family: it boots with the feeder held
+  // back (the demux enables it once the stream is staged), and the decoder
+  // subgraph can be detached ("bypass") and re-attached ("play") live.
+  DecodeAppConfig vcfg;
+  vcfg.vld_enabled = false;  // enabled by the demux task at run time
+  AudioAppConfig boot;
+  boot.feeder_enabled = false;
+  AudioAppConfig play;
+  AudioAppConfig bypass;
+  bypass.bypass = true;
+  // A refused part tears the parts before it down again.
+  video_ = std::make_unique<DecodeApp>(inst, std::move(streams[vs]), vcfg);
+  try {
+    audio_ = std::make_unique<AudioDecodeApp>(
+        inst, std::move(streams[as]),
+        std::vector<AudioDecodeApp::Mode>{{"boot", boot}, {"play", play}, {"bypass", bypass}});
+    demux_handle_ = AppHandle::configure(inst, g, [&](AppHandle& h) {
+      demux_->ts_addr = inst_.allocDram(transport_stream.size());
+      inst_.dram().storage().write(demux_->ts_addr, transport_stream);
+      h.adoptDram(demux_->ts_addr, transport_stream.size());
+    });
+  } catch (...) {
+    if (audio_) audio_->teardown();
+    video_->teardown();
+    throw;
+  }
 }
 
 void AvPlaybackApp::teardown() {

@@ -282,8 +282,6 @@ void AppHandle::teardown(bool force) {
   for (const AppStream& s : streams_) releaseStream(s);
   for (const auto& [addr, bytes] : dram_regions_) inst_->freeDram(addr, bytes);
   dram_regions_.clear();
-  for (const auto& fn : cleanups_) fn();
-  cleanups_.clear();
   torn_down_ = true;
 }
 
@@ -371,6 +369,9 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
     released.buffers.emplace_back(s.buffer_base, s.spec.buffer_bytes);
   }
   checkTransition(*inst_, current, target, d, released);
+  // The target fits: a sink this graph is the first to use starts now,
+  // ahead of every event the transition causes.
+  inst_->startSinks();
 
   mem::PiBus& bus = inst_->piBus();
   const sim::Cycle t0 = inst_->simulator().now();
@@ -546,11 +547,6 @@ TransitionStats AppHandle::switchTo(const GraphSpec& target,
 void AppHandle::adoptDram(sim::Addr addr, std::size_t bytes) {
   requireLive();
   dram_regions_.emplace_back(addr, bytes);
-}
-
-void AppHandle::addCleanup(std::function<void()> fn) {
-  requireLive();
-  cleanups_.push_back(std::move(fn));
 }
 
 }  // namespace eclipse::app

@@ -7,8 +7,7 @@
 
 namespace eclipse::app {
 
-GraphSpec DecodeApp::spec(const DecodeAppConfig& cfg, const std::string& sink_shell,
-                          const std::string& name) {
+GraphSpec DecodeApp::modeSpec(const std::string& name, const DecodeAppConfig& cfg) const {
   GraphSpec g(name);
   g.task({.name = "vld",
           .shell = "vld",
@@ -18,7 +17,10 @@ GraphSpec DecodeApp::spec(const DecodeAppConfig& cfg, const std::string& sink_sh
       .task({.name = "rlsq", .shell = "rlsq", .budget_cycles = cfg.budget_cycles, .software = {}})
       .task({.name = "idct", .shell = "dct", .budget_cycles = cfg.budget_cycles, .software = {}})
       .task({.name = "mc", .shell = "mc", .budget_cycles = cfg.budget_cycles, .software = {}})
-      .task({.name = "sink", .shell = sink_shell, .budget_cycles = cfg.budget_cycles, .software = {}});
+      .task({.name = "sink",
+             .shell = sink_->shell().name(),
+             .budget_cycles = cfg.budget_cycles,
+             .software = {}});
   // Stream FIFOs in on-chip SRAM (Figure 3).
   g.stream("coef", "vld", coproc::VldCoproc::kOutCoef, "rlsq", coproc::RlsqCoproc::kIn,
            cfg.coef_buffer)
@@ -33,29 +35,25 @@ GraphSpec DecodeApp::spec(const DecodeAppConfig& cfg, const std::string& sink_sh
   return g;
 }
 
-ModeSet DecodeApp::modeSet(const std::vector<Mode>& modes, const std::string& sink_shell) {
-  ModeSet set("decode-modes");
-  for (const Mode& m : modes) set.mode(spec(m.second, sink_shell, m.first));
-  return set;
-}
-
 std::function<void(AppHandle&)> DecodeApp::stageBitstream(std::vector<std::uint8_t> bitstream) {
-  // Peek at the sequence header to size the off-chip frame store.
+  // Peek at the sequence header to size the off-chip frame store; a
+  // malformed stream throws here, before any transition starts.
   media::BitReader br(bitstream);
   const media::SeqHeader sh = media::stages::parseSeqHeader(br);
-
-  // Off-chip resources: the compressed stream and a 3-slot frame store.
-  const sim::Addr bs_addr = inst_.allocDram(bitstream.size());
-  inst_.dram().storage().write(bs_addr, bitstream);
-  const std::size_t bs_bytes = bitstream.size();
   const std::size_t store_bytes =
       static_cast<std::size_t>(coproc::McCoproc::frameSlotBytes(sh)) * 3;
-  const sim::Addr store = inst_.allocDram(store_bytes);
 
-  return [this, bs_addr, bs_bytes, store, store_bytes](AppHandle& h) {
+  return [this, bitstream = std::move(bitstream), store_bytes](AppHandle& h) {
+    // Off-chip resources: the compressed stream and a 3-slot frame store.
+    const sim::Addr bs_addr = inst_.allocDram(bitstream.size());
+    inst_.dram().storage().write(bs_addr, bitstream);
+    const sim::Addr store = inst_.allocDram(store_bytes);
+    h.adoptDram(bs_addr, bitstream.size());
+    h.adoptDram(store, store_bytes);
+
     coproc::VldTaskConfig vc;
     vc.bitstream_addr = bs_addr;
-    vc.bitstream_bytes = static_cast<std::uint32_t>(bs_bytes);
+    vc.bitstream_bytes = static_cast<std::uint32_t>(bitstream.size());
     inst_.vld().configureTask(h.taskId("vld"), vc);
 
     coproc::McTaskConfig mcc;
@@ -63,9 +61,6 @@ std::function<void(AppHandle&)> DecodeApp::stageBitstream(std::vector<std::uint8
     mcc.frame_store_base = store;
     mcc.frame_store_slots = 3;
     inst_.mc().configureTask(h.taskId("mc"), mcc);
-
-    h.adoptDram(bs_addr, bs_bytes);
-    h.adoptDram(store, store_bytes);
   };
 }
 
@@ -77,15 +72,12 @@ DecodeApp::DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
                      std::vector<Mode> modes)
     : inst_(inst) {
   if (modes.empty()) throw GraphSpecError("DecodeApp: empty mode list");
-  auto on_done = inst.registerApp();
-  sink_ = &inst.createFrameSink(std::move(on_done));
-  modes_ = modeSet(modes, sink_->shell().name());
-  modes_.validate(inst);
-
-  handle_ = AppHandle::configure(inst, modes_.at(modes.front().first),
-                                 stageBitstream(std::move(bitstream)));
-  handle_.addCleanup([this] {
-    if (!sink_->done()) inst_.deregisterApp();
+  const auto stage = stageBitstream(std::move(bitstream));
+  inst.addSink<coproc::FrameSink>([&](coproc::FrameSink& sink) {
+    sink_ = &sink;
+    for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
+    modes_.validate(inst);
+    handle_ = AppHandle::configure(inst, modes_.at(modes.front().first), stage);
   });
 }
 
@@ -98,11 +90,12 @@ TransitionStats DecodeApp::switchSegment(std::string_view mode_name,
   if (!sink_->done()) {
     throw std::logic_error("DecodeApp::switchSegment: current segment not finished");
   }
-  sink_->rearm(inst_.registerApp());
   TransitionStats st = handle_.switchTo(modes_.at(mode_name), stageBitstream(std::move(bitstream)));
-  // Every task parked itself at the previous segment's Eos (self-disable on
-  // finishTask); the enable refresh below restarts the pipeline on the new
-  // bitstream. Count the writes into the transition's cost.
+  // Admitted: the sink takes the next segment. Every task parked itself at
+  // the previous segment's Eos (self-disable on finishTask); the enable
+  // refresh below restarts the pipeline on the new bitstream. Count the
+  // writes into the transition's cost.
+  sink_->rearm();
   const std::uint64_t w0 = inst_.piBus().writeCount();
   handle_.resume();
   st.mmio_writes += inst_.piBus().writeCount() - w0;

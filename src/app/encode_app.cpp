@@ -2,17 +2,18 @@
 
 namespace eclipse::app {
 
-GraphSpec EncodeApp::spec(const EncodeAppConfig& cfg, const std::string& sink_shell,
-                          coproc::SoftCpu::StepHandler source_step,
-                          coproc::SoftCpu::StepHandler vle_step, const std::string& name) {
+GraphSpec EncodeApp::modeSpec(const std::string& name, const EncodeAppConfig& cfg) const {
   GraphSpec g(name);
   const std::uint32_t b = cfg.budget_cycles;
   g.task({.name = "src",
           .shell = "dsp-cpu",
           .budget_cycles = b,
           .source = true,
-          .software = std::move(source_step)})
-      .task({.name = "vle", .shell = "dsp-cpu", .budget_cycles = b, .software = std::move(vle_step)})
+          .software = [this](sim::TaskId t, std::uint32_t info) { return source_->step(t, info); }})
+      .task({.name = "vle",
+             .shell = "dsp-cpu",
+             .budget_cycles = b,
+             .software = [this](sim::TaskId t, std::uint32_t info) { return vle_->step(t, info); }})
       .task({.name = "me", .shell = "mc", .budget_cycles = b, .software = {}})
       .task({.name = "recon", .shell = "mc", .budget_cycles = b, .software = {}})
       .task({.name = "fdct", .shell = "dct", .budget_cycles = b,
@@ -21,7 +22,7 @@ GraphSpec EncodeApp::spec(const EncodeAppConfig& cfg, const std::string& sink_sh
       .task({.name = "qrle", .shell = "rlsq", .budget_cycles = b,
              .task_info = coproc::kRlsqInfoEncode, .software = {}})
       .task({.name = "deq", .shell = "rlsq", .budget_cycles = b, .software = {}})
-      .task({.name = "sink", .shell = sink_shell, .budget_cycles = b, .software = {}});
+      .task({.name = "sink", .shell = sink_->shell().name(), .budget_cycles = b, .software = {}});
 
   // Forward path.
   g.stream("cur", "src", coproc::EncoderSource::kOut, "me", coproc::McCoproc::kInCur,
@@ -51,68 +52,42 @@ GraphSpec EncodeApp::spec(const EncodeAppConfig& cfg, const std::string& sink_sh
   return g;
 }
 
-GraphSpec EncodeApp::modeSpec(const std::string& name, const EncodeAppConfig& cfg) const {
-  return spec(
-      cfg, sink_->shell().name(),
-      [this](sim::TaskId t, std::uint32_t info) { return source_->step(t, info); },
-      [this](sim::TaskId t, std::uint32_t info) { return vle_->step(t, info); }, name);
-}
-
-void EncodeApp::init(const media::CodecParams& params, int frame_count) {
-  const media::SeqHeader sh = params.toSeqHeader(frame_count);
-
-  // Shared off-chip reconstruction frame store for ME and RECON.
-  const std::size_t store_bytes =
-      static_cast<std::size_t>(coproc::McCoproc::frameSlotBytes(sh)) * 3;
-  const sim::Addr store = inst_.allocDram(store_bytes);
-
-  handle_ = AppHandle::configure(inst_, modes_.modes().front(), [&](AppHandle& h) {
-    coproc::McTaskConfig me_cfg;
-    me_cfg.kind = coproc::McTaskKind::MotionEst;
-    me_cfg.frame_store_base = store;
-    inst_.mc().configureTask(h.taskId("me"), me_cfg);
-
-    coproc::McTaskConfig rec_cfg;
-    rec_cfg.kind = coproc::McTaskKind::EncodeRecon;
-    rec_cfg.frame_store_base = store;
-    inst_.mc().configureTask(h.taskId("recon"), rec_cfg);
-  });
-  handle_.adoptDram(store, store_bytes);
-  handle_.addCleanup([this] {
-    if (!sink_->done()) inst_.deregisterApp();
-  });
-}
-
 EncodeApp::EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
                      const media::CodecParams& params, const EncodeAppConfig& cfg)
-    : inst_(inst) {
-  const int frame_count = static_cast<int>(frames.size());
-  auto on_done = inst.registerApp();
-  sink_ = &inst.createByteSink(std::move(on_done));
-
-  // Software tasks on the DSP-CPU.
-  source_ = std::make_unique<coproc::EncoderSource>(inst.cpu(), std::move(frames), params);
-  vle_ = std::make_unique<coproc::VleTask>(inst.cpu());
-
-  modes_.mode(modeSpec("encode", cfg));
-  init(params, frame_count);
-}
+    : EncodeApp(inst, std::move(frames), params, std::vector<Mode>{{"encode", cfg}}) {}
 
 EncodeApp::EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
                      const media::CodecParams& params, std::vector<Mode> modes)
     : inst_(inst) {
   if (modes.empty()) throw GraphSpecError("EncodeApp: empty mode list");
-  const int frame_count = static_cast<int>(frames.size());
-  auto on_done = inst.registerApp();
-  sink_ = &inst.createByteSink(std::move(on_done));
+  // Shared off-chip reconstruction frame store for ME and RECON.
+  const media::SeqHeader sh = params.toSeqHeader(static_cast<int>(frames.size()));
+  const std::size_t store_bytes =
+      static_cast<std::size_t>(coproc::McCoproc::frameSlotBytes(sh)) * 3;
 
+  // Software tasks on the DSP-CPU.
   source_ = std::make_unique<coproc::EncoderSource>(inst.cpu(), std::move(frames), params);
   vle_ = std::make_unique<coproc::VleTask>(inst.cpu());
 
-  for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
-  modes_.validate(inst);
-  // Apply order keeps the first listed mode first even if names differ.
-  init(params, frame_count);
+  inst.addSink<coproc::ByteSink>([&](coproc::ByteSink& sink) {
+    sink_ = &sink;
+    for (const Mode& m : modes) modes_.mode(modeSpec(m.first, m.second));
+    modes_.validate(inst);
+    handle_ = AppHandle::configure(inst, modes_.modes().front(), [&](AppHandle& h) {
+      const sim::Addr store = inst_.allocDram(store_bytes);
+      h.adoptDram(store, store_bytes);
+
+      coproc::McTaskConfig me_cfg;
+      me_cfg.kind = coproc::McTaskKind::MotionEst;
+      me_cfg.frame_store_base = store;
+      inst_.mc().configureTask(h.taskId("me"), me_cfg);
+
+      coproc::McTaskConfig rec_cfg;
+      rec_cfg.kind = coproc::McTaskKind::EncodeRecon;
+      rec_cfg.frame_store_base = store;
+      inst_.mc().configureTask(h.taskId("recon"), rec_cfg);
+    });
+  });
 }
 
 TransitionStats EncodeApp::switchMode(std::string_view mode_name) {

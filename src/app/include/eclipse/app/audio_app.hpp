@@ -50,13 +50,15 @@ class AudioDecodeApp {
   /// A named audio mode, e.g. {"play", {}} and {"bypass", {.bypass=true}}.
   using Mode = std::pair<std::string, AudioAppConfig>;
 
+  /// Single-mode constructor: the mode list {{"audio", cfg}}.
   AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
                  const AudioAppConfig& cfg = {});
 
   /// Multi-mode constructor: validates the family up front and applies the
   /// first mode. A bypass mode detaches the decoder task and its streams;
   /// switching back re-attaches them live (diff-based transition with a
-  /// partial drain of the affected FIFOs).
+  /// partial drain of the affected FIFOs). A refused construction leaves
+  /// no trace on the instance.
   AudioDecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> coded_stream,
                  std::vector<Mode> modes);
 
@@ -71,8 +73,6 @@ class AudioDecodeApp {
   [[nodiscard]] bool done() const;
   /// Decoded PCM samples (valid after completion).
   [[nodiscard]] std::vector<std::int16_t> pcm() const;
-  /// Raw bytes the sink collected (coded blocks while a bypass mode ran).
-  [[nodiscard]] const std::vector<std::uint8_t>& sinkBytes() const;
 
   /// Runtime control (pause/resume/drain/teardown) for this application.
   [[nodiscard]] AppHandle& handle() { return handle_; }
@@ -87,7 +87,6 @@ class AudioDecodeApp {
   struct FeederState;
   struct DecoderState;
 
-  void initStreams(std::vector<std::uint8_t>& coded_stream);
   [[nodiscard]] coproc::SoftCpu::StepHandler feederStep() const;
   [[nodiscard]] coproc::SoftCpu::StepHandler decoderStep() const;
   /// The graph of one mode: play (feeder -> decoder -> sink) or bypass

@@ -117,7 +117,9 @@ class AppHandle {
   /// before its first write. `before_enable`, when given, runs after every
   /// slot/row/buffer is allocated and programmed but before any task row
   /// is made valid+enabled — the place for coprocessor-specific parameter
-  /// setup (e.g. VLD bitstream address) that needs task ids.
+  /// setup (e.g. VLD bitstream address) that needs task ids, and for every
+  /// off-chip allocation and staging write of the application, so that a
+  /// refused configure leaves the instance as it found it.
   static AppHandle configure(EclipseInstance& inst, const GraphSpec& spec,
                              const std::function<void(AppHandle&)>& before_enable = {});
 
@@ -203,7 +205,7 @@ class AppHandle {
   /// Frees everything the application holds: task rows and stream rows are
   /// invalidated over the PI-bus (resetting them for reuse), software
   /// handlers unbound, task slots / stream SRAM / adopted DRAM returned to
-  /// the instance allocators, and registered cleanups run. Idempotent.
+  /// the instance allocators. Idempotent.
   /// Only safe when the graph is quiesced (or was never run) — throws
   /// std::logic_error otherwise unless `force` is set (e.g. discarding a
   /// wedged graph after a fault).
@@ -213,10 +215,6 @@ class AppHandle {
   /// Registers an off-chip region (e.g. an input bitstream or a frame
   /// store) to be freed on teardown.
   void adoptDram(sim::Addr addr, std::size_t bytes);
-
-  /// Registers a callback run once at teardown (e.g. withdrawing a
-  /// registerApp() slot for an application torn down before completion).
-  void addCleanup(std::function<void()> fn);
 
   /// How long drain() and a switch's partial drain may run the simulation
   /// (cycles), and the slice between two quiescence polls over the PI-bus.
@@ -255,7 +253,6 @@ class AppHandle {
   std::vector<AppTask> tasks_;
   std::vector<AppStream> streams_;
   std::vector<std::pair<sim::Addr, std::size_t>> dram_regions_;
-  std::vector<std::function<void()>> cleanups_;
   std::vector<std::pair<shell::Shell*, int>> fault_observers_;  ///< (shell, observer id)
   TransitionStats last_transition_{};
   bool torn_down_ = false;

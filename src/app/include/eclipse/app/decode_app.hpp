@@ -51,19 +51,10 @@ class DecodeApp {
             const DecodeAppConfig& cfg = {});
 
   /// Multi-mode constructor: validates the whole mode family up front
-  /// (ModeSet::validate) and applies the first mode. Later modes are
-  /// reachable live via switchMode()/switchSegment().
+  /// (ModeSet::validate) and applies the first mode; later modes are
+  /// reachable live. A refused construction leaves no trace on the instance.
   DecodeApp(EclipseInstance& inst, std::vector<std::uint8_t> bitstream,
             std::vector<Mode> modes);
-
-  /// The GraphSpec the constructor applies (exposed for inspection,
-  /// validation tests and tooling). `sink_shell` is the name of the frame
-  /// sink's shell; `name` becomes the graph/mode name.
-  static GraphSpec spec(const DecodeAppConfig& cfg, const std::string& sink_shell,
-                        const std::string& name = "decode");
-
-  /// The decode mode family as a validated ModeSet (one spec per entry).
-  static ModeSet modeSet(const std::vector<Mode>& modes, const std::string& sink_shell);
 
   /// Live in-clip transition to another mode of the family (diff-based,
   /// AppHandle::switchTo). Field-only diffs — budget/priority modes over
@@ -74,10 +65,11 @@ class DecodeApp {
   TransitionStats switchMode(std::string_view mode_name);
 
   /// Segment boundary: after the current bitstream finished (done()),
-  /// re-arms the sink, switches to `mode_name` and points the VLD at the
-  /// next segment's bitstream — SD↔HD adaptive-bitrate decode without
+  /// switches to `mode_name`, points the VLD at the next segment's
+  /// bitstream and re-arms the sink — SD↔HD adaptive-bitrate decode without
   /// tearing the application down. Finished frames of the previous segment
-  /// are archived (segmentFrames). Throws std::logic_error unless done().
+  /// are archived (segmentFrames). Throws std::logic_error unless done(); a
+  /// refused switch leaves the finished application as it was.
   TransitionStats switchSegment(std::string_view mode_name, std::vector<std::uint8_t> bitstream);
 
   /// Active mode name ("decode" for the single-mode constructor).
@@ -139,9 +131,11 @@ class DecodeApp {
   [[nodiscard]] sim::TaskId mcTask() const { return handle_.taskId("mc"); }
 
  private:
-  /// (Re)configures the VLD and MC task parameters for a bitstream whose
-  /// sequence header is already parsed; allocates and adopts the off-chip
-  /// regions. Shared by the constructor and switchSegment().
+  /// The graph of one mode, ending at this app's frame sink.
+  [[nodiscard]] GraphSpec modeSpec(const std::string& name, const DecodeAppConfig& cfg) const;
+  /// Parses the sequence header; returns the transition hook that stages
+  /// the bitstream and frame store off-chip and points the VLD and MC tasks
+  /// at them. Shared by the constructor and switchSegment().
   std::function<void(AppHandle&)> stageBitstream(std::vector<std::uint8_t> bitstream);
   /// The recovery policy of enableRecovery() for one latched fault.
   void recoverFrom(const TaskFault& f);

@@ -42,6 +42,7 @@ class EncodeApp {
   /// A named encode mode (e.g. "hq"/"eco" with different task budgets).
   using Mode = std::pair<std::string, EncodeAppConfig>;
 
+  /// Single-mode constructor: the mode list {{"encode", cfg}}.
   EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
             const media::CodecParams& params, const EncodeAppConfig& cfg = {});
 
@@ -49,16 +50,10 @@ class EncodeApp {
   /// first mode; the others are reachable live via switchMode(). Modes of
   /// a family must share buffer sizes (field-only transitions): the encode
   /// reconstruction loop never fully drains mid-clip, so stream re-binding
-  /// is only possible between clips.
+  /// is only possible between clips. A refused construction leaves no
+  /// trace on the instance.
   EncodeApp(EclipseInstance& inst, std::vector<media::Frame> frames,
             const media::CodecParams& params, std::vector<Mode> modes);
-
-  /// The GraphSpec the constructor applies. `sink_shell` names the byte
-  /// sink's shell; the two handlers are the source and VLE software steps.
-  static GraphSpec spec(const EncodeAppConfig& cfg, const std::string& sink_shell,
-                        coproc::SoftCpu::StepHandler source_step,
-                        coproc::SoftCpu::StepHandler vle_step,
-                        const std::string& name = "encode");
 
   /// Live field-only transition to another mode of the family (budget /
   /// task-info rewrites over the PI-bus, no drain, no simulated cycles).
@@ -84,9 +79,8 @@ class EncodeApp {
   [[nodiscard]] sim::TaskId reconTask() const { return handle_.taskId("recon"); }
 
  private:
-  /// spec() bound to this app's sink shell and software handlers.
-  GraphSpec modeSpec(const std::string& name, const EncodeAppConfig& cfg) const;
-  void init(const media::CodecParams& params, int frame_count);
+  /// The graph of one mode, with this app's software steps and sink.
+  [[nodiscard]] GraphSpec modeSpec(const std::string& name, const EncodeAppConfig& cfg) const;
 
   EclipseInstance& inst_;
   coproc::ByteSink* sink_ = nullptr;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,7 +70,8 @@ struct InstanceParams {
   coproc::McParams mc{};
 
   /// Loads overrides from a setup file (Section 7 design-space
-  /// exploration); unknown keys are ignored by this loader.
+  /// exploration). Throws std::invalid_argument naming the first key it
+  /// does not know, so a misspelt key cannot run the default instance.
   static InstanceParams fromConfig(const sim::Config& cfg);
 };
 
@@ -137,10 +137,27 @@ class EclipseInstance {
   /// a hardware module (used by the configurator to bind software steps).
   [[nodiscard]] coproc::SoftCpu* softCpuAt(const shell::Shell& sh);
 
-  /// Creates a frame sink (display writer) with its own shell.
-  coproc::FrameSink& createFrameSink(std::function<void()> on_done);
-  /// Creates a byte sink (e.g. for an encoder's output bitstream).
-  coproc::ByteSink& createByteSink(std::function<void()> on_done);
+  /// Adds an output sink (coproc::FrameSink or coproc::ByteSink) behind a
+  /// new shell named "<kind>-<shell id>" and runs `configure(sink)`, the
+  /// application's first transition, which starts the sink (startSinks).
+  /// If `configure` throws before that, the sink and its shell go again.
+  template <class S, class F>
+  void addSink(F&& configure) {
+    auto owned = std::make_unique<S>(
+        sim_, makeShell(std::string(S::kName) + "-" + std::to_string(next_shell_id_)));
+    S& sink = *owned;
+    sinks_.push_back(std::move(owned));
+    try {
+      configure(sink);
+    } catch (...) {
+      dropLastSink();
+      throw;
+    }
+  }
+  /// Starts every sink added since start() (control loop, and profiler if
+  /// enabled); a no-op before start(). AppHandle::switchTo calls it once
+  /// the target is admitted, before it causes any event.
+  void startSinks();
 
   /// Allocates a stream buffer in on-chip SRAM (cache-line aligned,
   /// first-fit over the free list). Throws std::runtime_error on
@@ -173,23 +190,17 @@ class EclipseInstance {
   [[nodiscard]] std::uint32_t freeTaskSlots(const shell::Shell& sh) const;
 
   /// Starts every coprocessor control loop (and profilers if enabled).
-  /// Idempotent per coprocessor; sinks created later start on creation.
+  /// Idempotent; sinks added later start with startSinks().
   void start();
 
-  /// Registers an application completion slot; returns a callback that the
-  /// application fires when done. The simulation stops when every
-  /// registered application has completed.
-  std::function<void()> registerApp();
-
-  /// Withdraws one registered-but-unfinished application (used when an
-  /// application is torn down before its sink fired completion).
-  void deregisterApp();
-
-  /// Runs the simulation until all registered applications complete, the
-  /// event queue drains, or `until` is reached.
+  /// Runs the simulation until every pending application completes (it
+  /// stops inside the event that delivers the last pending sink's Eos),
+  /// the event queue drains, or `until` is reached.
   sim::Cycle run(sim::Cycle until = sim::Simulator::kForever);
 
-  [[nodiscard]] int pendingApps() const { return pending_apps_; }
+  /// Applications still running, derived from the sinks (a sink is pending
+  /// while its shell holds a valid task and it has not seen Eos).
+  [[nodiscard]] int pendingApps() const;
 
   // --- Fault injection and health (DESIGN §9) ---------------------------
 
@@ -233,6 +244,9 @@ class EclipseInstance {
   [[nodiscard]] std::uint32_t sramRounded(std::uint32_t bytes) const;
 
   shell::Shell& makeShell(const std::string& name);
+  /// Undoes addSink, unless the sink's control loop already runs: its shell
+  /// leaves the shell list, the PI-bus and the message network.
+  void dropLastSink();
 
   InstanceParams params_;
   sim::Simulator sim_;
@@ -242,7 +256,8 @@ class EclipseInstance {
   mem::PiBus pi_bus_;
 
   std::vector<std::unique_ptr<shell::Shell>> shells_;
-  std::vector<std::unique_ptr<coproc::Coprocessor>> extra_coprocs_;
+  std::vector<std::unique_ptr<coproc::Sink>> sinks_;
+  std::size_t sinks_started_ = 0;  // sinks_[0, sinks_started_) are running
   std::unique_ptr<coproc::VldCoproc> vld_;
   std::unique_ptr<coproc::RlsqCoproc> rlsq_;
   std::unique_ptr<coproc::DctCoproc> dct_;
@@ -253,7 +268,6 @@ class EclipseInstance {
   std::vector<Region> dram_free_;
   std::vector<std::vector<bool>> task_used_;  // per shell id, per slot
   std::uint32_t next_shell_id_ = 0;
-  int pending_apps_ = 0;
   bool started_ = false;
   sim::FaultInjector injector_;
   std::vector<sim::FaultSpec> bit_flips_;  // armed bit flips, by event index

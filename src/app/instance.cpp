@@ -1,7 +1,10 @@
 #include "eclipse/app/instance.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "eclipse/app/configurator.hpp"
@@ -10,33 +13,45 @@ namespace eclipse::app {
 
 InstanceParams InstanceParams::fromConfig(const sim::Config& cfg) {
   InstanceParams p;
-  p.sram.size_bytes = static_cast<std::size_t>(cfg.getInt("sram.size_bytes", static_cast<std::int64_t>(p.sram.size_bytes)));
-  p.sram.bus_width_bytes = static_cast<std::uint32_t>(cfg.getInt("sram.bus_width_bytes", p.sram.bus_width_bytes));
-  p.sram.bus_arbitration_latency = static_cast<sim::Cycle>(cfg.getInt("sram.bus_arbitration_latency", static_cast<std::int64_t>(p.sram.bus_arbitration_latency)));
-  p.sram.access_latency = static_cast<sim::Cycle>(cfg.getInt("sram.access_latency", static_cast<std::int64_t>(p.sram.access_latency)));
-  p.dram.size_bytes = static_cast<std::size_t>(cfg.getInt("dram.size_bytes", static_cast<std::int64_t>(p.dram.size_bytes)));
-  p.dram.bus_width_bytes = static_cast<std::uint32_t>(cfg.getInt("dram.bus_width_bytes", p.dram.bus_width_bytes));
-  p.dram.bus_arbitration_latency = static_cast<sim::Cycle>(cfg.getInt("dram.bus_arbitration_latency", static_cast<std::int64_t>(p.dram.bus_arbitration_latency)));
-  p.dram.access_latency = static_cast<sim::Cycle>(cfg.getInt("dram.access_latency", static_cast<std::int64_t>(p.dram.access_latency)));
-  p.message_latency = static_cast<sim::Cycle>(cfg.getInt("network.message_latency", static_cast<std::int64_t>(p.message_latency)));
-  p.cache_line_bytes = static_cast<std::uint32_t>(cfg.getInt("shell.cache_line_bytes", p.cache_line_bytes));
-  p.cache_lines_per_port = static_cast<std::uint32_t>(cfg.getInt("shell.cache_lines_per_port", p.cache_lines_per_port));
-  p.prefetch = cfg.getBool("shell.prefetch", p.prefetch);
-  p.sync_latency = static_cast<sim::Cycle>(cfg.getInt("shell.sync_latency", static_cast<std::int64_t>(p.sync_latency)));
-  p.gettask_latency = static_cast<sim::Cycle>(cfg.getInt("shell.gettask_latency", static_cast<std::int64_t>(p.gettask_latency)));
-  p.io_latency = static_cast<sim::Cycle>(cfg.getInt("shell.io_latency", static_cast<std::int64_t>(p.io_latency)));
-  p.port_width_bytes = static_cast<std::uint32_t>(cfg.getInt("shell.port_width_bytes", p.port_width_bytes));
-  p.profiler_period = static_cast<sim::Cycle>(cfg.getInt("shell.profiler_period", static_cast<std::int64_t>(p.profiler_period)));
-  p.best_guess = cfg.getBool("shell.best_guess", p.best_guess);
-  p.vld.cycles_per_symbol = static_cast<sim::Cycle>(cfg.getInt("vld.cycles_per_symbol", static_cast<std::int64_t>(p.vld.cycles_per_symbol)));
-  p.vld.fetch_chunk = static_cast<std::uint32_t>(cfg.getInt("vld.fetch_chunk", p.vld.fetch_chunk));
-  p.rlsq.cycles_per_pair = static_cast<sim::Cycle>(cfg.getInt("rlsq.cycles_per_pair", static_cast<std::int64_t>(p.rlsq.cycles_per_pair)));
-  p.rlsq.cycles_per_block = static_cast<sim::Cycle>(cfg.getInt("rlsq.cycles_per_block", static_cast<std::int64_t>(p.rlsq.cycles_per_block)));
-  p.dct.cycles_per_block = static_cast<sim::Cycle>(cfg.getInt("dct.cycles_per_block", static_cast<std::int64_t>(p.dct.cycles_per_block)));
-  p.dct.pipelined = cfg.getBool("dct.pipelined", p.dct.pipelined);
-  p.mc.cycles_per_block_add = static_cast<sim::Cycle>(cfg.getInt("mc.cycles_per_block_add", static_cast<std::int64_t>(p.mc.cycles_per_block_add)));
-  p.mc.cycles_per_candidate = static_cast<sim::Cycle>(cfg.getInt("mc.cycles_per_candidate", static_cast<std::int64_t>(p.mc.cycles_per_candidate)));
-  p.mc.search_range = static_cast<int>(cfg.getInt("mc.search_range", p.mc.search_range));
+  std::set<std::string> known;
+  auto read = [&](const std::string& key, auto& field) {
+    known.insert(key);
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>) field = cfg.getBool(key, field);
+    else field = static_cast<T>(cfg.getInt(key, static_cast<std::int64_t>(field)));
+  };
+  read("sram.size_bytes", p.sram.size_bytes);
+  read("sram.bus_width_bytes", p.sram.bus_width_bytes);
+  read("sram.bus_arbitration_latency", p.sram.bus_arbitration_latency);
+  read("sram.access_latency", p.sram.access_latency);
+  read("dram.size_bytes", p.dram.size_bytes);
+  read("dram.bus_width_bytes", p.dram.bus_width_bytes);
+  read("dram.bus_arbitration_latency", p.dram.bus_arbitration_latency);
+  read("dram.access_latency", p.dram.access_latency);
+  read("network.message_latency", p.message_latency);
+  read("shell.cache_line_bytes", p.cache_line_bytes);
+  read("shell.cache_lines_per_port", p.cache_lines_per_port);
+  read("shell.prefetch", p.prefetch);
+  read("shell.sync_latency", p.sync_latency);
+  read("shell.gettask_latency", p.gettask_latency);
+  read("shell.io_latency", p.io_latency);
+  read("shell.port_width_bytes", p.port_width_bytes);
+  read("shell.profiler_period", p.profiler_period);
+  read("shell.best_guess", p.best_guess);
+  read("vld.cycles_per_symbol", p.vld.cycles_per_symbol);
+  read("vld.fetch_chunk", p.vld.fetch_chunk);
+  read("rlsq.cycles_per_pair", p.rlsq.cycles_per_pair);
+  read("rlsq.cycles_per_block", p.rlsq.cycles_per_block);
+  read("dct.cycles_per_block", p.dct.cycles_per_block);
+  read("dct.pipelined", p.dct.pipelined);
+  read("mc.cycles_per_block_add", p.mc.cycles_per_block_add);
+  read("mc.cycles_per_candidate", p.mc.cycles_per_candidate);
+  read("mc.search_range", p.mc.search_range);
+  for (const std::string& key : cfg.keys()) {
+    if (known.count(key) == 0) {
+      throw std::invalid_argument("InstanceParams: unknown setup key '" + key + "'");
+    }
+  }
   return p;
 }
 
@@ -102,28 +117,24 @@ coproc::SoftCpu* EclipseInstance::softCpuAt(const shell::Shell& sh) {
   return nullptr;
 }
 
-coproc::FrameSink& EclipseInstance::createFrameSink(std::function<void()> on_done) {
-  auto& sh = makeShell("frame-sink-" + std::to_string(next_shell_id_));
-  auto sink = std::make_unique<coproc::FrameSink>(sim_, sh, std::move(on_done));
-  auto& ref = *sink;
-  extra_coprocs_.push_back(std::move(sink));
-  if (started_) {
-    ref.start();
-    if (params_.profiler_period > 0) sh.startProfiler();
-  }
-  return ref;
+void EclipseInstance::dropLastSink() {
+  if (sinks_started_ == sinks_.size()) return;
+  const shell::Shell& sh = *shells_.back();
+  pi_bus_.detach(mmioBase(sh));
+  network_->attach(sh.id(), {});
+  sinks_.pop_back();
+  shells_.pop_back();
+  task_used_.pop_back();
+  --next_shell_id_;
 }
 
-coproc::ByteSink& EclipseInstance::createByteSink(std::function<void()> on_done) {
-  auto& sh = makeShell("byte-sink-" + std::to_string(next_shell_id_));
-  auto sink = std::make_unique<coproc::ByteSink>(sim_, sh, std::move(on_done));
-  auto& ref = *sink;
-  extra_coprocs_.push_back(std::move(sink));
-  if (started_) {
-    ref.start();
-    if (params_.profiler_period > 0) sh.startProfiler();
+void EclipseInstance::startSinks() {
+  if (!started_) return;
+  for (; sinks_started_ < sinks_.size(); ++sinks_started_) {
+    coproc::Sink& s = *sinks_[sinks_started_];
+    s.start();
+    if (params_.profiler_period > 0) s.shell().startProfiler();
   }
-  return ref;
 }
 
 // ---------------------------------------------------------------------
@@ -263,29 +274,30 @@ void EclipseInstance::start() {
   dct_->start();
   mc_->start();
   cpu_->start();
-  for (auto& c : extra_coprocs_) c->start();
+  for (auto& s : sinks_) s->start();
+  sinks_started_ = sinks_.size();
   if (params_.profiler_period > 0) {
     for (auto& sh : shells_) sh->startProfiler();
   }
 }
 
-std::function<void()> EclipseInstance::registerApp() {
-  ++pending_apps_;
-  return [this] {
-    if (--pending_apps_ <= 0) sim_.stop();
-  };
-}
-
-void EclipseInstance::deregisterApp() {
-  if (pending_apps_ <= 0) {
-    throw std::logic_error("EclipseInstance: deregisterApp without a pending application");
-  }
-  --pending_apps_;
-}
-
 sim::Cycle EclipseInstance::run(sim::Cycle until) {
   start();
-  return sim_.run(until);
+  // Every sink stops the simulation at its Eos; go on while that left
+  // another application pending. A stop that finished no sink (a caller's
+  // own sim.stop()) still ends the run.
+  int pending = pendingApps();
+  sim::Cycle now = sim_.run(until);
+  for (int left = pendingApps(); left > 0 && left < pending; left = pendingApps()) {
+    pending = left;
+    now = sim_.run(until);
+  }
+  return now;
+}
+
+int EclipseInstance::pendingApps() const {
+  return static_cast<int>(std::count_if(sinks_.begin(), sinks_.end(),
+                                        [](const auto& s) { return s->pending(); }));
 }
 
 // ---------------------------------------------------------------------

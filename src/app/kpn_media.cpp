@@ -39,6 +39,14 @@ sim::Task<std::optional<std::vector<std::uint8_t>>> kpnRead(kpn::ByteFifo& fifo)
 
 PacketTag tagOf(const std::vector<std::uint8_t>& pkt) { return static_cast<PacketTag>(pkt.at(0)); }
 
+/// Reads `fifo` until its producer closes it. A task that ends on one
+/// input's Eos drains its other inputs this way, so every producer's last
+/// write completes and every edge ends empty.
+sim::Task<void> drain(kpn::ByteFifo& fifo) {
+  while (const auto pkt = co_await kpnRead(fifo)) {
+  }
+}
+
 std::span<const std::uint8_t> payload(const std::vector<std::uint8_t>& pkt) {
   return std::span<const std::uint8_t>(pkt).subspan(1);
 }
@@ -124,6 +132,7 @@ KpnDecoder::KpnDecoder(std::vector<std::uint8_t> bitstream, std::size_t fifo_byt
     while (auto hdr_pkt = co_await kpnRead(ctx.in(0))) {
       const auto tag = tagOf(*hdr_pkt);
       if (tag == PacketTag::Eos) {
+        co_await drain(ctx.in(1));
         co_await kpnWrite(ctx.out(0), *hdr_pkt);
         co_return;
       }
@@ -329,6 +338,7 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
           if (cp.type != media::FrameType::B) ++refs_emitted;
         }
         co_await kpnWrite(ctx.out(0), media::packTag(PacketTag::Eos));
+        co_await drain(ctx.in(0));  // the tokens no frame waited for
       });
 
   // --- motion estimation ---
@@ -511,6 +521,7 @@ KpnEncoder::KpnEncoder(std::vector<media::Frame> frames, const media::CodecParam
     while (auto res_pkt = co_await kpnRead(ctx.in(0))) {
       const auto tag = tagOf(*res_pkt);
       if (tag == PacketTag::Eos) {
+        co_await drain(ctx.in(1));
         co_await kpnWrite(ctx.out(0), *res_pkt);
         co_return;
       }

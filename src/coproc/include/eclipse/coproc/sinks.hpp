@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -10,21 +9,36 @@
 
 namespace eclipse::coproc {
 
-/// Output-side coprocessor that assembles the MC pixel stream back into
-/// display frames (stands in for the display/memory writer of a real SoC).
-/// Fires `on_done` when the end-of-stream packet arrives.
-class FrameSink final : public Coprocessor {
+/// The end of an application's graph, behind its own shell. It is pending
+/// while its shell holds a valid task and it has not seen Eos.
+class Sink : public Coprocessor {
  public:
   static constexpr sim::PortId kIn = 0;
 
-  FrameSink(sim::Simulator& sim, shell::Shell& sh, std::function<void()> on_done)
-      : Coprocessor(sim, sh, "frame-sink"), on_done_(std::move(on_done)) {}
+  using Coprocessor::Coprocessor;
+
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] bool pending() const;
+
+ protected:
+  /// Eos: latches done, parks the task and stops the simulation after this
+  /// event (EclipseInstance::run goes on while another sink is pending).
+  void finish(sim::TaskId task);
+
+  bool done_ = false;
+};
+
+/// Output-side coprocessor that assembles the MC pixel stream back into
+/// display frames (stands in for the display/memory writer of a real SoC).
+class FrameSink final : public Sink {
+ public:
+  static constexpr const char* kName = "frame-sink";
+
+  FrameSink(sim::Simulator& sim, shell::Shell& sh) : Sink(sim, sh, kName) {}
 
   /// Decoded frames in display order (valid after completion).
   [[nodiscard]] std::vector<media::Frame> framesInDisplayOrder() const;
 
-  [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] const media::SeqHeader& seqHeader() const { return seq_; }
   [[nodiscard]] std::uint64_t macroblocksReceived() const { return mbs_; }
 
   /// Frames abandoned mid-assembly when a Resync marker arrived (recovery
@@ -32,10 +46,10 @@ class FrameSink final : public Coprocessor {
   [[nodiscard]] std::uint64_t framesDropped() const { return frames_dropped_; }
 
   /// Re-arms a completed sink for another bitstream segment (multi-segment
-  /// playback across mode switches): archives the finished frames, clears
-  /// the assembly state and the done latch, and installs the next segment's
-  /// completion callback. Throws std::logic_error unless done().
-  void rearm(std::function<void()> on_done);
+  /// playback across mode switches): archives the finished frames and
+  /// clears the assembly state and the done latch, so the sink is pending
+  /// again. Throws std::logic_error unless done().
+  void rearm();
 
   /// Segments archived by rearm() so far (the live segment is not counted).
   [[nodiscard]] std::size_t segmentsCompleted() const { return segments_.size(); }
@@ -46,7 +60,6 @@ class FrameSink final : public Coprocessor {
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 
  private:
-  std::function<void()> on_done_;
   media::SeqHeader seq_{};
   media::PicHeader pic_{};
   std::map<int, media::Frame> frames_;  // by temporal_ref
@@ -55,28 +68,23 @@ class FrameSink final : public Coprocessor {
   bool pic_open_ = false;  ///< a picture header arrived, MBs still expected
   std::uint64_t mbs_ = 0;
   std::uint64_t frames_dropped_ = 0;
-  bool done_ = false;
 };
 
 /// Collects a raw byte stream (e.g. the variable-length encoder's output
-/// bitstream) delivered as Mb-tagged chunk packets. Fires `on_done` on Eos.
-class ByteSink final : public Coprocessor {
+/// bitstream) delivered as Mb-tagged chunk packets.
+class ByteSink final : public Sink {
  public:
-  static constexpr sim::PortId kIn = 0;
+  static constexpr const char* kName = "byte-sink";
 
-  ByteSink(sim::Simulator& sim, shell::Shell& sh, std::function<void()> on_done)
-      : Coprocessor(sim, sh, "byte-sink"), on_done_(std::move(on_done)) {}
+  ByteSink(sim::Simulator& sim, shell::Shell& sh) : Sink(sim, sh, kName) {}
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  [[nodiscard]] bool done() const { return done_; }
 
  protected:
   sim::Task<void> step(sim::TaskId task, std::uint32_t task_info) override;
 
  private:
-  std::function<void()> on_done_;
   std::vector<std::uint8_t> bytes_;
-  bool done_ = false;
 };
 
 }  // namespace eclipse::coproc

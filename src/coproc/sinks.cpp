@@ -7,6 +7,20 @@
 
 namespace eclipse::coproc {
 
+bool Sink::pending() const {
+  if (done_) return false;
+  for (std::uint32_t i = 0; i < shell_.tasks().capacity(); ++i) {
+    if (shell_.tasks().row(static_cast<sim::TaskId>(i)).valid) return true;
+  }
+  return false;
+}
+
+void Sink::finish(sim::TaskId task) {
+  done_ = true;
+  finishTask(task);
+  sim_.stop();
+}
+
 std::vector<media::Frame> FrameSink::framesInDisplayOrder() const {
   std::vector<media::Frame> out;
   out.reserve(frames_.size());
@@ -14,7 +28,7 @@ std::vector<media::Frame> FrameSink::framesInDisplayOrder() const {
   return out;
 }
 
-void FrameSink::rearm(std::function<void()> on_done) {
+void FrameSink::rearm() {
   if (!done_) {
     throw std::logic_error("FrameSink::rearm: sink has not finished the current segment");
   }
@@ -28,7 +42,6 @@ void FrameSink::rearm(std::function<void()> on_done) {
   mb_index_ = 0;
   pic_open_ = false;
   done_ = false;
-  on_done_ = std::move(on_done);
 }
 
 const std::vector<media::Frame>& FrameSink::segmentFrames(std::size_t i) const {
@@ -85,12 +98,9 @@ sim::Task<void> FrameSink::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       mb_index_ = 0;
       break;
     }
-    case media::PacketTag::Eos: {
-      done_ = true;
-      finishTask(task);
-      if (on_done_) on_done_();
+    case media::PacketTag::Eos:
+      finish(task);
       break;
-    }
   }
 }
 
@@ -106,12 +116,9 @@ sim::Task<void> ByteSink::step(sim::TaskId task, std::uint32_t /*task_info*/) {
     }
     case media::PacketTag::Resync:
       break;  // marker only delimits; the byte stream itself is unframed
-    case media::PacketTag::Eos: {
-      done_ = true;
-      finishTask(task);
-      if (on_done_) on_done_();
+    case media::PacketTag::Eos:
+      finish(task);
       break;
-    }
     default:
       throw std::runtime_error("ByteSink: unexpected packet tag");
   }

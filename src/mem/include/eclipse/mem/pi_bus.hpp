@@ -35,6 +35,11 @@ class PiBus {
     devices_.push_back(Device{std::move(name), base, size, std::move(read), std::move(write)});
   }
 
+  /// Unmaps the register window that starts at `base` (none: no effect).
+  void detach(sim::Addr base) {
+    std::erase_if(devices_, [base](const Device& d) { return d.base == base; });
+  }
+
   [[nodiscard]] std::uint32_t read(sim::Addr addr) const {
     const Device& d = find(addr);
     ++reads_;

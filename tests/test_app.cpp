@@ -94,6 +94,16 @@ TEST(Instance, FromConfigAppliesOverrides) {
   EXPECT_EQ(ip.dram.access_latency, app::InstanceParams{}.dram.access_latency);
 }
 
+TEST(Instance, FromConfigRejectsAnUnknownKeyByName) {
+  const auto cfg = sim::Config::fromString("[sram]\nsize_bytes = 65536\nsize_byte = 1024\n");
+  try {
+    (void)app::InstanceParams::fromConfig(cfg);
+    ADD_FAILURE() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'sram.size_byte'"), std::string::npos) << e.what();
+  }
+}
+
 // ---------------------------------------------------------- KPN level
 
 TEST(KpnDecoder, BitExactAgainstGolden) {
@@ -124,33 +134,27 @@ TEST(KpnDecoder, SmallFifosStillComplete) {
   EXPECT_LE(dec.graph().edge(dec.coefEdge()).maxFill(), 2048u);
 }
 
-// One FIFO size for every edge. 5 bytes is the decode's smallest uniform
-// buffer: it completes bit-exact. At 4 bytes it deadlocks, which run()
-// reports at once and the same way on every run (a bounded Kahn network is
-// still determinate), naming each blocked task with its stream and whether
-// that stream is empty or full. The one blocked task is idct: mc ends on
-// the header stream's Eos and never reads the residual stream's Eos packet
-// (4 length bytes and a tag), whose last byte idct cannot write.
-TEST(KpnDecoder, FiveByteFifosCompleteAndFourBytesDeadlockExactly) {
+// One FIFO size for every edge. mc joins the header and residual streams
+// and reads both Eos packets, so no task is left with a write the network
+// cannot take: a bounded Kahn network stays determinate, and FIFOs down to
+// one byte only serialise the tasks more. Every edge ends drained, each
+// byte written also read.
+TEST(KpnDecoder, UniformFifosDownToOneByteDecodeBitExactAndDrainEveryEdge) {
   media::Encoder enc(tinyCodec());
   const auto bits = tinyStream(enc);
-  app::KpnDecoder dec(bits, 5);
-  const auto out = dec.run();
-  ASSERT_EQ(out.size(), enc.reconstructed().size());
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], enc.reconstructed()[i]);
-
-  auto deadlockReport = [&bits]() -> std::string {
-    app::KpnDecoder small(bits, 4);
-    try {
-      (void)small.run();
-    } catch (const kpn::DeadlockError& e) {
-      return e.what();
+  for (std::size_t fifo = 1; fifo <= 5; ++fifo) {
+    app::KpnDecoder dec(bits, fifo);
+    const auto out = dec.run();
+    ASSERT_EQ(out.size(), enc.reconstructed().size()) << fifo << "-byte FIFOs";
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], enc.reconstructed()[i]) << fifo << "-byte FIFOs, frame " << i;
     }
-    return "no deadlock";
-  };
-  const std::string report = deadlockReport();
-  EXPECT_EQ(report, "KPN deadlock: idct writes idct:0->mc:1 (full)");
-  EXPECT_EQ(report, deadlockReport());
+    for (std::size_t e = 0; e < dec.graph().edgeCount(); ++e) {
+      const kpn::ByteFifo& f = dec.graph().edge(static_cast<int>(e));
+      EXPECT_EQ(f.totalProduced(), f.totalConsumed())
+          << fifo << "-byte FIFOs, edge " << f.name();
+    }
+  }
 }
 
 // ------------------------------------------------------------- traces

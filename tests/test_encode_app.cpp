@@ -195,6 +195,21 @@ TEST(KpnEncoder, SmallFifosStillCompleteTheFeedbackLoop) {
   EXPECT_EQ(small.run(), golden_bits);
 }
 
+TEST(KpnEncoder, EveryEdgeEndsDrained) {
+  // recon joins the reconstruction residuals with me's headers and reads
+  // both Eos packets, so each byte written on an edge is also read.
+  const auto frames = media::generateVideo(vid());
+  auto cp = codec();
+  cp.search.range = 4;
+  app::KpnEncoder enc(frames, cp);
+  media::Encoder golden(cp);
+  EXPECT_EQ(enc.run(), golden.encode(frames));
+  for (std::size_t e = 0; e < enc.graph().edgeCount(); ++e) {
+    const kpn::ByteFifo& f = enc.graph().edge(static_cast<int>(e));
+    EXPECT_EQ(f.totalProduced(), f.totalConsumed()) << f.name();
+  }
+}
+
 TEST(KpnEncoder, GraphHasTheNineTaskShape) {
   const auto frames = media::generateVideo(vid());
   app::KpnEncoder enc(frames, codec());

@@ -350,6 +350,22 @@ TEST(Farm, ConfigurationErrorIsContainedPerJob) {
   EXPECT_EQ(ok.sim_cycles, kPinCycles);
 }
 
+TEST(Farm, UnknownSetupKeyIsAConfigErrorNamingTheKey) {
+  // A misspelt instance key must not silently run the default instance.
+  std::string err;
+  std::optional<Job> typo = farm::parseJob(
+      "typo kind=decode width=48 height=32 frames=2 config:sram.size_byte=65536", err);
+  ASSERT_TRUE(typo) << err;
+  farm::FarmOptions opts;
+  opts.workers = 1;
+  opts.cache = sharedCache();
+  farm::Farm f(opts);
+  const JobResult r = f.submit(std::move(*typo)).result.get();
+  EXPECT_EQ(r.status, JobStatus::Error);
+  EXPECT_EQ(r.cause, farm::JobError::Config);
+  EXPECT_NE(r.error.find("'sram.size_byte'"), std::string::npos) << r.error;
+}
+
 TEST(Farm, SubmitForBoundsTheWaitAndReportsTheOutcome) {
   // Queue level, where the full/closed states are under test control (no
   // worker draining behind our back): a bounded wait on a full queue times

@@ -237,6 +237,28 @@ TEST(Graph, DeadlockSurfacesAsError) {
   } catch (const DeadlockError& e) {
     EXPECT_STREQ(e.what(), "KPN deadlock: x reads y:0->x:0 (empty); y reads x:0->y:0 (empty)");
   }
+
+  // A writer blocked on a full FIFO is reported as such: p fills its
+  // 4-byte edge to q before it writes the edge q reads first.
+  Graph f;
+  const int p = f.addTask("p", [](TaskContext& ctx) -> Task<void> {
+    co_await ctx.write(0, std::uint32_t{1});
+    co_await ctx.write(0, std::uint32_t{2});
+    co_await ctx.write(1, std::uint32_t{3});
+  });
+  const int q = f.addTask("q", [](TaskContext& ctx) -> Task<void> {
+    std::uint32_t v;
+    while (co_await ctx.read(1, v) && co_await ctx.read(0, v)) {
+    }
+  });
+  f.connect(p, 0, q, 0, 4);
+  f.connect(p, 1, q, 1, 4);
+  try {
+    f.run();
+    ADD_FAILURE() << "no deadlock";
+  } catch (const DeadlockError& e) {
+    EXPECT_STREQ(e.what(), "KPN deadlock: p writes p:0->q:0 (full); q reads p:1->q:1 (empty)");
+  }
 }
 
 TEST(Graph, DescribeListsStructure) {
